@@ -97,11 +97,25 @@ def validate_arg(arg):
     coalescence/recombination reaching the recorded state, with the label
     partition holding at every locus; (c) recombination loci are pairwise
     distinct; (d) the path ends absorbed; (e) times strictly increase.
+
+    Once per path, the start state gets the full State.check(). Per event,
+    the replayed state is compared with the recorded one and gets
+    State.check_step(), which walks only the lineages the event removed and
+    created: by induction from the checked start it asserts what check()
+    asserts. check() runs again on the first state replayed after a
+    resynchronization to a recorded state (whose invariants were never
+    established), and on any state whose step check fails, so every
+    invariant message comes from check().
     """
     violations = []
     if arg.initial != State.initial(arg.n_samples):
         violations.append((None, "a", "initial state is not the singleton state"))
     state = arg.initial
+    try:
+        state.check()
+        checked = True  # whether `state` is known to satisfy check()
+    except AssertionError:
+        checked = False
     seen_loci = {}
     prev_t = 0.0
     for idx, (t, event, recorded) in enumerate(zip(arg.times, arg.events, arg.states)):
@@ -114,20 +128,29 @@ def validate_arg(arg):
                     (idx, "c", "locus %s repeats event %d" % (fmt_locus(event.locus), seen_loci[event.locus]))
                 )
             seen_loci[event.locus] = idx
+        prev = state
         try:
             state = state.apply(event)
         except IllegalEventError as err:
             violations.append((idx, "b", str(err)))
-            state = recorded  # resynchronize to keep reporting useful
+            state, checked = recorded, False  # resynchronize to keep reporting useful
             continue
         if state != recorded:
             violations.append((idx, "b", "recorded state diverges from replay"))
-            state = recorded
+            state, checked = recorded, False
             continue
+        if checked:
+            try:
+                state.check_step(prev, event)
+                continue
+            except AssertionError:
+                pass
         try:
             state.check()
+            checked = True
         except AssertionError as err:
             violations.append((idx, "b", "invariant broken: %s" % err))
+            checked = False
     if not arg.states or not arg.final_state.is_absorbed:
         violations.append((None, "d", "path does not end in the absorbing state"))
     elif arg.final_state != State.absorbing(arg.n_samples):
@@ -344,10 +367,61 @@ def write_arg(arg, fp):
         fp.write("\n")
 
 
+def _field(obj, key, kinds, lineno):
+    """obj[key] when obj is a dict holding a value of one of ``kinds``.
+
+    JSON booleans never count as numbers. Anything else is an
+    ArgParseError naming the line.
+    """
+    if not isinstance(obj, dict) or key not in obj:
+        raise ArgParseError("line %d: missing %r" % (lineno, key))
+    value = obj[key]
+    if not isinstance(value, kinds) or isinstance(value, bool):
+        raise ArgParseError("line %d: %r must be %s, got %r" % (
+            lineno, key, " or ".join(k.__name__ for k in kinds), value))
+    return value
+
+
+_HEADER_FIELDS = (
+    ("n_samples", (int,)),
+    ("rho", (int, float)),
+    ("density", (str,)),
+    ("seed", (int,)),
+    ("replicate", (int,)),
+)
+
+
+def _header_config(header, lineno):
+    from .config import SimConfig  # deferred: config pulls in the density registry
+
+    n_samples, rho, density, seed, replicate = (
+        _field(header, key, kinds, lineno) for key, kinds in _HEADER_FIELDS
+    )
+    try:
+        return SimConfig(
+            n_samples=n_samples, rho=rho, density=density, seed=seed, replicate_index=replicate
+        )
+    except ValueError as err:
+        raise ArgParseError("line %d: bad header: %s" % (lineno, err)) from None
+
+
+def _parse_event(obj, lineno):
+    ev = obj["ev"]
+    kind = _field(ev, "type", (str,), lineno)
+    if kind == "coal":
+        return Coalesce(_field(ev, "i", (int,), lineno), _field(ev, "j", (int,), lineno))
+    if kind == "rec":
+        return Recombine(_field(ev, "i", (int,), lineno), _field(ev, "u", (int, float), lineno))
+    raise ArgParseError("line %d: unknown event type %r" % (lineno, kind))
+
+
 def read_args(fp):
-    """Parse a stream of one or more event logs (concatenated replicates)."""
+    """Parse a stream of one or more event logs (concatenated replicates).
+
+    Any malformed or unreplayable content raises ArgParseError.
+    """
     args = []
-    header = None
+    config = None
     header_line = 0
     events = []
     times = []
@@ -357,60 +431,44 @@ def read_args(fp):
             continue
         try:
             obj = json.loads(raw)
-        except json.JSONDecodeError as err:
+        except (ValueError, RecursionError) as err:
             raise ArgParseError("line %d: %s" % (lineno, err))
+        if not isinstance(obj, dict):
+            raise ArgParseError("line %d: not a JSON object" % lineno)
         if "format_version" in obj:
-            if header is not None:
+            if config is not None:
                 raise ArgParseError(
                     "line %d: new header before the trailer of the log at line %d" % (lineno, header_line)
                 )
-            for key in ("n_samples", "rho", "density", "seed", "replicate"):
-                if key not in obj:
-                    raise ArgParseError("line %d: header missing %r" % (lineno, key))
             if obj["format_version"] != FORMAT_VERSION:
                 raise ArgParseError(
                     "line %d: unsupported format_version %r" % (lineno, obj["format_version"])
                 )
-            header, header_line = obj, lineno
+            config, header_line = _header_config(obj, lineno), lineno
             events, times = [], []
-        elif header is None:
+        elif config is None:
             raise ArgParseError("line %d: content before any header" % lineno)
         elif "ev" in obj:
-            ev = obj["ev"]
-            if ev["type"] == "coal":
-                event = Coalesce(ev["i"], ev["j"])
-            elif ev["type"] == "rec":
-                event = Recombine(ev["i"], ev["u"])
-            else:
-                raise ArgParseError("line %d: unknown event type %r" % (lineno, ev["type"]))
-            if obj["n"] != len(events):
+            event = _parse_event(obj, lineno)
+            if _field(obj, "n", (int,), lineno) != len(events):
                 raise ArgParseError("line %d: event index %r out of order" % (lineno, obj["n"]))
-            times.append(obj["t"])
+            times.append(_field(obj, "t", (int, float), lineno))
             events.append(event)
         else:
-            args.append(_finish_log(lineno, obj, header, times, events))
-            header = None
-    if header is not None:
+            args.append(_finish_log(lineno, obj, config, times, events))
+            config = None
+    if config is not None:
         raise ArgParseError("truncated log: header at line %d has no trailer" % header_line)
     if not args:
         raise ArgParseError("empty stream: no event logs found")
     return args
 
 
-def _finish_log(lineno, trailer, header, times, events):
-    from .config import SimConfig  # deferred: config pulls in the density registry
-
+def _finish_log(lineno, trailer, config, times, events):
     if trailer.get("events") != len(events):
         raise ArgParseError(
             "line %d: trailer count %r != %d events read" % (lineno, trailer.get("events"), len(events))
         )
-    config = SimConfig(
-        n_samples=header["n_samples"],
-        rho=header["rho"],
-        density=header["density"],
-        seed=header["seed"],
-        replicate_index=header["replicate"],
-    )
     state = State.initial(config.n_samples)
     states = []
     for idx, event in enumerate(events):

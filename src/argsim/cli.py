@@ -163,7 +163,7 @@ def cmd_validate(args, parser):
             logs = read_args(fh)
     except OSError as exc:
         parser.error(str(exc))
-    except ArgParseError as exc:
+    except (ArgParseError, UnicodeDecodeError) as exc:
         sys.stderr.write("parse error: %s\n" % exc)
         return 2
     if not logs:
@@ -194,7 +194,7 @@ def cmd_tree(args, parser):
             logs = read_args(fh)
     except OSError as exc:
         parser.error(str(exc))
-    except ArgParseError as exc:
+    except (ArgParseError, UnicodeDecodeError) as exc:
         sys.stderr.write("parse error: %s\n" % exc)
         return 2
     if not logs:
@@ -225,6 +225,8 @@ def cmd_compare(args, parser):
             parser.error("site %g outside [0,1)" % s)
     if not (0.0 < args.alpha <= 1.0):
         parser.error("--alpha must lie in (0,1]")
+    if args.reps < 2:
+        parser.error("--reps must be at least 2")
     try:
         density = parse_density(args.density)
         SimConfig(n_samples=args.samples, rho=args.rho, density=density, seed=args.seed)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .density import UniformDensity, parse_density
@@ -25,8 +26,8 @@ class SimConfig:
     def __post_init__(self):
         if self.n_samples < 2:
             raise ValueError("need at least 2 samples, got %r" % (self.n_samples,))
-        if not self.rho >= 0.0:
-            raise ValueError("recombination rate must be >= 0, got %r" % (self.rho,))
+        if not 0.0 <= self.rho < math.inf:
+            raise ValueError("recombination rate must be finite and >= 0, got %r" % (self.rho,))
         if isinstance(self.density, str):
             object.__setattr__(self, "density", parse_density(self.density))
         if not 0 <= self.seed < 2**64:

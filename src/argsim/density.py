@@ -54,19 +54,28 @@ class UniformDensity:
         return "UniformDensity()"
 
 
+def _exact(x):
+    text = repr(float(x))
+    return text[:-2] if text.endswith(".0") else text
+
+
 class BetaDensity:
     """Beta(a, b) density; cdf via the regularized incomplete beta function."""
 
     def __init__(self, a, b):
-        if not (a > 0.0 and b > 0.0):
-            raise ValueError("beta shapes must be positive, got %r, %r" % (a, b))
+        if not (0.0 < a < math.inf and 0.0 < b < math.inf):
+            raise ValueError("beta shapes must be positive and finite, got %r, %r" % (a, b))
         self.a = a
         self.b = b
-        self._log_norm = math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+        try:
+            self._log_norm = math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+        except OverflowError:
+            raise ValueError("beta shapes too large, got %r, %r" % (a, b)) from None
 
     @property
     def spec(self):
-        return "beta:%g,%g" % (self.a, self.b)
+        """Shapes in the shortest form that parses back exactly: beta:2,2."""
+        return "beta:%s,%s" % (_exact(self.a), _exact(self.b))
 
     def pdf(self, s):
         if not 0.0 < s < 1.0:

@@ -318,14 +318,67 @@ class State:
                 seen |= val
             assert seen == full_set(self.n), "labels at locus %r: %r" % (lo, seen)
         for lin in self.lineages:
-            assert not lin.is_null, "null lineage stored"
-            for a, b in zip(lin.vals, lin.vals[1:]):
-                assert a != b, "uncanonical lineage: equal adjacent values"
-            assert all(x < y for x, y in zip(lin.breaks, lin.breaks[1:]))
+            _check_lineage(lin)
         assert list(self.lineages) == sorted(self.lineages, key=Lineage.rank_key)
         if len(self.lineages) == 1:
             assert self.lineages[0] == Lineage.constant(full_set(self.n))
         return self
+
+    def check_step(self, prev, event):
+        """Assert check()'s invariants for the state ``prev.apply(event)``.
+
+        ``prev`` must already satisfy check(). The lineages the event did not
+        touch must be prev's own objects; they are valid by induction, so
+        only the removed and created lineages are walked. This costs
+        O(k + breaks of the removed and created lineages), where check()
+        costs O(breaks of the whole state * k). Returns self for chaining.
+        """
+        assert self.n == prev.n, "sample count changed"
+        if isinstance(event, Coalesce):
+            gone, n_created = (event.i, event.j), 1
+        else:
+            gone, n_created = (event.i,), 2
+        kept = [lin for r, lin in enumerate(prev.lineages) if r not in gone]
+        created = []
+        pos = 0
+        for lin in self.lineages:
+            if pos < len(kept) and lin is kept[pos]:
+                pos += 1
+            else:
+                created.append(lin)
+        assert pos == len(kept), "a lineage the event did not touch changed"
+        assert len(created) == n_created, "event created %d lineages" % len(created)
+        for lin in created:
+            _check_lineage(lin)
+        # Kept and removed lineages partition the labels at every locus
+        # (prev is valid), so the new state does iff the created lineages
+        # carry exactly the removed material, disjointly. Both sides are
+        # constant between their breaks.
+        removed = [prev.lineages[r] for r in gone]
+        grid = {0.0}
+        for lin in removed + created:
+            grid.update(lin.breaks)
+        for lo in sorted(grid):
+            want = frozenset().union(*[lin.vals[bisect_right(lin.breaks, lo)] for lin in removed])
+            seen = frozenset()
+            for lin in created:
+                val = lin.vals[bisect_right(lin.breaks, lo)]
+                assert not (val & seen), "overlapping labels at locus %r" % lo
+                seen |= val
+            assert seen == want, "labels at locus %r: %r, expected %r" % (lo, seen, want)
+        keys = [lin.rank_key() for lin in self.lineages]
+        assert all(a <= b for a, b in zip(keys, keys[1:])), "lineages out of rank order"
+        if len(self.lineages) == 1:
+            assert self.lineages[0] == Lineage.constant(full_set(self.n))
+        return self
+
+
+def _check_lineage(lin):
+    """Assert that a stored lineage is non-null and canonical."""
+    assert not lin.is_null, "null lineage stored"
+    for a, b in zip(lin.vals, lin.vals[1:]):
+        assert a != b, "uncanonical lineage: equal adjacent values"
+    assert all(x < y for x, y in zip(lin.breaks, lin.breaks[1:]))
 
 
 def render_typeset(val):

@@ -2,9 +2,12 @@
 summary statistics, and the event-log serialization."""
 
 import io
+import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from argsim.arg import (
     Arg,
@@ -106,6 +109,29 @@ def test_validate_nonincreasing_times_fail_clause_e():
     report = validate_arg(arg)
     assert not report.passed
     assert any(v[1] == "e" for v in report.violations)
+
+
+def test_validate_runs_full_check_once_per_path(monkeypatch):
+    calls = []
+    full_check = State.check
+
+    def counting_check(self):
+        calls.append(self)
+        return full_check(self)
+
+    monkeypatch.setattr(State, "check", counting_check)
+    arg = simulate_backintime(SimConfig(n_samples=8, rho=5.0, seed=2024))
+    assert validate_arg(arg).passed
+    assert len(calls) == 1
+    # an illegal event resynchronizes to the recorded state, whose successor
+    # gets the full check again
+    m = arg.event_count // 2
+    events = list(arg.events)
+    events[m] = Coalesce(0, 10 ** 6)
+    calls.clear()
+    report = validate_arg(Arg(arg.config, arg.times, events, arg.states))
+    assert [v[:2] for v in report.violations] == [(m, "b")]
+    assert len(calls) == 2
 
 
 def test_breakpoints_empty_without_recombination():
@@ -371,3 +397,44 @@ def test_loaded_floats_are_exact():
     loaded = read_arg(io.StringIO(buf.getvalue()))
     assert loaded.config.rho == cfg.rho
     assert loaded.times == arg.times
+
+
+def _log_lines():
+    cfg = SimConfig(n_samples=3, rho=1.0, density="beta:2,2", seed=4)
+    buf = io.StringIO()
+    for r in range(2):
+        write_arg(simulate_backintime(cfg.with_replicate(r)), buf)
+    return buf.getvalue().splitlines()
+
+
+LOG_LINES = _log_lines()
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 30) | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def mutated_line(draw):
+    """A line of a real log with one field, or one event field, replaced or dropped."""
+    obj = json.loads(draw(st.sampled_from(LOG_LINES)))
+    target = obj["ev"] if "ev" in obj and draw(st.booleans()) else obj
+    key = draw(st.sampled_from(sorted(target)))
+    if draw(st.booleans()):
+        del target[key]
+    else:
+        target[key] = draw(JSON_VALUES)
+    return json.dumps(obj)
+
+
+@given(st.lists(
+    st.sampled_from(LOG_LINES) | mutated_line() | JSON_VALUES.map(json.dumps) | st.text(max_size=20),
+    max_size=14,
+))
+@settings(max_examples=300, deadline=None)
+def test_any_line_sequence_parses_or_raises_parse_error(lines):
+    try:
+        read_args(io.StringIO("\n".join(lines) + "\n"))
+    except ArgParseError:
+        pass

@@ -76,6 +76,19 @@ def test_simulate_from_manifest_reproduces(tmp_path):
     assert man2["child_seeds"] == [child_seed(23, r, SALT_BACKINTIME) for r in range(2)]
 
 
+def test_simulate_from_manifest_keeps_long_beta_shapes(tmp_path):
+    first = tmp_path / "first.log"
+    assert main(["simulate", "--engine", "backintime", "--samples", "4", "--rho", "2",
+                 "--density", "beta:0.1234567,2", "--seed", "5", "--reps", "2",
+                 "--out", str(first)]) == 0
+    man = json.loads((tmp_path / "first.log.manifest.json").read_text())
+    assert man["density"] == "beta:0.1234567,2"
+    second = tmp_path / "second.log"
+    assert main(["simulate", "--from-manifest", str(first) + ".manifest.json",
+                 "--out", str(second)]) == 0
+    assert second.read_bytes() == first.read_bytes()
+
+
 def test_simulate_flag_overrides_manifest(tmp_path):
     first = tmp_path / "first.log"
     assert main(["simulate", "--engine", "backintime", "--samples", "3", "--rho", "1",
@@ -103,6 +116,7 @@ def test_simulate_rejects_bad_parameters(tmp_path):
     for argv in (
         ["simulate", "--samples", "1", "--out", out],
         ["simulate", "--samples", "3", "--rho", "-1", "--out", out],
+        ["simulate", "--samples", "3", "--rho", "inf", "--out", out],
         ["simulate", "--samples", "3", "--density", "beta:0,1", "--out", out],
         ["simulate", "--samples", "3", "--density", "nope", "--out", out],
         ["simulate", "--samples", "3", "--reps", "0", "--out", out],
@@ -153,9 +167,34 @@ def test_validate_parse_error_exits_2(tmp_path, capsys):
     empty = tmp_path / "empty.log"
     empty.write_text("")
     assert main(["validate", str(empty)]) == 2
+    binary = tmp_path / "binary.log"
+    binary.write_bytes(b"\xff\xfe garbage\n")
+    capsys.readouterr()
+    assert main(["validate", str(binary)]) == 2
+    assert capsys.readouterr().err.startswith("parse error: ")
     with pytest.raises(SystemExit) as exc:
         main(["validate", str(tmp_path / "missing.log")])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("line, edit", [
+    (2, lambda obj: obj.update(ev={})),
+    (2, lambda obj: obj["ev"].update(i="0")),
+    (1, lambda obj: obj.update(n_samples=1)),
+])
+def test_validate_malformed_log_exits_2_with_one_line(tmp_path, capsys, line, edit):
+    out = tmp_path / "run.log"
+    main(["simulate", "--engine", "backintime", "--samples", "3", "--rho", "1",
+          "--seed", "2", "--reps", "1", "--out", str(out)])
+    lines = out.read_text().splitlines()
+    obj = json.loads(lines[line - 1])
+    edit(obj)
+    lines[line - 1] = json.dumps(obj)
+    out.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["validate", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("parse error: line %d: " % line)
 
 
 def test_tree_newick_output(tmp_path, capsys):
@@ -240,6 +279,8 @@ def test_compare_rejects_bad_arguments(tmp_path):
         ["--alpha", "1.5"],
         ["--density", "beta:0,1"],
         ["--samples", "1"],
+        ["--reps", "0"],
+        ["--reps", "1"],
     ):
         with pytest.raises(SystemExit) as exc:
             main(base + extra)

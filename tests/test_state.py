@@ -4,9 +4,12 @@ projection, rendering, and the partition invariant."""
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from argsim.backintime import simulate_backintime
+from argsim.config import SimConfig
+from argsim.spatial import simulate_spatial
 from argsim.state import (
     Coalesce,
     IllegalEventError,
@@ -316,3 +319,132 @@ def test_apply_dispatch():
     assert x.apply(Recombine(2, 0.25)) == x.recombine(2, 0.25)
     with pytest.raises(TypeError):
         x.apply("coal")
+
+
+def raw_state(n, lineages):
+    """A State holding exactly these lineages, in this order (no sorting)."""
+    state = State(n, ())
+    state.lineages = tuple(lineages)
+    return state
+
+
+@pytest.mark.parametrize("engine", [simulate_backintime, simulate_spatial])
+@pytest.mark.parametrize("density", ["uniform", "beta:2,2"])
+def test_check_step_agrees_with_check_on_engine_paths(engine, density):
+    steps = 0
+    for n in (4, 6):
+        for rho in (1.0, 3.0):
+            for seed in range(5):
+                arg = engine(SimConfig(n_samples=n, rho=rho, density=density, seed=seed))
+                prev = arg.initial.check()
+                for event in arg.events:
+                    nxt = prev.apply(event)
+                    nxt.check_step(prev, event)
+                    nxt.check()
+                    prev = nxt
+                    steps += 1
+    assert steps > 100
+
+
+def _created(prev, nxt):
+    return [l for l in nxt.lineages if not any(l is k for k in prev.lineages)]
+
+
+def _with_value(lineage, k, value):
+    vals = list(lineage.vals)
+    vals[k] = value
+    return Lineage(lineage.breaks, tuple(vals))
+
+
+def _add_label(n, prev, event, nxt, draw):
+    choices = [(c, k) for c in _created(prev, nxt) for k, v in enumerate(c.vals) if v != full_set(n)]
+    assume(choices)
+    c, k = draw(st.sampled_from(choices))
+    label = draw(st.sampled_from(sorted(full_set(n) - c.vals[k])))
+    bad = _with_value(c, k, c.vals[k] | {label})
+    return [bad if l is c else l for l in nxt.lineages]
+
+
+def _add_sibling_label(n, prev, event, nxt, draw):
+    # the label comes from the other split part, so the union is unchanged;
+    # the new value differs from its neighbours, so the lineage stays canonical
+    below, above = _created(prev, nxt) if isinstance(event, Recombine) else (None, None)
+    choices = [
+        (c, k, label)
+        for c, other in ((below, above), (above, below)) if c is not None
+        for k, v in enumerate(c.vals)
+        for label in other.value_at(c.breaks[k - 1] if k else 0.0) - v
+        if v | {label} not in c.vals[max(k - 1, 0):k + 2]
+    ]
+    assume(choices)
+    c, k, label = draw(st.sampled_from(choices))
+    bad = _with_value(c, k, c.vals[k] | {label})
+    return [bad if l is c else l for l in nxt.lineages]
+
+
+def _drop_label(n, prev, event, nxt, draw):
+    choices = [(c, k) for c in _created(prev, nxt) for k, v in enumerate(c.vals) if v]
+    c, k = draw(st.sampled_from(choices))
+    label = draw(st.sampled_from(sorted(c.vals[k])))
+    bad = _with_value(c, k, c.vals[k] - {label})
+    return [bad if l is c else l for l in nxt.lineages]
+
+
+def _equal_adjacent(n, prev, event, nxt, draw):
+    # split one segment in two with the same value: same material, uncanonical
+    c = draw(st.sampled_from(_created(prev, nxt)))
+    k = draw(st.integers(0, len(c.vals) - 1))
+    lo = c.breaks[k - 1] if k else 0.0
+    hi = c.breaks[k] if k < len(c.breaks) else 1.0
+    breaks = c.breaks[:k] + (0.5 * (lo + hi),) + c.breaks[k:]
+    bad = Lineage(breaks, c.vals[: k + 1] + c.vals[k:])
+    return [bad if l is c else l for l in nxt.lineages]
+
+
+def _null_split_part(n, prev, event, nxt, draw):
+    # one part carries all of the split lineage's material, the other none
+    assume(isinstance(event, Recombine))
+    kept = [l for l in nxt.lineages if any(l is k for k in prev.lineages)]
+    whole = prev.lineages[event.i]
+    return sorted(kept + [whole], key=Lineage.rank_key) + [Lineage.constant(())]
+
+
+def _unsorted(n, prev, event, nxt, draw):
+    assume(len(nxt.lineages) >= 2)
+    r = draw(st.integers(0, len(nxt.lineages) - 2))
+    out = list(nxt.lineages)
+    out[r], out[r + 1] = out[r + 1], out[r]
+    return out
+
+
+def _swap_kept(n, prev, event, nxt, draw):
+    kept = [r for r, l in enumerate(nxt.lineages) if any(l is k for k in prev.lineages)]
+    assume(kept)
+    r = draw(st.sampled_from(kept))
+    other = draw(st.sampled_from([l for q, l in enumerate(nxt.lineages) if q != r]))
+    out = list(nxt.lineages)
+    out[r] = other
+    return out
+
+
+CORRUPTIONS = [_add_label, _add_sibling_label, _drop_label, _equal_adjacent, _null_split_part, _unsorted, _swap_kept]
+
+
+@given(
+    st.sampled_from(CORRUPTIONS),
+    st.integers(3, 6),
+    st.integers(0, 10 ** 6),
+    st.integers(0, 30),
+    st.data(),
+)
+@settings(max_examples=300, deadline=None)
+def test_check_step_rejects_what_check_rejects(corrupt, n, seed, at, data):
+    steps = list(random_walk(n, seed, 40))
+    prev, event, nxt = steps[at % len(steps)]
+    prev.check()
+    nxt.check_step(prev, event)
+    bad = raw_state(n, corrupt(n, prev, event, nxt, data.draw))
+    with pytest.raises(AssertionError):
+        bad.check()
+    with pytest.raises(AssertionError):
+        bad.check_step(prev, event)
