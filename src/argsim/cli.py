@@ -1,7 +1,8 @@
 """Command-line surface: simulate / validate / tree / compare.
 
 Exit codes: 0 success, 1 failed validation or failed comparison,
-2 usage or parse errors.
+2 usage or parse errors, a run stopped at the event cap, or a tree asked
+of a log that never absorbs.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from .arg import (
     validate_arg,
     write_arg,
 )
-from .backintime import simulate_backintime
+from .backintime import EventCapExceeded, simulate_backintime
 from .config import SimConfig
 from .density import parse_density
 from .rng import SALT_BACKINTIME, SALT_SPATIAL, child_seed
@@ -127,7 +128,11 @@ def cmd_simulate(args, parser):
     run = _ENGINES[s["engine"]]
     args_out = []
     for r in range(s["reps"]):
-        arg = run(base.with_replicate(r))
+        try:
+            arg = run(base.with_replicate(r))
+        except EventCapExceeded as exc:
+            sys.stderr.write("error: replicate %d: %s\n" % (r, exc))
+            return 2
         report = validate_arg(arg)
         if not report.passed:
             sys.stderr.write("engine produced an invalid event path (replicate %d):\n" % r)
@@ -201,6 +206,13 @@ def cmd_tree(args, parser):
         sys.stderr.write("parse error: no event logs in %s\n" % args.path)
         return 2
     for idx, arg in enumerate(logs):
+        if not arg.final_state.is_absorbed:
+            sys.stderr.write(
+                "error: replicate %d (seed %d, index %d) does not end in the absorbing state; "
+                "run validate for details\n" % (idx, arg.config.seed, arg.config.replicate_index)
+            )
+            return 2
+    for idx, arg in enumerate(logs):
         tree = local_tree(arg, args.site)
         if len(logs) > 1:
             print("# replicate %d" % idx)
@@ -233,10 +245,14 @@ def cmd_compare(args, parser):
     except ValueError as exc:
         parser.error(str(exc))
     threads = args.threads if args.threads is not None else default_threads()
-    reports, _ = equivalence_report(
-        args.samples, args.rho, density, args.seed, args.reps,
-        sites=sites, alpha=args.alpha, threads=threads,
-    )
+    try:
+        reports, _ = equivalence_report(
+            args.samples, args.rho, density, args.seed, args.reps,
+            sites=sites, alpha=args.alpha, threads=threads,
+        )
+    except EventCapExceeded as exc:
+        sys.stderr.write("error: %s\n" % exc)
+        return 2
     print(render_report_table(reports))
     with open(args.out, "w") as fh:
         fh.write(CSV_HEADER + "\n")

@@ -23,6 +23,12 @@ The finished graph converts into the same Arg event-log form the
 back-in-time engine emits: nodes sorted by latitude become events, and
 the states are rebuilt from the material columns and checked against an
 exact replay of the events.
+
+Cost per stage, for a graph of N nodes and B branches: the free-mode rates
+(live_intervals) take one sort of the node times and one sweep over the
+branches, O(N log N + B); each free rise resolves branch ids only on the
+interval it lands in, O(B); the splice (accept_breakpoint) appends one
+material column to every branch, O(B).
 """
 
 from __future__ import annotations
@@ -30,6 +36,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 from .arg import Arg
 from .backintime import DEFAULT_EVENT_CAP, EventCapExceeded
@@ -212,18 +219,35 @@ def kingman_tree(n, rng):
 def live_intervals(graph):
     """Latitude intervals with constant live-branch sets, bottom to top.
 
-    Returns (starts, live) where starts[k] opens interval k and live[k] is
-    the id-sorted tuple of branches spanning it; the last interval is
-    unbounded and holds only the top branch.
+    Returns (starts, counts): starts[k] opens interval k, and counts[k] is
+    the number of branches spanning it (b.lo <= starts[k] < b.hi). The last
+    interval is unbounded and holds only the top branch.
+
+    Cost per stage: one sort of the node times plus one pass over the
+    branches, O(nodes log nodes + branches). Each branch adds +1 where it
+    opens and -1 where it closes; a prefix sum gives the counts. Branch ids
+    are resolved later, by live_branches, on the one interval a free rise
+    lands in.
     """
     times = sorted({nd.time for nd in graph.nodes.values()})
     starts = [0.0] + times
-    live = []
-    branches = graph.branches.values()
-    for lo in starts:
-        live.append(tuple(sorted(b.id for b in branches if b.lo <= lo < b.hi)))
-    assert live[-1] == (graph.top_id,)
-    return starts, live
+    first = {t: k for k, t in enumerate(times, 1)}
+    first[0.0] = 0  # a node at latitude 0 repeats starts[0]
+    first[INF] = len(starts)  # the top branch never closes
+    delta = [0] * (len(starts) + 1)
+    for b in graph.branches.values():
+        if b.lo < b.hi:  # a zero-length branch spans no interval
+            delta[first[b.lo]] += 1
+            delta[first[b.hi]] -= 1
+    counts = list(accumulate(delta[:-1]))
+    top = graph.branches[graph.top_id]
+    assert counts[-1] == 1 and top.lo <= starts[-1] < top.hi
+    return starts, counts
+
+
+def live_branches(graph, t):
+    """Id-sorted tuple of the branches spanning latitude t; O(branches)."""
+    return tuple(sorted(b.id for b in graph.branches.values() if b.lo <= t < b.hi))
 
 
 def free_rise(graph, intervals, t0, rng):
@@ -232,19 +256,24 @@ def free_rise(graph, intervals, t0, rng):
     Coalescence happens at rate equal to the live-branch count; the target
     is uniform among the branches live at the coalescence latitude. Exact
     piecewise-exponential inversion over the graph's latitude intervals.
+
+    Cost per call: one step per interval crossed, using the counts of
+    live_intervals, plus one live_branches pass over the branches on the
+    interval where the rise lands.
     """
-    starts, live = intervals
+    starts, counts = intervals
     budget = -math.log(rng.uniform())  # integrated hazard to spend
     k = bisect_right(starts, t0) - 1
     t = t0
     while True:
-        rate = len(live[k])
+        rate = counts[k]
         end = starts[k + 1] if k + 1 < len(starts) else INF
         span = (end - t) * rate
         if budget <= span:
             t_coal = t + budget / rate
-            targets = live[k]
-            return t_coal, targets[rng.index(len(targets))]
+            targets = live_branches(graph, starts[k])
+            assert len(targets) == rate
+            return t_coal, targets[rng.index(rate)]
         budget -= span
         t = end
         k += 1
@@ -311,7 +340,6 @@ class Trace:
     xi: frozenset
     steps: list = field(default_factory=list)  # ordered (kind, time, payload...)
     absorbed_at: float = None
-    segments: list = field(default_factory=list)  # free-rise stretches (t_in, t_out)
 
     def transitions(self):
         """Debug view: the carried material's (time, mode, detail) sequence."""
@@ -344,7 +372,6 @@ def trace_lineage(graph, fork_id, t0, s_new, rho, density, rng):
     while True:
         if mode_free:
             t_coal, target_id = free_rise(graph, intervals, t, rng)
-            trace.segments.append((t, t_coal))
             trace.steps.append(("coal", t_coal, target_id))
             target = graph.branches[target_id]
             t = t_coal

@@ -117,7 +117,7 @@ def test_criterion_3_next_breakpoint_law(capsys):
 
 def test_criterion_4_recomb_location_law(capsys):
     g = kingman_tree(4, replicate_rng(3003, 0, SALT_SPATIAL))
-    starts, live = live_intervals(g)
+    starts, live_counts = live_intervals(g)
     finite = [b for b in g.branches.values() if b.hi != INF]
     rng = SimRng(40041)
     counts = {b.id: 0 for b in finite}
@@ -137,7 +137,7 @@ def test_criterion_4_recomb_location_law(capsys):
             lo, hi = starts[k], starts[k + 1]
             if t <= lo:
                 break
-            acc += (min(t, hi) - lo) * len(live[k])
+            acc += (min(t, hi) - lo) * live_counts[k]
         return acc / total
 
     d, p_lat = ks_one_sample(lats, lat_cdf)
@@ -162,7 +162,7 @@ def test_criterion_5_free_rise_law(capsys):
     assert g.stage >= 1
     g.check_invariants()
     intervals = live_intervals(g)
-    starts, live = intervals
+    starts, counts = intervals
     t_from = 0.1
 
     def cdf(t):
@@ -174,7 +174,7 @@ def test_criterion_5_free_rise_law(capsys):
             seg_lo = max(lo, t_from)
             if t <= seg_lo:
                 break
-            acc += (min(t, hi) - seg_lo) * len(live[k])
+            acc += (min(t, hi) - seg_lo) * counts[k]
         return -math.expm1(-acc)
 
     rng2 = SimRng(50051)

@@ -1,10 +1,13 @@
 """CLI tests: everything runs in-process through main(argv)."""
 
 import json
+from functools import partial
 
 import pytest
 
+from argsim import cli, stats
 from argsim.arg import Arg, write_arg
+from argsim.backintime import simulate_backintime
 from argsim.cli import main
 from argsim.config import SimConfig
 from argsim.rng import SALT_BACKINTIME, SALT_SPATIAL, child_seed
@@ -232,6 +235,21 @@ def test_tree_multiple_replicates_are_labeled(tmp_path, capsys):
     assert printed[1].endswith(";") and printed[3].endswith(";")
 
 
+@pytest.mark.parametrize("timed_events", [[], [(0.5, Coalesce(0, 1))]])
+def test_tree_on_a_log_that_never_absorbs_exits_2(tmp_path, capsys, timed_events):
+    cfg = SimConfig(n_samples=3, rho=0.0, seed=6)
+    path = tmp_path / "open.log"
+    with open(path, "w") as fh:
+        write_arg(build_arg(SimConfig(n_samples=2, rho=0.0, seed=0), [(1.0, Coalesce(0, 1))]), fh)
+        write_arg(build_arg(cfg, timed_events), fh)
+    capsys.readouterr()
+    assert main(["tree", str(path), "--site", "0.5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: replicate 1 (seed 6, index 0) ")
+
+
 def test_tree_rejects_bad_site(tmp_path):
     path = tmp_path / "x.log"
     main(["simulate", "--engine", "backintime", "--samples", "2", "--rho", "0",
@@ -285,3 +303,19 @@ def test_compare_rejects_bad_arguments(tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(base + extra)
         assert exc.value.code == 2
+
+
+def test_event_cap_exits_2_with_one_line(tmp_path, monkeypatch, capsys):
+    capped = partial(simulate_backintime, max_events=1)
+    monkeypatch.setitem(cli._ENGINES, "backintime", capped)
+    monkeypatch.setitem(stats._ENGINES, "backintime", capped)
+    out = tmp_path / "capped.log"
+    assert main(["simulate", "--engine", "backintime", "--samples", "3", "--rho", "1",
+                 "--seed", "4", "--reps", "2", "--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: replicate 0: exceeded 1 events (n=3 rho=1)"]
+    assert main(["compare", "--samples", "3", "--rho", "1", "--seed", "4", "--reps", "10",
+                 "--threads", "1", "--out", str(tmp_path / "r.csv")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: exceeded 1 events (n=3 rho=1)"]

@@ -20,6 +20,7 @@ from argsim.spatial import (
     free_rise,
     graph_to_arg,
     kingman_tree,
+    live_branches,
     live_intervals,
     sample_next_breakpoint,
     sample_recomb_location,
@@ -95,9 +96,10 @@ def test_two_leaf_graph_basics():
     g.check_invariants()
     assert g.stage == 0
     assert g.tree_length == 2.0 and g.top_time == 1.0
-    starts, live = live_intervals(g)
+    starts, counts = live_intervals(g)
     assert starts == [0.0, 1.0]
-    assert live == [(0, 1), (2,)]
+    assert counts == [2, 1]
+    assert [live_branches(g, t) for t in starts] == [(0, 1), (2,)]
 
 
 def test_kingman_tree_structure():
@@ -108,12 +110,85 @@ def test_kingman_tree_structure():
     assert {b.cols[0] for b in g.branches.values() if b.lo == 0.0 and b.hi < INF} >= {
         frozenset({j}) for j in range(1, 6)
     }
-    starts, live = live_intervals(g)
-    assert [len(s) for s in live] == [5, 4, 3, 2, 1]
+    starts, counts = live_intervals(g)
+    assert counts == [5, 4, 3, 2, 1]
+    assert [len(live_branches(g, t)) for t in starts] == [5, 4, 3, 2, 1]
     assert g.top_time == starts[-1]
     assert g.tree_length == pytest.approx(
         math.fsum(k * (starts[5 - k + 1] - starts[5 - k]) for k in range(2, 6))
     )
+
+
+def scan_intervals(graph):
+    """Reference for live_intervals: the brute-force scan of every interval.
+
+    Returns (starts, live) with live[k] the id-sorted tuple of branches
+    spanning starts[k]; O(nodes x branches) per call.
+    """
+    times = sorted({nd.time for nd in graph.nodes.values()})
+    starts = [0.0] + times
+    live = [
+        tuple(sorted(b.id for b in graph.branches.values() if b.lo <= lo < b.hi))
+        for lo in starts
+    ]
+    assert live[-1] == (graph.top_id,)
+    return starts, live
+
+
+def assert_sweep_matches_scan(graph):
+    starts, counts = live_intervals(graph)
+    want_starts, want_live = scan_intervals(graph)
+    assert starts == want_starts
+    assert counts == [len(ids) for ids in want_live]
+    assert [live_branches(graph, t) for t in starts] == want_live
+
+
+@pytest.mark.parametrize("n", [3, 6, 12])
+@pytest.mark.parametrize("rho", [1.0, 5.0])
+def test_live_intervals_match_the_scan_at_every_stage(n, rho):
+    stages = 0
+    for seed in range(6):
+        rng = replicate_rng(500 + seed, 0, SALT_SPATIAL)
+        g = kingman_tree(n, rng)
+        assert_sweep_matches_scan(g)
+        while True:
+            s_new = sample_next_breakpoint(g, rho, UNIFORM, rng)
+            if s_new >= 1.0:
+                break
+            fork_id, t0 = sample_recomb_location(g, rng)
+            accept_breakpoint(g, s_new, trace_lineage(g, fork_id, t0, s_new, rho, UNIFORM, rng))
+            assert_sweep_matches_scan(g)
+            stages += 1
+    assert stages >= 3
+
+
+def zero_length_graph():
+    """Two-leaf graph cut into zero-length pieces, for the interval sweep only.
+
+    Branch 0 is cut at latitude 0 and branch 4 (the upper part of 1) at 0.5,
+    so 0 spans [0, 0) and 4 spans [0.5, 0.5); the node at latitude 0 makes
+    starts repeat 0.0. The cut nodes have one parent each, so this is no
+    ARG: only live_intervals and live_branches read it.
+    """
+    g = two_leaf_graph(1.0)
+    for bid, t in ((0, 0.0), (1, 0.5), (4, 0.5)):
+        piece = g.branches[bid]
+        above = g.split_branch(piece, t)
+        node = g.add_node(t, "c", None, [piece.id], [above.id])
+        piece.upper_node = above.lower_node = node.id
+    return g
+
+
+def test_live_intervals_match_the_scan_on_fixtures():
+    assert_sweep_matches_scan(two_leaf_graph(1.0))
+    assert_sweep_matches_scan(stage1_graph())
+    g, trace = detached_trace()
+    accept_breakpoint(g, 0.75, trace)
+    assert_sweep_matches_scan(g)
+    g = zero_length_graph()
+    assert_sweep_matches_scan(g)
+    assert live_intervals(g) == ([0.0, 0.0, 0.5, 1.0], [2, 2, 2, 1])
+    assert [live_branches(g, t) for t in (0.0, 0.5)] == [(1, 3), (3, 5)]
 
 
 def test_kingman_tree_moments():
@@ -147,7 +222,7 @@ def test_free_rise_above_the_root_is_unit_exponential():
 def test_free_rise_piecewise_exponential_law():
     rng = replicate_rng(11, 0, SALT_SPATIAL)
     g = kingman_tree(4, rng)
-    starts, live = live_intervals(g)
+    starts, counts = live_intervals(g)
 
     def hazard(t):
         total = 0.0
@@ -155,24 +230,25 @@ def test_free_rise_piecewise_exponential_law():
             hi = starts[k + 1] if k + 1 < len(starts) else INF
             if t <= lo:
                 break
-            total += (min(t, hi) - lo) * len(live[k])
+            total += (min(t, hi) - lo) * counts[k]
         return total
 
     draws = []
     first_targets = []
     for _ in range(10000):
-        t, target = free_rise(g, intervals=(starts, live), t0=0.0, rng=rng)
+        t, target = free_rise(g, intervals=(starts, counts), t0=0.0, rng=rng)
         k = 0
         while k + 1 < len(starts) and starts[k + 1] <= t:
             k += 1
-        assert target in live[k]
+        assert target in live_branches(g, starts[k])
         draws.append(t)
         if k == 0:
             first_targets.append(target)
     d, p = ks_one_sample(draws, lambda t: -math.expm1(-hazard(t)))
     assert p > 1e-3
-    counts = [first_targets.count(b) for b in live[0]]
-    stat, p_t, dof = chi_square(counts, [1.0] * len(live[0]))
+    first_live = live_branches(g, starts[0])
+    hits = [first_targets.count(b) for b in first_live]
+    stat, p_t, dof = chi_square(hits, [1.0] * len(first_live))
     assert p_t > 1e-3 and dof == 3
 
 
@@ -292,7 +368,15 @@ def test_trace_detaches_and_recoalesces():
     assert t_final == pytest.approx(0.5)
     assert trace.steps[2][2] == 4
     assert trace.absorbed_at == pytest.approx(0.5)
-    assert [tuple(round(x, 9) for x in seg) for seg in trace.segments] == [
+    # free-rise stretches: from the fork or a detach up to the next coalescence
+    stretches = []
+    t_in = trace.t0
+    for step in trace.steps:
+        if step[0] == "detach":
+            t_in = step[1]
+        elif step[0] == "coal":
+            stretches.append((t_in, step[1]))
+    assert [tuple(round(x, 9) for x in seg) for seg in stretches] == [
         (0.1, 0.4),
         (0.45, 0.5),
     ]
