@@ -54,7 +54,6 @@ from .state import (
     Lineage,
     Recombine,
     State,
-    distance_d0,
     distance_lebesgue,
     render_state,
 )
@@ -64,7 +63,6 @@ from .stats import (
     chi_square_two_sample,
     equivalence_report,
     kingman_expectations,
-    kolmogorov_sf,
     ks_one_sample,
     ks_one_sample_with_atom,
     ks_two_sample,
@@ -78,9 +76,9 @@ __all__ = [
     "ProjectedPath", "RateBreakdown", "Recombine", "SimConfig", "SimRng",
     "State", "SummaryStats", "TestReport", "Trace", "UniformDensity",
     "ValidationReport", "accept_breakpoint", "breakpoints", "child_seed",
-    "chi_square", "chi_square_two_sample", "distance_d0",
-    "distance_lebesgue", "equivalence_report", "graph_to_arg",
-    "kingman_expectations", "kingman_tree", "kolmogorov_sf", "ks_one_sample",
+    "chi_square", "chi_square_two_sample", "distance_lebesgue",
+    "equivalence_report", "graph_to_arg",
+    "kingman_expectations", "kingman_tree", "ks_one_sample",
     "ks_one_sample_with_atom", "ks_two_sample", "local_tree",
     "material_vectors", "mean_difference_z",
     "parse_density", "project_arg", "read_arg", "read_args",

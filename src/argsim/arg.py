@@ -71,9 +71,6 @@ class Arg:
         idx = bisect_right(self.times, t)
         return self.states[idx - 1] if idx else self.initial
 
-    def state_before(self, index):
-        return self.states[index - 1] if index else self.initial
-
 
 @dataclass
 class ValidationReport:

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 from .arg import Arg
-from .rng import SALT_BACKINTIME, replicate_rng
+from .rng import SALTS, replicate_rng
 from .state import Coalesce, Recombine, State
 
 DEFAULT_EVENT_CAP = 10_000_000
@@ -34,35 +34,7 @@ class RateBreakdown:
     total: float
 
 
-def _intervals_no_r1(state):
-    """Active intervals with the shared-prefix rule disabled (test mutant).
-
-    The first-ranked lineage is treated like any other: its interval starts
-    at its support start, so splits inside already-common material become
-    (incorrectly) possible. Exists only to give the statistical harness a
-    known-broken engine to catch; never used by the real engine.
-    """
-    return tuple((lin.start, lin.end) for lin in state.lineages)
-
-
-def _apply_no_r1(state, event):
-    """Apply a mutant event without the active-interval legality guard.
-
-    A mutant recombination may split inside already-common material, which
-    State.recombine rightly rejects; the split itself still yields a valid
-    partition state, so the mutant run can continue to absorption.
-    """
-    if isinstance(event, Recombine):
-        below, above = state.lineages[event.i].split(event.locus)
-        assert not below.is_null and not above.is_null
-        rest = [lin for r, lin in enumerate(state.lineages) if r != event.i]
-        rest.append(below)
-        rest.append(above)
-        return State(state.n, rest)
-    return state.apply(event)
-
-
-def total_rate(state, rho, density, _disable_r1=False):
+def total_rate(state, rho, density):
     """Exact rate components for the current state."""
     k = len(state.lineages)
     if k <= 1:
@@ -70,9 +42,9 @@ def total_rate(state, rho, density, _disable_r1=False):
     coal = k * (k - 1) / 2.0
     if rho > 0.0:
         half_rho = 0.5 * rho
-        intervals = _intervals_no_r1(state) if _disable_r1 else state.active_intervals()
         recomb = tuple(
-            half_rho * density.mass(b, e) if b < e else 0.0 for b, e in intervals
+            half_rho * density.mass(b, e) if b < e else 0.0
+            for b, e in state.active_intervals()
         )
     else:
         recomb = (0.0,) * k
@@ -86,13 +58,13 @@ def sample_waiting_time(rates, rng):
     return -math.log(rng.uniform()) / rates.total
 
 
-def sample_event(state, rho, density, rng, rates=None, _disable_r1=False):
+def sample_event(state, rho, density, rng, rates=None):
     """One step of the embedded chain: a Coalesce or Recombine event."""
     k = len(state.lineages)
     if k < 2:
         raise ValueError("cannot sample an event in an absorbing state")
     if rates is None:
-        rates = total_rate(state, rho, density, _disable_r1)
+        rates = total_rate(state, rho, density)
     threshold = rng.uniform() * rates.total
     # coalescing pairs in lexicographic order, each with weight 1
     if threshold < rates.coal_rate:
@@ -108,7 +80,6 @@ def sample_event(state, rho, density, rng, rates=None, _disable_r1=False):
         return Coalesce(i, i + 1 + pair)
     # otherwise a recombination on the lineage whose weight covers the rest
     acc = rates.coal_rate
-    intervals = _intervals_no_r1(state) if _disable_r1 else state.active_intervals()
     pick = k - 1
     for i, w in enumerate(rates.recomb_rates):
         acc += w
@@ -117,15 +88,15 @@ def sample_event(state, rho, density, rng, rates=None, _disable_r1=False):
             break
     while rates.recomb_rates[pick] == 0.0:  # float-slack fallback
         pick -= 1
-    b, e = intervals[pick]
+    b, e = state.active_intervals()[pick]
     locus = density.sample_truncated(rng, b, e)
     return Recombine(pick, locus)
 
 
-def simulate_backintime(config, rng=None, max_events=DEFAULT_EVENT_CAP, _disable_r1=False):
+def simulate_backintime(config, rng=None, max_events=DEFAULT_EVENT_CAP):
     """Run one full simulation from singletons to the absorbing state."""
     if rng is None:
-        rng = replicate_rng(config.seed, config.replicate_index, SALT_BACKINTIME)
+        rng = replicate_rng(config.seed, config.replicate_index, SALTS["backintime"])
     state = State.initial(config.n_samples)
     rho, density = config.rho, config.density
     t = 0.0
@@ -137,10 +108,10 @@ def simulate_backintime(config, rng=None, max_events=DEFAULT_EVENT_CAP, _disable
             raise EventCapExceeded(
                 "exceeded %d events (n=%d rho=%g)" % (max_events, config.n_samples, rho)
             )
-        rates = total_rate(state, rho, density, _disable_r1)
+        rates = total_rate(state, rho, density)
         t += sample_waiting_time(rates, rng)
-        event = sample_event(state, rho, density, rng, rates, _disable_r1)
-        state = _apply_no_r1(state, event) if _disable_r1 else state.apply(event)
+        event = sample_event(state, rho, density, rng, rates)
+        state = state.apply(event)
         times.append(t)
         events.append(event)
         states.append(state)

@@ -19,28 +19,17 @@ from .arg import (
     validate_arg,
     write_arg,
 )
-from .backintime import EventCapExceeded, simulate_backintime
+from .backintime import EventCapExceeded
 from .config import SimConfig
 from .density import parse_density
-from .rng import SALT_BACKINTIME, SALT_SPATIAL, child_seed
-from .spatial import simulate_spatial
+from .rng import SALTS, child_seed
 from .state import fmt_locus
 from .stats import (
     CSV_HEADER,
-    default_threads,
+    ENGINES,
     equivalence_report,
     render_report_table,
 )
-
-_ENGINES = {
-    "backintime": simulate_backintime,
-    "spatial": simulate_spatial,
-}
-
-_SALTS = {
-    "backintime": SALT_BACKINTIME,
-    "spatial": SALT_SPATIAL,
-}
 
 
 def build_parser():
@@ -52,7 +41,7 @@ def build_parser():
     sub = p.add_subparsers(dest="command", required=True)
 
     sim = sub.add_parser("simulate", help="run one engine and write an event-log stream")
-    sim.add_argument("--engine", choices=sorted(_ENGINES), default=None)
+    sim.add_argument("--engine", choices=sorted(ENGINES), default=None)
     sim.add_argument("--samples", type=int, default=None, help="number of sampled leaves (>= 2)")
     sim.add_argument("--rho", type=float, default=None, help="recombination rate (>= 0)")
     sim.add_argument("--density", default=None, help="breakpoint density: uniform or beta:a,b")
@@ -81,7 +70,7 @@ def build_parser():
     cmp_.add_argument("--alpha", type=float, default=0.001)
     cmp_.add_argument("--out", default="compare_report.csv", help="CSV report path")
     cmp_.add_argument("--threads", type=int, default=None,
-                      help="worker processes (default: ARGSIM_THREADS or CPU count)")
+                      help="worker processes, at least 1 (default: CPU count)")
     return p
 
 
@@ -124,8 +113,8 @@ def cmd_simulate(args, parser):
         parser.error(str(exc))
     if s["reps"] < 1:
         parser.error("--reps must be at least 1")
-    salt = _SALTS[s["engine"]]
-    run = _ENGINES[s["engine"]]
+    salt = SALTS[s["engine"]]
+    run = ENGINES[s["engine"]]
     args_out = []
     for r in range(s["reps"]):
         try:
@@ -239,16 +228,17 @@ def cmd_compare(args, parser):
         parser.error("--alpha must lie in (0,1]")
     if args.reps < 2:
         parser.error("--reps must be at least 2")
+    if args.threads is not None and args.threads < 1:
+        parser.error("--threads must be at least 1")
     try:
         density = parse_density(args.density)
         SimConfig(n_samples=args.samples, rho=args.rho, density=density, seed=args.seed)
     except ValueError as exc:
         parser.error(str(exc))
-    threads = args.threads if args.threads is not None else default_threads()
     try:
         reports, _ = equivalence_report(
             args.samples, args.rho, density, args.seed, args.reps,
-            sites=sites, alpha=args.alpha, threads=threads,
+            sites=sites, alpha=args.alpha, threads=args.threads,
         )
     except EventCapExceeded as exc:
         sys.stderr.write("error: %s\n" % exc)

@@ -26,8 +26,10 @@ GOLDEN = 0x9E3779B97F4A7C15
 
 # engine salts keep the two engines' replicate streams disjoint even for
 # equal root seeds
-SALT_BACKINTIME = 0xB1C7_15E5_0000_0001
-SALT_SPATIAL = 0x5EA7_1A1E_0000_0002
+SALTS = {
+    "backintime": 0xB1C7_15E5_0000_0001,
+    "spatial": 0x5EA7_1A1E_0000_0002,
+}
 
 
 def mix64(z):

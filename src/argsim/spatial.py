@@ -40,7 +40,7 @@ from itertools import accumulate
 
 from .arg import Arg
 from .backintime import DEFAULT_EVENT_CAP, EventCapExceeded
-from .rng import SALT_SPATIAL, replicate_rng
+from .rng import SALTS, replicate_rng
 from .state import Coalesce, Lineage, Recombine, State, full_set
 
 INF = math.inf
@@ -341,19 +341,6 @@ class Trace:
     steps: list = field(default_factory=list)  # ordered (kind, time, payload...)
     absorbed_at: float = None
 
-    def transitions(self):
-        """Debug view: the carried material's (time, mode, detail) sequence."""
-        out = [{"t": self.t0, "kind": "fork", "branch": self.fork_id}]
-        for step in self.steps:
-            kind, t = step[0], step[1]
-            entry = {"t": t, "kind": kind}
-            if kind == "coal":
-                entry["branch"] = step[2]
-            elif kind == "detach":
-                entry["locus"] = step[2]
-            out.append(entry)
-        return out
-
 
 def trace_lineage(graph, fork_id, t0, s_new, rho, density, rng):
     """Steps 4-5: carry the material right of s_new until it rejoins the tree.
@@ -484,7 +471,7 @@ def accept_breakpoint(graph, s_new, trace):
     for b in graph.branches.values():
         if b.id in on_path:
             b.cols.append(b.cols[stage] | xi)
-        elif b.lo >= trace.t0:
+        elif b.hi > trace.t0:
             b.cols.append(b.cols[stage] - xi)
         else:
             b.cols.append(b.cols[stage])
@@ -552,10 +539,10 @@ def graph_to_arg(graph, config):
     return Arg(config, times, events, states)
 
 
-def simulate_spatial(config, rng=None, max_events=DEFAULT_EVENT_CAP, trace_log=None):
+def simulate_spatial(config, rng=None, max_events=DEFAULT_EVENT_CAP):
     """Run one spatial simulation and return its Arg."""
     if rng is None:
-        rng = replicate_rng(config.seed, config.replicate_index, SALT_SPATIAL)
+        rng = replicate_rng(config.seed, config.replicate_index, SALTS["spatial"])
     rho, density = config.rho, config.density
     graph = kingman_tree(config.n_samples, rng)
     while True:
@@ -565,15 +552,6 @@ def simulate_spatial(config, rng=None, max_events=DEFAULT_EVENT_CAP, trace_log=N
         fork_id, t0 = sample_recomb_location(graph, rng)
         trace = trace_lineage(graph, fork_id, t0, s_new, rho, density, rng)
         accept_breakpoint(graph, s_new, trace)
-        if trace_log is not None:
-            trace_log.append(
-                {
-                    "stage": graph.stage,
-                    "locus": s_new,
-                    "xi": sorted(trace.xi),
-                    "transitions": trace.transitions(),
-                }
-            )
         if len(graph.nodes) > max_events:
             raise EventCapExceeded(
                 "exceeded %d events (n=%d rho=%g)" % (max_events, config.n_samples, rho)

@@ -410,8 +410,3 @@ def distance_lebesgue(f, h):
             total += hi - lo
         lo = hi
     return total
-
-
-def distance_d0(x, y):
-    """Discrete diagnostic metric: 0.0 iff structurally identical."""
-    return 0.0 if x == y else 1.0

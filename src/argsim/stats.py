@@ -2,13 +2,16 @@
 
 The two engines must agree in distribution on every functional of the
 event path; this module turns that claim into concrete tests. The
-Kolmogorov-Smirnov machinery is implemented here directly (statistic plus
-the asymptotic Kolmogorov series for the p-value); chi-square p-values go
-through the regularized upper incomplete gamma function.
+Kolmogorov-Smirnov statistics are computed here; their asymptotic p-values
+come from scipy.special.kolmogorov, the survival function of the
+Kolmogorov distribution. Chi-square p-values go through the regularized
+upper incomplete gamma function.
 
 Test p-values are meant for pinned-seed CI runs: at alpha = 0.001 a
 correct implementation fails a given test about once per thousand seeds,
-while the known-broken mutant engine fails immediately.
+while a known-broken engine fails immediately. That broken engine (the
+shared-prefix rule switched off) lives in the tests, as a fixture that
+patches State.active_intervals; nothing here knows about it.
 """
 
 from __future__ import annotations
@@ -17,35 +20,12 @@ import math
 import os
 from dataclasses import dataclass
 
-from scipy.special import gammaincc
+from scipy.special import gammaincc, kolmogorov
 
 from .arg import summary
 from .backintime import simulate_backintime
 from .config import SimConfig
 from .spatial import simulate_spatial
-
-
-def kolmogorov_sf(x):
-    """Survival function of the Kolmogorov distribution, Q(x) = P(K > x).
-
-    Series 2 * sum_{k>=1} (-1)^{k-1} exp(-2 k^2 x^2), truncated when terms
-    drop below 1e-12.
-    """
-    if x <= 0.0:
-        return 1.0
-    total = 0.0
-    sign = 1.0
-    k = 1
-    while True:
-        term = math.exp(-2.0 * k * k * x * x)
-        if term < 1e-12:
-            break
-        total += sign * term
-        sign = -sign
-        k += 1
-        if k > 100000:
-            break
-    return min(1.0, max(0.0, 2.0 * total))
 
 
 def ks_two_sample(a, b):
@@ -72,7 +52,7 @@ def ks_two_sample(a, b):
         if diff > d:
             d = diff
     ne = na * nb / (na + nb)
-    return d, kolmogorov_sf(math.sqrt(ne) * d)
+    return d, float(kolmogorov(math.sqrt(ne) * d))
 
 
 def ks_one_sample(sample, cdf):
@@ -98,7 +78,7 @@ def ks_one_sample(sample, cdf):
         d = max(d, j / n - fx, f_left - i / n)
         i = j
     d = max(0.0, d)
-    return d, kolmogorov_sf(math.sqrt(n) * d)
+    return d, float(kolmogorov(math.sqrt(n) * d))
 
 
 def ks_one_sample_with_atom(sample, cont_cdf, atom_mass):
@@ -231,17 +211,9 @@ class TestReport:
 CSV_HEADER = "statistic,engineA_n,engineB_n,stat,p,pass"
 
 
-def default_threads():
-    env = os.environ.get("ARGSIM_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ValueError("ARGSIM_THREADS must be an integer, got %r" % env)
-    return os.cpu_count() or 1
-
-
-_ENGINES = {
+# The one engine registry (cli imports it). Values stay bare functions:
+# perfbench's tracer rebinds functions held in module-global dicts.
+ENGINES = {
     "backintime": simulate_backintime,
     "spatial": simulate_spatial,
 }
@@ -250,20 +222,19 @@ _ENGINES = {
 def _one_replicate(task):
     engine, n, rho, density_spec, seed, r, sites = task
     cfg = SimConfig(n_samples=n, rho=rho, density=density_spec, seed=seed, replicate_index=r)
-    return summary(_ENGINES[engine](cfg), sites=sites)
+    return summary(ENGINES[engine](cfg), sites=sites)
 
 
 def run_replicates(engine, n, rho, density_spec, seed, reps, sites=(0.0,), threads=None):
     """Simulate a replicate batch and collect its summaries.
 
     Child seeds are derived per replicate, so the batch gives the same
-    result at any thread count; threads defaults to ARGSIM_THREADS or the
-    CPU count.
+    result at any thread count; threads defaults to the CPU count.
     """
-    if engine not in _ENGINES:
+    if engine not in ENGINES:
         raise ValueError("unknown engine %r" % engine)
     if threads is None:
-        threads = default_threads()
+        threads = os.cpu_count() or 1
     tasks = [(engine, n, rho, density_spec, seed, r, tuple(sites)) for r in range(reps)]
     if threads <= 1 or reps < 64:
         return [_one_replicate(t) for t in tasks]

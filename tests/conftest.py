@@ -1,8 +1,28 @@
-"""Shared test helpers: fixture states and random legal event walks."""
+"""Shared test helpers: fixture states, random legal event walks and the
+known-broken engine."""
 
 import random
 
+import pytest
+
 from argsim.state import Lineage, State
+
+
+@pytest.fixture
+def r1_mutant(monkeypatch):
+    """Switch off the shared-prefix rule: the known-broken engine.
+
+    Every rank's active interval becomes its whole support, so the
+    first-ranked lineage can split inside material all samples already
+    share. total_rate, sample_event and State.recombine all read
+    State.active_intervals, so patching it turns simulate_backintime into
+    the mutant whose wrong breakpoint law the statistical battery must
+    catch. The patch is undone when the test ends.
+    """
+    monkeypatch.setattr(
+        State, "active_intervals",
+        lambda self: tuple((lin.start, lin.end) for lin in self.lineages),
+    )
 
 
 def lin(*segments):

@@ -18,7 +18,7 @@ from argsim.backintime import simulate_backintime, total_rate
 from argsim.cli import main
 from argsim.config import SimConfig
 from argsim.density import BetaDensity, UniformDensity
-from argsim.rng import SALT_SPATIAL, SimRng, replicate_rng
+from argsim.rng import SALTS, SimRng, replicate_rng
 from argsim.spatial import (
     accept_breakpoint,
     free_rise,
@@ -99,7 +99,7 @@ def test_criterion_2_engine_equivalence(big_battery, capsys):
 
 
 def test_criterion_3_next_breakpoint_law(capsys):
-    g = kingman_tree(4, replicate_rng(3003, 0, SALT_SPATIAL))
+    g = kingman_tree(4, replicate_rng(3003, 0, SALTS["spatial"]))
     rho = 2.0
     hr = 0.5 * rho * g.tree_length
     rng = SimRng(30031)
@@ -116,7 +116,7 @@ def test_criterion_3_next_breakpoint_law(capsys):
 
 
 def test_criterion_4_recomb_location_law(capsys):
-    g = kingman_tree(4, replicate_rng(3003, 0, SALT_SPATIAL))
+    g = kingman_tree(4, replicate_rng(3003, 0, SALTS["spatial"]))
     starts, live_counts = live_intervals(g)
     finite = [b for b in g.branches.values() if b.hi != INF]
     rng = SimRng(40041)
@@ -151,7 +151,7 @@ def test_criterion_4_recomb_location_law(capsys):
 
 
 def test_criterion_5_free_rise_law(capsys):
-    rng = replicate_rng(5005, 0, SALT_SPATIAL)
+    rng = replicate_rng(5005, 0, SALTS["spatial"])
     g = kingman_tree(4, rng)
     while True:
         s_new = sample_next_breakpoint(g, 2.0, UNIFORM, rng)
@@ -252,13 +252,13 @@ def test_criterion_8_manifest_rerun(tmp_path, capsys):
     )
 
 
-def test_criterion_9_r1_mutant_is_caught(big_battery, capsys):
+def test_criterion_9_r1_mutant_is_caught(big_battery, r1_mutant, capsys):
     _, samples, _ = big_battery
     start = time.perf_counter()
     mutant_bp = []
     for r in range(BIG):
         cfg = SimConfig(n_samples=4, rho=1.0, seed=2002, replicate_index=r)
-        mutant_bp.append(summary(simulate_backintime(cfg, _disable_r1=True)).breakpoint_count)
+        mutant_bp.append(summary(simulate_backintime(cfg)).breakpoint_count)
     spatial_bp = [s.breakpoint_count for s in samples["spatial"]]
     stat, p, dof = chi_square_two_sample(mutant_bp, spatial_bp)
     elapsed = time.perf_counter() - start

@@ -68,10 +68,13 @@ def test_rate_three_lineage_beta_vs_quadrature():
         assert r == pytest.approx(1.0 * integral, rel=1e-9)
 
 
-def test_rate_r1_disabled_unfreezes_prefix():
+def test_rate_r1_disabled_unfreezes_prefix(request):
     # the deliberate mutant treats the first-ranked lineage like the rest,
-    # so its whole support (0, 1) regains recombination weight
-    rates = total_rate(three_lineage_fixture(), 2.0, UNIFORM, _disable_r1=True)
+    # so its whole support (0, 1) regains recombination weight; the fixture
+    # state checks its real intervals, so it is built before the patch
+    x = three_lineage_fixture()
+    request.getfixturevalue("r1_mutant")
+    rates = total_rate(x, 2.0, UNIFORM)
     assert rates.recomb_rates == pytest.approx((1.0, 0.7, 0.4), rel=1e-12)
     assert rates.total == pytest.approx(5.1, rel=1e-12)
 

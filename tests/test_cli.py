@@ -5,12 +5,12 @@ from functools import partial
 
 import pytest
 
-from argsim import cli, stats
+from argsim import stats
 from argsim.arg import Arg, write_arg
 from argsim.backintime import simulate_backintime
 from argsim.cli import main
 from argsim.config import SimConfig
-from argsim.rng import SALT_BACKINTIME, SALT_SPATIAL, child_seed
+from argsim.rng import SALTS, child_seed
 from argsim.state import Coalesce, Recombine, State
 
 
@@ -48,7 +48,7 @@ def test_simulate_writes_log_and_manifest(tmp_path):
     assert man["reps"] == 2
     assert man["format_version"] == 1
     assert man["tool"].startswith("argsim ")
-    assert man["child_seeds"] == [child_seed(17, r, SALT_BACKINTIME) for r in range(2)]
+    assert man["child_seeds"] == [child_seed(17, r, SALTS["backintime"]) for r in range(2)]
     # keys are sorted on disk
     raw = (tmp_path / "run.log.manifest.json").read_text()
     keys = [line.split('"')[1] for line in raw.splitlines() if line.startswith('  "')]
@@ -76,7 +76,7 @@ def test_simulate_from_manifest_reproduces(tmp_path):
     assert second.read_bytes() == first.read_bytes()
     man2 = json.loads((tmp_path / "second.log.manifest.json").read_text())
     assert man2["density"] == "beta:2,2"
-    assert man2["child_seeds"] == [child_seed(23, r, SALT_BACKINTIME) for r in range(2)]
+    assert man2["child_seeds"] == [child_seed(23, r, SALTS["backintime"]) for r in range(2)]
 
 
 def test_simulate_from_manifest_keeps_long_beta_shapes(tmp_path):
@@ -286,7 +286,7 @@ def test_compare_alpha_one_fails_everything(tmp_path):
     assert all(row.endswith(",FAIL") for row in rows[1:])
 
 
-def test_compare_rejects_bad_arguments(tmp_path):
+def test_compare_rejects_bad_arguments(tmp_path, capsys):
     base = ["compare", "--samples", "3", "--reps", "10",
             "--out", str(tmp_path / "r.csv")]
     for extra in (
@@ -299,16 +299,19 @@ def test_compare_rejects_bad_arguments(tmp_path):
         ["--samples", "1"],
         ["--reps", "0"],
         ["--reps", "1"],
+        ["--threads", "0"],
+        ["--threads", "-4"],
     ):
         with pytest.raises(SystemExit) as exc:
             main(base + extra)
         assert exc.value.code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert [line for line in err if "error:" in line] == [err[-1]], extra
 
 
 def test_event_cap_exits_2_with_one_line(tmp_path, monkeypatch, capsys):
     capped = partial(simulate_backintime, max_events=1)
-    monkeypatch.setitem(cli._ENGINES, "backintime", capped)
-    monkeypatch.setitem(stats._ENGINES, "backintime", capped)
+    monkeypatch.setitem(stats.ENGINES, "backintime", capped)
     out = tmp_path / "capped.log"
     assert main(["simulate", "--engine", "backintime", "--samples", "3", "--rho", "1",
                  "--seed", "4", "--reps", "2", "--out", str(out)]) == 2

@@ -5,8 +5,7 @@ import math
 from argsim.rng import (
     GOLDEN,
     MASK64,
-    SALT_BACKINTIME,
-    SALT_SPATIAL,
+    SALTS,
     SimRng,
     child_seed,
     mix64,
@@ -34,7 +33,7 @@ def test_child_seed_determinism_and_distinctness():
     assert child_seed(7, 0) == child_seed(7, 0)
     seeds = {child_seed(7, r) for r in range(500)}
     assert len(seeds) == 500
-    assert child_seed(7, 0, SALT_BACKINTIME) != child_seed(7, 0, SALT_SPATIAL)
+    assert child_seed(7, 0, SALTS["backintime"]) != child_seed(7, 0, SALTS["spatial"])
     assert child_seed(7, 0) != child_seed(8, 0)
 
 
@@ -73,7 +72,7 @@ def test_same_seed_same_stream():
 
 
 def test_replicate_rng_matches_child_seed():
-    rng = replicate_rng(5, 3, SALT_SPATIAL)
-    assert rng.seed == child_seed(5, 3, SALT_SPATIAL)
+    rng = replicate_rng(5, 3, SALTS["spatial"])
+    assert rng.seed == child_seed(5, 3, SALTS["spatial"])
     direct = SimRng(rng.seed)
     assert [rng.uniform() for _ in range(10)] == [direct.uniform() for _ in range(10)]

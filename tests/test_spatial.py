@@ -10,10 +10,11 @@ import math
 
 import pytest
 
+from argsim import spatial
 from argsim.arg import breakpoints, local_tree, summary, validate_arg
 from argsim.config import SimConfig
 from argsim.density import BetaDensity, UniformDensity
-from argsim.rng import SALT_SPATIAL, SimRng, replicate_rng
+from argsim.rng import SALTS, SimRng, replicate_rng
 from argsim.spatial import (
     PartialGraph,
     accept_breakpoint,
@@ -57,6 +58,38 @@ class ScriptedRng:
 
     def exhausted(self):
         return not (self.uniforms or self.exponentials or self.indices)
+
+
+def transitions(trace):
+    """The carried material's (time, mode, detail) sequence of one Trace."""
+    out = [{"t": trace.t0, "kind": "fork", "branch": trace.fork_id}]
+    for step in trace.steps:
+        kind, t = step[0], step[1]
+        entry = {"t": t, "kind": kind}
+        if kind == "coal":
+            entry["branch"] = step[2]
+        elif kind == "detach":
+            entry["locus"] = step[2]
+        out.append(entry)
+    return out
+
+
+def record_stages(monkeypatch):
+    """Log every stage simulate_spatial accepts, by wrapping accept_breakpoint."""
+    log = []
+    accept = spatial.accept_breakpoint
+
+    def recording(graph, s_new, trace):
+        accept(graph, s_new, trace)
+        log.append({
+            "stage": graph.stage,
+            "locus": s_new,
+            "xi": sorted(trace.xi),
+            "transitions": transitions(trace),
+        })
+
+    monkeypatch.setattr(spatial, "accept_breakpoint", recording)
+    return log
 
 
 def two_leaf_graph(height=1.0):
@@ -103,7 +136,7 @@ def test_two_leaf_graph_basics():
 
 
 def test_kingman_tree_structure():
-    rng = replicate_rng(7, 0, SALT_SPATIAL)
+    rng = replicate_rng(7, 0, SALTS["spatial"])
     g = kingman_tree(5, rng)
     g.check_invariants()
     assert len(g.nodes) == 4
@@ -148,7 +181,7 @@ def assert_sweep_matches_scan(graph):
 def test_live_intervals_match_the_scan_at_every_stage(n, rho):
     stages = 0
     for seed in range(6):
-        rng = replicate_rng(500 + seed, 0, SALT_SPATIAL)
+        rng = replicate_rng(500 + seed, 0, SALTS["spatial"])
         g = kingman_tree(n, rng)
         assert_sweep_matches_scan(g)
         while True:
@@ -220,7 +253,7 @@ def test_free_rise_above_the_root_is_unit_exponential():
 
 
 def test_free_rise_piecewise_exponential_law():
-    rng = replicate_rng(11, 0, SALT_SPATIAL)
+    rng = replicate_rng(11, 0, SALTS["spatial"])
     g = kingman_tree(4, rng)
     starts, counts = live_intervals(g)
 
@@ -338,7 +371,7 @@ def test_trace_rides_an_old_edge_and_climbs():
     assert trace.steps[0][2] == 3
     assert trace.absorbed_at == pytest.approx(1.0)
     assert trace.xi == frozenset({1})
-    trans = trace.transitions()
+    trans = transitions(trace)
     assert [e["kind"] for e in trans] == ["fork", "coal", "climb"]
     assert trans[0] == {"t": 0.1, "kind": "fork", "branch": 0}
 
@@ -419,9 +452,21 @@ def test_stage2_accept_after_detach():
     assert arg.grand_mrca == pytest.approx(1.0)
 
 
+def test_accept_fork_at_the_lower_end_of_its_branch():
+    # a fork at latitude 0 leaves split_branch a zero-length lower piece;
+    # it lies below the fork, so it keeps the detached material
+    g = kingman_tree(2, SimRng(5))
+    trace = trace_lineage(g, 0, 0.0, 0.5, 1.0, UniformDensity(), SimRng(9))
+    accept_breakpoint(g, 0.5, trace)
+    g.check_invariants()
+    stub = g.branches[0]
+    assert stub.lo == stub.hi == 0.0
+    assert stub.cols == [frozenset({1}), frozenset({1})]
+
+
 def test_staged_loop_keeps_invariants():
     for seed in range(60):
-        rng = replicate_rng(seed, 0, SALT_SPATIAL)
+        rng = replicate_rng(seed, 0, SALTS["spatial"])
         g = kingman_tree(3, rng)
         g.check_invariants()
         while True:
@@ -459,17 +504,17 @@ def test_simulate_spatial_rho_zero_is_plain_kingman():
     arg = simulate_spatial(cfg)
     assert arg.event_count == 4
     assert all(isinstance(ev, Coalesce) for ev in arg.events)
-    tree = kingman_tree(5, replicate_rng(13, 0, SALT_SPATIAL))
+    tree = kingman_tree(5, replicate_rng(13, 0, SALTS["spatial"]))
     assert arg.grand_mrca == tree.top_time
     stats = summary(arg)
     assert stats.breakpoint_count == 0
     assert stats.tmrca_at[0.0] == arg.grand_mrca
 
 
-def test_trace_log_records_every_stage():
+def test_trace_log_records_every_stage(monkeypatch):
     cfg = SimConfig(n_samples=4, rho=2.0, seed=1)
-    log = []
-    arg = simulate_spatial(cfg, trace_log=log)
+    log = record_stages(monkeypatch)
+    arg = simulate_spatial(cfg)
     loci, _ = breakpoints(arg)
     logged = [entry["locus"] for entry in log]
     assert len(log) >= 1  # seed chosen to recombine
@@ -485,12 +530,13 @@ def test_trace_log_records_every_stage():
         assert xi == sorted(xi) and 0 < len(xi) <= 4
 
 
-def test_diamond_recoalescence_keeps_the_local_tree():
+def test_diamond_recoalescence_keeps_the_local_tree(monkeypatch):
     found = 0
+    log = record_stages(monkeypatch)
     for seed in range(200):
         cfg = SimConfig(n_samples=3, rho=1.0, seed=1000 + seed)
-        log = []
-        arg = simulate_spatial(cfg, trace_log=log)
+        log.clear()
+        arg = simulate_spatial(cfg)
         loci, _ = breakpoints(arg)
         for entry in log:
             trans = entry["transitions"]

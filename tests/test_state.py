@@ -16,7 +16,6 @@ from argsim.state import (
     Lineage,
     Recombine,
     State,
-    distance_d0,
     distance_lebesgue,
     full_set,
     render_state,
@@ -273,12 +272,6 @@ def test_distance_lebesgue_metric_axioms(sa, sb, sc):
     if f == g:
         assert dfg == 0.0
     assert dfg <= distance_lebesgue(f, h) + distance_lebesgue(h, g) + 1e-12
-
-
-def test_distance_d0():
-    x = State.initial(3)
-    assert distance_d0(x, State.initial(3)) == 0.0
-    assert distance_d0(x, x.coalesce(0, 1)) == 1.0
 
 
 def test_split_preserves_union():

@@ -17,10 +17,8 @@ from argsim.stats import (
     TestReport,
     chi_square,
     chi_square_two_sample,
-    default_threads,
     equivalence_report,
     kingman_expectations,
-    kolmogorov_sf,
     ks_one_sample,
     ks_one_sample_with_atom,
     ks_two_sample,
@@ -28,14 +26,6 @@ from argsim.stats import (
     render_report_table,
     run_replicates,
 )
-
-
-def test_kolmogorov_sf_matches_scipy():
-    for x in [0.05, 0.2, 0.5, 0.8, 1.0, 1.36, 1.63, 2.0, 3.0, 5.0]:
-        assert kolmogorov_sf(x) == pytest.approx(float(scipy.special.kolmogorov(x)), abs=1e-9)
-    assert kolmogorov_sf(0.0) == 1.0
-    assert kolmogorov_sf(-1.0) == 1.0
-    assert kolmogorov_sf(50.0) == 0.0
 
 
 def test_ks_two_sample_extremes():
@@ -47,6 +37,12 @@ def test_ks_two_sample_extremes():
     d, p = ks_two_sample(lo, hi)
     assert d == 1.0
     assert p < 1e-6
+    # sqrt(50) * D = 7.07: the Kolmogorov tail is about 2 exp(-100), small
+    # but not zero
+    d, p = ks_two_sample(list(range(100)), [x + 1000 for x in range(100)])
+    assert d == 1.0
+    assert p > 0.0
+    assert p == float(scipy.special.kolmogorov(math.sqrt(50.0)))
 
 
 def test_ks_two_sample_statistic_matches_scipy():
@@ -194,18 +190,6 @@ def test_kingman_expectations_closed_form():
     assert l6 == pytest.approx(2.0 * (1 + 0.5 + 1 / 3 + 0.25 + 0.2))
     with pytest.raises(ValueError):
         kingman_expectations(1)
-
-
-def test_default_threads_env(monkeypatch):
-    monkeypatch.setenv("ARGSIM_THREADS", "3")
-    assert default_threads() == 3
-    monkeypatch.setenv("ARGSIM_THREADS", "0")
-    assert default_threads() == 1
-    monkeypatch.setenv("ARGSIM_THREADS", "two")
-    with pytest.raises(ValueError):
-        default_threads()
-    monkeypatch.delenv("ARGSIM_THREADS")
-    assert default_threads() >= 1
 
 
 def test_run_replicates_deterministic_and_thread_invariant():

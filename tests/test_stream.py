@@ -1,9 +1,11 @@
-"""The event-log stream is pinned: both engines' `simulate` output bytes.
+"""The event-log stream is pinned: both engines' `simulate` output bytes,
+and one `compare` report.
 
 A change that moves the random stream (a different number of draws, or
 draws in a different order) or the log format changes these digests. Such
 a change must be declared and the cross-engine battery rerun; then the
-digests here are recorded again.
+digests here are recorded again. The compare digest also pins the test
+statistics and their p-values as the CSV prints them.
 """
 
 import hashlib
@@ -51,3 +53,18 @@ def test_simulate_logs_match_pinned_digests(tmp_path, capsys):
     got = {"%s %s n=%d rho=%d" % cell: log_digest(tmp_path, *cell) for cell in GRID}
     capsys.readouterr()
     assert got == PINNED
+
+
+# sha256 of `argsim compare --samples 3 --rho 1 --sites 0,0.5 --reps 200
+# --threads 1` at the default seed 0
+COMPARE_PINNED = "c6c138420b4b2c114ca8b370748f548a7e8742de98490bd5067508fda302a3a9"
+
+
+def test_compare_report_matches_pinned_digest(tmp_path, capsys):
+    out = tmp_path / "compare.csv"
+    assert main([
+        "compare", "--samples", "3", "--rho", "1", "--sites", "0,0.5", "--reps", "200",
+        "--threads", "1", "--out", str(out),
+    ]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == COMPARE_PINNED
