@@ -21,8 +21,9 @@ index form the local tree of the current locus), then:
 
 The finished graph converts into the same Arg event-log form the
 back-in-time engine emits: nodes sorted by latitude become events, and
-the states are rebuilt from the material columns and checked against an
-exact replay of the events.
+the states are read off the material columns alone. validate_arg replays
+the events and checks them against those states, so the two derivations
+meet there.
 
 Cost per stage, for a graph of N nodes and B branches: the free-mode rates
 (live_intervals) take one sort of the node times and one sweep over the
@@ -87,7 +88,7 @@ class PartialGraph:
 
     __slots__ = (
         "n", "branches", "nodes", "leaves", "top_id", "breakpoints",
-        "top_time", "tree_length", "_next_branch", "_next_node",
+        "tree_length", "_next_branch", "_next_node",
     )
 
     def __init__(self, n):
@@ -97,7 +98,6 @@ class PartialGraph:
         self.leaves = tuple(range(n))
         self.top_id = None
         self.breakpoints = []
-        self.top_time = 0.0
         self.tree_length = 0.0
         self._next_branch = 0
         self._next_node = 0
@@ -121,11 +121,14 @@ class PartialGraph:
         return nd
 
     def recompute_tree_stats(self):
-        self.top_time = max(nd.time for nd in self.nodes.values())
         stage = self.stage
         self.tree_length = math.fsum(
             b.hi - b.lo for b in self.branches.values() if b.label == stage and b.hi < INF
         )
+
+    def branch_above(self, node_id):
+        """The branch leaving a node upward; the larger-label one at a fork."""
+        return max((self.branches[p] for p in self.nodes[node_id].parents), key=lambda b: b.label)
 
     def split_branch(self, piece, t):
         """Cut a branch at latitude t; the lower part keeps the id.
@@ -381,13 +384,11 @@ def trace_lineage(graph, fork_id, t0, s_new, rho, density, rng):
                 ride = None
             else:
                 trace.steps.append(("climb", ride.hi))
-                node = graph.nodes[ride.upper_node]
-                t = node.time
-                nxt = max((graph.branches[p] for p in node.parents), key=lambda b: b.label)
-                if nxt.label == stage:
+                t = ride.hi
+                ride = graph.branch_above(ride.upper_node)
+                if ride.label == stage:
                     trace.absorbed_at = t
                     return trace
-                ride = nxt
 
 
 def accept_breakpoint(graph, s_new, trace):
@@ -447,12 +448,10 @@ def accept_breakpoint(graph, s_new, trace):
             ride_piece = None
         else:  # climb through the ridden piece's upper node
             on_path.add(ride_piece.id)
-            node = graph.nodes[ride_piece.upper_node]
-            nxt = max((graph.branches[p] for p in node.parents), key=lambda b: b.label)
-            if nxt.label == stage:
-                tail_start = nxt
+            ride_piece = graph.branch_above(ride_piece.upper_node)
+            if ride_piece.label == stage:
+                tail_start = ride_piece
                 break
-            ride_piece = nxt
     assert tail_start is not None and seg is None, "trace must end absorbed"
     # the tail: the old tree from the absorption point up to the top
     cur = tail_start
@@ -461,12 +460,7 @@ def accept_breakpoint(graph, s_new, trace):
         on_path.add(cur.id)
         if cur.upper_node is None:
             break
-        node = graph.nodes[cur.upper_node]
-        parents = node.parents
-        if len(parents) == 1:
-            cur = graph.branches[parents[0]]
-        else:
-            cur = max((graph.branches[p] for p in parents), key=lambda b: b.label)
+        cur = graph.branch_above(cur.upper_node)
     # extend every material vector by the new column
     for b in graph.branches.values():
         if b.id in on_path:
@@ -479,19 +473,12 @@ def accept_breakpoint(graph, s_new, trace):
     visited = set()
     for leaf in graph.leaves:
         cur = graph.branches[leaf]
-        while True:
-            if cur.id in visited:
-                break
+        while cur.id not in visited:
             visited.add(cur.id)
             if cur.upper_node is None:
                 assert cur.id == graph.top_id
                 break
-            node = graph.nodes[cur.upper_node]
-            parents = node.parents
-            if len(parents) == 1:
-                cur = graph.branches[parents[0]]
-            else:
-                cur = max((graph.branches[p] for p in parents), key=lambda b: b.label)
+            cur = graph.branch_above(cur.upper_node)
     carriers = {b.id for b in graph.branches.values() if b.cols[new_label]}
     assert visited == carriers, "tree walk disagrees with the new material column"
     for bid in visited:
@@ -501,11 +488,15 @@ def accept_breakpoint(graph, s_new, trace):
 
 
 def graph_to_arg(graph, config):
-    """Convert the finished graph to the event-log form, cross-checked.
+    """Convert the finished graph to the event-log form.
 
-    States are rebuilt from the material columns (the breakpoint order
-    statistics pin down every lineage function) and compared against an
-    exact replay of the emitted events — the two derivations must agree.
+    Nodes sorted by latitude become events. Each state is read off the
+    material columns: every branch carries one lineage function (the
+    breakpoint order statistics pin it down), and the state after an event
+    holds the functions of the branches live just above its node. Event
+    ranks index the state before the event. No event is replayed here:
+    validate_arg replays the events and reports, as clause (b), any state
+    the material disagrees with.
     """
     bounds = [0.0] + list(graph.breakpoints) + [1.0]
     funcs = {}
@@ -514,8 +505,8 @@ def graph_to_arg(graph, config):
             (bounds[l], bounds[l + 1], col) for l, col in enumerate(b.cols)
         )
     live = set(graph.leaves)
-    state = State.initial(graph.n)
-    assert state == State(graph.n, [funcs[i] for i in live])
+    state = State(graph.n, [funcs[i] for i in live])
+    assert state == State.initial(graph.n)
     times, events, states = [], [], []
     for node in sorted(graph.nodes.values(), key=lambda nd: (nd.time, nd.id)):
         ranked = state.lineages
@@ -526,12 +517,9 @@ def graph_to_arg(graph, config):
         else:
             (child,) = node.children
             event = Recombine(ranked.index(funcs[child]), node.locus)
-        state = state.apply(event)
         live.difference_update(node.children)
         live.update(node.parents)
-        assert state == State(graph.n, [funcs[i] for i in live]), (
-            "event replay diverges from the material reconstruction at node %d" % node.id
-        )
+        state = State(graph.n, [funcs[i] for i in live])
         times.append(node.time)
         events.append(event)
         states.append(state)

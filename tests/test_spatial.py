@@ -28,7 +28,7 @@ from argsim.spatial import (
     simulate_spatial,
     trace_lineage,
 )
-from argsim.state import Coalesce, Recombine
+from argsim.state import Coalesce, Recombine, State
 from argsim.stats import chi_square, kingman_expectations, ks_one_sample, ks_one_sample_with_atom
 
 INF = float("inf")
@@ -92,6 +92,11 @@ def record_stages(monkeypatch):
     return log
 
 
+def top_time(graph):
+    """Latitude of the graph's highest node: the root of its oldest tree."""
+    return max(nd.time for nd in graph.nodes.values())
+
+
 def two_leaf_graph(height=1.0):
     """Stage-0 graph: leaves 1 and 2 coalescing at the given height."""
     g = PartialGraph(2)
@@ -128,7 +133,7 @@ def test_two_leaf_graph_basics():
     g = two_leaf_graph(1.0)
     g.check_invariants()
     assert g.stage == 0
-    assert g.tree_length == 2.0 and g.top_time == 1.0
+    assert g.tree_length == 2.0 and top_time(g) == 1.0
     starts, counts = live_intervals(g)
     assert starts == [0.0, 1.0]
     assert counts == [2, 1]
@@ -146,7 +151,7 @@ def test_kingman_tree_structure():
     starts, counts = live_intervals(g)
     assert counts == [5, 4, 3, 2, 1]
     assert [len(live_branches(g, t)) for t in starts] == [5, 4, 3, 2, 1]
-    assert g.top_time == starts[-1]
+    assert top_time(g) == starts[-1]
     assert g.tree_length == pytest.approx(
         math.fsum(k * (starts[5 - k + 1] - starts[5 - k]) for k in range(2, 6))
     )
@@ -227,13 +232,13 @@ def test_live_intervals_match_the_scan_on_fixtures():
 def test_kingman_tree_moments():
     rng = SimRng(424242)
     reps = 30000
-    h2 = math.fsum(kingman_tree(2, rng).top_time for _ in range(reps)) / reps
+    h2 = math.fsum(top_time(kingman_tree(2, rng)) for _ in range(reps)) / reps
     assert abs(h2 - 1.0) < 0.03
     mean_t, mean_l = kingman_expectations(6)
     tot_t = tot_l = 0.0
     for _ in range(reps):
         g = kingman_tree(6, rng)
-        tot_t += g.top_time
+        tot_t += top_time(g)
         tot_l += g.tree_length
     assert abs(tot_t / reps - mean_t) < 0.03
     assert abs(tot_l / reps - mean_l) < 0.06
@@ -452,6 +457,34 @@ def test_stage2_accept_after_detach():
     assert arg.grand_mrca == pytest.approx(1.0)
 
 
+def test_material_that_disagrees_with_the_nodes_is_clause_b():
+    # swap the material of the stage-2 fork's two upper branches: the
+    # node structure stays, but the states read off the columns no longer
+    # follow from the events, and only the replay in validate_arg can tell
+    g, trace = detached_trace()
+    accept_breakpoint(g, 0.75, trace)
+    (fork,) = [nd for nd in g.nodes.values() if nd.kind == "r" and nd.locus == 0.75]
+    a, b = (g.branches[p] for p in fork.parents)
+    a.cols, b.cols = b.cols, a.cols
+    report = validate_arg(graph_to_arg(g, SimConfig(n_samples=2, rho=2.0, seed=0)))
+    assert not report.passed
+    assert {clause for _, clause, _ in report.violations} == {"b"}
+    assert "recorded state diverges from replay" in [msg for _, _, msg in report.violations]
+
+
+def test_graph_to_arg_replays_no_event(monkeypatch):
+    calls = []
+    apply = State.apply
+    monkeypatch.setattr(State, "apply", lambda self, event: calls.append(event) or apply(self, event))
+    g, trace = detached_trace()
+    accept_breakpoint(g, 0.75, trace)
+    graph_to_arg(g, SimConfig(n_samples=2, rho=2.0, seed=0))
+    arg = simulate_spatial(SimConfig(n_samples=4, rho=2.0, seed=1))
+    assert calls == []
+    assert validate_arg(arg).passed
+    assert len(calls) == arg.event_count > 3  # the patch is live: validation replays
+
+
 def test_accept_fork_at_the_lower_end_of_its_branch():
     # a fork at latitude 0 leaves split_branch a zero-length lower piece;
     # it lies below the fork, so it keeps the detached material
@@ -505,7 +538,7 @@ def test_simulate_spatial_rho_zero_is_plain_kingman():
     assert arg.event_count == 4
     assert all(isinstance(ev, Coalesce) for ev in arg.events)
     tree = kingman_tree(5, replicate_rng(13, 0, SALTS["spatial"]))
-    assert arg.grand_mrca == tree.top_time
+    assert arg.grand_mrca == top_time(tree)
     stats = summary(arg)
     assert stats.breakpoint_count == 0
     assert stats.tmrca_at[0.0] == arg.grand_mrca
