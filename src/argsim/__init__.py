@@ -54,7 +54,6 @@ from .state import (
     Lineage,
     Recombine,
     State,
-    distance_lebesgue,
     render_state,
 )
 from .stats import (
@@ -76,7 +75,7 @@ __all__ = [
     "ProjectedPath", "RateBreakdown", "Recombine", "SimConfig", "SimRng",
     "State", "SummaryStats", "TestReport", "Trace", "UniformDensity",
     "ValidationReport", "accept_breakpoint", "breakpoints", "child_seed",
-    "chi_square", "chi_square_two_sample", "distance_lebesgue",
+    "chi_square", "chi_square_two_sample",
     "equivalence_report", "graph_to_arg",
     "kingman_expectations", "kingman_tree", "ks_one_sample",
     "ks_one_sample_with_atom", "ks_two_sample", "local_tree",

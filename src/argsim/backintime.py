@@ -58,6 +58,17 @@ def sample_waiting_time(rates, rng):
     return -math.log(rng.uniform()) / rates.total
 
 
+def unrank_pair(index, k):
+    """The pair (i, j), i < j, at ``index`` in the lexicographic order of k items."""
+    i = 0
+    row = k - 1
+    while index >= row:
+        index -= row
+        i += 1
+        row -= 1
+    return i, i + 1 + index
+
+
 def sample_event(state, rho, density, rng, rates=None):
     """One step of the embedded chain: a Coalesce or Recombine event."""
     k = len(state.lineages)
@@ -66,18 +77,9 @@ def sample_event(state, rho, density, rng, rates=None):
     if rates is None:
         rates = total_rate(state, rho, density)
     threshold = rng.uniform() * rates.total
-    # coalescing pairs in lexicographic order, each with weight 1
+    # coalescing pairs in lexicographic order, each with weight exactly 1
     if threshold < rates.coal_rate:
-        pair = int(threshold)  # weights are exactly 1
-        if pair >= k * (k - 1) // 2:
-            pair = k * (k - 1) // 2 - 1
-        i = 0
-        row = k - 1
-        while pair >= row:
-            pair -= row
-            i += 1
-            row -= 1
-        return Coalesce(i, i + 1 + pair)
+        return Coalesce(*unrank_pair(min(int(threshold), k * (k - 1) // 2 - 1), k))
     # otherwise a recombination on the lineage whose weight covers the rest
     acc = rates.coal_rate
     pick = k - 1

@@ -1,8 +1,8 @@
 """Command-line surface: simulate / validate / tree / compare.
 
 Exit codes: 0 success, 1 failed validation or failed comparison,
-2 usage or parse errors, a run stopped at the event cap, or a tree asked
-of a log that never absorbs.
+2 usage or parse errors, a run expected to pass the event cap or stopped
+at it, or a tree asked of a log that never absorbs.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 
-from . import __version__
+from . import __version__, backintime
 from .arg import (
     ArgParseError,
     local_tree,
@@ -28,6 +28,7 @@ from .stats import (
     CSV_HEADER,
     ENGINES,
     equivalence_report,
+    kingman_expectations,
     render_report_table,
 )
 
@@ -91,10 +92,8 @@ def _simulate_settings(args, parser):
             density=man["density"], seed=man["seed"], reps=man["reps"],
             out=man.get("out"),
         )
-    for key, argname in (("engine", "engine"), ("samples", "samples"), ("rho", "rho"),
-                         ("density", "density"), ("seed", "seed"), ("reps", "reps"),
-                         ("out", "out")):
-        value = getattr(args, argname)
+    for key in settings:
+        value = getattr(args, key)
         if value is not None:
             settings[key] = value
     if settings["samples"] is None:
@@ -102,6 +101,20 @@ def _simulate_settings(args, parser):
     if settings["out"] is None:
         parser.error("--out is required (or use --from-manifest)")
     return settings
+
+
+def _past_event_cap(n, rho):
+    """Whether a path expects more events than the cap; if so, says so.
+
+    A path has n - 1 coalescences and two events per breakpoint, and a
+    mean Kingman tree length E[L] gives rho * E[L] / 2 breakpoints.
+    """
+    expected = n - 1 + rho * kingman_expectations(n)[1]
+    cap = backintime.DEFAULT_EVENT_CAP
+    if expected > cap:
+        sys.stderr.write("error: a path is expected to take %.4g events, past the cap of %d"
+                         " (n=%d rho=%g)\n" % (expected, cap, n, rho))
+    return expected > cap
 
 
 def cmd_simulate(args, parser):
@@ -113,6 +126,8 @@ def cmd_simulate(args, parser):
         parser.error(str(exc))
     if s["reps"] < 1:
         parser.error("--reps must be at least 1")
+    if _past_event_cap(base.n_samples, base.rho):
+        return 2
     salt = SALTS[s["engine"]]
     run = ENGINES[s["engine"]]
     args_out = []
@@ -151,17 +166,21 @@ def cmd_simulate(args, parser):
     return 0
 
 
-def cmd_validate(args, parser):
+def _read_logs(path, parser):
+    """The event logs in a file, or None after a one-line parse error."""
     try:
-        with open(args.path) as fh:
-            logs = read_args(fh)
+        with open(path) as fh:
+            return read_args(fh)
     except OSError as exc:
         parser.error(str(exc))
     except (ArgParseError, UnicodeDecodeError) as exc:
         sys.stderr.write("parse error: %s\n" % exc)
-        return 2
-    if not logs:
-        sys.stderr.write("parse error: no event logs in %s\n" % args.path)
+    return None
+
+
+def cmd_validate(args, parser):
+    logs = _read_logs(args.path, parser)
+    if logs is None:
         return 2
     ok = True
     for idx, arg in enumerate(logs):
@@ -183,16 +202,8 @@ def _render_partition(blocks):
 def cmd_tree(args, parser):
     if not (0.0 <= args.site < 1.0):
         parser.error("--site must lie in [0,1)")
-    try:
-        with open(args.path) as fh:
-            logs = read_args(fh)
-    except OSError as exc:
-        parser.error(str(exc))
-    except (ArgParseError, UnicodeDecodeError) as exc:
-        sys.stderr.write("parse error: %s\n" % exc)
-        return 2
-    if not logs:
-        sys.stderr.write("parse error: no event logs in %s\n" % args.path)
+    logs = _read_logs(args.path, parser)
+    if logs is None:
         return 2
     for idx, arg in enumerate(logs):
         if not arg.final_state.is_absorbed:
@@ -235,6 +246,8 @@ def cmd_compare(args, parser):
         SimConfig(n_samples=args.samples, rho=args.rho, density=density, seed=args.seed)
     except ValueError as exc:
         parser.error(str(exc))
+    if _past_event_cap(args.samples, args.rho):
+        return 2
     try:
         reports, _ = equivalence_report(
             args.samples, args.rho, density, args.seed, args.reps,

@@ -1,8 +1,10 @@
 """Breakpoint-locus densities on (0, 1).
 
-A density provides pdf/cdf/inverse-cdf plus truncated sampling by
-inversion. Densities must be strictly positive almost everywhere on (0, 1)
-so the inverse CDF is well defined; Uniform and Beta(a, b) both qualify.
+A density provides pdf/cdf/inverse-cdf (scipy's betaincinv for Beta) plus
+truncated sampling by inversion, ppf(F(lo) + U * (F(hi) - F(lo))), kept
+strictly inside (lo, hi). Densities must be strictly positive almost
+everywhere on (0, 1) so the inverse CDF is well defined; Uniform and
+Beta(a, b) both qualify.
 
 Densities are specified on the command line as tagged strings
 ("uniform", "beta:2,2") and parsed through a small registry so new
@@ -13,9 +15,12 @@ from __future__ import annotations
 
 import math
 
-from scipy.special import betainc
+from scipy.special import betainc, betaincinv
 
-_BISECT_TOL = 1e-12
+
+def strictly_inside(x, lo, hi):
+    """x moved onto the nearest float strictly inside (lo, hi); hi if none is."""
+    return max(min(x, math.nextafter(hi, lo)), math.nextafter(lo, hi))
 
 
 class UniformDensity:
@@ -45,7 +50,7 @@ class UniformDensity:
         """Inverse-CDF draw from the density restricted to (lo, hi)."""
         a, b = self.cdf(lo), self.cdf(hi)
         assert b > a
-        return self.ppf(a + rng.uniform() * (b - a))
+        return strictly_inside(self.ppf(min(1.0, a + rng.uniform() * (b - a))), lo, hi)
 
     def __eq__(self, other):
         return isinstance(other, UniformDensity)
@@ -92,20 +97,8 @@ class BetaDensity:
         return float(betainc(self.a, self.b, s))
 
     def ppf(self, q):
-        """Inverse CDF by bracketed bisection to 1e-12 absolute tolerance."""
         assert 0.0 <= q <= 1.0
-        if q <= 0.0:
-            return 0.0
-        if q >= 1.0:
-            return 1.0
-        lo, hi = 0.0, 1.0
-        while hi - lo > _BISECT_TOL:
-            mid = 0.5 * (lo + hi)
-            if self.cdf(mid) < q:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
+        return float(betaincinv(self.a, self.b, q))
 
     def mass(self, lo, hi):
         return max(0.0, self.cdf(hi) - self.cdf(lo))
@@ -113,16 +106,7 @@ class BetaDensity:
     def sample_truncated(self, rng, lo, hi):
         a, b = self.cdf(lo), self.cdf(hi)
         assert b > a
-        q = a + rng.uniform() * (b - a)
-        # bisect inside (lo, hi) directly: tighter bracket than ppf's (0, 1)
-        x0, x1 = lo, hi
-        while x1 - x0 > _BISECT_TOL:
-            mid = 0.5 * (x0 + x1)
-            if self.cdf(mid) < q:
-                x0 = mid
-            else:
-                x1 = mid
-        return 0.5 * (x0 + x1)
+        return strictly_inside(self.ppf(min(1.0, a + rng.uniform() * (b - a))), lo, hi)
 
     def __eq__(self, other):
         return isinstance(other, BetaDensity) and self.a == other.a and self.b == other.b

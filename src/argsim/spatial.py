@@ -6,7 +6,8 @@ per breakpoint so far, and the branches labeled with the current stage
 index form the local tree of the current locus), then:
 
   2. draws the next breakpoint locus from its exact conditional law
-     (exponential in the integrated density, atom at 1 -> stop);
+     (exponential in the integrated density, atom at 1 -> stop) by
+     inverting the density's CDF directly;
   3. picks the recombination location uniformly on the current local tree;
   4. detaches the material right of the new locus and traces it upward:
      in free mode it coalesces at rate 1 with each live branch; landing on
@@ -40,12 +41,12 @@ from dataclasses import dataclass, field
 from itertools import accumulate
 
 from .arg import Arg
-from .backintime import DEFAULT_EVENT_CAP, EventCapExceeded
+from .backintime import DEFAULT_EVENT_CAP, EventCapExceeded, unrank_pair
+from .density import strictly_inside
 from .rng import SALTS, replicate_rng
 from .state import Coalesce, Lineage, Recombine, State, full_set
 
 INF = math.inf
-_BISECT_TOL = 1e-12
 
 
 class Branch:
@@ -183,18 +184,6 @@ class PartialGraph:
         return self
 
 
-def _pick_pair(rng, k):
-    """Uniform unordered pair (i, j), i < j, from k items; one draw."""
-    idx = rng.index(k * (k - 1) // 2)
-    i = 0
-    row = k - 1
-    while idx >= row:
-        idx -= row
-        i += 1
-        row -= 1
-    return i, i + 1 + idx
-
-
 def kingman_tree(n, rng):
     """Step 1: the locus-0 coalescent tree as a stage-0 graph."""
     graph = PartialGraph(n)
@@ -205,7 +194,7 @@ def kingman_tree(n, rng):
     while len(live) > 1:
         k = len(live)
         t += rng.exponential(k * (k - 1) / 2.0)
-        i, j = _pick_pair(rng, k)
+        i, j = unrank_pair(rng.index(k * (k - 1) // 2), k)
         a, b = graph.branches[live[i]], graph.branches[live[j]]
         merged = graph.add_branch(t, INF, None, None, 0, [a.cols[0] | b.cols[0]])
         node = graph.add_node(t, "c", None, [a.id, b.id], [merged.id])
@@ -287,7 +276,8 @@ def sample_next_breakpoint(graph, rho, density, rng):
 
     Survival past s is exp(-rho * L * m(s) / 2) with m the density mass
     between the current locus and s; the mass the survival never spends is
-    the atom at 1.
+    the atom at 1. Below it, F(s) = F(s_cur) - log(U) / (rho * L / 2) is
+    inverted directly, strictly above s_cur (1.0 when no float is).
     """
     s_cur = graph.breakpoints[-1] if graph.breakpoints else 0.0
     half_rate = 0.5 * rho * graph.tree_length
@@ -297,18 +287,8 @@ def sample_next_breakpoint(graph, rho, density, rng):
     atom = math.exp(-half_rate * density.mass(s_cur, 1.0))
     if u <= atom:
         return 1.0
-    target = -math.log(u)
-    lo, hi = s_cur, 1.0
-    while hi - lo > _BISECT_TOL:
-        mid = 0.5 * (lo + hi)
-        if half_rate * density.mass(s_cur, mid) < target:
-            lo = mid
-        else:
-            hi = mid
-    s_new = 0.5 * (lo + hi)
-    if s_new <= s_cur:  # guard the vanishing-ulp corner
-        s_new = math.nextafter(s_cur, 1.0)
-    return s_new
+    q = min(1.0, density.cdf(s_cur) - math.log(u) / half_rate)
+    return strictly_inside(density.ppf(q), s_cur, 1.0)
 
 
 def sample_recomb_location(graph, rng):
@@ -490,13 +470,10 @@ def accept_breakpoint(graph, s_new, trace):
 def graph_to_arg(graph, config):
     """Convert the finished graph to the event-log form.
 
-    Nodes sorted by latitude become events. Each state is read off the
-    material columns: every branch carries one lineage function (the
-    breakpoint order statistics pin it down), and the state after an event
-    holds the functions of the branches live just above its node. Event
-    ranks index the state before the event. No event is replayed here:
-    validate_arg replays the events and reports, as clause (b), any state
-    the material disagrees with.
+    Nodes sorted by latitude become events. Each state holds the lineage
+    functions of the live branches, read off their material columns; no
+    event is replayed here. validate_arg's replay reports, as clause (b),
+    any state the material disagrees with.
     """
     bounds = [0.0] + list(graph.breakpoints) + [1.0]
     funcs = {}

@@ -399,14 +399,3 @@ def render_state(state):
 def fmt_locus(x):
     return "%.17g" % x
 
-
-def distance_lebesgue(f, h):
-    """Measure of the loci where two lineage functions disagree."""
-    grid = sorted({*f.breaks, *h.breaks})
-    total = 0.0
-    lo = 0.0
-    for hi in grid + [1.0]:
-        if f.value_at(lo) != h.value_at(lo):
-            total += hi - lo
-        lo = hi
-    return total

@@ -53,3 +53,24 @@ def test_every_exported_name_resolves():
     missing = [name for name in argsim.__all__ if not hasattr(argsim, name)]
     assert missing == []
     assert len(set(argsim.__all__)) == len(argsim.__all__)
+
+
+def test_traced_classes_define_their_public_methods_in_their_own_body():
+    # The benchmark tracer wraps the methods found in each class's own
+    # namespace (vars(cls)), so a public method inherited from a shared
+    # base class would silently lose its span.
+    from argsim.density import BetaDensity, UniformDensity
+    from argsim.rng import SimRng
+    from argsim.state import Lineage, State
+
+    inherited = []
+    for cls in (State, Lineage, UniformDensity, BetaDensity, SimRng):
+        for name in dir(cls):
+            member = inspect.getattr_static(cls, name)
+            if isinstance(member, (classmethod, staticmethod)):
+                member = member.__func__
+            if not name.startswith("_") and inspect.isfunction(member) and name not in vars(cls):
+                inherited.append("%s.%s" % (cls.__name__, name))
+    assert inherited == []
+    for cls in (UniformDensity, BetaDensity):
+        assert {"mass", "cdf", "ppf", "sample_truncated"} <= set(vars(cls))

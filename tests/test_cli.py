@@ -5,7 +5,7 @@ from functools import partial
 
 import pytest
 
-from argsim import stats
+from argsim import backintime, stats
 from argsim.arg import Arg, write_arg
 from argsim.backintime import simulate_backintime
 from argsim.cli import main
@@ -322,3 +322,31 @@ def test_event_cap_exits_2_with_one_line(tmp_path, monkeypatch, capsys):
                  "--threads", "1", "--out", str(tmp_path / "r.csv")]) == 2
     err = capsys.readouterr().err.splitlines()
     assert err == ["error: exceeded 1 events (n=3 rho=1)"]
+
+
+def test_expected_events_past_the_cap_exit_2_up_front(tmp_path, monkeypatch, capsys):
+    # n=4, rho=1 expects n - 1 + rho * E[L] = 3 + 11/3 events
+    out = tmp_path / "r.log"
+    sim = ["simulate", "--samples", "4", "--rho", "1", "--reps", "2", "--out", str(out)]
+    cmp_ = ["compare", "--samples", "4", "--rho", "1", "--reps", "10", "--threads", "1",
+            "--out", str(tmp_path / "r.csv")]
+    monkeypatch.setattr(backintime, "DEFAULT_EVENT_CAP", 6)
+    line = "error: a path is expected to take 6.667 events, past the cap of 6 (n=4 rho=1)"
+    for argv in (sim, cmp_):
+        assert main(argv) == 2
+        assert capsys.readouterr().err.splitlines() == [line]
+    assert not out.exists() and not (tmp_path / "r.csv").exists()
+    monkeypatch.setattr(backintime, "DEFAULT_EVENT_CAP", 7)
+    assert main(sim) == 0
+    assert main(cmp_) in (0, 1)
+    assert capsys.readouterr().err == ""
+    assert out.exists() and (tmp_path / "r.csv").exists()
+
+
+def test_huge_rho_is_refused_before_any_event(tmp_path, capsys):
+    out = tmp_path / "r.log"
+    assert main(["simulate", "--samples", "3", "--rho", "1e300", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: a path is expected to take 3e+300 events, past the cap of 10000000 (n=3 rho=1e+300)"
+    ]
+    assert not out.exists()

@@ -1,5 +1,6 @@
 """Breakpoint density tests: uniform and beta families, parsing, sampling."""
 
+import itertools
 import math
 
 import pytest
@@ -52,6 +53,54 @@ def test_beta_ppf_inverts_cdf():
         s = d.ppf(q)
         assert d.cdf(s) == pytest.approx(q, abs=1e-10)
         assert s == pytest.approx(betaincinv(2.0, 3.0, q), abs=1e-9)
+
+
+def bisect_ppf(density, q):
+    """Oracle inverse CDF: bisect (0, 1) until no float lies between the ends."""
+    lo, hi = 0.0, 1.0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            return mid
+        if density.cdf(mid) < q:
+            lo = mid
+        else:
+            hi = mid
+
+
+SHAPES = (0.01, 0.5, 1.0, 2.0, 30.0, 1000.0)
+
+
+@pytest.mark.parametrize("a,b", list(itertools.product(SHAPES, SHAPES)))
+def test_beta_ppf_matches_a_bisection_oracle(a, b):
+    d = BetaDensity(a, b)
+    for q in (1e-6, 1e-3, 0.05, 0.3, 0.5, 0.7, 0.95, 0.999):
+        assert abs(d.ppf(q) - bisect_ppf(d, q)) <= 1e-12, q
+    assert d.ppf(0.0) == 0.0 and d.ppf(1.0) == 1.0
+
+
+class FixedRng:
+    def __init__(self, u):
+        self.u = u
+
+    def uniform(self):
+        return self.u
+
+
+@pytest.mark.parametrize("density", [UniformDensity(), BetaDensity(2.0, 2.0), BetaDensity(0.5, 0.5)])
+@pytest.mark.parametrize("lo", [0.25, 0.75])
+def test_truncated_draw_on_one_inner_float_returns_it(density, lo):
+    inner = math.nextafter(lo, 1.0)
+    hi = math.nextafter(inner, 1.0)
+    for u in (1e-12, 0.5, 1.0 - 2.0 ** -53):
+        assert density.sample_truncated(FixedRng(u), lo, hi) == inner
+
+
+@pytest.mark.parametrize("density", [UniformDensity(), BetaDensity(2.0, 2.0)])
+def test_truncated_draw_never_lands_on_an_end(density):
+    lo, hi = 0.5, math.nextafter(math.nextafter(math.nextafter(0.5, 1.0), 1.0), 1.0)
+    for u in (1e-300, 1e-12, 0.5, 1.0 - 2.0 ** -53):
+        assert lo < density.sample_truncated(FixedRng(u), lo, hi) < hi
 
 
 def test_uniform_truncated_sampling_is_uniform():

@@ -322,6 +322,30 @@ def test_sample_next_breakpoint_after_prior_breakpoint():
     assert p > 1e-4 and abs(z) < 3.5
 
 
+@pytest.mark.parametrize("density", [UNIFORM, BetaDensity(2.0, 2.0)])
+def test_sample_next_breakpoint_two_ulps_below_one(density):
+    between = math.nextafter(1.0, 0.0)
+    s_cur = math.nextafter(between, 0.0)
+    for rho in (1.0, 1e17, 1e300):
+        for u in (1e-300, 1e-9, 0.5, 1.0 - 2.0 ** -53):
+            g = two_leaf_graph(1.0)
+            g.breakpoints.append(s_cur)
+            assert sample_next_breakpoint(g, rho, density, ScriptedRng(uniforms=[u])) in (between, 1.0)
+    if density is UNIFORM:  # Beta(2,2) has no float-sized mass up there: always the atom
+        g = two_leaf_graph(1.0)
+        g.breakpoints.append(s_cur)
+        assert sample_next_breakpoint(g, 1e17, density, ScriptedRng(uniforms=[0.5])) == between
+
+
+@pytest.mark.parametrize("density", [UNIFORM, BetaDensity(2.0, 2.0)])
+def test_sample_next_breakpoint_one_ulp_below_one_stops(density):
+    for rho in (1.0, 1e17, 1e300):
+        for u in (1e-300, 1e-9, 0.5, 1.0 - 2.0 ** -53):
+            g = two_leaf_graph(1.0)
+            g.breakpoints.append(math.nextafter(1.0, 0.0))
+            assert sample_next_breakpoint(g, rho, density, ScriptedRng(uniforms=[u])) == 1.0
+
+
 def test_sample_recomb_location_walks_in_id_order():
     g = two_leaf_graph(1.0)
     assert sample_recomb_location(g, ScriptedRng(uniforms=[0.25])) == (0, 0.5)

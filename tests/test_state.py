@@ -16,7 +16,6 @@ from argsim.state import (
     Lineage,
     Recombine,
     State,
-    distance_lebesgue,
     full_set,
     render_state,
 )
@@ -247,31 +246,6 @@ def test_render_roundtrip_precision():
     text = render_state(x)
     assert "%.17g" % u in text
     assert float("%.17g" % u) == u
-
-
-def test_distance_lebesgue_examples():
-    f = lin((0.0, 1.0, {1}))
-    assert distance_lebesgue(f, f) == 0.0
-    h = lin((0.0, 0.5, {1}), (0.5, 1.0, {1, 2}))
-    assert distance_lebesgue(f, h) == pytest.approx(0.5)
-    g = lin((0.0, 1.0, {2}))
-    assert distance_lebesgue(f, g) == 1.0
-
-
-@given(st.integers(0, 10 ** 6), st.integers(0, 10 ** 6), st.integers(0, 10 ** 6))
-@settings(max_examples=60, deadline=None)
-def test_distance_lebesgue_metric_axioms(sa, sb, sc):
-    def make(seed):
-        states = walk_states(3, seed, 7)
-        return states[-1].lineages[seed % len(states[-1].lineages)]
-
-    f, g, h = make(sa), make(sb), make(sc)
-    dfg = distance_lebesgue(f, g)
-    assert dfg == pytest.approx(distance_lebesgue(g, f))
-    assert dfg >= 0.0
-    if f == g:
-        assert dfg == 0.0
-    assert dfg <= distance_lebesgue(f, h) + distance_lebesgue(h, g) + 1e-12
 
 
 def test_split_preserves_union():

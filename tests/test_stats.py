@@ -12,6 +12,8 @@ import pytest
 import scipy.special
 import scipy.stats
 
+from argsim import stats
+from argsim.arg import SummaryStats
 from argsim.stats import (
     CSV_HEADER,
     TestReport,
@@ -228,6 +230,29 @@ def test_equivalence_report_null_battery():
     assert [(r.name, r.statistic, r.p_value) for r in reports] == [
         (r.name, r.statistic, r.p_value) for r in reports2
     ]
+
+
+def test_breakpoints_mean_z_uses_alpha(monkeypatch):
+    # hand-made summaries whose breakpoint means differ by z = 3.1: the row
+    # must follow --alpha like every other row, with no fixed |z| cut
+    counts = {"backintime": [0, 2] * 100, "spatial": [1, 3] * 33 + [0, 2] * 67}
+
+    def fake(engine, n, rho, density_spec, seed, reps, sites=(0.0,), threads=None):
+        return [
+            SummaryStats(replicate=r, breakpoint_count=bp, event_count=2 + 2 * bp,
+                         grand_mrca=1.0 + r, max_lineages=3,
+                         tmrca_at={s: 1.0 + r for s in sites}, length_at={s: 2.0 + r for s in sites})
+            for r, bp in enumerate(counts[engine])
+        ]
+
+    monkeypatch.setattr(stats, "run_replicates", fake)
+    rows = {}
+    for alpha in (1e-6, 0.01):
+        reports, _ = equivalence_report(3, 1.0, "uniform", 0, 200, sites=(0.0,), alpha=alpha)
+        (rows[alpha],) = [r for r in reports if r.name == "breakpoints_mean_z"]
+    assert -3.15 < rows[0.01].statistic < -3.05
+    assert 1e-6 < rows[0.01].p_value < 0.01
+    assert rows[1e-6].passed and not rows[0.01].passed
 
 
 def test_report_csv_row_and_table():

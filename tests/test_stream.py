@@ -25,18 +25,18 @@ PINNED = {
     "backintime uniform n=3 rho=4": "be3c1f61b4a5957504f9df016e9c9f3573724dab22036095f4753326a0f3819f",
     "backintime uniform n=8 rho=1": "b73a7c8acee41f25889e18170b6029a17e0d17f89f6b05f091499f76b8ec8e73",
     "backintime uniform n=8 rho=4": "db2160c778832bb8efda93230f545ab3f70b3951279fba9ab4f49334d4359402",
-    "backintime beta:2,2 n=3 rho=1": "20a9ad328d2ccbe7b1dce0bbc4a7b59f736ec1e2ae4d46c11099e1e6acaea64a",
-    "backintime beta:2,2 n=3 rho=4": "89f0b4fc9503212d54d5bece7ebd82af516aa5f3b392b5bb32e9cb2589fb6b14",
-    "backintime beta:2,2 n=8 rho=1": "5a157c655fc2df1df73941f24ad9488637eae1ffeb9764aa99c72c173fee52dd",
-    "backintime beta:2,2 n=8 rho=4": "d4fc1c51bb0c464130ed74f869c06f8bc707fb0d0cb20b2f09fb63b8f13aa643",
-    "spatial uniform n=3 rho=1": "547477ee5c0dc94e9cecd84f80cf7f1244cd034891543845c757da82e722dfdb",
-    "spatial uniform n=3 rho=4": "ae5da0468d45c404e6b28da91e42f317ed5464d9bcb6059bd955d781eef6ecbc",
-    "spatial uniform n=8 rho=1": "91a0a7e8ed30d133520105256993c3dfc44aa2b65814fa590458f7271ddb3e1c",
-    "spatial uniform n=8 rho=4": "accdaf9cbee194d9239b1ffb4cb6cc8e4893f61c02e2315589fe966389ac05a9",
-    "spatial beta:2,2 n=3 rho=1": "cb53e0e13ae0459720b1b9058d72d0781ea76df44bfccbb89eb7c67c0ec42086",
-    "spatial beta:2,2 n=3 rho=4": "26872b0924c7c330569c30d587b730b89ab26ea240bc5a7b675f2c79914a527c",
-    "spatial beta:2,2 n=8 rho=1": "7b548067eba2abfbb1c6f2978f0602fb32ad215f8a6130ab845ebd4a869a77eb",
-    "spatial beta:2,2 n=8 rho=4": "11cc7c43aedf197dbb9f53ad8ac549c89a453dc23d2dcc113b665c52906ce828",
+    "backintime beta:2,2 n=3 rho=1": "38d08bb4af8a346e5a811cdcc2d9d5d58e8530c5723323c058d66109a6dd31f8",
+    "backintime beta:2,2 n=3 rho=4": "8c93e7130582486ba8178d65ff2fca0b25246b888ae7c0df9e319b380a2976aa",
+    "backintime beta:2,2 n=8 rho=1": "e97e424db35eda81face6721c179ef9259fc37d3b69327cfe8cdb8f3bb893937",
+    "backintime beta:2,2 n=8 rho=4": "6b529e72efe98429f621aae1b38a0c7f960b2d9f8c290a23b8b10cf0811ce2cc",
+    "spatial uniform n=3 rho=1": "31993982e36e7d702a6e26fe324e204d0ac07ebd768998fd71afb87fdb90945d",
+    "spatial uniform n=3 rho=4": "70e21bb48835be400e19e2008347c9e740525f72b1cdeea87f477c49460c063b",
+    "spatial uniform n=8 rho=1": "63c909491d8b01ad68bf8cb25f7b58267791b5c1b47d305769e20d91ed3d7d30",
+    "spatial uniform n=8 rho=4": "b9517ece57a6b8606f6a48024263c941b791dd43f0f9466c92f54ba0dff0f179",
+    "spatial beta:2,2 n=3 rho=1": "8b23713f0e5b48ab852f3aafd2b782f03c99ef4cd99cffeab656720e2ff57fd6",
+    "spatial beta:2,2 n=3 rho=4": "3f90f087924b8bd3e05c8e42a2e68c1b8f0939a26e101099edb7cae7bfc0f008",
+    "spatial beta:2,2 n=8 rho=1": "87cdcfa20c1f43315e44217cbe4293943ec3e9f9fe3cc60f676c02b7f9a253cb",
+    "spatial beta:2,2 n=8 rho=4": "0c7cf3c5b4357d083d38be605d2e261fb357ef3dd614d1bd36fbe8f873faa04d",
 }
 
 
