@@ -17,11 +17,9 @@ from .arg import (
     ValidationReport,
     breakpoints,
     local_tree,
-    material_vectors,
     project_arg,
     read_arg,
     read_args,
-    state_from_material,
     summary,
     validate_arg,
     write_arg,
@@ -78,12 +76,10 @@ __all__ = [
     "chi_square", "chi_square_two_sample",
     "equivalence_report", "graph_to_arg",
     "kingman_expectations", "kingman_tree", "ks_one_sample",
-    "ks_one_sample_with_atom", "ks_two_sample", "local_tree",
-    "material_vectors", "mean_difference_z",
+    "ks_one_sample_with_atom", "ks_two_sample", "local_tree", "mean_difference_z",
     "parse_density", "project_arg", "read_arg", "read_args",
     "render_state", "replicate_rng", "run_replicates", "sample_event",
     "sample_next_breakpoint", "sample_recomb_location",
     "sample_waiting_time", "simulate_backintime", "simulate_spatial",
-    "state_from_material", "summary", "total_rate", "trace_lineage",
-    "validate_arg", "write_arg",
+    "summary", "total_rate", "trace_lineage", "validate_arg", "write_arg",
 ]

@@ -23,9 +23,7 @@ from .state import (
     IllegalEventError,
     Recombine,
     State,
-    Lineage,
     fmt_locus,
-    full_set,
     render_state,
 )
 
@@ -163,32 +161,6 @@ def breakpoints(arg):
     loci = tuple(locus for locus, _ in pairs)
     times = tuple(t for _, t in pairs)
     return loci, times
-
-
-def material_vectors(arg, t):
-    """Per-lineage tuples of values at the breakpoint order statistics.
-
-    Columns sit at locus 0 and at every breakpoint of the whole path; the
-    state at time t maps each lineage to its column values. Together with
-    the column loci this loses no information (see state_from_material).
-    """
-    loci, _ = breakpoints(arg)
-    columns = (0.0,) + loci
-    state = arg.state_at(t)
-    vectors = [tuple(lin.value_at(s) for s in columns) for lin in state.lineages]
-    return columns, vectors
-
-
-def state_from_material(n, columns, vectors):
-    """Rebuild a State from column loci and per-lineage column values."""
-    bounds = list(columns) + [1.0]
-    lineages = []
-    for vec in vectors:
-        segs = [(bounds[l], bounds[l + 1], vec[l]) for l in range(len(vec))]
-        lin = Lineage.from_segments(segs)
-        if not lin.is_null:
-            lineages.append(lin)
-    return State(n, lineages)
 
 
 @dataclass

@@ -2,8 +2,8 @@
 
 Step 1 draws a plain Kingman tree for the leftmost locus. Each later stage
 takes the current partial graph (every branch carries one material column
-per breakpoint so far, and the branches labeled with the current stage
-index form the local tree of the current locus), then:
+per breakpoint so far, and the branches whose newest column is nonempty
+form the local tree of the current locus), then:
 
   2. draws the next breakpoint locus from its exact conditional law
      (exponential in the integrated density, atom at 1 -> stop) by
@@ -16,9 +16,9 @@ index form the local tree of the current locus), then:
      recombination mass of the edge's material gap) and returns to free
      mode, or follows the edge through its upper node onto the
      larger-label edge;
-  5. once absorbed, splices the new branch segments into the graph,
-     extends every material vector by one column, and relabels the new
-     local tree by walking up from the leaves.
+  5. once absorbed, splices the new branch segments into the graph and
+     extends every material vector by one column, reading the new local
+     tree off that column in the same pass, with no walk from the leaves.
 
 The finished graph converts into the same Arg event-log form the
 back-in-time engine emits: nodes sorted by latitude become events, and
@@ -30,7 +30,7 @@ Cost per stage, for a graph of N nodes and B branches: the free-mode rates
 (live_intervals) take one sort of the node times and one sweep over the
 branches, O(N log N + B); each free rise resolves branch ids only on the
 interval it lands in, O(B); the splice (accept_breakpoint) appends one
-material column to every branch, O(B).
+material column to every branch and reads the local tree off it, O(B).
 """
 
 from __future__ import annotations
@@ -89,7 +89,7 @@ class PartialGraph:
 
     __slots__ = (
         "n", "branches", "nodes", "leaves", "top_id", "breakpoints",
-        "tree_length", "_next_branch", "_next_node",
+        "tree", "tree_length", "_next_branch", "_next_node",
     )
 
     def __init__(self, n):
@@ -99,6 +99,7 @@ class PartialGraph:
         self.leaves = tuple(range(n))
         self.top_id = None
         self.breakpoints = []
+        self.tree = ()  # finite local-tree branches, in id order
         self.tree_length = 0.0
         self._next_branch = 0
         self._next_node = 0
@@ -121,11 +122,10 @@ class PartialGraph:
         self.nodes[nid] = nd
         return nd
 
-    def recompute_tree_stats(self):
-        stage = self.stage
-        self.tree_length = math.fsum(
-            b.hi - b.lo for b in self.branches.values() if b.label == stage and b.hi < INF
-        )
+    def set_tree(self, branches):
+        """Store the local tree's finite branches (in id order) and their length."""
+        self.tree = tuple(branches)
+        self.tree_length = math.fsum(b.hi - b.lo for b in self.tree)
 
     def branch_above(self, node_id):
         """The branch leaving a node upward; the larger-label one at a fork."""
@@ -204,7 +204,7 @@ def kingman_tree(n, rng):
         live[i] = merged.id
         live.pop(j)
     graph.top_id = live[0]
-    graph.recompute_tree_stats()
+    graph.set_tree(b for b in graph.branches.values() if b.hi < INF)
     return graph
 
 
@@ -294,23 +294,20 @@ def sample_next_breakpoint(graph, rho, density, rng):
 def sample_recomb_location(graph, rng):
     """Step 3: a uniform point on the current local tree.
 
-    Walks the tree branches (current label, finite span) in id order,
-    spending a single U * L draw; returns (branch id, latitude).
+    Walks graph.tree (the finite branches accept_breakpoint read off the
+    newest column, in id order), spending a single U * L draw; returns
+    (branch id, latitude).
     """
     assert graph.tree_length > 0.0
-    stage = graph.stage
     u = rng.uniform() * graph.tree_length
-    last = None
-    for b in graph.branches.values():
-        if b.label != stage or b.hi == INF:
-            continue
+    for b in graph.tree:
         span = b.hi - b.lo
         if u < span:
             return b.id, b.lo + u
         u -= span
-        last = b
     # float slack past the final branch: clamp into it
-    assert last is not None and u < 1e-9
+    last = graph.tree[-1]
+    assert u < 1e-9
     return last.id, last.hi - (last.hi - last.lo) * 1e-12
 
 
@@ -322,7 +319,6 @@ class Trace:
     t0: float
     xi: frozenset
     steps: list = field(default_factory=list)  # ordered (kind, time, payload...)
-    absorbed_at: float = None
 
 
 def trace_lineage(graph, fork_id, t0, s_new, rho, density, rng):
@@ -346,7 +342,6 @@ def trace_lineage(graph, fork_id, t0, s_new, rho, density, rng):
             target = graph.branches[target_id]
             t = t_coal
             if target.label == stage:
-                trace.absorbed_at = t
                 return trace
             mode_free = False
             ride = target
@@ -367,12 +362,15 @@ def trace_lineage(graph, fork_id, t0, s_new, rho, density, rng):
                 t = ride.hi
                 ride = graph.branch_above(ride.upper_node)
                 if ride.label == stage:
-                    trace.absorbed_at = t
                     return trace
 
 
 def accept_breakpoint(graph, s_new, trace):
-    """Step 6 plus the material update: splice the trace into the graph."""
+    """Step 6 plus the material update: splice the trace into the graph.
+
+    The one pass that appends the new column also reads the local tree off
+    it: the branches it leaves nonempty take the new label.
+    """
     stage = graph.stage
     new_label = stage + 1
     xi = trace.xi
@@ -442,29 +440,21 @@ def accept_breakpoint(graph, s_new, trace):
             break
         cur = graph.branch_above(cur.upper_node)
     # extend every material vector by the new column
+    tree = []
     for b in graph.branches.values():
         if b.id in on_path:
-            b.cols.append(b.cols[stage] | xi)
+            col = b.cols[stage] | xi
         elif b.hi > trace.t0:
-            b.cols.append(b.cols[stage] - xi)
+            col = b.cols[stage] - xi
         else:
-            b.cols.append(b.cols[stage])
-    # rebuild the local tree: walk up from each leaf, larger label at forks
-    visited = set()
-    for leaf in graph.leaves:
-        cur = graph.branches[leaf]
-        while cur.id not in visited:
-            visited.add(cur.id)
-            if cur.upper_node is None:
-                assert cur.id == graph.top_id
-                break
-            cur = graph.branch_above(cur.upper_node)
-    carriers = {b.id for b in graph.branches.values() if b.cols[new_label]}
-    assert visited == carriers, "tree walk disagrees with the new material column"
-    for bid in visited:
-        graph.branches[bid].label = new_label
+            col = b.cols[stage]
+        b.cols.append(col)
+        if col:
+            b.label = new_label
+            if b.hi < INF:
+                tree.append(b)
     graph.breakpoints.append(s_new)
-    graph.recompute_tree_stats()
+    graph.set_tree(tree)
 
 
 def graph_to_arg(graph, config):

@@ -1,4 +1,4 @@
-"""Arg path tests: validation, breakpoints, materials, trees, projection,
+"""Arg path tests: validation, breakpoints, trees, projection,
 summary statistics, and the event-log serialization."""
 
 import io
@@ -14,11 +14,9 @@ from argsim.arg import (
     ArgParseError,
     breakpoints,
     local_tree,
-    material_vectors,
     project_arg,
     read_arg,
     read_args,
-    state_from_material,
     summary,
     validate_arg,
     write_arg,
@@ -164,42 +162,6 @@ def test_breakpoint_count_equals_recombination_events():
         loci, _ = breakpoints(arg)
         n_rec = sum(1 for ev in arg.events if isinstance(ev, Recombine))
         assert len(loci) == n_rec
-
-
-def test_material_vectors_at_zero_and_past_the_end():
-    cfg = SimConfig(n_samples=3, rho=1.0, seed=11)
-    arg = simulate_backintime(cfg)
-    m = len(breakpoints(arg)[0])
-    columns, vectors = material_vectors(arg, 0.0)
-    assert len(columns) == m + 1
-    assert len(vectors) == 3
-    assert sorted(vectors) == [
-        tuple(frozenset({j}) for _ in range(m + 1)) for j in (1, 2, 3)
-    ]
-    _, final = material_vectors(arg, arg.grand_mrca + 1.0)
-    assert final == [tuple(frozenset({1, 2, 3}) for _ in range(m + 1))]
-
-
-def test_material_roundtrip_rebuilds_states():
-    for seed in range(60):
-        cfg = SimConfig(n_samples=4, rho=1.0, seed=101, replicate_index=seed)
-        arg = simulate_backintime(cfg)
-        for t in (0.0, arg.times[len(arg.times) // 2], arg.grand_mrca):
-            columns, vectors = material_vectors(arg, t)
-            rebuilt = state_from_material(4, columns, vectors)
-            assert rebuilt == arg.state_at(t)
-
-
-def test_column_partition_at_every_event_time():
-    cfg = SimConfig(n_samples=4, rho=2.0, seed=17)
-    arg = simulate_backintime(cfg)
-    full = frozenset({1, 2, 3, 4})
-    for t in arg.times:
-        columns, vectors = material_vectors(arg, t)
-        for col in range(len(columns)):
-            vals = [v[col] for v in vectors if v[col]]
-            assert sum(len(v) for v in vals) == 4
-            assert frozenset().union(*vals) == full
 
 
 def test_local_tree_two_leaves():

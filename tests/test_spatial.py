@@ -107,7 +107,7 @@ def two_leaf_graph(height=1.0):
     a.upper_node = b.upper_node = node.id
     top.lower_node = node.id
     g.top_id = top.id
-    g.recompute_tree_stats()
+    g.set_tree((a, b))
     return g
 
 
@@ -123,7 +123,7 @@ def stage1_graph():
     rng = ScriptedRng(uniforms=[math.exp(-0.6)], indices=[1])
     trace = trace_lineage(g, fork_id=0, t0=0.3, s_new=0.5, rho=2.0, density=UNIFORM, rng=rng)
     assert rng.exhausted()
-    assert trace.absorbed_at == pytest.approx(0.6)
+    assert trace.steps[-1][1] == pytest.approx(0.6)
     accept_breakpoint(g, 0.5, trace)
     g.check_invariants()
     return g
@@ -181,14 +181,43 @@ def assert_sweep_matches_scan(graph):
     assert [live_branches(graph, t) for t in starts] == want_live
 
 
+def walk_local_tree(graph):
+    """Reference for the stored local tree: walk up from every leaf.
+
+    At a fork the walk takes the parent with the larger label. Returns the
+    set of branch ids visited, the top branch included.
+    """
+    visited = set()
+    for leaf in graph.leaves:
+        cur = graph.branches[leaf]
+        while cur.id not in visited:
+            visited.add(cur.id)
+            if cur.upper_node is None:
+                assert cur.id == graph.top_id
+                break
+            cur = graph.branch_above(cur.upper_node)
+    return visited
+
+
+def assert_tree_matches_walk(graph):
+    walked = walk_local_tree(graph)
+    assert walked == {b.id for b in graph.branches.values() if b.label == graph.stage}
+    assert walked == {b.id for b in graph.branches.values() if b.cols[-1]}
+    finite = [graph.branches[bid] for bid in sorted(walked) if graph.branches[bid].hi < INF]
+    assert graph.tree == tuple(finite)
+    assert graph.tree_length == math.fsum(b.hi - b.lo for b in finite)
+
+
 @pytest.mark.parametrize("n", [3, 6, 12])
 @pytest.mark.parametrize("rho", [1.0, 5.0])
 def test_live_intervals_match_the_scan_at_every_stage(n, rho):
+    # each stage also checks the stored local tree against the leaf walk
     stages = 0
     for seed in range(6):
         rng = replicate_rng(500 + seed, 0, SALTS["spatial"])
         g = kingman_tree(n, rng)
         assert_sweep_matches_scan(g)
+        assert_tree_matches_walk(g)
         while True:
             s_new = sample_next_breakpoint(g, rho, UNIFORM, rng)
             if s_new >= 1.0:
@@ -196,6 +225,7 @@ def test_live_intervals_match_the_scan_at_every_stage(n, rho):
             fork_id, t0 = sample_recomb_location(g, rng)
             accept_breakpoint(g, s_new, trace_lineage(g, fork_id, t0, s_new, rho, UNIFORM, rng))
             assert_sweep_matches_scan(g)
+            assert_tree_matches_walk(g)
             stages += 1
     assert stages >= 3
 
@@ -218,11 +248,13 @@ def zero_length_graph():
 
 
 def test_live_intervals_match_the_scan_on_fixtures():
-    assert_sweep_matches_scan(two_leaf_graph(1.0))
-    assert_sweep_matches_scan(stage1_graph())
+    for g in (two_leaf_graph(1.0), stage1_graph()):
+        assert_sweep_matches_scan(g)
+        assert_tree_matches_walk(g)
     g, trace = detached_trace()
     accept_breakpoint(g, 0.75, trace)
     assert_sweep_matches_scan(g)
+    assert_tree_matches_walk(g)
     g = zero_length_graph()
     assert_sweep_matches_scan(g)
     assert live_intervals(g) == ([0.0, 0.0, 0.5, 1.0], [2, 2, 2, 1])
@@ -398,7 +430,7 @@ def test_trace_rides_an_old_edge_and_climbs():
     assert kinds == ["coal", "climb"]
     assert trace.steps[0][1] == pytest.approx(0.4)
     assert trace.steps[0][2] == 3
-    assert trace.absorbed_at == pytest.approx(1.0)
+    assert trace.steps[-1][1] == pytest.approx(1.0)
     assert trace.xi == frozenset({1})
     trans = transitions(trace)
     assert [e["kind"] for e in trans] == ["fork", "coal", "climb"]
@@ -429,7 +461,7 @@ def test_trace_detaches_and_recoalesces():
     assert trace.steps[1][2] == pytest.approx(0.625)  # midpoint of the (0.5, 0.75) gap
     assert t_final == pytest.approx(0.5)
     assert trace.steps[2][2] == 4
-    assert trace.absorbed_at == pytest.approx(0.5)
+    assert trace.steps[-1][1] == pytest.approx(0.5)
     # free-rise stretches: from the fork or a detach up to the next coalescence
     stretches = []
     t_in = trace.t0
@@ -519,6 +551,8 @@ def test_accept_fork_at_the_lower_end_of_its_branch():
     stub = g.branches[0]
     assert stub.lo == stub.hi == 0.0
     assert stub.cols == [frozenset({1}), frozenset({1})]
+    assert_tree_matches_walk(g)
+    assert g.tree[0] is stub  # in the tree, with span 0
 
 
 def test_staged_loop_keeps_invariants():
@@ -533,7 +567,7 @@ def test_staged_loop_keeps_invariants():
                 break
             fork_id, t0 = sample_recomb_location(g, rng)
             trace = trace_lineage(g, fork_id, t0, s_new, 2.0, UNIFORM, rng)
-            assert trace.absorbed_at is not None
+            assert trace.steps[-1][1] >= t0
             accept_breakpoint(g, s_new, trace)
             g.check_invariants()
             assert g.breakpoints[-1] == s_new
