@@ -7,8 +7,10 @@ produce this shape; everything downstream (validation, local trees,
 summary statistics, serialization) consumes it.
 
 Post-event states are stored alongside events so validation and tree
-extraction are single passes. The serialized form is events-only; loading
-replays the events and verifies a checksum of the final state.
+extraction are single passes. Validation checks each recorded step
+against its event without redoing it (State.check_step). The serialized
+form is events-only; loading replays the events once and verifies a
+checksum of the final state.
 """
 
 from __future__ import annotations
@@ -39,12 +41,14 @@ class Arg:
 
     __slots__ = ("config", "times", "events", "states", "initial")
 
-    def __init__(self, config, times, events, states):
+    def __init__(self, config, times, events, states, initial=None):
         self.config = config
         self.times = tuple(times)
         self.events = tuple(events)
         self.states = tuple(states)
-        self.initial = State.initial(config.n_samples)
+        # the state the first event applies to; its producer passes the
+        # very object, so validation can match untouched lineages by identity
+        self.initial = State.initial(config.n_samples) if initial is None else initial
         assert len(self.times) == len(self.events) == len(self.states)
 
     @property
@@ -86,7 +90,7 @@ class ValidationReport:
 
 
 def validate_arg(arg):
-    """Replay the event log and check every path-membership clause.
+    """Check every path-membership clause of the event log.
 
     (a) starts from the singleton state; (b) each transition is a legal
     coalescence/recombination reaching the recorded state, with the label
@@ -94,12 +98,15 @@ def validate_arg(arg):
     distinct; (d) the path ends absorbed; (e) times strictly increase.
 
     Once per path, the start state gets the full State.check(). Per event,
-    the replayed state is compared with the recorded one and gets
-    State.check_step(), which walks only the lineages the event removed and
-    created: by induction from the checked start it asserts what check()
-    asserts. check() runs again on the first state replayed after a
-    resynchronization to a recorded state (whose invariants were never
-    established), and on any state whose step check fails, so every
+    the recorded state gets State.check_step() against the recorded state
+    before it: the event is legal there, and only the lineages it removed
+    and created are walked. By induction from the checked start this
+    proves the recorded state is the replay and satisfies check(), so a
+    good step is never redone. A step whose check fails is diagnosed by
+    replaying it: the replay names an illegal event or a diverging state,
+    and otherwise the full check() names the broken invariant. check()
+    also runs on the first state replayed after a resynchronization to a
+    recorded state (whose invariants were never established), so every
     invariant message comes from check().
     """
     violations = []
@@ -124,20 +131,27 @@ def validate_arg(arg):
                 )
             seen_loci[event.locus] = idx
         prev = state
+        if checked:
+            try:
+                state = recorded.check_step(prev, event)
+                continue
+            except AssertionError:
+                pass
+        state = recorded  # resynchronize to keep reporting useful
         try:
-            state = state.apply(event)
+            replay = prev.apply(event)
         except IllegalEventError as err:
             violations.append((idx, "b", str(err)))
-            state, checked = recorded, False  # resynchronize to keep reporting useful
+            checked = False
             continue
-        if state != recorded:
+        if replay != recorded:
             violations.append((idx, "b", "recorded state diverges from replay"))
-            state, checked = recorded, False
+            checked = False
             continue
         if checked:
             try:
-                state.check_step(prev, event)
-                continue
+                replay.check_step(prev, event)
+                continue  # the recorded state equals the checked replay
             except AssertionError:
                 pass
         try:
@@ -438,7 +452,7 @@ def _finish_log(lineno, trailer, config, times, events):
         raise ArgParseError(
             "line %d: trailer count %r != %d events read" % (lineno, trailer.get("events"), len(events))
         )
-    state = State.initial(config.n_samples)
+    initial = state = State.initial(config.n_samples)
     states = []
     for idx, event in enumerate(events):
         try:
@@ -452,7 +466,7 @@ def _finish_log(lineno, trailer, config, times, events):
         raise ArgParseError(
             "line %d: checksum mismatch (log %r, replay %r)" % (lineno, trailer.get("checksum"), digest)
         )
-    return Arg(config, times, events, states)
+    return Arg(config, times, events, states, initial)
 
 
 def read_arg(fp):

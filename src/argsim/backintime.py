@@ -35,17 +35,31 @@ class RateBreakdown:
 
 
 def total_rate(state, rho, density):
-    """Exact rate components for the current state."""
+    """Exact rate components for the current state.
+
+    Lineages are shared between consecutive states, so each keeps the mass
+    of the last active interval it was weighed on (``Lineage.mass``, with
+    the density and interval it belongs to). density.mass runs only for a
+    new interval: a created lineage, or rank 0 when its interval moves.
+    The intervals are read through State.active_intervals, and the sum
+    runs over the same floats in the same order as without the cache.
+    """
     k = len(state.lineages)
     if k <= 1:
         return RateBreakdown(0.0, (), 0.0)
     coal = k * (k - 1) / 2.0
     if rho > 0.0:
         half_rho = 0.5 * rho
-        recomb = tuple(
-            half_rho * density.mass(b, e) if b < e else 0.0
-            for b, e in state.active_intervals()
-        )
+        recomb = []
+        for lin, (b, e) in zip(state.lineages, state.active_intervals()):
+            if b < e:
+                kept = lin.mass
+                if kept is None or kept[0] is not density or kept[1] != b or kept[2] != e:
+                    kept = lin.mass = (density, b, e, density.mass(b, e))
+                recomb.append(half_rho * kept[3])
+            else:
+                recomb.append(0.0)
+        recomb = tuple(recomb)
     else:
         recomb = (0.0,) * k
     return RateBreakdown(coal, recomb, coal + math.fsum(recomb))
@@ -99,7 +113,7 @@ def simulate_backintime(config, rng=None, max_events=DEFAULT_EVENT_CAP):
     """Run one full simulation from singletons to the absorbing state."""
     if rng is None:
         rng = replicate_rng(config.seed, config.replicate_index, SALTS["backintime"])
-    state = State.initial(config.n_samples)
+    initial = state = State.initial(config.n_samples)
     rho, density = config.rho, config.density
     t = 0.0
     times = []
@@ -117,4 +131,4 @@ def simulate_backintime(config, rng=None, max_events=DEFAULT_EVENT_CAP):
         times.append(t)
         events.append(event)
         states.append(state)
-    return Arg(config, times, events, states)
+    return Arg(config, times, events, states, initial)

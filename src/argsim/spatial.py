@@ -22,9 +22,8 @@ form the local tree of the current locus), then:
 
 The finished graph converts into the same Arg event-log form the
 back-in-time engine emits: nodes sorted by latitude become events, and
-the states are read off the material columns alone. validate_arg replays
-the events and checks them against those states, so the two derivations
-meet there.
+the states are read off the material columns alone. validate_arg checks
+each event against those states, so the two derivations meet there.
 
 Cost per stage, for a graph of N nodes and B branches: the free-mode rates
 (live_intervals) take one sort of the node times and one sweep over the
@@ -44,7 +43,7 @@ from .arg import Arg
 from .backintime import DEFAULT_EVENT_CAP, EventCapExceeded, unrank_pair
 from .density import strictly_inside
 from .rng import SALTS, replicate_rng
-from .state import Coalesce, Lineage, Recombine, State, full_set
+from .state import Coalesce, Lineage, Recombine, State
 
 INF = math.inf
 
@@ -148,40 +147,6 @@ class PartialGraph:
         piece.hi = t
         piece.upper_node = None
         return above
-
-    def check_invariants(self):
-        """Structural checks: column conservation, labels, partitions."""
-        n_cols = self.stage + 1
-        full = full_set(self.n)
-        for b in self.branches.values():
-            assert len(b.cols) == n_cols, "branch %d has %d columns, want %d" % (b.id, len(b.cols), n_cols)
-            nonempty = [l for l, c in enumerate(b.cols) if c]
-            assert nonempty, "branch %d carries no material" % b.id
-            assert b.label == nonempty[-1], (
-                "branch %d label %d != last material column %d" % (b.id, b.label, nonempty[-1])
-            )
-        for nd in self.nodes.values():
-            for col in range(n_cols):
-                below = [self.branches[c].cols[col] for c in nd.children]
-                above = [self.branches[p].cols[col] for p in nd.parents]
-                joined = frozenset().union(*below)
-                assert sum(len(c) for c in below) == len(joined), "overlap below node %d" % nd.id
-                assert joined == frozenset().union(*above), "column %d not conserved at node %d" % (col, nd.id)
-        for leaf in self.leaves:
-            b = self.branches[leaf]
-            assert b.lo == 0.0 and b.cols[-1] == frozenset({leaf + 1})
-            assert b.label == self.stage
-        # live columns partition the samples at a few probe latitudes
-        times = sorted({nd.time for nd in self.nodes.values()})
-        for t in [0.0] + times[:-1]:
-            live = [b for b in self.branches.values() if b.lo <= t < b.hi]
-            for col in range(n_cols):
-                vals = [b.cols[col] for b in live if b.cols[col]]
-                assert sum(len(v) for v in vals) == self.n
-                assert frozenset().union(*vals) == full
-        top = self.branches[self.top_id]
-        assert top.hi == INF and top.label == self.stage
-        return self
 
 
 def kingman_tree(n, rng):
@@ -462,8 +427,10 @@ def graph_to_arg(graph, config):
 
     Nodes sorted by latitude become events. Each state holds the lineage
     functions of the live branches, read off their material columns; no
-    event is replayed here. validate_arg's replay reports, as clause (b),
-    any state the material disagrees with.
+    event is replayed here. A branch keeps one Lineage object across the
+    states it lives in, so validate_arg's step check matches the untouched
+    lineages by identity; a state the material disagrees with fails that
+    check, and the replay of that step reports it as clause (b).
     """
     bounds = [0.0] + list(graph.breakpoints) + [1.0]
     funcs = {}
@@ -472,7 +439,7 @@ def graph_to_arg(graph, config):
             (bounds[l], bounds[l + 1], col) for l, col in enumerate(b.cols)
         )
     live = set(graph.leaves)
-    state = State(graph.n, [funcs[i] for i in live])
+    initial = state = State(graph.n, [funcs[i] for i in live])
     assert state == State.initial(graph.n)
     times, events, states = [], [], []
     for node in sorted(graph.nodes.values(), key=lambda nd: (nd.time, nd.id)):
@@ -491,7 +458,7 @@ def graph_to_arg(graph, config):
         events.append(event)
         states.append(state)
     assert state.is_absorbed
-    return Arg(config, times, events, states)
+    return Arg(config, times, events, states, initial)
 
 
 def simulate_spatial(config, rng=None, max_events=DEFAULT_EVENT_CAP):

@@ -24,7 +24,7 @@ Two events act on states:
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_right, insort
 from dataclasses import dataclass
 
 
@@ -63,9 +63,12 @@ class Lineage:
     ``breaks`` are the interior jump loci (strictly increasing) and ``vals``
     the values on the successive segments, ``len(vals) == len(breaks) + 1``,
     with no two adjacent values equal. Values are frozensets of int labels.
+
+    ``mass`` is left to the back-in-time engine: the recombination mass of
+    the last active interval it weighed the lineage on (see total_rate).
     """
 
-    __slots__ = ("breaks", "vals", "start", "start_min", "end", "_hash")
+    __slots__ = ("breaks", "vals", "start", "start_min", "end", "_hash", "mass")
 
     def __init__(self, breaks, vals):
         self.breaks = breaks
@@ -90,6 +93,7 @@ class Lineage:
                 break
         self.end = end
         self._hash = None
+        self.mass = None
 
     @classmethod
     def from_segments(cls, segments):
@@ -201,6 +205,15 @@ class State:
         self._intervals = None
 
     @classmethod
+    def _ranked(cls, n, lineages):
+        """A state holding ``lineages``, already in rank order."""
+        state = cls.__new__(cls)
+        state.n = n
+        state.lineages = tuple(lineages)
+        state._intervals = None
+        return state
+
+    @classmethod
     def initial(cls, n):
         """The starting state: one constant singleton lineage per sample."""
         assert n >= 2
@@ -258,9 +271,10 @@ class State:
         if not (0 <= i < j < k):
             raise IllegalEventError("coalesce ranks out of range: (%r, %r) with %d lineages" % (i, j, k))
         merged = self.lineages[i].union(self.lineages[j])
-        rest = [lin for r, lin in enumerate(self.lineages) if r != i and r != j]
-        rest.append(merged)
-        return State(self.n, rest)
+        rest = list(self.lineages)
+        del rest[j], rest[i]
+        insort(rest, merged, key=Lineage.rank_key)
+        return State._ranked(self.n, rest)
 
     def recombine(self, i, u):
         k = len(self.lineages)
@@ -275,10 +289,11 @@ class State:
             )
         below, above = self.lineages[i].split(u)
         assert not below.is_null and not above.is_null
-        rest = [lin for r, lin in enumerate(self.lineages) if r != i]
-        rest.append(below)
-        rest.append(above)
-        return State(self.n, rest)
+        rest = list(self.lineages)
+        del rest[i]
+        insort(rest, below, key=Lineage.rank_key)
+        insort(rest, above, key=Lineage.rank_key)
+        return State._ranked(self.n, rest)
 
     def apply(self, event):
         if isinstance(event, Coalesce):
@@ -325,31 +340,48 @@ class State:
         return self
 
     def check_step(self, prev, event):
-        """Assert check()'s invariants for the state ``prev.apply(event)``.
+        """Assert that this state is ``prev.apply(event)`` and satisfies check().
 
-        ``prev`` must already satisfy check(). The lineages the event did not
-        touch must be prev's own objects; they are valid by induction, so
-        only the removed and created lineages are walked. This costs
-        O(k + breaks of the removed and created lineages), where check()
-        costs O(breaks of the whole state * k). Returns self for chaining.
+        ``prev`` must already satisfy check(). The event must be legal in
+        prev: its ranks in range and, for a recombination, its locus
+        strictly inside the active interval, with one created part ending
+        at or below the locus and the other starting at or above it. The
+        lineages the event did not touch must be prev's own objects; they
+        are valid by induction, so only the removed and created lineages
+        are walked. The created ones must be canonical and carry exactly
+        the removed material, and the ranks must be in order. Canonical
+        forms and rank order are unique, so together these prove the state
+        equals the replay without building it. This costs O(k + breaks of
+        the removed and created lineages), where check() costs
+        O(breaks of the whole state * k). Returns self for chaining.
         """
         assert self.n == prev.n, "sample count changed"
+        k = len(prev.lineages)
         if isinstance(event, Coalesce):
+            assert 0 <= event.i < event.j < k, "coalesce ranks out of range"
             gone, n_created = (event.i, event.j), 1
         else:
+            assert 0 <= event.i < k, "recombine rank out of range"
+            assert k > 1, "recombination of the absorbing state"
+            b, e = prev.active_intervals()[event.i]
+            assert b < event.locus < e, "locus outside the active interval"
             gone, n_created = (event.i,), 2
         kept = [lin for r, lin in enumerate(prev.lineages) if r not in gone]
-        created = []
+        places = []  # ranks of the created lineages
         pos = 0
-        for lin in self.lineages:
+        for q, lin in enumerate(self.lineages):
             if pos < len(kept) and lin is kept[pos]:
                 pos += 1
             else:
-                created.append(lin)
+                places.append(q)
         assert pos == len(kept), "a lineage the event did not touch changed"
+        created = [self.lineages[q] for q in places]
         assert len(created) == n_created, "event created %d lineages" % len(created)
         for lin in created:
             _check_lineage(lin)
+        if n_created == 2:
+            below, above = created
+            assert below.end <= event.locus <= above.start, "split parts cross the locus"
         # Kept and removed lineages partition the labels at every locus
         # (prev is valid), so the new state does iff the created lineages
         # carry exactly the removed material, disjointly. Both sides are
@@ -366,8 +398,14 @@ class State:
                 assert not (val & seen), "overlapping labels at locus %r" % lo
                 seen |= val
             assert seen == want, "labels at locus %r: %r, expected %r" % (lo, seen, want)
-        keys = [lin.rank_key() for lin in self.lineages]
-        assert all(a <= b for a, b in zip(keys, keys[1:])), "lineages out of rank order"
+        # the kept lineages are in prev's rank order, so the whole state is
+        # in rank order iff each created lineage sits between its neighbours
+        lins = self.lineages
+        for q in places:
+            key = lins[q].rank_key()
+            assert (q == 0 or lins[q - 1].rank_key() <= key) and (
+                q + 1 == len(lins) or key <= lins[q + 1].rank_key()
+            ), "lineages out of rank order"
         if len(self.lineages) == 1:
             assert self.lineages[0] == Lineage.constant(full_set(self.n))
         return self

@@ -1,11 +1,14 @@
-"""Shared test helpers: fixture states, random legal event walks and the
-known-broken engine."""
+"""Shared test helpers: fixture states, random legal event walks, the
+known-broken engine, and oracles that recheck what the package asserts
+incrementally: the replay validator and the partial-graph invariants."""
 
+import math
 import random
 
 import pytest
 
-from argsim.state import Lineage, State
+from argsim.arg import ValidationReport
+from argsim.state import Coalesce, IllegalEventError, Lineage, Recombine, State, fmt_locus, full_set
 
 
 @pytest.fixture
@@ -65,12 +68,8 @@ def random_walk(n, seed, steps, p_recomb=0.45):
         if candidates and r.random() < p_recomb:
             i, b, e = candidates[r.randrange(len(candidates))]
             u = b + (e - b) * r.uniform(0.1, 0.9)
-            from argsim.state import Recombine
-
             event = Recombine(i, u)
         else:
-            from argsim.state import Coalesce
-
             i = r.randrange(k - 1)
             j = r.randrange(i + 1, k)
             event = Coalesce(i, j)
@@ -85,3 +84,101 @@ def walk_states(n, seed, steps, **kw):
     for _, _, nxt in random_walk(n, seed, steps, **kw):
         out.append(nxt)
     return out
+
+
+def replay_validate(arg):
+    """The replay validator: the test oracle for validate_arg.
+
+    Replays every event, compares the replayed state with the recorded one
+    (State.__eq__), then checks the replay with State.check_step, or with
+    the full State.check after a resynchronization or a failed step check.
+    validate_arg must reach the same violations without the replay.
+    """
+    violations = []
+    if arg.initial != State.initial(arg.n_samples):
+        violations.append((None, "a", "initial state is not the singleton state"))
+    state = arg.initial
+    try:
+        state.check()
+        checked = True
+    except AssertionError:
+        checked = False
+    seen_loci = {}
+    prev_t = 0.0
+    for idx, (t, event, recorded) in enumerate(zip(arg.times, arg.events, arg.states)):
+        if not t > prev_t:
+            violations.append((idx, "e", "time %r does not increase past %r" % (t, prev_t)))
+        prev_t = t
+        if isinstance(event, Recombine):
+            if event.locus in seen_loci:
+                violations.append(
+                    (idx, "c", "locus %s repeats event %d" % (fmt_locus(event.locus), seen_loci[event.locus]))
+                )
+            seen_loci[event.locus] = idx
+        prev = state
+        try:
+            state = state.apply(event)
+        except IllegalEventError as err:
+            violations.append((idx, "b", str(err)))
+            state, checked = recorded, False
+            continue
+        if state != recorded:
+            violations.append((idx, "b", "recorded state diverges from replay"))
+            state, checked = recorded, False
+            continue
+        if checked:
+            try:
+                state.check_step(prev, event)
+                continue
+            except AssertionError:
+                pass
+        try:
+            state.check()
+            checked = True
+        except AssertionError as err:
+            violations.append((idx, "b", "invariant broken: %s" % err))
+            checked = False
+    if not arg.states or not arg.final_state.is_absorbed:
+        violations.append((None, "d", "path does not end in the absorbing state"))
+    elif arg.final_state != State.absorbing(arg.n_samples):
+        violations.append((None, "d", "final state is not the full-label lineage"))
+    return ValidationReport(not violations, violations)
+
+
+def check_invariants(graph):
+    """Assert a spatial PartialGraph's structure; returns the graph.
+
+    Checks column conservation at every node, labels, and that the live
+    columns partition the samples.
+    """
+    n_cols = graph.stage + 1
+    full = full_set(graph.n)
+    for b in graph.branches.values():
+        assert len(b.cols) == n_cols, "branch %d has %d columns, want %d" % (b.id, len(b.cols), n_cols)
+        nonempty = [l for l, c in enumerate(b.cols) if c]
+        assert nonempty, "branch %d carries no material" % b.id
+        assert b.label == nonempty[-1], (
+            "branch %d label %d != last material column %d" % (b.id, b.label, nonempty[-1])
+        )
+    for nd in graph.nodes.values():
+        for col in range(n_cols):
+            below = [graph.branches[c].cols[col] for c in nd.children]
+            above = [graph.branches[p].cols[col] for p in nd.parents]
+            joined = frozenset().union(*below)
+            assert sum(len(c) for c in below) == len(joined), "overlap below node %d" % nd.id
+            assert joined == frozenset().union(*above), "column %d not conserved at node %d" % (col, nd.id)
+    for leaf in graph.leaves:
+        b = graph.branches[leaf]
+        assert b.lo == 0.0 and b.cols[-1] == frozenset({leaf + 1})
+        assert b.label == graph.stage
+    # live columns partition the samples at a few probe latitudes
+    times = sorted({nd.time for nd in graph.nodes.values()})
+    for t in [0.0] + times[:-1]:
+        live = [b for b in graph.branches.values() if b.lo <= t < b.hi]
+        for col in range(n_cols):
+            vals = [b.cols[col] for b in live if b.cols[col]]
+            assert sum(len(v) for v in vals) == graph.n
+            assert frozenset().union(*vals) == full
+    top = graph.branches[graph.top_id]
+    assert top.hi == math.inf and top.label == graph.stage
+    return graph

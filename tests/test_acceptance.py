@@ -40,7 +40,7 @@ from argsim.stats import (
     render_report_table,
     run_replicates,
 )
-from conftest import lin
+from conftest import check_invariants, lin
 from test_backintime import three_lineage_fixture
 
 INF = float("inf")
@@ -160,7 +160,7 @@ def test_criterion_5_free_rise_law(capsys):
         fid, t0 = sample_recomb_location(g, rng)
         accept_breakpoint(g, s_new, trace_lineage(g, fid, t0, s_new, 2.0, UNIFORM, rng))
     assert g.stage >= 1
-    g.check_invariants()
+    check_invariants(g)
     intervals = live_intervals(g)
     starts, counts = intervals
     t_from = 0.1

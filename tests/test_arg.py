@@ -6,7 +6,7 @@ import json
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from argsim.arg import (
@@ -24,7 +24,8 @@ from argsim.arg import (
 from argsim.backintime import simulate_backintime
 from argsim.config import SimConfig
 from argsim.spatial import simulate_spatial
-from argsim.state import Coalesce, Recombine, State
+from argsim.state import Coalesce, Lineage, Recombine, State
+from conftest import random_walk, replay_validate
 
 
 def build_arg(config, timed_events):
@@ -130,6 +131,142 @@ def test_validate_runs_full_check_once_per_path(monkeypatch):
     report = validate_arg(Arg(arg.config, arg.times, events, arg.states))
     assert [v[:2] for v in report.violations] == [(m, "b")]
     assert len(calls) == 2
+
+
+# Each tampering picks a step of a random legal walk where it applies and
+# returns (step index, recorded event, recorded state) for that step.
+
+
+def _pick(walk, draw, applies):
+    steps = [m for m, step in enumerate(walk) if applies(*step)]
+    assume(steps)
+    m = draw(st.sampled_from(steps))
+    return (m,) + walk[m]
+
+
+def _moved_split(walk, draw):
+    # the event says u, the state is split elsewhere inside the interval:
+    # the parts still carry exactly the split lineage's material
+    m, prev, event, nxt = _pick(walk, draw, lambda prev, event, nxt: isinstance(event, Recombine))
+    b, e = prev.active_intervals()[event.i]
+    u = b + (e - b) * draw(st.floats(0.05, 0.95))
+    assume(u != event.locus)
+    rest = [l for r, l in enumerate(prev.lineages) if r != event.i]
+    return m, event, State(prev.n, rest + list(prev.lineages[event.i].split(u)))
+
+
+def _wrong_pair(walk, draw):
+    m, prev, event, nxt = _pick(
+        walk, draw, lambda prev, event, nxt: isinstance(event, Coalesce) and len(prev.lineages) >= 3)
+    k = len(prev.lineages)
+    i = draw(st.integers(0, k - 2))
+    j = draw(st.integers(i + 1, k - 1))
+    assume((i, j) != (event.i, event.j))
+    return m, Coalesce(i, j), nxt
+
+
+def _kept(prev, nxt):
+    return [l for l in nxt.lineages if any(l is p for p in prev.lineages)]
+
+
+def _equal_copy(walk, draw):
+    # a lineage the event did not touch, stored as an equal new object:
+    # the path is still valid
+    m, prev, event, nxt = _pick(walk, draw, lambda prev, event, nxt: _kept(prev, nxt))
+    old = draw(st.sampled_from(_kept(prev, nxt)))
+    copy = Lineage(old.breaks, old.vals)
+    return m, event, State(nxt.n, [copy if l is old else l for l in nxt.lineages])
+
+
+def _ranks_out_of_range(walk, draw):
+    # the swapped pair names the right lineages, but not as i < j
+    m, prev, event, nxt = _pick(walk, draw, lambda *step: True)
+    k = len(prev.lineages)
+    bad = draw(st.sampled_from([k, k + 1, -1]))
+    choices = [Coalesce(0, bad), Recombine(bad, 0.5)]
+    if isinstance(event, Coalesce):
+        choices.append(Coalesce(event.j, event.i))
+    return m, draw(st.sampled_from(choices)), nxt
+
+
+def _has_prefix(prev, event, nxt):
+    b0, e0 = prev.active_intervals()[0]
+    return 0.0 < b0 < e0
+
+
+def _edge_locus(walk, draw):
+    # a split exactly at an end of the active interval, recorded as the
+    # non-null parts it leaves; at the end of rank 0's shared prefix both
+    # parts are non-null and partition the material, so only the interval
+    # tells it from a legal split
+    if draw(st.booleans()):
+        m, prev, event, nxt = _pick(walk, draw, _has_prefix)
+        i, u = 0, prev.active_intervals()[0][0]
+    else:
+        m, prev, event, nxt = _pick(walk, draw, lambda *step: True)
+        ends = [(r, u) for r, (b, e) in enumerate(prev.active_intervals()) if b < e for u in (b, e)]
+        assume(ends)
+        i, u = draw(st.sampled_from(ends))
+    parts = [p for p in prev.lineages[i].split(u) if not p.is_null]
+    rest = [l for r, l in enumerate(prev.lineages) if r != i]
+    return m, Recombine(i, u), State(prev.n, rest + parts)
+
+
+TAMPERS = [_moved_split, _wrong_pair, _equal_copy, _ranks_out_of_range, _edge_locus]
+
+
+@given(
+    st.sampled_from(TAMPERS),
+    st.integers(2, 5),
+    st.integers(0, 10 ** 6),
+    st.integers(1, 30),
+    st.data(),
+)
+@settings(max_examples=400, deadline=None)
+def test_validate_arg_agrees_with_the_replay_oracle(tamper, n, seed, steps, data):
+    walk = list(random_walk(n, seed, steps))
+    events = [event for _, event, _ in walk]
+    states = [nxt for _, _, nxt in walk]
+    m, events[m], states[m] = tamper(walk, data.draw)
+    times = [float(t) for t in range(1, len(walk) + 1)]
+    arg = Arg(SimConfig(n_samples=n, rho=1.0, seed=0), times, events, states, walk[0][0])
+    assert validate_arg(arg).violations == replay_validate(arg).violations
+
+
+def test_recombining_the_absorbing_state_is_clause_b(r1_mutant):
+    # with the shared-prefix rule off, the absorbed lineage's interval is
+    # (0, 1): only the lineage count forbids splitting it
+    cfg = SimConfig(n_samples=2, rho=1.0, seed=0)
+    done = State.initial(2).coalesce(0, 1)
+    split = State(2, done.lineages[0].split(0.5))
+    arg = Arg(cfg, [1.0, 2.0, 3.0], [Coalesce(0, 1), Recombine(0, 0.5), Coalesce(0, 1)],
+              [done, split, State.absorbing(2)])
+    report = validate_arg(arg)
+    assert report.violations == replay_validate(arg).violations
+    assert report.violations == [(1, "b", "cannot recombine the absorbing state")]
+
+
+def test_validate_replays_no_event_on_a_good_path(monkeypatch):
+    arg = simulate_backintime(SimConfig(n_samples=8, rho=5.0, density="beta:2,2", seed=11))
+    buf = io.StringIO()
+    write_arg(arg, buf)
+    parsed = read_arg(io.StringIO(buf.getvalue()))  # the read replays once
+    applied, compared = [], []
+    apply, eq = State.apply, State.__eq__
+    monkeypatch.setattr(State, "apply", lambda self, event: applied.append(event) or apply(self, event))
+    monkeypatch.setattr(State, "__eq__", lambda self, other: compared.append(self) or eq(self, other))
+    assert arg.event_count > 10
+    for path in (arg, parsed):
+        compared.clear()
+        assert validate_arg(path).passed
+        assert len(compared) == 2  # clauses (a) and (d), once per path
+    assert applied == []
+    # the patches are live: a failed step is diagnosed by its replay, and
+    # the step after the resynchronization is replayed too
+    events = list(arg.events)
+    events[3] = Coalesce(0, 10 ** 6)
+    assert not validate_arg(Arg(arg.config, arg.times, events, arg.states, arg.initial)).passed
+    assert applied == events[3:5]
 
 
 def test_breakpoints_empty_without_recombination():

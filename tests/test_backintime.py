@@ -79,6 +79,30 @@ def test_rate_r1_disabled_unfreezes_prefix(request):
     assert rates.total == pytest.approx(5.1, rel=1e-12)
 
 
+def test_kept_mass_follows_the_density_and_the_interval(request):
+    # a lineage keeps the mass of one density on one interval; weighing it
+    # under another density, or on another interval, computes it again
+    x = three_lineage_fixture()
+    beta = BetaDensity(2.0, 2.0)
+    assert total_rate(x, 2.0, UNIFORM).recomb_rates == pytest.approx((0.7, 0.7, 0.4), rel=1e-12)
+    assert total_rate(x, 2.0, beta).recomb_rates == pytest.approx((0.784, 0.784, 0.352), rel=1e-12)
+    assert total_rate(x, 2.0, UNIFORM).recomb_rates == pytest.approx((0.7, 0.7, 0.4), rel=1e-12)
+    request.getfixturevalue("r1_mutant")  # rank 0's interval becomes (0, 1)
+    assert total_rate(x, 2.0, UNIFORM).recomb_rates == pytest.approx((1.0, 0.7, 0.4), rel=1e-12)
+
+
+def test_mass_is_weighed_once_per_lineage(monkeypatch):
+    calls = []
+    mass = BetaDensity.mass
+    monkeypatch.setattr(BetaDensity, "mass", lambda self, lo, hi: calls.append((lo, hi)) or mass(self, lo, hi))
+    for seed in range(4):
+        calls.clear()
+        arg = simulate_backintime(SimConfig(n_samples=10, rho=8.0, density="beta:2,2", seed=seed))
+        held = {id(l) for state in (arg.initial,) + arg.states for l in state.lineages}
+        assert arg.event_count > 20
+        assert len(calls) <= len(held) <= arg.n_samples + 2 * arg.event_count
+
+
 def test_rate_only_prefix_is_frozen():
     # the first-ranked lineage loses only its coalesced *prefix*; a fully
     # coalesced suffix inside its support still carries weight

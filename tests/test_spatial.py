@@ -30,6 +30,7 @@ from argsim.spatial import (
 )
 from argsim.state import Coalesce, Recombine, State
 from argsim.stats import chi_square, kingman_expectations, ks_one_sample, ks_one_sample_with_atom
+from conftest import check_invariants
 
 INF = float("inf")
 UNIFORM = UniformDensity()
@@ -125,13 +126,13 @@ def stage1_graph():
     assert rng.exhausted()
     assert trace.steps[-1][1] == pytest.approx(0.6)
     accept_breakpoint(g, 0.5, trace)
-    g.check_invariants()
+    check_invariants(g)
     return g
 
 
 def test_two_leaf_graph_basics():
     g = two_leaf_graph(1.0)
-    g.check_invariants()
+    check_invariants(g)
     assert g.stage == 0
     assert g.tree_length == 2.0 and top_time(g) == 1.0
     starts, counts = live_intervals(g)
@@ -143,7 +144,7 @@ def test_two_leaf_graph_basics():
 def test_kingman_tree_structure():
     rng = replicate_rng(7, 0, SALTS["spatial"])
     g = kingman_tree(5, rng)
-    g.check_invariants()
+    check_invariants(g)
     assert len(g.nodes) == 4
     assert {b.cols[0] for b in g.branches.values() if b.lo == 0.0 and b.hi < INF} >= {
         frozenset({j}) for j in range(1, 6)
@@ -479,7 +480,7 @@ def test_trace_detaches_and_recoalesces():
 def test_stage2_accept_after_detach():
     g, trace = detached_trace()
     accept_breakpoint(g, 0.75, trace)
-    g.check_invariants()
+    check_invariants(g)
     assert g.stage == 2 and g.breakpoints == [0.5, 0.75]
     assert g.tree_length == pytest.approx(1.6)
     cols = {b.id: tuple(b.cols) for b in g.branches.values()}
@@ -538,7 +539,9 @@ def test_graph_to_arg_replays_no_event(monkeypatch):
     arg = simulate_spatial(SimConfig(n_samples=4, rho=2.0, seed=1))
     assert calls == []
     assert validate_arg(arg).passed
-    assert len(calls) == arg.event_count > 3  # the patch is live: validation replays
+    assert calls == [] and arg.event_count > 3  # validation checks each step, replays none
+    arg.initial.apply(arg.events[0])
+    assert len(calls) == 1  # the patch is live
 
 
 def test_accept_fork_at_the_lower_end_of_its_branch():
@@ -547,7 +550,7 @@ def test_accept_fork_at_the_lower_end_of_its_branch():
     g = kingman_tree(2, SimRng(5))
     trace = trace_lineage(g, 0, 0.0, 0.5, 1.0, UniformDensity(), SimRng(9))
     accept_breakpoint(g, 0.5, trace)
-    g.check_invariants()
+    check_invariants(g)
     stub = g.branches[0]
     assert stub.lo == stub.hi == 0.0
     assert stub.cols == [frozenset({1}), frozenset({1})]
@@ -559,7 +562,7 @@ def test_staged_loop_keeps_invariants():
     for seed in range(60):
         rng = replicate_rng(seed, 0, SALTS["spatial"])
         g = kingman_tree(3, rng)
-        g.check_invariants()
+        check_invariants(g)
         while True:
             s_new = sample_next_breakpoint(g, 2.0, UNIFORM, rng)
             assert s_new > (g.breakpoints[-1] if g.breakpoints else 0.0)
@@ -569,7 +572,7 @@ def test_staged_loop_keeps_invariants():
             trace = trace_lineage(g, fork_id, t0, s_new, 2.0, UNIFORM, rng)
             assert trace.steps[-1][1] >= t0
             accept_breakpoint(g, s_new, trace)
-            g.check_invariants()
+            check_invariants(g)
             assert g.breakpoints[-1] == s_new
 
 

@@ -290,9 +290,7 @@ def test_apply_dispatch():
 
 def raw_state(n, lineages):
     """A State holding exactly these lineages, in this order (no sorting)."""
-    state = State(n, ())
-    state.lineages = tuple(lineages)
-    return state
+    return State._ranked(n, lineages)
 
 
 @pytest.mark.parametrize("engine", [simulate_backintime, simulate_spatial])

@@ -17,7 +17,11 @@ SEED = 4242
 REPS = 5
 GRID = list(itertools.product(
     ("backintime", "spatial"), ("uniform", "beta:2,2"), (3, 8), (1, 4),
-))
+)) + [
+    # the backintime benchmark's shape: long paths, where most lineages
+    # keep their recombination mass from one event to the next
+    ("backintime", "beta:2,2", 20, 15),
+]
 
 # sha256 of each cell's log, as written by `argsim simulate`
 PINNED = {
@@ -29,6 +33,7 @@ PINNED = {
     "backintime beta:2,2 n=3 rho=4": "8c93e7130582486ba8178d65ff2fca0b25246b888ae7c0df9e319b380a2976aa",
     "backintime beta:2,2 n=8 rho=1": "e97e424db35eda81face6721c179ef9259fc37d3b69327cfe8cdb8f3bb893937",
     "backintime beta:2,2 n=8 rho=4": "6b529e72efe98429f621aae1b38a0c7f960b2d9f8c290a23b8b10cf0811ce2cc",
+    "backintime beta:2,2 n=20 rho=15": "c9e43981cb532e96a552348fca8397bcb9aae7c52dac486b8958dbb2e450e504",
     "spatial uniform n=3 rho=1": "31993982e36e7d702a6e26fe324e204d0ac07ebd768998fd71afb87fdb90945d",
     "spatial uniform n=3 rho=4": "70e21bb48835be400e19e2008347c9e740525f72b1cdeea87f477c49460c063b",
     "spatial uniform n=8 rho=1": "63c909491d8b01ad68bf8cb25f7b58267791b5c1b47d305769e20d91ed3d7d30",
