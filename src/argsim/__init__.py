@@ -12,12 +12,10 @@ from .arg import (
     Arg,
     ArgParseError,
     LocalTree,
-    ProjectedPath,
     SummaryStats,
     ValidationReport,
     breakpoints,
     local_tree,
-    project_arg,
     read_arg,
     read_args,
     summary,
@@ -70,14 +68,14 @@ from .stats import (
 __all__ = [
     "Arg", "ArgParseError", "BetaDensity", "Coalesce", "EventCapExceeded",
     "IllegalEventError", "Lineage", "LocalTree", "PartialGraph",
-    "ProjectedPath", "RateBreakdown", "Recombine", "SimConfig", "SimRng",
+    "RateBreakdown", "Recombine", "SimConfig", "SimRng",
     "State", "SummaryStats", "TestReport", "Trace", "UniformDensity",
     "ValidationReport", "accept_breakpoint", "breakpoints", "child_seed",
     "chi_square", "chi_square_two_sample",
     "equivalence_report", "graph_to_arg",
     "kingman_expectations", "kingman_tree", "ks_one_sample",
     "ks_one_sample_with_atom", "ks_two_sample", "local_tree", "mean_difference_z",
-    "parse_density", "project_arg", "read_arg", "read_args",
+    "parse_density", "read_arg", "read_args",
     "render_state", "replicate_rng", "run_replicates", "sample_event",
     "sample_next_breakpoint", "sample_recomb_location",
     "sample_waiting_time", "simulate_backintime", "simulate_spatial",

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from .state import (
@@ -67,11 +66,6 @@ class Arg:
     def grand_mrca(self):
         """Time the whole path is absorbed (the last event time)."""
         return self.times[-1]
-
-    def state_at(self, t):
-        """State of the right-continuous path at time t."""
-        idx = bisect_right(self.times, t)
-        return self.states[idx - 1] if idx else self.initial
 
 
 @dataclass
@@ -233,42 +227,15 @@ def local_tree(arg, s):
 
 
 @dataclass
-class ProjectedPath:
-    """The path seen through material left of a site (frozen from it on)."""
-
-    site: float
-    initial: State
-    steps: tuple  # ((time, state), ...)
-
-    @property
-    def jump_count(self):
-        return len(self.steps)
-
-    def state_at(self, t):
-        times = [time for time, _ in self.steps]
-        idx = bisect_right(times, t)
-        return self.steps[idx - 1][1] if idx else self.initial
-
-
-def project_arg(arg, s):
-    """Project every state at site s and compress repeated values."""
-    prev = arg.initial.project(s)
-    steps = []
-    for t, state in zip(arg.times, arg.states):
-        projected = state.project(s)
-        if projected != prev:
-            steps.append((t, projected))
-            prev = projected
-    return ProjectedPath(site=s, initial=arg.initial.project(s), steps=tuple(steps))
-
-
-@dataclass
 class SummaryStats:
-    """Per-replicate scalars consumed by the statistical harness."""
+    """Per-replicate scalars consumed by the statistical harness.
+
+    There is no event count: every path has n - 1 + 2 * breakpoint_count
+    events (Arg.event_count), so it carries nothing the breakpoints do not.
+    """
 
     replicate: int
     breakpoint_count: int
-    event_count: int
     grand_mrca: float
     max_lineages: int
     tmrca_at: dict = field(default_factory=dict)
@@ -310,7 +277,6 @@ def summary(arg, sites=(0.0,)):
     return SummaryStats(
         replicate=arg.config.replicate_index,
         breakpoint_count=bp,
-        event_count=arg.event_count,
         grand_mrca=arg.grand_mrca,
         max_lineages=max_lineages,
         tmrca_at={s: height[s] for s in sites},
@@ -350,18 +316,18 @@ def write_arg(arg, fp):
         fp.write("\n")
 
 
-def _field(obj, key, kinds, lineno):
+def _field(obj, key, kinds, where):
     """obj[key] when obj is a dict holding a value of one of ``kinds``.
 
     JSON booleans never count as numbers. Anything else is an
-    ArgParseError naming the line.
+    ArgParseError whose message starts with ``where`` (say, "line 3").
     """
     if not isinstance(obj, dict) or key not in obj:
-        raise ArgParseError("line %d: missing %r" % (lineno, key))
+        raise ArgParseError("%s: missing %r" % (where, key))
     value = obj[key]
     if not isinstance(value, kinds) or isinstance(value, bool):
-        raise ArgParseError("line %d: %r must be %s, got %r" % (
-            lineno, key, " or ".join(k.__name__ for k in kinds), value))
+        raise ArgParseError("%s: %r must be %s, got %r" % (
+            where, key, " or ".join(k.__name__ for k in kinds), value))
     return value
 
 
@@ -378,7 +344,7 @@ def _header_config(header, lineno):
     from .config import SimConfig  # deferred: config pulls in the density registry
 
     n_samples, rho, density, seed, replicate = (
-        _field(header, key, kinds, lineno) for key, kinds in _HEADER_FIELDS
+        _field(header, key, kinds, "line %d" % lineno) for key, kinds in _HEADER_FIELDS
     )
     try:
         return SimConfig(
@@ -388,14 +354,14 @@ def _header_config(header, lineno):
         raise ArgParseError("line %d: bad header: %s" % (lineno, err)) from None
 
 
-def _parse_event(obj, lineno):
+def _parse_event(obj, where):
     ev = obj["ev"]
-    kind = _field(ev, "type", (str,), lineno)
+    kind = _field(ev, "type", (str,), where)
     if kind == "coal":
-        return Coalesce(_field(ev, "i", (int,), lineno), _field(ev, "j", (int,), lineno))
+        return Coalesce(_field(ev, "i", (int,), where), _field(ev, "j", (int,), where))
     if kind == "rec":
-        return Recombine(_field(ev, "i", (int,), lineno), _field(ev, "u", (int, float), lineno))
-    raise ArgParseError("line %d: unknown event type %r" % (lineno, kind))
+        return Recombine(_field(ev, "i", (int,), where), _field(ev, "u", (int, float), where))
+    raise ArgParseError("%s: unknown event type %r" % (where, kind))
 
 
 def read_args(fp):
@@ -432,10 +398,11 @@ def read_args(fp):
         elif config is None:
             raise ArgParseError("line %d: content before any header" % lineno)
         elif "ev" in obj:
-            event = _parse_event(obj, lineno)
-            if _field(obj, "n", (int,), lineno) != len(events):
-                raise ArgParseError("line %d: event index %r out of order" % (lineno, obj["n"]))
-            times.append(_field(obj, "t", (int, float), lineno))
+            where = "line %d" % lineno
+            event = _parse_event(obj, where)
+            if _field(obj, "n", (int,), where) != len(events):
+                raise ArgParseError("%s: event index %r out of order" % (where, obj["n"]))
+            times.append(_field(obj, "t", (int, float), where))
             events.append(event)
         else:
             args.append(_finish_log(lineno, obj, config, times, events))

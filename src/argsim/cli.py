@@ -14,6 +14,7 @@ import sys
 from . import __version__, backintime
 from .arg import (
     ArgParseError,
+    _field,
     local_tree,
     read_args,
     validate_arg,
@@ -75,6 +76,13 @@ def build_parser():
     return p
 
 
+# (setting, manifest key, JSON types) of the fields a manifest must hold
+_MANIFEST_FIELDS = (
+    ("engine", "engine", (str,)), ("samples", "n_samples", (int,)), ("rho", "rho", (int, float)),
+    ("density", "density", (str,)), ("seed", "seed", (int,)), ("reps", "reps", (int,)),
+)
+
+
 def _simulate_settings(args, parser):
     """Merge --from-manifest with explicit flags; explicit flags win."""
     settings = {
@@ -82,16 +90,20 @@ def _simulate_settings(args, parser):
         "density": "uniform", "seed": 0, "reps": 1, "out": None,
     }
     if args.from_manifest:
+        where = "manifest %s" % args.from_manifest
         try:
             with open(args.from_manifest) as fh:
                 man = json.load(fh)
+            for setting, key, kinds in _MANIFEST_FIELDS:
+                settings[setting] = _field(man, key, kinds, where)
+            if "out" in man:
+                settings["out"] = _field(man, "out", (str,), where)
+        except ArgParseError as exc:
+            parser.error(str(exc))
         except (OSError, ValueError) as exc:
-            parser.error("cannot read manifest %s: %s" % (args.from_manifest, exc))
-        settings.update(
-            engine=man["engine"], samples=man["n_samples"], rho=man["rho"],
-            density=man["density"], seed=man["seed"], reps=man["reps"],
-            out=man.get("out"),
-        )
+            parser.error("cannot read %s: %s" % (where, exc))
+        if settings["engine"] not in ENGINES:
+            parser.error("%s: unknown engine %r" % (where, settings["engine"]))
     for key in settings:
         value = getattr(args, key)
         if value is not None:
@@ -232,6 +244,9 @@ def cmd_compare(args, parser):
         parser.error("--sites must be a comma-separated list of numbers")
     if not sites:
         parser.error("--sites must name at least one site")
+    names = ["%g" % s for s in sites]  # the report's row names
+    if len(set(names)) < len(names):
+        parser.error("--sites names a site twice: %s" % ",".join(names))
     for s in sites:
         if not (0.0 <= s < 1.0):
             parser.error("site %g outside [0,1)" % s)

@@ -51,13 +51,12 @@ INF = math.inf
 class Branch:
     """One graph edge spanning latitudes [lo, hi); hi is +inf for the top."""
 
-    __slots__ = ("id", "lo", "hi", "lower_node", "upper_node", "label", "cols")
+    __slots__ = ("id", "lo", "hi", "upper_node", "label", "cols")
 
-    def __init__(self, bid, lo, hi, lower_node, upper_node, label, cols):
+    def __init__(self, bid, lo, hi, upper_node, label, cols):
         self.id = bid
         self.lo = lo
         self.hi = hi
-        self.lower_node = lower_node
         self.upper_node = upper_node
         self.label = label
         self.cols = cols  # list of frozensets, one per breakpoint column
@@ -107,10 +106,10 @@ class PartialGraph:
     def stage(self):
         return len(self.breakpoints)
 
-    def add_branch(self, lo, hi, lower_node, upper_node, label, cols):
+    def add_branch(self, lo, hi, upper_node, label, cols):
         bid = self._next_branch
         self._next_branch += 1
-        b = Branch(bid, lo, hi, lower_node, upper_node, label, cols)
+        b = Branch(bid, lo, hi, upper_node, label, cols)
         self.branches[bid] = b
         return b
 
@@ -138,7 +137,7 @@ class PartialGraph:
         creating.
         """
         assert piece.lo <= t < piece.hi
-        above = self.add_branch(t, piece.hi, None, piece.upper_node, piece.label, list(piece.cols))
+        above = self.add_branch(t, piece.hi, piece.upper_node, piece.label, list(piece.cols))
         if piece.upper_node is not None:
             upper = self.nodes[piece.upper_node]
             upper.children[upper.children.index(piece.id)] = above.id
@@ -153,7 +152,7 @@ def kingman_tree(n, rng):
     """Step 1: the locus-0 coalescent tree as a stage-0 graph."""
     graph = PartialGraph(n)
     for j in range(n):
-        graph.add_branch(0.0, INF, None, None, 0, [frozenset({j + 1})])
+        graph.add_branch(0.0, INF, None, 0, [frozenset({j + 1})])
     live = list(range(n))
     t = 0.0
     while len(live) > 1:
@@ -161,11 +160,10 @@ def kingman_tree(n, rng):
         t += rng.exponential(k * (k - 1) / 2.0)
         i, j = unrank_pair(rng.index(k * (k - 1) // 2), k)
         a, b = graph.branches[live[i]], graph.branches[live[j]]
-        merged = graph.add_branch(t, INF, None, None, 0, [a.cols[0] | b.cols[0]])
+        merged = graph.add_branch(t, INF, None, 0, [a.cols[0] | b.cols[0]])
         node = graph.add_node(t, "c", None, [a.id, b.id], [merged.id])
         a.hi = b.hi = t
         a.upper_node = b.upper_node = node.id
-        merged.lower_node = node.id
         live[i] = merged.id
         live.pop(j)
     graph.top_id = live[0]
@@ -355,11 +353,9 @@ def accept_breakpoint(graph, s_new, trace):
     # the fork: a recombination node at t0 on the fork branch
     fork_piece = current_piece(trace.fork_id)
     fork_above = split_at(fork_piece, trace.t0)
-    seg = graph.add_branch(trace.t0, None, None, None, new_label, [frozenset()] * (stage + 1))
+    seg = graph.add_branch(trace.t0, None, None, new_label, [frozenset()] * (stage + 1))
     fork_node = graph.add_node(trace.t0, "r", s_new, [fork_piece.id], [fork_above.id, seg.id])
     fork_piece.upper_node = fork_node.id
-    fork_above.lower_node = fork_node.id
-    seg.lower_node = fork_node.id
     on_path.add(seg.id)
     ride_piece = None
     tail_start = None
@@ -372,7 +368,6 @@ def accept_breakpoint(graph, s_new, trace):
             target.upper_node = node.id
             seg.hi = t
             seg.upper_node = node.id
-            above.lower_node = node.id
             seg = None
             if target.label == stage:
                 tail_start = above
@@ -381,12 +376,10 @@ def accept_breakpoint(graph, s_new, trace):
         elif kind == "detach":
             locus = step[2]
             above = split_at(ride_piece, t)
-            seg = graph.add_branch(t, None, None, None, new_label, [frozenset()] * (stage + 1))
+            seg = graph.add_branch(t, None, None, new_label, [frozenset()] * (stage + 1))
             node = graph.add_node(t, "r", locus, [ride_piece.id], [above.id, seg.id])
             on_path.add(ride_piece.id)
             ride_piece.upper_node = node.id
-            above.lower_node = node.id
-            seg.lower_node = node.id
             on_path.add(seg.id)
             ride_piece = None
         else:  # climb through the ridden piece's upper node

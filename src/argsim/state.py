@@ -68,7 +68,7 @@ class Lineage:
     the last active interval it weighed the lineage on (see total_rate).
     """
 
-    __slots__ = ("breaks", "vals", "start", "start_min", "end", "_hash", "mass")
+    __slots__ = ("breaks", "vals", "start", "start_min", "end", "mass")
 
     def __init__(self, breaks, vals):
         self.breaks = breaks
@@ -92,7 +92,6 @@ class Lineage:
                 end = breaks[k] if k < len(breaks) else 1.0
                 break
         self.end = end
-        self._hash = None
         self.mass = None
 
     @classmethod
@@ -152,24 +151,12 @@ class Lineage:
             lo = hi
         return Lineage.from_segments(segs)
 
-    def freeze_from(self, s):
-        """Hold the value taken at s constant on [s, 1); loci below s keep theirs."""
-        held = self.value_at(s)
-        segs = [(lo, min(hi, s), val) for lo, hi, val in self.segments() if lo < s]
-        segs.append((s, 1.0, held))
-        return Lineage.from_segments(segs)
-
     def __eq__(self, other):
         return (
             isinstance(other, Lineage)
             and self.breaks == other.breaks
             and self.vals == other.vals
         )
-
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.breaks, self.vals))
-        return self._hash
 
     def __repr__(self):
         return "Lineage(%s)" % ", ".join(
@@ -195,7 +182,7 @@ class Recombine:
 
 
 class State:
-    """A ranked tuple of lineages over n sample labels."""
+    """A ranked tuple of lineages over n sample labels; compared by value, never hashed."""
 
     __slots__ = ("n", "lineages", "_intervals")
 
@@ -232,9 +219,6 @@ class State:
             and self.n == other.n
             and self.lineages == other.lineages
         )
-
-    def __hash__(self):
-        return hash((self.n, self.lineages))
 
     @property
     def is_absorbed(self):
@@ -308,18 +292,6 @@ class State:
         blocks = [b for b in blocks if b]
         blocks.sort(key=min)
         return tuple(blocks)
-
-    def project(self, s):
-        """Keep only material on [0, s), holding each value at s onward.
-
-        Lineages whose support lies entirely at or beyond s drop out.
-        """
-        kept = []
-        for lin in self.lineages:
-            frozen = lin.freeze_from(s)
-            if not frozen.is_null:
-                kept.append(frozen)
-        return State(self.n, kept)
 
     def check(self):
         """Assert the structural invariants; returns self for chaining."""

@@ -249,10 +249,12 @@ def equivalence_report(n, rho, density_spec, seed, reps, sites=(0.0, 0.5), alpha
 
     Returns (reports, samples) where samples maps engine name to its
     summary list; the battery is two-sample KS for the continuous
-    statistics, homogeneity chi-square for the discrete ones, and a z-test
-    on the mean breakpoint count. With several tests at level alpha, the
-    chance of a stray failure stays near len(reports) * alpha (union
-    bound); the alpha here is per-test.
+    statistics, homogeneity chi-square for the breakpoint count and the
+    maximum lineage count, and a z-test on the mean breakpoint count. The
+    event count gets no row: it is n - 1 + 2 * breakpoints, so its
+    chi-square would repeat the breakpoint row exactly. With several tests
+    at level alpha, the chance of a stray failure stays near
+    len(reports) * alpha (union bound); the alpha here is per-test.
     """
     a = run_replicates("backintime", n, rho, density_spec, seed, reps, sites, threads)
     b = run_replicates("spatial", n, rho, density_spec, seed, reps, sites, threads)
@@ -271,8 +273,8 @@ def equivalence_report(n, rho, density_spec, seed, reps, sites=(0.0, 0.5), alpha
     bp_b = [y.breakpoint_count for y in b]
     stat, p, _ = chi_square_two_sample(bp_a, bp_b)
     reports.append(TestReport("breakpoints_chi2", reps, reps, stat, p, p > alpha))
-    stat, p, _ = chi_square_two_sample([x.event_count for x in a], [y.event_count for y in b])
-    reports.append(TestReport("events_chi2", reps, reps, stat, p, p > alpha))
+    stat, p, _ = chi_square_two_sample([x.max_lineages for x in a], [y.max_lineages for y in b])
+    reports.append(TestReport("max_lineages_chi2", reps, reps, stat, p, p > alpha))
     z, p, _ = mean_difference_z(bp_a, bp_b)
     reports.append(TestReport("breakpoints_mean_z", reps, reps, z, p, p > alpha))
     return reports, {"backintime": a, "spatial": b}

@@ -1,9 +1,11 @@
 """Shared test helpers: fixture states, random legal event walks, the
 known-broken engine, and oracles that recheck what the package asserts
-incrementally: the replay validator and the partial-graph invariants."""
+incrementally: the replay validator, the partial-graph invariants and the
+projection of a path at a site."""
 
 import math
 import random
+from bisect import bisect_right
 
 import pytest
 
@@ -182,3 +184,40 @@ def check_invariants(graph):
     top = graph.branches[graph.top_id]
     assert top.hi == math.inf and top.label == graph.stage
     return graph
+
+
+def project_state(state, s):
+    """Keep only material on [0, s), holding each lineage's value at s onward.
+
+    Lineages whose support lies entirely at or beyond s drop out.
+    """
+    kept = []
+    for lin in state.lineages:
+        segs = [(lo, min(hi, s), val) for lo, hi, val in lin.segments() if lo < s]
+        segs.append((s, 1.0, lin.value_at(s)))
+        frozen = Lineage.from_segments(segs)
+        if not frozen.is_null:
+            kept.append(frozen)
+    return State(state.n, kept)
+
+
+def project_path(arg, s):
+    """The path seen through the material left of site s, as (time, state) steps.
+
+    Every state is projected at s and repeats are dropped, so each step is
+    a jump; the projected start is project_state(arg.initial, s).
+    """
+    prev = project_state(arg.initial, s)
+    steps = []
+    for t, state in zip(arg.times, arg.states):
+        projected = project_state(state, s)
+        if projected != prev:
+            steps.append((t, projected))
+            prev = projected
+    return steps
+
+
+def state_at(initial, steps, t):
+    """The state at time t of the right-continuous path with these (time, state) steps."""
+    idx = bisect_right([time for time, _ in steps], t)
+    return steps[idx - 1][1] if idx else initial

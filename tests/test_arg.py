@@ -1,4 +1,4 @@
-"""Arg path tests: validation, breakpoints, trees, projection,
+"""Arg path tests: validation, breakpoints, trees, the projection oracle,
 summary statistics, and the event-log serialization."""
 
 import io
@@ -14,7 +14,6 @@ from argsim.arg import (
     ArgParseError,
     breakpoints,
     local_tree,
-    project_arg,
     read_arg,
     read_args,
     summary,
@@ -25,7 +24,7 @@ from argsim.backintime import simulate_backintime
 from argsim.config import SimConfig
 from argsim.spatial import simulate_spatial
 from argsim.state import Coalesce, Lineage, Recombine, State
-from conftest import random_walk, replay_validate
+from conftest import project_path, project_state, random_walk, replay_validate, state_at
 
 
 def build_arg(config, timed_events):
@@ -350,11 +349,11 @@ def test_local_tree_height_bounded_by_grand_mrca():
 def test_project_arg_at_zero_is_site_tree():
     cfg = SimConfig(n_samples=4, rho=1.5, seed=29)
     arg = simulate_backintime(cfg)
-    path = project_arg(arg, 0.0)
-    assert path.initial == State.initial(4).project(0.0)
-    assert path.steps[-1][1].is_absorbed
+    steps = project_path(arg, 0.0)
+    assert project_state(arg.initial, 0.0) == State.initial(4)
+    assert steps[-1][1].is_absorbed
     # a projection can only drop detail: its jumps are a subset of events
-    assert path.jump_count <= arg.event_count
+    assert len(steps) <= arg.event_count
 
 
 def test_project_arg_right_of_last_breakpoint_is_identity():
@@ -363,9 +362,9 @@ def test_project_arg_right_of_last_breakpoint_is_identity():
         arg = simulate_backintime(cfg)
         loci, _ = breakpoints(arg)
         s = (max(loci) + 1.0) / 2.0 if loci else 0.5
-        path = project_arg(arg, s)
-        assert path.jump_count == arg.event_count
-        assert tuple(state for _, state in path.steps) == arg.states
+        steps = project_path(arg, s)
+        assert len(steps) == arg.event_count
+        assert tuple(state for _, state in steps) == arg.states
 
 
 def test_projection_jump_count_monotone_in_site():
@@ -373,17 +372,20 @@ def test_projection_jump_count_monotone_in_site():
     for seed in range(25):
         cfg = SimConfig(n_samples=4, rho=2.0, seed=53, replicate_index=seed)
         arg = simulate_backintime(cfg)
-        counts = [project_arg(arg, s).jump_count for s in grid]
+        counts = [len(project_path(arg, s)) for s in grid]
         assert counts == sorted(counts)
 
 
 def test_projection_preserves_site_partition():
     cfg = SimConfig(n_samples=4, rho=1.5, seed=61)
     arg = simulate_backintime(cfg)
+    path = list(zip(arg.times, arg.states))
     for s in (0.0, 0.3, 0.7):
-        path = project_arg(arg, s)
+        steps = project_path(arg, s)
+        start = project_state(arg.initial, s)
         for t in arg.times:
-            assert path.state_at(t).site_partition(s) == arg.state_at(t).site_partition(s)
+            want = state_at(arg.initial, path, t).site_partition(s)
+            assert state_at(start, steps, t).site_partition(s) == want
 
 
 def test_summary_kingman():
@@ -391,7 +393,7 @@ def test_summary_kingman():
     arg = simulate_backintime(cfg)
     stats = summary(arg)
     assert stats.breakpoint_count == 0
-    assert stats.event_count == 3
+    assert arg.event_count == 3
     assert stats.max_lineages == 4
     assert stats.tmrca_at[0.0] == arg.grand_mrca
 
@@ -419,8 +421,8 @@ def test_summary_event_identity():
     # every recombination must later re-coalesce: gamma = (N-1) + 2 |Bp|
     for seed in range(40):
         cfg = SimConfig(n_samples=5, rho=1.0, seed=83, replicate_index=seed)
-        stats = summary(simulate_backintime(cfg))
-        assert stats.event_count == 4 + 2 * stats.breakpoint_count
+        arg = simulate_backintime(cfg)
+        assert arg.event_count == 4 + 2 * summary(arg).breakpoint_count
 
 
 def test_serialization_roundtrip():

@@ -129,6 +129,31 @@ def test_simulate_rejects_bad_parameters(tmp_path):
         assert exc.value.code == 2
 
 
+GOOD_MANIFEST = {"engine": "backintime", "n_samples": 3, "rho": 1, "density": "uniform",
+                 "seed": 0, "reps": 2}
+
+
+@pytest.mark.parametrize("manifest, message", [
+    ({"engine": "backintime"}, "missing 'n_samples'"),
+    ([1, 2], "missing 'engine'"),
+    (dict(GOOD_MANIFEST, engine="sideways"), "unknown engine 'sideways'"),
+    (dict(GOOD_MANIFEST, n_samples="3"), "'n_samples' must be int, got '3'"),
+    (dict(GOOD_MANIFEST, reps="2"), "'reps' must be int, got '2'"),
+])
+def test_simulate_malformed_manifest_exits_2_with_one_line(tmp_path, capsys, manifest, message):
+    path = tmp_path / "run.log.manifest.json"
+    path.write_text(json.dumps(manifest))
+    out = tmp_path / "rerun.log"
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--from-manifest", str(path), "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert [line for line in err if "error:" in line] == [
+        "argsim: error: manifest %s: %s" % (path, message)
+    ]
+    assert not out.exists()
+
+
 def test_validate_accepts_engine_output(tmp_path, capsys):
     out = tmp_path / "good.log"
     main(["simulate", "--engine", "spatial", "--samples", "3", "--rho", "1",
@@ -293,6 +318,7 @@ def test_compare_rejects_bad_arguments(tmp_path, capsys):
         ["--sites", "0.5,oops"],
         ["--sites", ""],
         ["--sites", "1.0"],
+        ["--sites", "0,0"],
         ["--alpha", "0"],
         ["--alpha", "1.5"],
         ["--density", "beta:0,1"],

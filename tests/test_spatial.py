@@ -6,6 +6,7 @@ rides an old edge, detaches, and re-coalesces (stage 2). Every latitude
 and material column of those graphs is hand-checked.
 """
 
+import copy
 import math
 
 import pytest
@@ -30,7 +31,7 @@ from argsim.spatial import (
 )
 from argsim.state import Coalesce, Recombine, State
 from argsim.stats import chi_square, kingman_expectations, ks_one_sample, ks_one_sample_with_atom
-from conftest import check_invariants
+from conftest import check_invariants, project_path, project_state
 
 INF = float("inf")
 UNIFORM = UniformDensity()
@@ -75,8 +76,12 @@ def transitions(trace):
     return out
 
 
-def record_stages(monkeypatch):
-    """Log every stage simulate_spatial accepts, by wrapping accept_breakpoint."""
+def record_stages(monkeypatch, keep_graphs=False):
+    """Log every stage simulate_spatial accepts, by wrapping accept_breakpoint.
+
+    With keep_graphs, each entry also holds a deep copy of the graph the
+    stage left behind.
+    """
     log = []
     accept = spatial.accept_breakpoint
 
@@ -88,6 +93,8 @@ def record_stages(monkeypatch):
             "xi": sorted(trace.xi),
             "transitions": transitions(trace),
         })
+        if keep_graphs:
+            log[-1]["graph"] = copy.deepcopy(graph)
 
     monkeypatch.setattr(spatial, "accept_breakpoint", recording)
     return log
@@ -101,12 +108,11 @@ def top_time(graph):
 def two_leaf_graph(height=1.0):
     """Stage-0 graph: leaves 1 and 2 coalescing at the given height."""
     g = PartialGraph(2)
-    a = g.add_branch(0.0, height, None, None, 0, [frozenset({1})])
-    b = g.add_branch(0.0, height, None, None, 0, [frozenset({2})])
-    top = g.add_branch(height, INF, None, None, 0, [frozenset({1, 2})])
+    a = g.add_branch(0.0, height, None, 0, [frozenset({1})])
+    b = g.add_branch(0.0, height, None, 0, [frozenset({2})])
+    top = g.add_branch(height, INF, None, 0, [frozenset({1, 2})])
     node = g.add_node(height, "c", None, [a.id, b.id], [top.id])
     a.upper_node = b.upper_node = node.id
-    top.lower_node = node.id
     g.top_id = top.id
     g.set_tree((a, b))
     return g
@@ -244,7 +250,7 @@ def zero_length_graph():
         piece = g.branches[bid]
         above = g.split_branch(piece, t)
         node = g.add_node(t, "c", None, [piece.id], [above.id])
-        piece.upper_node = above.lower_node = node.id
+        piece.upper_node = node.id
     return g
 
 
@@ -646,6 +652,31 @@ def test_diamond_recoalescence_keeps_the_local_tree(monkeypatch):
             assert local_tree(arg, left).levels == local_tree(arg, right).levels
             found += 1
     assert found >= 5
+
+
+def test_each_stage_graph_is_the_final_path_projected_on_its_interval(monkeypatch):
+    # The sequence-wise form of the engines' shared law: the partial graph
+    # after stage k, read as a path, is the final path projected at any site
+    # of stage k's locus interval, jump for jump. Stage 0 is the Kingman
+    # tree, the first draws of the replicate's stream.
+    log = record_stages(monkeypatch, keep_graphs=True)
+    checked = 0
+    for n in (3, 6):
+        for rho in (1.0, 5.0):
+            for r in range(10):
+                cfg = SimConfig(n_samples=n, rho=rho, seed=7, replicate_index=r)
+                log.clear()
+                arg = simulate_spatial(cfg)
+                graphs = [kingman_tree(n, replicate_rng(7, r, SALTS["spatial"]))]
+                graphs += [entry["graph"] for entry in log]
+                bounds = [0.0] + [entry["locus"] for entry in log] + [1.0]
+                for k, graph in enumerate(graphs):
+                    s = 0.5 * (bounds[k] + bounds[k + 1])
+                    partial = graph_to_arg(graph, cfg)
+                    assert partial.initial == project_state(arg.initial, s)
+                    assert list(zip(partial.times, partial.states)) == project_path(arg, s)
+                checked += len(graphs)
+    assert checked > 200  # 40 stage-0 graphs, and rho=5 takes several stages a replicate
 
 
 def test_spatial_respects_event_cap():

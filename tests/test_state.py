@@ -1,5 +1,5 @@
 """State-space operator tests: ranking, recombination, coalescence,
-projection, rendering, and the partition invariant."""
+the projection oracle, rendering, and the partition invariant."""
 
 import math
 
@@ -19,7 +19,7 @@ from argsim.state import (
     full_set,
     render_state,
 )
-from conftest import lin, random_walk, walk_states
+from conftest import lin, project_state, random_walk, walk_states
 
 
 def test_initial_state_is_ranked_singletons():
@@ -191,7 +191,7 @@ def test_project_at_zero_freezes_blocks():
     for seed in range(10):
         states = walk_states(4, seed, 15)
         x = states[-1]
-        p = x.project(0.0)
+        p = project_state(x, 0.0)
         p.check()
         assert len(p.lineages) == len(x.site_partition(0.0))
         for l in p.lineages:
@@ -200,10 +200,10 @@ def test_project_at_zero_freezes_blocks():
 
 def test_project_without_later_breaks_is_identity():
     x = State.initial(3)
-    assert x.project(0.9) == x
+    assert project_state(x, 0.9) == x
     y = x.recombine(0, 0.2)
     # freezing right of every discontinuity changes nothing
-    assert y.project(0.9) == y
+    assert project_state(y, 0.9) == y
 
 
 def test_project_drops_null_lineage():
@@ -214,7 +214,7 @@ def test_project_drops_null_lineage():
             lin((0.5, 1.0, {2}),),
         ],
     )
-    p = x.project(0.3)
+    p = project_state(x, 0.3)
     assert p == State.absorbing(2)
 
 
@@ -222,16 +222,17 @@ def test_project_idempotent_and_monotone():
     for seed in range(8):
         x = walk_states(4, seed, 18)[-1]
         for s in (0.0, 0.25, 0.6):
-            assert x.project(s).project(s) == x.project(s)
-        assert x.project(0.7).project(0.2) == x.project(0.2)
-        assert x.project(0.2).project(0.7) == x.project(0.2)
+            once = project_state(x, s)
+            assert project_state(once, s) == once
+        assert project_state(project_state(x, 0.7), 0.2) == project_state(x, 0.2)
+        assert project_state(project_state(x, 0.2), 0.7) == project_state(x, 0.2)
 
 
 def test_projection_keeps_site_partition():
     for seed in range(8):
         x = walk_states(5, seed, 20)[-1]
         for s in (0.0, 0.3, 0.8):
-            assert x.project(s).site_partition(s) == x.site_partition(s)
+            assert project_state(x, s).site_partition(s) == x.site_partition(s)
 
 
 def test_render_initial_and_split():

@@ -218,7 +218,7 @@ def test_equivalence_report_null_battery():
         "length_ks_site_0.5",
         "grand_mrca_ks",
         "breakpoints_chi2",
-        "events_chi2",
+        "max_lineages_chi2",
         "breakpoints_mean_z",
     ]
     for r in reports:
@@ -239,8 +239,7 @@ def test_breakpoints_mean_z_uses_alpha(monkeypatch):
 
     def fake(engine, n, rho, density_spec, seed, reps, sites=(0.0,), threads=None):
         return [
-            SummaryStats(replicate=r, breakpoint_count=bp, event_count=2 + 2 * bp,
-                         grand_mrca=1.0 + r, max_lineages=3,
+            SummaryStats(replicate=r, breakpoint_count=bp, grand_mrca=1.0 + r, max_lineages=3,
                          tmrca_at={s: 1.0 + r for s in sites}, length_at={s: 2.0 + r for s in sites})
             for r, bp in enumerate(counts[engine])
         ]

@@ -62,7 +62,7 @@ def test_simulate_logs_match_pinned_digests(tmp_path, capsys):
 
 # sha256 of `argsim compare --samples 3 --rho 1 --sites 0,0.5 --reps 200
 # --threads 1` at the default seed 0
-COMPARE_PINNED = "c6c138420b4b2c114ca8b370748f548a7e8742de98490bd5067508fda302a3a9"
+COMPARE_PINNED = "e31a8d4f046ecbd87f4974c195622e77c7318fc7680ff40ccf9a165c11ac191a"
 
 
 def test_compare_report_matches_pinned_digest(tmp_path, capsys):
