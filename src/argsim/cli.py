@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import __version__, backintime
@@ -115,6 +116,19 @@ def _simulate_settings(args, parser):
     return settings
 
 
+def _check_out(path, parser):
+    """Exit 2 before any run when path cannot be opened as a new file.
+
+    A failure this cannot foresee is reported the same way when the file
+    is written.
+    """
+    folder = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        parser.error("cannot write %s: it is a directory" % path)
+    if not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
+        parser.error("cannot write %s: no writable directory %s" % (path, folder))
+
+
 def _past_event_cap(n, rho):
     """Whether a path expects more events than the cap; if so, says so.
 
@@ -138,6 +152,8 @@ def cmd_simulate(args, parser):
         parser.error(str(exc))
     if s["reps"] < 1:
         parser.error("--reps must be at least 1")
+    for path in (s["out"], s["out"] + ".manifest.json"):
+        _check_out(path, parser)
     if _past_event_cap(base.n_samples, base.rho):
         return 2
     salt = SALTS[s["engine"]]
@@ -155,9 +171,6 @@ def cmd_simulate(args, parser):
             sys.stderr.write(report.render() + "\n")
             return 1
         args_out.append(arg)
-    with open(s["out"], "w") as fh:
-        for arg in args_out:
-            write_arg(arg, fh)
     manifest = {
         "tool": "argsim %s" % __version__,
         "format_version": 1,
@@ -170,9 +183,15 @@ def cmd_simulate(args, parser):
         "out": s["out"],
         "child_seeds": [child_seed(s["seed"], r, salt) for r in range(s["reps"])],
     }
-    with open(s["out"] + ".manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    try:
+        with open(s["out"], "w") as fh:
+            for arg in args_out:
+                write_arg(arg, fh)
+        with open(s["out"] + ".manifest.json", "w") as fh:
+            json.dump(manifest, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+    except OSError as exc:
+        parser.error("cannot write %s: %s" % (exc.filename, exc.strerror))
     total_events = sum(a.event_count for a in args_out)
     print("wrote %d replicate(s), %d events -> %s" % (s["reps"], total_events, s["out"]))
     return 0
@@ -261,6 +280,7 @@ def cmd_compare(args, parser):
         SimConfig(n_samples=args.samples, rho=args.rho, density=density, seed=args.seed)
     except ValueError as exc:
         parser.error(str(exc))
+    _check_out(args.out, parser)
     if _past_event_cap(args.samples, args.rho):
         return 2
     try:
@@ -272,10 +292,13 @@ def cmd_compare(args, parser):
         sys.stderr.write("error: %s\n" % exc)
         return 2
     print(render_report_table(reports))
-    with open(args.out, "w") as fh:
-        fh.write(CSV_HEADER + "\n")
-        for r in reports:
-            fh.write(r.csv_row() + "\n")
+    try:
+        with open(args.out, "w") as fh:
+            fh.write(CSV_HEADER + "\n")
+            for r in reports:
+                fh.write(r.csv_row() + "\n")
+    except OSError as exc:
+        parser.error("cannot write %s: %s" % (exc.filename, exc.strerror))
     print("report -> %s" % args.out)
     return 0 if all(r.passed for r in reports) else 1
 

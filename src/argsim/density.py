@@ -122,8 +122,14 @@ def _parse_beta(args):
     return BetaDensity(float(parts[0]), float(parts[1]))
 
 
+def _parse_uniform(args):
+    if args:
+        raise ValueError("uniform density takes no parameters, got uniform:%s" % args)
+    return UniformDensity()
+
+
 DENSITIES = {
-    "uniform": lambda args: UniformDensity(),
+    "uniform": _parse_uniform,
     "beta": _parse_beta,
 }
 

@@ -1,9 +1,9 @@
 """Sequence-wise engine: build the graph breakpoint by breakpoint.
 
 Step 1 draws a plain Kingman tree for the leftmost locus. Each later stage
-takes the current partial graph (every branch carries one material column
-per breakpoint so far, and the branches whose newest column is nonempty
-form the local tree of the current locus), then:
+takes the current partial graph (every branch carries its material as a
+Lineage, and the branches whose material reaches 1.0 form the local tree
+of the current locus), then:
 
   2. draws the next breakpoint locus from its exact conditional law
      (exponential in the integrated density, atom at 1 -> stop) by
@@ -14,22 +14,22 @@ form the local tree of the current locus), then:
      a local-tree branch absorbs it; landing on an older branch makes it
      ride that edge, where it either detaches again (rate = remaining
      recombination mass of the edge's material gap) and returns to free
-     mode, or follows the edge through its upper node onto the
-     larger-label edge;
+     mode, or follows the edge through its upper node onto the edge whose
+     material ends last;
   5. once absorbed, splices the new branch segments into the graph and
-     extends every material vector by one column, reading the new local
-     tree off that column in the same pass, with no walk from the leaves.
+     gives every branch its value from the new locus on, reading the new
+     local tree off those values in the same pass.
 
 The finished graph converts into the same Arg event-log form the
 back-in-time engine emits: nodes sorted by latitude become events, and
-the states are read off the material columns alone. validate_arg checks
+the states hold the live branches' material as it is. validate_arg checks
 each event against those states, so the two derivations meet there.
 
 Cost per stage, for a graph of N nodes and B branches: the free-mode rates
 (live_intervals) take one sort of the node times and one sweep over the
 branches, O(N log N + B); each free rise resolves branch ids only on the
-interval it lands in, O(B); the splice (accept_breakpoint) appends one
-material column to every branch and reads the local tree off it, O(B).
+interval it lands in, O(B); the splice (accept_breakpoint) reads every
+branch's newest value, O(B), and builds a Lineage only where that changes.
 """
 
 from __future__ import annotations
@@ -49,23 +49,23 @@ INF = math.inf
 
 
 class Branch:
-    """One graph edge spanning latitudes [lo, hi); hi is +inf for the top."""
+    """One graph edge spanning latitudes [lo, hi); hi is +inf for the top.
 
-    __slots__ = ("id", "lo", "hi", "upper_node", "label", "cols")
+    ``material`` is the edge's Lineage; its last value holds from the newest
+    breakpoint on. It is never mutated, so the pieces of a split share it.
+    """
 
-    def __init__(self, bid, lo, hi, upper_node, label, cols):
+    __slots__ = ("id", "lo", "hi", "upper_node", "material")
+
+    def __init__(self, bid, lo, hi, upper_node, material):
         self.id = bid
         self.lo = lo
         self.hi = hi
         self.upper_node = upper_node
-        self.label = label
-        self.cols = cols  # list of frozensets, one per breakpoint column
+        self.material = material
 
     def __repr__(self):
-        return "Branch(%d, [%g,%g), label=%d, cols=%r)" % (
-            self.id, self.lo, self.hi, self.label,
-            [sorted(c) for c in self.cols],
-        )
+        return "Branch(%d, [%g,%g), %r)" % (self.id, self.lo, self.hi, self.material)
 
 
 class GraphNode:
@@ -102,14 +102,10 @@ class PartialGraph:
         self._next_branch = 0
         self._next_node = 0
 
-    @property
-    def stage(self):
-        return len(self.breakpoints)
-
-    def add_branch(self, lo, hi, upper_node, label, cols):
+    def add_branch(self, lo, hi, upper_node, material):
         bid = self._next_branch
         self._next_branch += 1
-        b = Branch(bid, lo, hi, upper_node, label, cols)
+        b = Branch(bid, lo, hi, upper_node, material)
         self.branches[bid] = b
         return b
 
@@ -126,8 +122,8 @@ class PartialGraph:
         self.tree_length = math.fsum(b.hi - b.lo for b in self.tree)
 
     def branch_above(self, node_id):
-        """The branch leaving a node upward; the larger-label one at a fork."""
-        return max((self.branches[p] for p in self.nodes[node_id].parents), key=lambda b: b.label)
+        """The branch leaving a node upward; at a fork, the one whose material ends last."""
+        return max((self.branches[p] for p in self.nodes[node_id].parents), key=lambda b: b.material.end)
 
     def split_branch(self, piece, t):
         """Cut a branch at latitude t; the lower part keeps the id.
@@ -137,7 +133,7 @@ class PartialGraph:
         creating.
         """
         assert piece.lo <= t < piece.hi
-        above = self.add_branch(t, piece.hi, piece.upper_node, piece.label, list(piece.cols))
+        above = self.add_branch(t, piece.hi, piece.upper_node, piece.material)
         if piece.upper_node is not None:
             upper = self.nodes[piece.upper_node]
             upper.children[upper.children.index(piece.id)] = above.id
@@ -152,7 +148,7 @@ def kingman_tree(n, rng):
     """Step 1: the locus-0 coalescent tree as a stage-0 graph."""
     graph = PartialGraph(n)
     for j in range(n):
-        graph.add_branch(0.0, INF, None, 0, [frozenset({j + 1})])
+        graph.add_branch(0.0, INF, None, Lineage.constant({j + 1}))
     live = list(range(n))
     t = 0.0
     while len(live) > 1:
@@ -160,7 +156,7 @@ def kingman_tree(n, rng):
         t += rng.exponential(k * (k - 1) / 2.0)
         i, j = unrank_pair(rng.index(k * (k - 1) // 2), k)
         a, b = graph.branches[live[i]], graph.branches[live[j]]
-        merged = graph.add_branch(t, INF, None, 0, [a.cols[0] | b.cols[0]])
+        merged = graph.add_branch(t, INF, None, Lineage.constant(a.material.vals[0] | b.material.vals[0]))
         node = graph.add_node(t, "c", None, [a.id, b.id], [merged.id])
         a.hi = b.hi = t
         a.upper_node = b.upper_node = node.id
@@ -291,9 +287,7 @@ def trace_lineage(graph, fork_id, t0, s_new, rho, density, rng):
     by accept_breakpoint. Step times never decrease, so the replay is a
     straight left-to-right pass.
     """
-    stage = graph.stage
-    bps = graph.breakpoints
-    trace = Trace(fork_id=fork_id, t0=t0, xi=graph.branches[fork_id].cols[stage])
+    trace = Trace(fork_id=fork_id, t0=t0, xi=graph.branches[fork_id].material.vals[-1])
     intervals = live_intervals(graph)
     mode_free = True
     ride = None  # branch being ridden
@@ -304,14 +298,14 @@ def trace_lineage(graph, fork_id, t0, s_new, rho, density, rng):
             trace.steps.append(("coal", t_coal, target_id))
             target = graph.branches[target_id]
             t = t_coal
-            if target.label == stage:
+            if target.material.end == 1.0:
                 return trace
             mode_free = False
             ride = target
         else:
-            # riding an older edge: its material gap spans from the locus
-            # after its label's breakpoint to the new locus
-            gap_lo = bps[ride.label]
+            # riding an older edge: its material gap spans from the end of
+            # its material to the new locus
+            gap_lo = ride.material.end
             detach_rate = 0.5 * rho * density.mass(gap_lo, s_new)
             t_detach = t + rng.exponential(detach_rate) if detach_rate > 0.0 else INF
             if t_detach < ride.hi:
@@ -324,19 +318,19 @@ def trace_lineage(graph, fork_id, t0, s_new, rho, density, rng):
                 trace.steps.append(("climb", ride.hi))
                 t = ride.hi
                 ride = graph.branch_above(ride.upper_node)
-                if ride.label == stage:
+                if ride.material.end == 1.0:
                     return trace
 
 
 def accept_breakpoint(graph, s_new, trace):
     """Step 6 plus the material update: splice the trace into the graph.
 
-    The one pass that appends the new column also reads the local tree off
-    it: the branches it leaves nonempty take the new label.
+    The new segments share one Lineage: xi from s_new on. The one pass that
+    gives every branch its value from s_new on also reads the local tree off
+    it: the branches left nonempty there.
     """
-    stage = graph.stage
-    new_label = stage + 1
     xi = trace.xi
+    carried = Lineage((s_new,), (frozenset(), xi))
     alias = {}  # pre-split piece id -> its upper part, chained per split
 
     def current_piece(bid):
@@ -353,7 +347,7 @@ def accept_breakpoint(graph, s_new, trace):
     # the fork: a recombination node at t0 on the fork branch
     fork_piece = current_piece(trace.fork_id)
     fork_above = split_at(fork_piece, trace.t0)
-    seg = graph.add_branch(trace.t0, None, None, new_label, [frozenset()] * (stage + 1))
+    seg = graph.add_branch(trace.t0, None, None, carried)
     fork_node = graph.add_node(trace.t0, "r", s_new, [fork_piece.id], [fork_above.id, seg.id])
     fork_piece.upper_node = fork_node.id
     on_path.add(seg.id)
@@ -369,14 +363,14 @@ def accept_breakpoint(graph, s_new, trace):
             seg.hi = t
             seg.upper_node = node.id
             seg = None
-            if target.label == stage:
+            if target.material.end == 1.0:
                 tail_start = above
                 break
             ride_piece = above
         elif kind == "detach":
             locus = step[2]
             above = split_at(ride_piece, t)
-            seg = graph.add_branch(t, None, None, new_label, [frozenset()] * (stage + 1))
+            seg = graph.add_branch(t, None, None, carried)
             node = graph.add_node(t, "r", locus, [ride_piece.id], [above.id, seg.id])
             on_path.add(ride_piece.id)
             ride_piece.upper_node = node.id
@@ -385,32 +379,32 @@ def accept_breakpoint(graph, s_new, trace):
         else:  # climb through the ridden piece's upper node
             on_path.add(ride_piece.id)
             ride_piece = graph.branch_above(ride_piece.upper_node)
-            if ride_piece.label == stage:
+            if ride_piece.material.end == 1.0:
                 tail_start = ride_piece
                 break
     assert tail_start is not None and seg is None, "trace must end absorbed"
     # the tail: the old tree from the absorption point up to the top
     cur = tail_start
     while True:
-        assert cur.label == stage, "tail left the local tree"
+        assert cur.material.end == 1.0, "tail left the local tree"
         on_path.add(cur.id)
         if cur.upper_node is None:
             break
         cur = graph.branch_above(cur.upper_node)
-    # extend every material vector by the new column
+    # every branch's value from s_new on
     tree = []
     for b in graph.branches.values():
+        last = b.material.vals[-1]
         if b.id in on_path:
-            col = b.cols[stage] | xi
+            col = last | xi
         elif b.hi > trace.t0:
-            col = b.cols[stage] - xi
+            col = last - xi
         else:
-            col = b.cols[stage]
-        b.cols.append(col)
-        if col:
-            b.label = new_label
-            if b.hi < INF:
-                tree.append(b)
+            col = last
+        if col != last:
+            b.material = Lineage(b.material.breaks + (s_new,), b.material.vals + (col,))
+        if col and b.hi < INF:
+            tree.append(b)
     graph.breakpoints.append(s_new)
     graph.set_tree(tree)
 
@@ -418,22 +412,17 @@ def accept_breakpoint(graph, s_new, trace):
 def graph_to_arg(graph, config):
     """Convert the finished graph to the event-log form.
 
-    Nodes sorted by latitude become events. Each state holds the lineage
-    functions of the live branches, read off their material columns; no
-    event is replayed here. A branch keeps one Lineage object across the
-    states it lives in, so validate_arg's step check matches the untouched
+    Nodes sorted by latitude become events. Each state holds the material
+    Lineages of the live branches as they are: none is built and no event
+    is replayed here. A branch keeps one Lineage object across the states
+    it lives in, so validate_arg's step check matches the untouched
     lineages by identity; a state the material disagrees with fails that
     check, and the replay of that step reports it as clause (b).
     """
-    bounds = [0.0] + list(graph.breakpoints) + [1.0]
-    funcs = {}
-    for b in graph.branches.values():
-        funcs[b.id] = Lineage.from_segments(
-            (bounds[l], bounds[l + 1], col) for l, col in enumerate(b.cols)
-        )
+    funcs = {b.id: b.material for b in graph.branches.values()}
     live = set(graph.leaves)
     initial = state = State(graph.n, [funcs[i] for i in live])
-    assert state == State.initial(graph.n)
+    assert all(funcs[j].vals == (frozenset({j + 1}),) for j in live), "leaves are not singletons"
     times, events, states = [], [], []
     for node in sorted(graph.nodes.values(), key=lambda nd: (nd.time, nd.id)):
         ranked = state.lineages

@@ -147,42 +147,60 @@ def replay_validate(arg):
     return ValidationReport(not violations, violations)
 
 
+def column(graph, branch, l):
+    """A spatial branch's material on stage l's locus interval.
+
+    Stage 0 covers [0, first breakpoint); stage l starts at the l-th
+    breakpoint.
+    """
+    return branch.material.value_at(([0.0] + graph.breakpoints)[l])
+
+
 def check_invariants(graph):
     """Assert a spatial PartialGraph's structure; returns the graph.
 
-    Checks column conservation at every node, labels, and that the live
-    columns partition the samples.
+    Checks that each branch's material is canonical and changes only at
+    the graph's breakpoints, column conservation at every node and every
+    column, that the live columns partition the samples, and the two
+    facts the engine reads off the material: a branch is in the current
+    local tree iff its material ends at 1.0, and otherwise its material
+    ends at the breakpoint after its last nonempty column.
     """
-    n_cols = graph.stage + 1
+    n_cols = len(graph.breakpoints) + 1
     full = full_set(graph.n)
     for b in graph.branches.values():
-        assert len(b.cols) == n_cols, "branch %d has %d columns, want %d" % (b.id, len(b.cols), n_cols)
-        nonempty = [l for l, c in enumerate(b.cols) if c]
+        m = b.material
+        assert set(m.breaks) <= set(graph.breakpoints), "branch %d breaks off the breakpoints" % b.id
+        assert all(x < y for x, y in zip(m.breaks, m.breaks[1:]))
+        assert all(x != y for x, y in zip(m.vals, m.vals[1:])), "branch %d uncanonical" % b.id
+        nonempty = [l for l in range(n_cols) if column(graph, b, l)]
         assert nonempty, "branch %d carries no material" % b.id
-        assert b.label == nonempty[-1], (
-            "branch %d label %d != last material column %d" % (b.id, b.label, nonempty[-1])
-        )
+        in_tree = nonempty[-1] == n_cols - 1
+        assert in_tree == (m.end == 1.0), "branch %d: tree membership %s, end %r" % (b.id, in_tree, m.end)
+        if not in_tree:
+            assert m.breaks[-1] == m.end == graph.breakpoints[nonempty[-1]], (
+                "branch %d material ends at %r, last nonempty column %d" % (b.id, m.end, nonempty[-1])
+            )
     for nd in graph.nodes.values():
         for col in range(n_cols):
-            below = [graph.branches[c].cols[col] for c in nd.children]
-            above = [graph.branches[p].cols[col] for p in nd.parents]
+            below = [column(graph, graph.branches[c], col) for c in nd.children]
+            above = [column(graph, graph.branches[p], col) for p in nd.parents]
             joined = frozenset().union(*below)
             assert sum(len(c) for c in below) == len(joined), "overlap below node %d" % nd.id
             assert joined == frozenset().union(*above), "column %d not conserved at node %d" % (col, nd.id)
     for leaf in graph.leaves:
         b = graph.branches[leaf]
-        assert b.lo == 0.0 and b.cols[-1] == frozenset({leaf + 1})
-        assert b.label == graph.stage
+        assert b.lo == 0.0 and b.material == Lineage.constant({leaf + 1})
     # live columns partition the samples at a few probe latitudes
     times = sorted({nd.time for nd in graph.nodes.values()})
     for t in [0.0] + times[:-1]:
         live = [b for b in graph.branches.values() if b.lo <= t < b.hi]
         for col in range(n_cols):
-            vals = [b.cols[col] for b in live if b.cols[col]]
+            vals = [column(graph, b, col) for b in live]
             assert sum(len(v) for v in vals) == graph.n
             assert frozenset().union(*vals) == full
     top = graph.branches[graph.top_id]
-    assert top.hi == math.inf and top.label == graph.stage
+    assert top.hi == math.inf and top.material.end == 1.0
     return graph
 
 

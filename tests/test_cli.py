@@ -114,7 +114,7 @@ def test_simulate_requires_samples_and_out(tmp_path):
     assert exc.value.code == 2
 
 
-def test_simulate_rejects_bad_parameters(tmp_path):
+def test_simulate_rejects_bad_parameters(tmp_path, capsys):
     out = str(tmp_path / "x.log")
     for argv in (
         ["simulate", "--samples", "1", "--out", out],
@@ -122,11 +122,20 @@ def test_simulate_rejects_bad_parameters(tmp_path):
         ["simulate", "--samples", "3", "--rho", "inf", "--out", out],
         ["simulate", "--samples", "3", "--density", "beta:0,1", "--out", out],
         ["simulate", "--samples", "3", "--density", "nope", "--out", out],
+        ["simulate", "--samples", "3", "--density", "uniform:junk", "--out", out],
         ["simulate", "--samples", "3", "--reps", "0", "--out", out],
+        # an unwritable --out stops before the first replicate runs
+        ["simulate", "--samples", "3", "--rho", "1", "--out", str(tmp_path / "missing" / "a.log")],
+        ["simulate", "--samples", "3", "--rho", "1", "--out", str(tmp_path)],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert [line for line in err if "error:" in line] == [err[-1]], argv
+        assert captured.out == "", argv
+    assert list(tmp_path.iterdir()) == []
 
 
 GOOD_MANIFEST = {"engine": "backintime", "n_samples": 3, "rho": 1, "density": "uniform",
@@ -209,6 +218,7 @@ def test_validate_parse_error_exits_2(tmp_path, capsys):
     (2, lambda obj: obj.update(ev={})),
     (2, lambda obj: obj["ev"].update(i="0")),
     (1, lambda obj: obj.update(n_samples=1)),
+    pytest.param(1, lambda obj: obj.update(density="uniform:junk"), id="1-density"),
 ])
 def test_validate_malformed_log_exits_2_with_one_line(tmp_path, capsys, line, edit):
     out = tmp_path / "run.log"
@@ -327,12 +337,18 @@ def test_compare_rejects_bad_arguments(tmp_path, capsys):
         ["--reps", "1"],
         ["--threads", "0"],
         ["--threads", "-4"],
+        ["--density", "uniform:junk"],
+        # an unwritable --out stops before the battery runs
+        ["--out", str(tmp_path / "missing" / "c.csv")],
+        ["--out", str(tmp_path)],
     ):
         with pytest.raises(SystemExit) as exc:
             main(base + extra)
         assert exc.value.code == 2
-        err = capsys.readouterr().err.splitlines()
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
         assert [line for line in err if "error:" in line] == [err[-1]], extra
+        assert captured.out == "", extra
 
 
 def test_event_cap_exits_2_with_one_line(tmp_path, monkeypatch, capsys):

@@ -135,6 +135,8 @@ def test_parse_density():
         parse_density("gauss")
     with pytest.raises(ValueError):
         parse_density("beta:1")
+    with pytest.raises(ValueError):
+        parse_density("uniform:junk")
 
 
 def test_spec_roundtrip():

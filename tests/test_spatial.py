@@ -29,9 +29,9 @@ from argsim.spatial import (
     simulate_spatial,
     trace_lineage,
 )
-from argsim.state import Coalesce, Recombine, State
+from argsim.state import Coalesce, Lineage, Recombine, State
 from argsim.stats import chi_square, kingman_expectations, ks_one_sample, ks_one_sample_with_atom
-from conftest import check_invariants, project_path, project_state
+from conftest import check_invariants, column, project_path, project_state
 
 INF = float("inf")
 UNIFORM = UniformDensity()
@@ -88,7 +88,7 @@ def record_stages(monkeypatch, keep_graphs=False):
     def recording(graph, s_new, trace):
         accept(graph, s_new, trace)
         log.append({
-            "stage": graph.stage,
+            "stage": len(graph.breakpoints),
             "locus": s_new,
             "xi": sorted(trace.xi),
             "transitions": transitions(trace),
@@ -105,12 +105,20 @@ def top_time(graph):
     return max(nd.time for nd in graph.nodes.values())
 
 
+def columns(graph):
+    """Every branch's material columns, one per stage, by branch id."""
+    return {
+        b.id: tuple(column(graph, b, l) for l in range(len(graph.breakpoints) + 1))
+        for b in graph.branches.values()
+    }
+
+
 def two_leaf_graph(height=1.0):
     """Stage-0 graph: leaves 1 and 2 coalescing at the given height."""
     g = PartialGraph(2)
-    a = g.add_branch(0.0, height, None, 0, [frozenset({1})])
-    b = g.add_branch(0.0, height, None, 0, [frozenset({2})])
-    top = g.add_branch(height, INF, None, 0, [frozenset({1, 2})])
+    a = g.add_branch(0.0, height, None, Lineage.constant({1}))
+    b = g.add_branch(0.0, height, None, Lineage.constant({2}))
+    top = g.add_branch(height, INF, None, Lineage.constant({1, 2}))
     node = g.add_node(height, "c", None, [a.id, b.id], [top.id])
     a.upper_node = b.upper_node = node.id
     g.top_id = top.id
@@ -139,7 +147,7 @@ def stage1_graph():
 def test_two_leaf_graph_basics():
     g = two_leaf_graph(1.0)
     check_invariants(g)
-    assert g.stage == 0
+    assert g.breakpoints == []
     assert g.tree_length == 2.0 and top_time(g) == 1.0
     starts, counts = live_intervals(g)
     assert starts == [0.0, 1.0]
@@ -152,7 +160,7 @@ def test_kingman_tree_structure():
     g = kingman_tree(5, rng)
     check_invariants(g)
     assert len(g.nodes) == 4
-    assert {b.cols[0] for b in g.branches.values() if b.lo == 0.0 and b.hi < INF} >= {
+    assert {column(g, b, 0) for b in g.branches.values() if b.lo == 0.0 and b.hi < INF} >= {
         frozenset({j}) for j in range(1, 6)
     }
     starts, counts = live_intervals(g)
@@ -191,8 +199,8 @@ def assert_sweep_matches_scan(graph):
 def walk_local_tree(graph):
     """Reference for the stored local tree: walk up from every leaf.
 
-    At a fork the walk takes the parent with the larger label. Returns the
-    set of branch ids visited, the top branch included.
+    At a fork the walk takes the parent whose material ends last. Returns
+    the set of branch ids visited, the top branch included.
     """
     visited = set()
     for leaf in graph.leaves:
@@ -208,8 +216,9 @@ def walk_local_tree(graph):
 
 def assert_tree_matches_walk(graph):
     walked = walk_local_tree(graph)
-    assert walked == {b.id for b in graph.branches.values() if b.label == graph.stage}
-    assert walked == {b.id for b in graph.branches.values() if b.cols[-1]}
+    assert walked == {b.id for b in graph.branches.values() if b.material.end == 1.0}
+    newest = len(graph.breakpoints)
+    assert walked == {b.id for b in graph.branches.values() if column(graph, b, newest)}
     finite = [graph.branches[bid] for bid in sorted(walked) if graph.branches[bid].hi < INF]
     assert graph.tree == tuple(finite)
     assert graph.tree_length == math.fsum(b.hi - b.lo for b in finite)
@@ -399,7 +408,7 @@ def test_sample_recomb_location_is_uniform_on_the_tree():
         bid, t = sample_recomb_location(g, rng)
         b = g.branches[bid]
         assert b.lo <= t < b.hi
-        assert b.label == g.stage
+        assert b.material.end == 1.0
         counts[bid] += 1
     stat, p, dof = chi_square(
         [counts[0], counts[1], counts[4], counts[5]], [0.3, 0.6, 0.3, 0.4]
@@ -409,20 +418,20 @@ def test_sample_recomb_location_is_uniform_on_the_tree():
 
 def test_stage1_graph_layout():
     g = stage1_graph()
-    assert g.stage == 1 and g.breakpoints == [0.5]
+    assert g.breakpoints == [0.5]
     spans = {b.id: (b.lo, b.hi) for b in g.branches.values()}
     assert spans[0] == (0.0, 0.3)
     assert spans[3][0] == 0.3 and spans[3][1] == pytest.approx(1.0)
     assert spans[4][0] == 0.3 and spans[4][1] == pytest.approx(0.6)
-    cols = {b.id: tuple(b.cols) for b in g.branches.values()}
+    cols = columns(g)
     e = frozenset()
     assert cols[0] == (frozenset({1}), frozenset({1}))
     assert cols[3] == (frozenset({1}), e)
     assert cols[4] == (e, frozenset({1}))
     assert cols[5] == (frozenset({2}), frozenset({1, 2}))
     assert cols[2] == (frozenset({1, 2}), frozenset({1, 2}))
-    labels = {b.id: b.label for b in g.branches.values()}
-    assert labels == {0: 1, 1: 1, 2: 1, 3: 0, 4: 1, 5: 1}
+    ends = {b.id: b.material.end for b in g.branches.values()}
+    assert ends == {0: 1.0, 1: 1.0, 2: 1.0, 3: 0.5, 4: 1.0, 5: 1.0}
     assert g.tree_length == pytest.approx(1.6)
 
 
@@ -487,9 +496,9 @@ def test_stage2_accept_after_detach():
     g, trace = detached_trace()
     accept_breakpoint(g, 0.75, trace)
     check_invariants(g)
-    assert g.stage == 2 and g.breakpoints == [0.5, 0.75]
+    assert g.breakpoints == [0.5, 0.75]
     assert g.tree_length == pytest.approx(1.6)
-    cols = {b.id: tuple(b.cols) for b in g.branches.values()}
+    cols = columns(g)
     e = frozenset()
     s1, s2, s12 = frozenset({1}), frozenset({2}), frozenset({1, 2})
     assert cols[0] == (s1, s1, s1)
@@ -528,7 +537,7 @@ def test_material_that_disagrees_with_the_nodes_is_clause_b():
     accept_breakpoint(g, 0.75, trace)
     (fork,) = [nd for nd in g.nodes.values() if nd.kind == "r" and nd.locus == 0.75]
     a, b = (g.branches[p] for p in fork.parents)
-    a.cols, b.cols = b.cols, a.cols
+    a.material, b.material = b.material, a.material
     report = validate_arg(graph_to_arg(g, SimConfig(n_samples=2, rho=2.0, seed=0)))
     assert not report.passed
     assert {clause for _, clause, _ in report.violations} == {"b"}
@@ -550,6 +559,25 @@ def test_graph_to_arg_replays_no_event(monkeypatch):
     assert len(calls) == 1  # the patch is live
 
 
+def test_graph_to_arg_builds_no_lineage(monkeypatch):
+    # each branch's material already is the Lineage a state holds
+    g, trace = detached_trace()
+    accept_breakpoint(g, 0.75, trace)
+    log = record_stages(monkeypatch, keep_graphs=True)
+    simulate_spatial(SimConfig(n_samples=6, rho=5.0, seed=3))
+    big = log[-1]["graph"]
+    assert len(big.breakpoints) >= 3
+    built = []
+    init = Lineage.__init__
+    monkeypatch.setattr(Lineage, "__init__", lambda self, *a: built.append(a) or init(self, *a))
+    args = [graph_to_arg(graph, SimConfig(n_samples=graph.n, rho=5.0, seed=0)) for graph in (g, big)]
+    assert built == []
+    Lineage.constant({1})
+    assert len(built) == 1  # the patch is live
+    monkeypatch.undo()
+    assert all(validate_arg(arg).passed for arg in args)
+
+
 def test_accept_fork_at_the_lower_end_of_its_branch():
     # a fork at latitude 0 leaves split_branch a zero-length lower piece;
     # it lies below the fork, so it keeps the detached material
@@ -559,7 +587,7 @@ def test_accept_fork_at_the_lower_end_of_its_branch():
     check_invariants(g)
     stub = g.branches[0]
     assert stub.lo == stub.hi == 0.0
-    assert stub.cols == [frozenset({1}), frozenset({1})]
+    assert columns(g)[0] == (frozenset({1}), frozenset({1}))
     assert_tree_matches_walk(g)
     assert g.tree[0] is stub  # in the tree, with span 0
 

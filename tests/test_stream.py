@@ -21,6 +21,10 @@ GRID = list(itertools.product(
     # the backintime benchmark's shape: long paths, where most lineages
     # keep their recombination mass from one event to the next
     ("backintime", "beta:2,2", 20, 15),
+    # the spatial benchmark's shape: many stages, long rides and climbs
+    # over old edges
+    ("spatial", "uniform", 20, 10),
+    ("spatial", "beta:2,2", 20, 10),
 ]
 
 # sha256 of each cell's log, as written by `argsim simulate`
@@ -42,6 +46,8 @@ PINNED = {
     "spatial beta:2,2 n=3 rho=4": "3f90f087924b8bd3e05c8e42a2e68c1b8f0939a26e101099edb7cae7bfc0f008",
     "spatial beta:2,2 n=8 rho=1": "87cdcfa20c1f43315e44217cbe4293943ec3e9f9fe3cc60f676c02b7f9a253cb",
     "spatial beta:2,2 n=8 rho=4": "0c7cf3c5b4357d083d38be605d2e261fb357ef3dd614d1bd36fbe8f873faa04d",
+    "spatial uniform n=20 rho=10": "fa749999205bcfa3fbd966fecb37fecfffb9b073a8a6b3d7269307a4ad4728ee",
+    "spatial beta:2,2 n=20 rho=10": "e8e62569acedff12f739188f9f743e029bd7a2607e3b427a84d74e9ea7a843f6",
 }
 
 
