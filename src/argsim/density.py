@@ -115,11 +115,32 @@ class BetaDensity:
         return "BetaDensity(%g, %g)" % (self.a, self.b)
 
 
+# the most mass a parsed Beta law may put on one float
+MAX_ATOM = 1e-6
+
+
 def _parse_beta(args):
+    """Parse "a,b"; refuse a law that piles mass on one float.
+
+    Draws are ppf values, so a law with a visible share of its mass on the
+    float next to 0, the float next to 1 or the float at its mode repeats
+    a locus or leaves no float inside an active interval. The share of a
+    float is the mass between it and its neighbour.
+    """
     parts = args.split(",")
     if len(parts) != 2:
         raise ValueError("beta density takes two shapes, e.g. beta:2,2")
-    return BetaDensity(float(parts[0]), float(parts[1]))
+    d = BetaDensity(float(parts[0]), float(parts[1]))
+    shares = [d.cdf(5e-324), 1.0 - d.cdf(math.nextafter(1.0, 0.0))]
+    if d.a > 1.0 and d.b > 1.0:
+        mode = (d.a - 1.0) / (d.a + d.b - 2.0)
+        at = d.cdf(mode)
+        shares += [d.cdf(math.nextafter(mode, 1.0)) - at, at - d.cdf(math.nextafter(mode, 0.0))]
+    if max(shares) > MAX_ATOM:
+        raise ValueError(
+            "beta:%s puts %.2g of its mass on one float (at most %g)" % (args, max(shares), MAX_ATOM)
+        )
+    return d
 
 
 def _parse_uniform(args):

@@ -24,6 +24,7 @@ Two events act on states:
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right, insort
 from dataclasses import dataclass
 
@@ -36,33 +37,15 @@ def full_set(n):
     return frozenset(range(1, n + 1))
 
 
-def _canonical(segments):
-    """Merge adjacent equal-valued segments; return (breaks, vals) tuples.
-
-    ``segments`` is an iterable of (lo, hi, value) covering [0, 1) in order,
-    possibly with zero-length or mergeable entries.
-    """
-    breaks = []
-    vals = []
-    for lo, hi, val in segments:
-        if hi <= lo:
-            continue
-        if vals and vals[-1] == val:
-            continue  # extend the previous run; no new break
-        if vals:
-            breaks.append(lo)
-        vals.append(val)
-    if not vals:
-        vals = [frozenset()]
-    return tuple(breaks), tuple(vals)
-
-
 class Lineage:
     """One lineage: a right-continuous step function on [0, 1).
 
     ``breaks`` are the interior jump loci (strictly increasing) and ``vals``
     the values on the successive segments, ``len(vals) == len(breaks) + 1``,
     with no two adjacent values equal. Values are frozensets of int labels.
+    The operators (split, union) are linear merges over the break tuples
+    that emit a break only where the value changes, so they build canonical
+    lineages directly.
 
     ``mass`` is left to the back-in-time engine: the recombination mass of
     the last active interval it weighed the lineage on (see total_rate).
@@ -95,11 +78,6 @@ class Lineage:
         self.mass = None
 
     @classmethod
-    def from_segments(cls, segments):
-        breaks, vals = _canonical(segments)
-        return cls(breaks, vals)
-
-    @classmethod
     def constant(cls, labels):
         return cls((), (frozenset(labels),))
 
@@ -122,34 +100,49 @@ class Lineage:
         return (self.start, self.start_min)
 
     def split(self, u):
-        """Return the (below-u, from-u-on) parts as two Lineages.
+        """Return the (below-u, from-u-on) parts as two Lineages, 0 < u < 1.
 
-        Either part may be null when u misses the support on that side.
+        Either part may be null when u misses the support on that side. A
+        part gets a break at u only where its cut side is nonempty there.
         """
+        breaks, vals = self.breaks, self.vals
+        k = bisect_right(breaks, u)  # vals[k] holds at u
+        j = k - 1 if k and breaks[k - 1] == u else k  # vals[j] holds just below u
         empty = frozenset()
-        below_segs = []
-        above_segs = []
-        for lo, hi, val in self.segments():
-            if hi <= u:
-                below_segs.append((lo, hi, val))
-                above_segs.append((lo, hi, empty))
-            elif lo >= u:
-                below_segs.append((lo, hi, empty))
-                above_segs.append((lo, hi, val))
-            else:
-                below_segs += [(lo, u, val), (u, hi, empty)]
-                above_segs += [(lo, u, empty), (u, hi, val)]
-        return Lineage.from_segments(below_segs), Lineage.from_segments(above_segs)
+        if vals[j]:
+            below = Lineage(breaks[:j] + (u,), vals[:j + 1] + (empty,))
+        else:
+            below = Lineage(breaks[:j], vals[:j + 1])
+        if vals[k]:
+            above = Lineage((u,) + breaks[k:], (empty,) + vals[k:])
+        else:
+            above = Lineage(breaks[k:], vals[k:])
+        return below, above
 
     def union(self, other):
-        """Pointwise union with another lineage."""
-        grid = sorted({*self.breaks, *other.breaks})
-        segs = []
-        lo = 0.0
-        for hi in grid + [1.0]:
-            segs.append((lo, hi, self.value_at(lo) | other.value_at(lo)))
-            lo = hi
-        return Lineage.from_segments(segs)
+        """Pointwise union with another lineage: one merge of the two break tuples."""
+        xb, xv = self.breaks + (1.0,), self.vals
+        yb, yv = other.breaks + (1.0,), other.vals
+        i = j = 0
+        cur = xv[0] | yv[0]
+        breaks, vals = [], [cur]
+        while True:
+            lo = xb[i]
+            if lo < yb[j]:
+                i += 1
+            elif yb[j] < lo:
+                lo = yb[j]
+                j += 1
+            elif lo == 1.0:
+                return Lineage(tuple(breaks), tuple(vals))
+            else:  # a break both lineages share
+                i += 1
+                j += 1
+            val = xv[i] | yv[j]
+            if val != cur:
+                breaks.append(lo)
+                vals.append(val)
+                cur = val
 
     def __eq__(self, other):
         return (
@@ -233,20 +226,15 @@ class State:
         Intervals with b >= e are empty and carry no recombination weight.
         """
         if self._intervals is None:
+            first = self.lineages[0]
             full = full_set(self.n)
-            out = []
-            for rank, lin in enumerate(self.lineages):
-                if rank == 0:
-                    b = None
-                    for lo, hi, val in lin.segments():
-                        if val != full:
-                            b = lo
-                            break
-                    if b is None:
-                        b = 1.0
-                else:
-                    b = lin.start
-                out.append((b, lin.end))
+            b = 1.0
+            for k, val in enumerate(first.vals):
+                if val != full:
+                    b = first.breaks[k - 1] if k else 0.0
+                    break
+            out = [(b, first.end)]
+            out += [(lin.start, lin.end) for lin in self.lineages[1:]]
             self._intervals = tuple(out)
         return self._intervals
 
@@ -323,9 +311,13 @@ class State:
         are walked. The created ones must be canonical and carry exactly
         the removed material, and the ranks must be in order. Canonical
         forms and rank order are unique, so together these prove the state
-        equals the replay without building it. This costs O(k + breaks of
-        the removed and created lineages), where check() costs
-        O(breaks of the whole state * k). Returns self for chaining.
+        equals the replay without building it. The material check is one
+        merge over the breaks of the three lineages involved (two removed
+        and one created, or one removed and two created), with no operator
+        call: it asserts on each piece that the two parts are disjoint and
+        their union is the whole. This costs O(k + breaks of those three
+        lineages), where check() costs O(breaks of the whole state * k).
+        Returns self for chaining.
         """
         assert self.n == prev.n, "sample count changed"
         k = len(prev.lineages)
@@ -356,20 +348,11 @@ class State:
             assert below.end <= event.locus <= above.start, "split parts cross the locus"
         # Kept and removed lineages partition the labels at every locus
         # (prev is valid), so the new state does iff the created lineages
-        # carry exactly the removed material, disjointly. Both sides are
-        # constant between their breaks.
-        removed = [prev.lineages[r] for r in gone]
-        grid = {0.0}
-        for lin in removed + created:
-            grid.update(lin.breaks)
-        for lo in sorted(grid):
-            want = frozenset().union(*[lin.vals[bisect_right(lin.breaks, lo)] for lin in removed])
-            seen = frozenset()
-            for lin in created:
-                val = lin.vals[bisect_right(lin.breaks, lo)]
-                assert not (val & seen), "overlapping labels at locus %r" % lo
-                seen |= val
-            assert seen == want, "labels at locus %r: %r, expected %r" % (lo, seen, want)
+        # carry exactly the removed material, disjointly.
+        if n_created == 1:
+            _check_parts(prev.lineages[event.i], prev.lineages[event.j], created[0])
+        else:
+            _check_parts(below, above, prev.lineages[event.i])
         # the kept lineages are in prev's rank order, so the whole state is
         # in rank order iff each created lineage sits between its neighbours
         lins = self.lineages
@@ -381,6 +364,21 @@ class State:
         if len(self.lineages) == 1:
             assert self.lineages[0] == Lineage.constant(full_set(self.n))
         return self
+
+
+def _check_parts(x, y, whole):
+    """Assert x, y disjoint with union ``whole``: one merge, a pointer per lineage."""
+    xb, yb, wb = x.breaks + (math.inf,), y.breaks + (math.inf,), whole.breaks + (math.inf,)
+    i = j = l = 0
+    lo = 0.0
+    while lo < math.inf:
+        a, b, w = x.vals[i], y.vals[j], whole.vals[l]
+        assert a.isdisjoint(b), "overlapping labels at locus %r" % lo
+        assert a | b == w, "labels at locus %r: %r, expected %r" % (lo, a | b, w)
+        lo = min(xb[i], yb[j], wb[l])
+        i += xb[i] == lo
+        j += yb[j] == lo
+        l += wb[l] == lo
 
 
 def _check_lineage(lin):

@@ -1,7 +1,7 @@
 """Shared test helpers: fixture states, random legal event walks, the
 known-broken engine, and oracles that recheck what the package asserts
-incrementally: the replay validator, the partial-graph invariants and the
-projection of a path at a site."""
+incrementally: the replay validator, the partial-graph invariants, the
+projection of a path at a site, and the segment-wise lineage operators."""
 
 import math
 import random
@@ -49,7 +49,57 @@ def lin(*segments):
         cursor = hi
     if cursor < 1.0:
         filled.append((cursor, 1.0, frozenset()))
-    return Lineage.from_segments(filled)
+    return Lineage(*canonical(filled))
+
+
+def canonical(segments):
+    """Merge adjacent equal-valued segments; return (breaks, vals) tuples.
+
+    ``segments`` is an iterable of (lo, hi, value) covering [0, 1) in order,
+    possibly with zero-length or mergeable entries.
+    """
+    breaks = []
+    vals = []
+    for lo, hi, val in segments:
+        if hi <= lo:
+            continue
+        if vals and vals[-1] == val:
+            continue  # extend the previous run; no new break
+        if vals:
+            breaks.append(lo)
+        vals.append(val)
+    if not vals:
+        vals = [frozenset()]
+    return tuple(breaks), tuple(vals)
+
+
+def split_oracle(lineage, u):
+    """Lineage.split segment by segment: the oracle for the merge."""
+    empty = frozenset()
+    below_segs = []
+    above_segs = []
+    for lo, hi, val in lineage.segments():
+        if hi <= u:
+            below_segs.append((lo, hi, val))
+            above_segs.append((lo, hi, empty))
+        elif lo >= u:
+            below_segs.append((lo, hi, empty))
+            above_segs.append((lo, hi, val))
+        else:
+            below_segs += [(lo, u, val), (u, hi, empty)]
+            above_segs += [(lo, u, empty), (u, hi, val)]
+    return Lineage(*canonical(below_segs)), Lineage(*canonical(above_segs))
+
+
+def union_oracle(x, y):
+    """Lineage.union on the sorted grid of both lineages' breaks: the oracle for the merge."""
+    grid = sorted({*x.breaks, *y.breaks})
+    segs = []
+    lo = 0.0
+    for hi in grid + [1.0]:
+        segs.append((lo, hi, x.value_at(lo) | y.value_at(lo)))
+        lo = hi
+    return Lineage(*canonical(segs))
 
 
 def random_walk(n, seed, steps, p_recomb=0.45):
@@ -213,7 +263,7 @@ def project_state(state, s):
     for lin in state.lineages:
         segs = [(lo, min(hi, s), val) for lo, hi, val in lin.segments() if lo < s]
         segs.append((s, 1.0, lin.value_at(s)))
-        frozen = Lineage.from_segments(segs)
+        frozen = Lineage(*canonical(segs))
         if not frozen.is_null:
             kept.append(frozen)
     return State(state.n, kept)

@@ -121,6 +121,11 @@ def test_simulate_rejects_bad_parameters(tmp_path, capsys):
         ["simulate", "--samples", "3", "--rho", "-1", "--out", out],
         ["simulate", "--samples", "3", "--rho", "inf", "--out", out],
         ["simulate", "--samples", "3", "--density", "beta:0,1", "--out", out],
+        # Beta laws that pile mass on one float
+        ["simulate", "--samples", "3", "--rho", "5", "--density", "beta:1e-320,1", "--out", out],
+        ["simulate", "--samples", "3", "--rho", "5", "--density", "beta:1e300,1e300", "--out", out],
+        ["simulate", "--samples", "4", "--rho", "5", "--density", "beta:0.1,0.1", "--out", out],
+        ["simulate", "--samples", "4", "--rho", "5", "--density", "beta:0.3,0.3", "--out", out],
         ["simulate", "--samples", "3", "--density", "nope", "--out", out],
         ["simulate", "--samples", "3", "--density", "uniform:junk", "--out", out],
         ["simulate", "--samples", "3", "--reps", "0", "--out", out],
@@ -332,6 +337,7 @@ def test_compare_rejects_bad_arguments(tmp_path, capsys):
         ["--alpha", "0"],
         ["--alpha", "1.5"],
         ["--density", "beta:0,1"],
+        ["--density", "beta:0.15,0.15"],
         ["--samples", "1"],
         ["--reps", "0"],
         ["--reps", "1"],

@@ -127,6 +127,14 @@ def test_parse_density():
     assert parse_density("uniform") == UniformDensity()
     assert parse_density("beta:2,2") == BetaDensity(2.0, 2.0)
     assert parse_density("beta:0.5,3") == BetaDensity(0.5, 3.0)
+    # laws whose largest share on one end float or the mode float is at
+    # most 1e-6 parse: 0, 9.5e-9 and 1.3e-40 here
+    for spec in ("beta:2,2", "beta:0.5,0.5", "beta:0.1234567,2"):
+        assert parse_density(spec).spec == spec
+    # 9.1e-6 and 0.013 next to 1, all of it next to 0, all of it at the mode
+    for spec in ("beta:0.3,0.3", "beta:0.1,0.1", "beta:1e-320,1", "beta:1e300,1e300"):
+        with pytest.raises(ValueError, match="on one float"):
+            parse_density(spec)
     with pytest.raises(ValueError):
         parse_density("beta:0,1")
     with pytest.raises(ValueError):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from argsim.arg import validate_arg
 from argsim.backintime import simulate_backintime
 from argsim.config import SimConfig
 from argsim.spatial import simulate_spatial
@@ -19,7 +20,7 @@ from argsim.state import (
     full_set,
     render_state,
 )
-from conftest import lin, project_state, random_walk, walk_states
+from conftest import canonical, lin, project_state, random_walk, split_oracle, union_oracle, walk_states
 
 
 def test_initial_state_is_ranked_singletons():
@@ -270,11 +271,72 @@ def test_value_at_is_right_continuous():
 
 
 def test_canonical_merges_adjacent_equal_segments():
-    l = Lineage.from_segments(
+    l = Lineage(*canonical(
         [(0.0, 0.3, frozenset({1})), (0.3, 1.0, frozenset({1}))]
-    )
+    ))
     assert l.breaks == ()
     assert l == lin((0.0, 1.0, {1}))
+
+
+# Every drawn lineage breaks on this grid, so two of them often share a
+# break; the interior points lie strictly between grid points.
+GRID = (0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875)
+INTERIOR = tuple(g + 0.0625 for g in (0.0,) + GRID)
+
+
+@st.composite
+def canonical_lineages(draw):
+    """Random canonical lineages, empty runs and null lineages included."""
+    los = [0.0] + sorted(draw(st.lists(st.sampled_from(GRID), unique=True, max_size=6)))
+    vals = draw(st.lists(st.frozensets(st.integers(1, 4), max_size=3), min_size=len(los), max_size=len(los)))
+    return Lineage(*canonical(zip(los, los[1:] + [1.0], vals)))
+
+
+def _fields(l):
+    return l.breaks, l.vals, l.start, l.start_min, l.end
+
+
+@given(canonical_lineages(), canonical_lineages(), st.booleans(), st.data())
+@settings(max_examples=500, deadline=None)
+def test_merges_match_the_segment_oracles(x, y, on_break, data):
+    assert _fields(x.union(y)) == _fields(union_oracle(x, y))
+    u = data.draw(st.sampled_from(x.breaks if on_break and x.breaks else INTERIOR))
+    got, want = x.split(u), split_oracle(x, u)
+    assert [_fields(part) for part in got] == [_fields(part) for part in want]
+
+
+def test_operators_walk_no_segments(monkeypatch):
+    cfg = SimConfig(n_samples=6, rho=4.0, density="beta:2,2", seed=5)
+    spatial = simulate_spatial(cfg)
+    calls = []
+    walk = Lineage.segments
+
+    def counted(self):
+        calls.append(self)
+        return walk(self)
+
+    monkeypatch.setattr(Lineage, "segments", counted)
+    backintime = simulate_backintime(cfg)
+    assert validate_arg(backintime).passed and validate_arg(spatial).passed
+    assert len(backintime.events) > 20 and len(spatial.events) > 20
+    assert calls == []
+
+
+def test_check_step_calls_no_operator(monkeypatch):
+    # a check that rebuilt the state with union or split would approve
+    # whatever a broken operator produced
+    arg = simulate_backintime(SimConfig(n_samples=8, rho=6.0, density="beta:2,2", seed=4))
+
+    def refuse(*args):
+        raise AssertionError("check_step called a lineage operator")
+
+    for name in ("union", "split", "segments"):
+        monkeypatch.setattr(Lineage, name, refuse)
+    prev = arg.initial
+    for event, state in zip(arg.events, arg.states):
+        state.check_step(prev, event)
+        prev = state
+    assert len(arg.events) > 20
 
 
 def test_full_set():

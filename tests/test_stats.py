@@ -224,6 +224,24 @@ def test_two_site_tmrca_correlation_matches_hudson(engine):
     assert abs(got - want) < 0.06, (engine, got, want)
 
 
+@pytest.mark.parametrize("engine", ["backintime", "spatial"])
+def test_two_site_shared_mrca_matches_exact_law(engine):
+    # For n=2 the two sites coalesce in the same event (T_0 == T_s exactly)
+    # with probability (R + 18) / (R^2 + 13 R + 18), R = rho * mass(0, s),
+    # from the two-locus chain with three transient states: two doubles;
+    # one double and two singles; four singles (Griffiths 1981, Theor Pop
+    # Biol 19:169; Simonsen & Churchill 1997, Theor Pop Biol 52:43). At
+    # rho=2, s=0.5 that is 19/32; the binomial z-test has sd 0.0049 at
+    # 10^4 replicates, so a doubled rate (0.42) is far outside it.
+    rho, s, reps = 2.0, 0.5, 10000
+    r = rho * s
+    want = (r + 18.0) / (r * r + 13.0 * r + 18.0)
+    batch = run_replicates(engine, 2, rho, "uniform", 77, reps, sites=(0.0, s), threads=1)
+    hits = sum(x.tmrca_at[0.0] == x.tmrca_at[s] for x in batch)
+    z = (hits - reps * want) / math.sqrt(reps * want * (1.0 - want))
+    assert abs(z) < 4.0, (engine, hits / reps, want, z)
+
+
 def test_equivalence_report_null_battery():
     reports, samples = equivalence_report(
         n=3, rho=0.5, density_spec="uniform", seed=2718, reps=400, threads=1
