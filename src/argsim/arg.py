@@ -9,8 +9,10 @@ summary statistics, serialization) consumes it.
 Post-event states are stored alongside events so validation and tree
 extraction are single passes. Validation checks each recorded step
 against its event without redoing it (State.check_step). The serialized
-form is events-only; loading replays the events once and verifies a
-checksum of the final state.
+form is events-only. Reading a stream is lazy: each event is replayed as
+its line is parsed, each log's final state is checked against its
+trailer's checksum, and the logs are yielded one at a time, so a reader
+that drops each log before taking the next holds one replicate at once.
 """
 
 from __future__ import annotations
@@ -38,7 +40,8 @@ class ArgParseError(ValueError):
 class Arg:
     """One complete simulated path, from singletons to full coalescence."""
 
-    __slots__ = ("config", "times", "events", "states", "initial")
+    # __weakref__ lets a caller see which replicates are still alive
+    __slots__ = ("config", "times", "events", "states", "initial", "__weakref__")
 
     def __init__(self, config, times, events, states, initial=None):
         self.config = config
@@ -365,15 +368,22 @@ def _parse_event(obj, where):
 
 
 def read_args(fp):
-    """Parse a stream of one or more event logs (concatenated replicates).
+    """Iterate over the event logs of a stream (concatenated replicates).
 
-    Any malformed or unreplayable content raises ArgParseError.
+    Lazy: each Arg is built when its trailer is read and is yielded before
+    the next log is parsed, so memory holds the logs the caller keeps, not
+    the whole stream. Any malformed or unreplayable content raises
+    ArgParseError when the iteration reaches it, after the logs before it
+    have been yielded; a caller that must not act on part of a stream
+    buffers its output until the iteration ends.
     """
-    args = []
+    return _iter_logs(fp)
+
+
+def _iter_logs(fp):
+    found = False
     config = None
     header_line = 0
-    events = []
-    times = []
     for lineno, raw in enumerate(fp, start=1):
         raw = raw.strip()
         if not raw:
@@ -394,7 +404,8 @@ def read_args(fp):
                     "line %d: unsupported format_version %r" % (lineno, obj["format_version"])
                 )
             config, header_line = _header_config(obj, lineno), lineno
-            events, times = [], []
+            initial = state = State.initial(config.n_samples)
+            times, events, states = [], [], []
         elif config is None:
             raise ArgParseError("line %d: content before any header" % lineno)
         elif "ev" in obj:
@@ -403,42 +414,38 @@ def read_args(fp):
             if _field(obj, "n", (int,), where) != len(events):
                 raise ArgParseError("%s: event index %r out of order" % (where, obj["n"]))
             times.append(_field(obj, "t", (int, float), where))
+            try:
+                state = state.apply(event)
+            except IllegalEventError as err:
+                raise ArgParseError("%s: event %d cannot be replayed: %s" % (where, len(events), err))
             events.append(event)
+            states.append(state)
         else:
-            args.append(_finish_log(lineno, obj, config, times, events))
+            _check_trailer(lineno, obj, len(events), state)
+            found = True
+            yield Arg(config, times, events, states, initial)
             config = None
     if config is not None:
         raise ArgParseError("truncated log: header at line %d has no trailer" % header_line)
-    if not args:
+    if not found:
         raise ArgParseError("empty stream: no event logs found")
-    return args
 
 
-def _finish_log(lineno, trailer, config, times, events):
-    if trailer.get("events") != len(events):
+def _check_trailer(lineno, trailer, count, final):
+    if trailer.get("events") != count:
         raise ArgParseError(
-            "line %d: trailer count %r != %d events read" % (lineno, trailer.get("events"), len(events))
+            "line %d: trailer count %r != %d events read" % (lineno, trailer.get("events"), count)
         )
-    initial = state = State.initial(config.n_samples)
-    states = []
-    for idx, event in enumerate(events):
-        try:
-            state = state.apply(event)
-        except IllegalEventError as err:
-            raise ArgParseError("event %d cannot be replayed: %s" % (idx, err))
-        states.append(state)
-    final = states[-1] if states else state
     digest = hashlib.sha256(render_state(final).encode()).hexdigest()[:16]
     if trailer.get("checksum") != digest:
         raise ArgParseError(
             "line %d: checksum mismatch (log %r, replay %r)" % (lineno, trailer.get("checksum"), digest)
         )
-    return Arg(config, times, events, states, initial)
 
 
 def read_arg(fp):
     """Parse a stream expected to hold exactly one event log."""
-    args = read_args(fp)
+    args = list(read_args(fp))
     if len(args) != 1:
         raise ArgParseError("expected one event log, found %d" % len(args))
     return args[0]

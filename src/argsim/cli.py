@@ -8,6 +8,8 @@ at it, or a tree asked of a log that never absorbs.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import itertools
 import json
 import os
 import sys
@@ -158,19 +160,6 @@ def cmd_simulate(args, parser):
         return 2
     salt = SALTS[s["engine"]]
     run = ENGINES[s["engine"]]
-    args_out = []
-    for r in range(s["reps"]):
-        try:
-            arg = run(base.with_replicate(r))
-        except EventCapExceeded as exc:
-            sys.stderr.write("error: replicate %d: %s\n" % (r, exc))
-            return 2
-        report = validate_arg(arg)
-        if not report.passed:
-            sys.stderr.write("engine produced an invalid event path (replicate %d):\n" % r)
-            sys.stderr.write(report.render() + "\n")
-            return 1
-        args_out.append(arg)
     manifest = {
         "tool": "argsim %s" % __version__,
         "format_version": 1,
@@ -183,25 +172,57 @@ def cmd_simulate(args, parser):
         "out": s["out"],
         "child_seeds": [child_seed(s["seed"], r, salt) for r in range(s["reps"])],
     }
+    # Each replicate is written as soon as it passes validation, into files
+    # beside the targets that are renamed over them only once the whole run
+    # has passed, so a failed run leaves no log and no manifest behind.
+    targets = (s["out"], s["out"] + ".manifest.json")
+    staged = ["%s.%d.tmp" % (path, os.getpid()) for path in targets]
+    target = targets[0]  # the file a write failure is reported against
+    total_events = 0
     try:
-        with open(s["out"], "w") as fh:
-            for arg in args_out:
+        with open(staged[0], "x") as fh:
+            for r in range(s["reps"]):
+                try:
+                    arg = run(base.with_replicate(r))
+                except EventCapExceeded as exc:
+                    sys.stderr.write("error: replicate %d: %s\n" % (r, exc))
+                    return 2
+                report = validate_arg(arg)
+                if not report.passed:
+                    sys.stderr.write("engine produced an invalid event path (replicate %d):\n" % r)
+                    sys.stderr.write(report.render() + "\n")
+                    return 1
                 write_arg(arg, fh)
-        with open(s["out"] + ".manifest.json", "w") as fh:
+                total_events += arg.event_count
+                del arg  # hold one replicate at a time: drop it before the next runs
+        target = targets[1]
+        with open(staged[1], "x") as fh:
             json.dump(manifest, fh, indent=2, sort_keys=True)
             fh.write("\n")
+        for tmp, target in zip(staged, targets):
+            os.replace(tmp, target)
     except OSError as exc:
-        parser.error("cannot write %s: %s" % (exc.filename, exc.strerror))
-    total_events = sum(a.event_count for a in args_out)
+        parser.error("cannot write %s: %s" % (target, exc.strerror))
+    finally:
+        for tmp in staged:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(tmp)
     print("wrote %d replicate(s), %d events -> %s" % (s["reps"], total_events, s["out"]))
     return 0
 
 
-def _read_logs(path, parser):
-    """The event logs in a file, or None after a one-line parse error."""
+def _each_log(path, parser, visit):
+    """visit(index, arg) on each event log of a file, in order.
+
+    Returns the list of results, or None after a one-line parse error, so
+    a caller prints nothing before the whole file has parsed. One log is
+    alive at a time: map keeps no reference to a log once visit returns,
+    and the reader builds the next one only then (a for loop's variable,
+    or enumerate's result, would hold the last log while the next is read).
+    """
     try:
         with open(path) as fh:
-            return read_args(fh)
+            return list(map(visit, itertools.count(), read_args(fh)))
     except OSError as exc:
         parser.error(str(exc))
     except (ArgParseError, UnicodeDecodeError) as exc:
@@ -209,21 +230,23 @@ def _read_logs(path, parser):
     return None
 
 
+def _tag(idx, arg):
+    return "replicate %d (seed %d, index %d)" % (idx, arg.config.seed, arg.config.replicate_index)
+
+
 def cmd_validate(args, parser):
-    logs = _read_logs(args.path, parser)
-    if logs is None:
-        return 2
-    ok = True
-    for idx, arg in enumerate(logs):
+    def check(idx, arg):
         report = validate_arg(arg)
-        tag = "replicate %d (seed %d, index %d)" % (idx, arg.config.seed, arg.config.replicate_index)
         if report.passed:
-            print("%s: pass (%d events)" % (tag, arg.event_count))
-        else:
-            ok = False
-            print("%s: FAIL" % tag)
-            print(report.render())
-    return 0 if ok else 1
+            return True, "%s: pass (%d events)" % (_tag(idx, arg), arg.event_count)
+        return False, "%s: FAIL\n%s" % (_tag(idx, arg), report.render())
+
+    results = _each_log(args.path, parser, check)
+    if results is None:
+        return 2
+    for _, text in results:
+        print(text)
+    return 0 if all(ok for ok, _ in results) else 1
 
 
 def _render_partition(blocks):
@@ -233,26 +256,30 @@ def _render_partition(blocks):
 def cmd_tree(args, parser):
     if not (0.0 <= args.site < 1.0):
         parser.error("--site must lie in [0,1)")
-    logs = _read_logs(args.path, parser)
-    if logs is None:
-        return 2
-    for idx, arg in enumerate(logs):
+
+    def draw(idx, arg):
+        """(error line or None, output lines) for one log."""
         if not arg.final_state.is_absorbed:
-            sys.stderr.write(
-                "error: replicate %d (seed %d, index %d) does not end in the absorbing state; "
-                "run validate for details\n" % (idx, arg.config.seed, arg.config.replicate_index)
-            )
-            return 2
-    for idx, arg in enumerate(logs):
+            return ("error: %s does not end in the absorbing state; run validate for details"
+                    % _tag(idx, arg)), []
         tree = local_tree(arg, args.site)
-        if len(logs) > 1:
-            print("# replicate %d" % idx)
         if args.format == "newick":
-            print(tree.newick())
-        else:
-            print("time,partition")
-            for t, blocks in tree.levels:
-                print("%s,%s" % (fmt_locus(t), _render_partition(blocks)))
+            return None, [tree.newick()]
+        return None, ["time,partition"] + [
+            "%s,%s" % (fmt_locus(t), _render_partition(blocks)) for t, blocks in tree.levels
+        ]
+
+    results = _each_log(args.path, parser, draw)
+    if results is None:
+        return 2
+    for error, _ in results:
+        if error is not None:
+            sys.stderr.write(error + "\n")
+            return 2
+    for idx, (_, lines) in enumerate(results):
+        if len(results) > 1:
+            print("# replicate %d" % idx)
+        print("\n".join(lines))
     return 0
 
 

@@ -449,7 +449,7 @@ def test_serialization_multiple_replicates():
         arg = simulate_backintime(cfg.with_replicate(r))
         args.append(arg)
         write_arg(arg, buf)
-    loaded = read_args(io.StringIO(buf.getvalue()))
+    loaded = list(read_args(io.StringIO(buf.getvalue())))
     assert len(loaded) == 3
     for got, want in zip(loaded, args):
         assert got.config.replicate_index == want.config.replicate_index
@@ -466,18 +466,18 @@ def test_parse_error_reports_line_numbers():
 
     # truncated: no trailer
     with pytest.raises(ArgParseError):
-        read_args(io.StringIO("\n".join(lines[:-1]) + "\n"))
+        list(read_args(io.StringIO("\n".join(lines[:-1]) + "\n")))
 
     # corrupted checksum
     bad = "\n".join(lines[:-1] + [lines[-1].replace(lines[-1][-5], "0", 1)]) + "\n"
     if bad != "\n".join(lines) + "\n":
         with pytest.raises(ArgParseError):
-            read_args(io.StringIO(bad))
+            list(read_args(io.StringIO(bad)))
 
     # malformed json mentions its line number
     broken = "\n".join([lines[0], "{not json", *lines[1:]]) + "\n"
     with pytest.raises(ArgParseError) as exc:
-        read_args(io.StringIO(broken))
+        list(read_args(io.StringIO(broken)))
     assert "line 2" in str(exc.value)
 
 
@@ -487,7 +487,7 @@ def test_parse_rejects_unknown_event_type():
     write_arg(simulate_backintime(cfg), buf)
     text = buf.getvalue().replace('"type":"coal"', '"type":"merge"')
     with pytest.raises(ArgParseError):
-        read_args(io.StringIO(text))
+        list(read_args(io.StringIO(text)))
 
 
 def test_loaded_floats_are_exact():
@@ -536,6 +536,6 @@ def mutated_line(draw):
 @settings(max_examples=300, deadline=None)
 def test_any_line_sequence_parses_or_raises_parse_error(lines):
     try:
-        read_args(io.StringIO("\n".join(lines) + "\n"))
+        list(read_args(io.StringIO("\n".join(lines) + "\n")))
     except ArgParseError:
         pass

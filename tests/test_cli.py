@@ -1,11 +1,16 @@
 """CLI tests: everything runs in-process through main(argv)."""
 
+import errno
+import gc
 import json
+import os
+import weakref
 from functools import partial
 
 import pytest
 
-from argsim import backintime, stats
+from argsim import arg as arg_module
+from argsim import backintime, cli, stats
 from argsim.arg import Arg, write_arg
 from argsim.backintime import simulate_backintime
 from argsim.cli import main
@@ -398,3 +403,122 @@ def test_huge_rho_is_refused_before_any_event(tmp_path, capsys):
         "error: a path is expected to take 3e+300 events, past the cap of 10000000 (n=3 rho=1e+300)"
     ]
     assert not out.exists()
+
+
+# --- streaming: one replicate alive at a time, and nothing half written ------
+
+
+def _simulate_argv(out, reps=3):
+    return ["simulate", "--engine", "backintime", "--samples", "3", "--rho", "1",
+            "--seed", "4", "--reps", str(reps), "--out", str(out)]
+
+
+def _unfinished(config):
+    """A backintime path with its last event dropped: it fails clause (d)."""
+    arg = simulate_backintime(config)
+    return Arg(arg.config, arg.times[:-1], arg.events[:-1], arg.states[:-1], arg.initial)
+
+
+def _full_disk(arg, fh):
+    """write_arg, failing at replicate 1 as a full disk would."""
+    if arg.config.replicate_index == 1:
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+    write_arg(arg, fh)
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+@pytest.mark.parametrize("failing, writer, code, err", [
+    (partial(simulate_backintime, max_events=1), write_arg, 2,
+     ["error: replicate 1: exceeded 1 events (n=3 rho=1)"]),
+    (_unfinished, write_arg, 1,
+     ["engine produced an invalid event path (replicate 1):", "INVALID (1 violation):",
+      "  clause (d) at path: path does not end in the absorbing state"]),
+    (simulate_backintime, _full_disk, 2,
+     ["argsim: error: cannot write {out}: No space left on device"]),
+], ids=["event-cap", "invalid-path", "write"])
+def test_failed_run_leaves_no_partial_output(tmp_path, monkeypatch, capsys, existing, failing,
+                                             writer, code, err):
+    # replicate 0 is written before replicate 1 fails; the run must still
+    # leave no log and no manifest, and an earlier run's files untouched
+    out = tmp_path / "run.log"
+    if existing:
+        out.write_bytes(b"an earlier run's log\n")
+        (tmp_path / "run.log.manifest.json").write_bytes(b"{}\n")
+    before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    monkeypatch.setitem(stats.ENGINES, "backintime", lambda config: (
+        failing if config.replicate_index == 1 else simulate_backintime)(config))
+    monkeypatch.setattr(cli, "write_arg", writer)
+    try:
+        rc = main(_simulate_argv(out))
+    except SystemExit as exc:
+        rc = exc.code
+    assert rc == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-len(err):] == [line.format(out=out) for line in err]
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+
+def _watcher(refs):
+    """The identity on Args; asserts that every Arg it passed before is dead."""
+    def watch(arg):
+        gc.collect()
+        alive = [r for r, ref in enumerate(refs) if ref() is not None]
+        assert alive == [], "replicates %s alive when replicate %d is made" % (alive, len(refs))
+        refs.append(weakref.ref(arg))
+        return arg
+    return watch
+
+
+def test_commands_hold_one_replicate_at_a_time(tmp_path, monkeypatch, capsys):
+    refs = []
+    watch = _watcher(refs)
+    monkeypatch.setitem(stats.ENGINES, "backintime",
+                        lambda config: watch(simulate_backintime(config)))
+    out = tmp_path / "run.log"
+    assert main(_simulate_argv(out, reps=4)) == 0
+    assert len(refs) == 4
+    monkeypatch.setattr(cli, "read_args", lambda fp: map(watch, arg_module.read_args(fp)))
+    for argv in (["validate", str(out)], ["tree", str(out), "--site", "0.5"]):
+        refs.clear()
+        assert main(argv) == 0, argv
+        assert len(refs) == 4, argv
+    capsys.readouterr()
+
+
+def _three_replicates(tmp_path):
+    out = tmp_path / "run.log"
+    assert main(_simulate_argv(out)) == 0
+    return out, out.read_text().splitlines()
+
+
+def test_unreplayable_event_is_a_parse_error_naming_its_line(tmp_path, capsys):
+    out, lines = _three_replicates(tmp_path)
+    headers = [k for k, line in enumerate(lines, start=1) if '"format_version"' in line]
+    k = headers[1] + 1  # the first event of replicate 1
+    obj = json.loads(lines[k - 1])
+    assert obj["n"] == 0
+    obj["ev"] = {"type": "coal", "i": 0, "j": 3}  # three lineages: rank 3 is out of range
+    lines[k - 1] = json.dumps(obj)
+    out.write_text("\n".join(lines[:headers[2] - 1]) + "\n")  # replicates 0 and 1
+    capsys.readouterr()
+    for argv in (["validate", str(out)], ["tree", str(out), "--site", "0.5"]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "parse error: line %d: event 0 cannot be replayed: coalesce ranks out of range:"
+            " (0, 3) with 3 lineages" % k
+        ]
+
+
+def test_truncated_last_log_prints_nothing_to_stdout(tmp_path, capsys):
+    out, lines = _three_replicates(tmp_path)
+    out.write_text("\n".join(lines[:-1]) + "\n")  # the last log loses its trailer
+    capsys.readouterr()
+    for argv in (["validate", str(out)], ["tree", str(out), "--site", "0.5"]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("parse error: "), err
