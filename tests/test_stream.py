@@ -1,5 +1,6 @@
 """The event-log stream is pinned: both engines' `simulate` output bytes,
-and one `compare` report.
+one `compare` report, the `summary` of a replicate batch per engine and
+the `tree` output read off some of the logs.
 
 A change that moves the random stream (a different number of draws, or
 draws in a different order) or the log format changes these digests. Such
@@ -12,6 +13,7 @@ import hashlib
 import itertools
 
 from argsim.cli import main
+from argsim.stats import run_replicates
 
 SEED = 4242
 REPS = 5
@@ -54,13 +56,17 @@ PINNED = {
 }
 
 
-def log_digest(tmp_path, engine, density, n, rho):
+def simulate_log(tmp_path, engine, density, n, rho):
     out = tmp_path / ("%s-%s-%d-%d.log" % (engine, density.replace(":", "_"), n, rho))
     assert main([
         "simulate", "--engine", engine, "--samples", str(n), "--rho", str(rho),
         "--density", density, "--seed", str(SEED), "--reps", str(REPS), "--out", str(out),
     ]) == 0
-    return hashlib.sha256(out.read_bytes()).hexdigest()
+    return out
+
+
+def log_digest(tmp_path, *cell):
+    return hashlib.sha256(simulate_log(tmp_path, *cell).read_bytes()).hexdigest()
 
 
 def test_simulate_logs_match_pinned_digests(tmp_path, capsys):
@@ -82,3 +88,55 @@ def test_compare_report_matches_pinned_digest(tmp_path, capsys):
     ]) == 0
     capsys.readouterr()
     assert hashlib.sha256(out.read_bytes()).hexdigest() == COMPARE_PINNED
+
+
+# sha256 over `repr` of every `summary` field of 200 replicates per engine
+# (n=8, rho=4, beta:2,2, sites 0, 0.3 and 0.7, seed 4242): pins the site
+# trees' heights and lengths to the last bit
+SUMMARY_PINNED = {
+    "backintime": "20e154a0fa989730282b4b1f6fed4379d5ea8f0f1762cabe09d24ff66f46b5e5",
+    "spatial": "acd9d4ffb57a6a1ed98ba5d954c0cdf4e709c5f781e3c2c49ad4b3d1d9ea82b8",
+}
+
+
+def test_summaries_match_pinned_digests():
+    got = {}
+    for engine in SUMMARY_PINNED:
+        h = hashlib.sha256()
+        for st in run_replicates(engine, 8, 4.0, "beta:2,2", SEED, 200, sites=(0.0, 0.3, 0.7), threads=1):
+            h.update(repr((
+                st.replicate, st.breakpoint_count, st.grand_mrca, st.max_lineages,
+                st.tmrca_at, st.length_at,
+            )).encode())
+        got[engine] = h.hexdigest()
+    assert got == SUMMARY_PINNED
+
+
+# the GRID logs that `argsim tree` reads, and the sites it reads them at
+TREE_CELLS = (
+    ("backintime", "beta:2,2", 8, 4),
+    ("spatial", "beta:2,2", 8, 4),
+    ("backintime", "beta:2,2", 20, 15),
+    ("spatial", "beta:2,2", 20, 10),
+)
+TREE_SITES = ("0", "0.37", "0.999")
+
+# sha256 of the `argsim tree` output in each format, over every cell and site
+TREE_PINNED = {
+    "newick": "8ae1ee8aea690b21e775b9ad7ae1332e4580e801f4071c7cc453b30e19ee20dc",
+    "levels": "d3b3c24a228ae272cf81b873e1632fb698d4805aca49988f5d4c8272a72e7c4f",
+}
+
+
+def test_tree_output_matches_pinned_digests(tmp_path, capsys):
+    logs = [simulate_log(tmp_path, *cell) for cell in TREE_CELLS]
+    capsys.readouterr()
+    got = {}
+    for fmt in TREE_PINNED:
+        h = hashlib.sha256()
+        for log in logs:
+            for site in TREE_SITES:
+                assert main(["tree", str(log), "--site", site, "--format", fmt]) == 0
+                h.update(capsys.readouterr().out.encode())
+        got[fmt] = h.hexdigest()
+    assert got == TREE_PINNED
