@@ -174,14 +174,40 @@ def breakpoints(arg):
     return loci, times
 
 
+def _site_merges(arg, s):
+    """Walk the path once for the tree at site s.
+
+    Returns the merges ((t, vi, vj), ...) of the two blocks at s of each
+    coalescence whose lineages both carry material there, up to the one
+    that leaves a single block, and the tree's total length: the sum over
+    the walk of the block count times each inter-event time.
+    """
+    k = arg.n_samples
+    merges = []
+    length = 0.0
+    prev_t = 0.0
+    state = arg.initial
+    for t, event, after in zip(arg.times, arg.events, arg.states):
+        length += k * (t - prev_t)
+        prev_t = t
+        if isinstance(event, Coalesce):
+            vi = state.lineages[event.i].value_at(s)
+            vj = state.lineages[event.j].value_at(s)
+            if vi and vj:
+                merges.append((t, vi, vj))
+                k -= 1
+                if k == 1:
+                    break
+        state = after
+    assert k == 1, "a complete path always merges every site"
+    return merges, length
+
+
 @dataclass
 class LocalTree:
     """The coalescent tree at one site, as its partition jump chain."""
 
-    site: float
     levels: tuple  # ((time, partition-as-tuple-of-blocks), ...)
-    height: float
-    total_length: float
 
     def newick(self):
         """Newick string; children ordered smallest leaf label first."""
@@ -207,26 +233,13 @@ class LocalTree:
 
 
 def local_tree(arg, s):
-    """Extract the site-s tree: partition levels up to its first full merge."""
-    state = arg.initial
-    part = state.site_partition(s)
+    """The site-s tree: its partition after each merge, blocks sorted by smallest label."""
+    part = tuple(frozenset({i}) for i in range(1, arg.n_samples + 1))
     levels = [(0.0, part)]
-    height = None
-    total_length = 0.0
-    prev_t = 0.0
-    for t, event, after in zip(arg.times, arg.events, arg.states):
-        new_part = after.site_partition(s)
-        if new_part != part:
-            assert len(new_part) == len(part) - 1, "site partitions merge one pair at a time"
-            total_length += len(part) * (t - prev_t)
-            prev_t = t
-            part = new_part
-            levels.append((t, part))
-            if len(part) == 1:
-                height = t
-                break
-    assert height is not None, "a complete path always merges every site"
-    return LocalTree(site=s, levels=tuple(levels), height=height, total_length=total_length)
+    for t, vi, vj in _site_merges(arg, s)[0]:
+        part = sorted([b for b in part if b != vi and b != vj] + [vi | vj], key=min)
+        levels.append((t, tuple(part)))
+    return LocalTree(levels=tuple(levels))
 
 
 @dataclass
@@ -247,43 +260,23 @@ class SummaryStats:
 
 def summary(arg, sites=(0.0,)):
     """Extract the scalar statistics of one path at the requested sites."""
-    n = arg.n_samples
     bp = 0
-    max_lineages = len(arg.initial)
-    # site-tree height and length via the block count at each site
-    live = {s: n for s in sites}
-    height = {s: None for s in sites}
-    length = {s: 0.0 for s in sites}
-    prev_t = 0.0
-    state = arg.initial
-    for t, event, after in zip(arg.times, arg.events, arg.states):
-        dt = t - prev_t
-        for s, k in live.items():
-            if k > 1:
-                length[s] += k * dt
+    k = max_lineages = arg.n_samples
+    for event in arg.events:
         if isinstance(event, Recombine):
             bp += 1
+            k += 1
+            max_lineages = max(max_lineages, k)
         else:
-            for s in sites:
-                if live[s] > 1:
-                    vi = state.lineages[event.i].value_at(s)
-                    vj = state.lineages[event.j].value_at(s)
-                    if vi and vj:
-                        live[s] -= 1
-                        if live[s] == 1:
-                            height[s] = t
-        prev_t = t
-        state = after
-        if len(state.lineages) > max_lineages:
-            max_lineages = len(state.lineages)
-    assert all(h is not None for h in height.values())
+            k -= 1
+    trees = {s: _site_merges(arg, s) for s in sites}
     return SummaryStats(
         replicate=arg.config.replicate_index,
         breakpoint_count=bp,
         grand_mrca=arg.grand_mrca,
         max_lineages=max_lineages,
-        tmrca_at={s: height[s] for s in sites},
-        length_at={s: length[s] for s in sites},
+        tmrca_at={s: merges[-1][0] for s, (merges, _) in trees.items()},
+        length_at={s: length for s, (_, length) in trees.items()},
     )
 
 
@@ -301,6 +294,11 @@ def _fmt_event(event):
     return '{"type":"rec","i":%d,"u":%s}' % (event.i, fmt_locus(event.locus))
 
 
+def _checksum(state):
+    """The trailer's checksum of a log's final state."""
+    return hashlib.sha256(render_state(state).encode()).hexdigest()[:16]
+
+
 def arg_to_lines(arg):
     cfg = arg.config
     yield (
@@ -309,8 +307,7 @@ def arg_to_lines(arg):
     )
     for idx, (t, event) in enumerate(zip(arg.times, arg.events)):
         yield '{"n":%d,"t":%s,"ev":%s}' % (idx, fmt_locus(t), _fmt_event(event))
-    digest = hashlib.sha256(render_state(arg.final_state).encode()).hexdigest()[:16]
-    yield '{"events":%d,"checksum":"%s"}' % (arg.event_count, digest)
+    yield '{"events":%d,"checksum":"%s"}' % (arg.event_count, _checksum(arg.final_state))
 
 
 def write_arg(arg, fp):
@@ -436,7 +433,7 @@ def _check_trailer(lineno, trailer, count, final):
         raise ArgParseError(
             "line %d: trailer count %r != %d events read" % (lineno, trailer.get("events"), count)
         )
-    digest = hashlib.sha256(render_state(final).encode()).hexdigest()[:16]
+    digest = _checksum(final)
     if trailer.get("checksum") != digest:
         raise ArgParseError(
             "line %d: checksum mismatch (log %r, replay %r)" % (lineno, trailer.get("checksum"), digest)

@@ -109,10 +109,9 @@ def sample_event(state, rho, density, rng, rates=None):
     return Recombine(pick, locus)
 
 
-def simulate_backintime(config, rng=None, max_events=DEFAULT_EVENT_CAP):
+def simulate_backintime(config, max_events=DEFAULT_EVENT_CAP):
     """Run one full simulation from singletons to the absorbing state."""
-    if rng is None:
-        rng = replicate_rng(config.seed, config.replicate_index, SALTS["backintime"])
+    rng = replicate_rng(config.seed, config.replicate_index, SALTS["backintime"])
     initial = state = State.initial(config.n_samples)
     rho, density = config.rho, config.density
     t = 0.0

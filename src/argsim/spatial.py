@@ -87,7 +87,7 @@ class PartialGraph:
 
     __slots__ = (
         "n", "branches", "nodes", "leaves", "top_id", "breakpoints",
-        "tree", "tree_length", "_next_branch", "_next_node",
+        "tree", "tree_length",
     )
 
     def __init__(self, n):
@@ -99,19 +99,15 @@ class PartialGraph:
         self.breakpoints = []
         self.tree = ()  # finite local-tree branches, in id order
         self.tree_length = 0.0
-        self._next_branch = 0
-        self._next_node = 0
 
     def add_branch(self, lo, hi, upper_node, material):
-        bid = self._next_branch
-        self._next_branch += 1
+        bid = len(self.branches)  # nothing is ever removed
         b = Branch(bid, lo, hi, upper_node, material)
         self.branches[bid] = b
         return b
 
     def add_node(self, time, kind, locus, children, parents):
-        nid = self._next_node
-        self._next_node += 1
+        nid = len(self.nodes)
         nd = GraphNode(nid, time, kind, locus, children, parents)
         self.nodes[nid] = nd
         return nd
@@ -443,10 +439,9 @@ def graph_to_arg(graph, config):
     return Arg(config, times, events, states, initial)
 
 
-def simulate_spatial(config, rng=None, max_events=DEFAULT_EVENT_CAP):
+def simulate_spatial(config, max_events=DEFAULT_EVENT_CAP):
     """Run one spatial simulation and return its Arg."""
-    if rng is None:
-        rng = replicate_rng(config.seed, config.replicate_index, SALTS["spatial"])
+    rng = replicate_rng(config.seed, config.replicate_index, SALTS["spatial"])
     rho, density = config.rho, config.density
     graph = kingman_tree(config.n_samples, rng)
     while True:

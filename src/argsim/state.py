@@ -274,13 +274,6 @@ class State:
             return self.recombine(event.i, event.locus)
         raise TypeError("not an event: %r" % (event,))
 
-    def site_partition(self, s):
-        """Blocks of the label partition at locus s, sorted by smallest label."""
-        blocks = [lin.value_at(s) for lin in self.lineages]
-        blocks = [b for b in blocks if b]
-        blocks.sort(key=min)
-        return tuple(blocks)
-
     def check(self):
         """Assert the structural invariants; returns self for chaining."""
         assert self.lineages, "state has no lineages"

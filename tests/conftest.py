@@ -1,7 +1,8 @@
 """Shared test helpers: fixture states, random legal event walks, the
 known-broken engine, and oracles that recheck what the package asserts
 incrementally: the replay validator, the partial-graph invariants, the
-projection of a path at a site, and the segment-wise lineage operators."""
+projection of a path at a site, the site tree read off every state, and
+the segment-wise lineage operators."""
 
 import math
 import random
@@ -289,3 +290,33 @@ def state_at(initial, steps, t):
     """The state at time t of the right-continuous path with these (time, state) steps."""
     idx = bisect_right([time for time, _ in steps], t)
     return steps[idx - 1][1] if idx else initial
+
+
+def site_partition(state, s):
+    """Blocks of the label partition at locus s, sorted by smallest label."""
+    blocks = [lin.value_at(s) for lin in state.lineages]
+    return tuple(sorted((b for b in blocks if b), key=min))
+
+
+def walk_site_tree(arg, s):
+    """The site-s tree read off every state: (levels, height, total length).
+
+    Each state's partition at s is diffed against the one before, up to
+    the first full merge. The package reads the same tree off the
+    coalescence events alone.
+    """
+    part = site_partition(arg.initial, s)
+    levels = [(0.0, part)]
+    total_length = 0.0
+    prev_t = 0.0
+    for t, after in zip(arg.times, arg.states):
+        new_part = site_partition(after, s)
+        if new_part != part:
+            assert len(new_part) == len(part) - 1, "site partitions merge one pair at a time"
+            total_length += len(part) * (t - prev_t)
+            prev_t = t
+            part = new_part
+            levels.append((t, part))
+            if len(part) == 1:
+                return tuple(levels), t, total_length
+    raise AssertionError("a complete path always merges every site")

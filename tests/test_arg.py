@@ -2,6 +2,7 @@
 summary statistics, and the event-log serialization."""
 
 import io
+import itertools
 import json
 import math
 
@@ -24,7 +25,15 @@ from argsim.backintime import simulate_backintime
 from argsim.config import SimConfig
 from argsim.spatial import simulate_spatial
 from argsim.state import Coalesce, Lineage, Recombine, State
-from conftest import project_path, project_state, random_walk, replay_validate, state_at
+from conftest import (
+    project_path,
+    project_state,
+    random_walk,
+    replay_validate,
+    site_partition,
+    state_at,
+    walk_site_tree,
+)
 
 
 def build_arg(config, timed_events):
@@ -307,8 +316,8 @@ def test_local_tree_two_leaves():
         (0.0, (frozenset({1}), frozenset({2}))),
         (1.3, (frozenset({1, 2}),)),
     )
-    assert tree.height == 1.3
-    assert tree.total_length == pytest.approx(2.6)
+    assert tree.levels[-1][0] == 1.3
+    assert summary(arg, sites=(0.5,)).length_at[0.5] == pytest.approx(2.6)
     assert tree.newick() == "(1:1.3,2:1.3);"
 
 
@@ -329,7 +338,9 @@ def test_local_tree_constant_left_of_first_breakpoint():
         a = local_tree(arg, 0.0)
         b = local_tree(arg, loci[0] / 2.0)
         assert a.levels == b.levels
-        assert a.height == b.height and a.total_length == b.total_length
+        stats = summary(arg, sites=(0.0, loci[0] / 2.0))
+        assert stats.tmrca_at[0.0] == stats.tmrca_at[loci[0] / 2.0]
+        assert stats.length_at[0.0] == stats.length_at[loci[0] / 2.0]
         done += 1
     assert done > 5
 
@@ -340,7 +351,7 @@ def test_local_tree_height_bounded_by_grand_mrca():
         arg = simulate_backintime(cfg)
         for s in (0.0, 0.33, 0.8):
             tree = local_tree(arg, s)
-            assert tree.height <= arg.grand_mrca + 1e-15
+            assert tree.levels[-1][0] <= arg.grand_mrca + 1e-15
             # partitions coarsen one merge at a time
             sizes = [len(p) for _, p in tree.levels]
             assert sizes == list(range(5, 0, -1))
@@ -384,8 +395,8 @@ def test_projection_preserves_site_partition():
         steps = project_path(arg, s)
         start = project_state(arg.initial, s)
         for t in arg.times:
-            want = state_at(arg.initial, path, t).site_partition(s)
-            assert state_at(start, steps, t).site_partition(s) == want
+            want = site_partition(state_at(arg.initial, path, t), s)
+            assert site_partition(state_at(start, steps, t), s) == want
 
 
 def test_summary_kingman():
@@ -406,14 +417,17 @@ def test_summary_two_leaf_lengths():
 
 def test_summary_matches_local_tree():
     sites = (0.0, 0.25, 0.5, 0.75)
-    for seed in range(40):
-        cfg = SimConfig(n_samples=4, rho=1.5, seed=71, replicate_index=seed)
-        arg = simulate_backintime(cfg)
+    for simulate, density, seed in itertools.product(
+        (simulate_backintime, simulate_spatial), ("uniform", "beta:2,2"), range(40),
+    ):
+        cfg = SimConfig(n_samples=4, rho=1.5, density=density, seed=71, replicate_index=seed)
+        arg = simulate(cfg)
         stats = summary(arg, sites=sites)
         for s in sites:
-            tree = local_tree(arg, s)
-            assert stats.tmrca_at[s] == pytest.approx(tree.height, rel=1e-12)
-            assert stats.length_at[s] == pytest.approx(tree.total_length, rel=1e-9)
+            levels, height, length = walk_site_tree(arg, s)
+            assert local_tree(arg, s).levels == levels
+            assert stats.tmrca_at[s] == height
+            assert stats.length_at[s] == pytest.approx(length, rel=1e-9)
             assert stats.tmrca_at[s] <= stats.grand_mrca + 1e-15
 
 

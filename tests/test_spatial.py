@@ -523,9 +523,9 @@ def test_stage2_accept_after_detach():
     ]
     loci, _ = breakpoints(arg)
     assert loci == (0.5, 0.625, 0.75)
-    assert local_tree(arg, 0.3).height == pytest.approx(1.0)
-    assert local_tree(arg, 0.55).height == pytest.approx(0.6)
-    assert local_tree(arg, 0.9).height == pytest.approx(0.6)
+    assert local_tree(arg, 0.3).levels[-1][0] == pytest.approx(1.0)
+    assert local_tree(arg, 0.55).levels[-1][0] == pytest.approx(0.6)
+    assert local_tree(arg, 0.9).levels[-1][0] == pytest.approx(0.6)
     assert arg.grand_mrca == pytest.approx(1.0)
 
 

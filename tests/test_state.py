@@ -20,7 +20,16 @@ from argsim.state import (
     full_set,
     render_state,
 )
-from conftest import canonical, lin, project_state, random_walk, split_oracle, union_oracle, walk_states
+from conftest import (
+    canonical,
+    lin,
+    project_state,
+    random_walk,
+    site_partition,
+    split_oracle,
+    union_oracle,
+    walk_states,
+)
 
 
 def test_initial_state_is_ranked_singletons():
@@ -165,14 +174,14 @@ def test_coalesce_rejects_bad_ranks():
 
 
 def test_site_partition_basics():
-    assert State.initial(3).site_partition(0.7) == (
+    assert site_partition(State.initial(3), 0.7) == (
         frozenset({1}),
         frozenset({2}),
         frozenset({3}),
     )
-    assert State.absorbing(4).site_partition(0.1) == (frozenset({1, 2, 3, 4}),)
+    assert site_partition(State.absorbing(4), 0.1) == (frozenset({1, 2, 3, 4}),)
     x = State.initial(2).recombine(0, 0.5)
-    assert x.site_partition(0.6) == (frozenset({1}), frozenset({2}))
+    assert site_partition(x, 0.6) == (frozenset({1}), frozenset({2}))
 
 
 def test_partition_invariant_along_random_walks():
@@ -194,7 +203,7 @@ def test_project_at_zero_freezes_blocks():
         x = states[-1]
         p = project_state(x, 0.0)
         p.check()
-        assert len(p.lineages) == len(x.site_partition(0.0))
+        assert len(p.lineages) == len(site_partition(x, 0.0))
         for l in p.lineages:
             assert l.breaks == ()  # constant lineages only
 
@@ -233,7 +242,7 @@ def test_projection_keeps_site_partition():
     for seed in range(8):
         x = walk_states(5, seed, 20)[-1]
         for s in (0.0, 0.3, 0.8):
-            assert project_state(x, s).site_partition(s) == x.site_partition(s)
+            assert site_partition(project_state(x, s), s) == site_partition(x, s)
 
 
 def test_render_initial_and_split():
