@@ -43,14 +43,14 @@ class Arg:
     # __weakref__ lets a caller see which replicates are still alive
     __slots__ = ("config", "times", "events", "states", "initial", "__weakref__")
 
-    def __init__(self, config, times, events, states, initial=None):
+    def __init__(self, config, times, events, states, initial):
         self.config = config
         self.times = tuple(times)
         self.events = tuple(events)
         self.states = tuple(states)
         # the state the first event applies to; its producer passes the
         # very object, so validation can match untouched lineages by identity
-        self.initial = State.initial(config.n_samples) if initial is None else initial
+        self.initial = initial
         assert len(self.times) == len(self.events) == len(self.states)
 
     @property
@@ -145,12 +145,6 @@ def validate_arg(arg):
             violations.append((idx, "b", "recorded state diverges from replay"))
             checked = False
             continue
-        if checked:
-            try:
-                replay.check_step(prev, event)
-                continue  # the recorded state equals the checked replay
-            except AssertionError:
-                pass
         try:
             state.check()
             checked = True

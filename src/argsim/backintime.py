@@ -20,6 +20,8 @@ from .arg import Arg
 from .rng import SALTS, replicate_rng
 from .state import Coalesce, Recombine, State
 
+# the hard event cap of one path; both engines and the CLI's up-front
+# estimate read it when they run, so patching it here caps them all
 DEFAULT_EVENT_CAP = 10_000_000
 
 
@@ -83,13 +85,14 @@ def unrank_pair(index, k):
     return i, i + 1 + index
 
 
-def sample_event(state, rho, density, rng, rates=None):
-    """One step of the embedded chain: a Coalesce or Recombine event."""
+def sample_event(state, rates, density, rng):
+    """One step of the embedded chain: a Coalesce or Recombine event.
+
+    ``rates`` is total_rate of ``state``.
+    """
     k = len(state.lineages)
     if k < 2:
         raise ValueError("cannot sample an event in an absorbing state")
-    if rates is None:
-        rates = total_rate(state, rho, density)
     threshold = rng.uniform() * rates.total
     # coalescing pairs in lexicographic order, each with weight exactly 1
     if threshold < rates.coal_rate:
@@ -109,8 +112,9 @@ def sample_event(state, rho, density, rng, rates=None):
     return Recombine(pick, locus)
 
 
-def simulate_backintime(config, max_events=DEFAULT_EVENT_CAP):
+def simulate_backintime(config):
     """Run one full simulation from singletons to the absorbing state."""
+    cap = DEFAULT_EVENT_CAP
     rng = replicate_rng(config.seed, config.replicate_index, SALTS["backintime"])
     initial = state = State.initial(config.n_samples)
     rho, density = config.rho, config.density
@@ -119,13 +123,11 @@ def simulate_backintime(config, max_events=DEFAULT_EVENT_CAP):
     events = []
     states = []
     while not state.is_absorbed:
-        if len(events) >= max_events:
-            raise EventCapExceeded(
-                "exceeded %d events (n=%d rho=%g)" % (max_events, config.n_samples, rho)
-            )
+        if len(events) >= cap:
+            raise EventCapExceeded("exceeded %d events (n=%d rho=%g)" % (cap, config.n_samples, rho))
         rates = total_rate(state, rho, density)
         t += sample_waiting_time(rates, rng)
-        event = sample_event(state, rho, density, rng, rates)
+        event = sample_event(state, rates, density, rng)
         state = state.apply(event)
         times.append(t)
         events.append(event)

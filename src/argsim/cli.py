@@ -27,7 +27,7 @@ from .backintime import EventCapExceeded
 from .config import SimConfig
 from .density import parse_density
 from .rng import SALTS, child_seed
-from .state import fmt_locus
+from .state import fmt_locus, render_typeset
 from .stats import (
     CSV_HEADER,
     ENGINES,
@@ -249,10 +249,6 @@ def cmd_validate(args, parser):
     return 0 if all(ok for ok, _ in results) else 1
 
 
-def _render_partition(blocks):
-    return "|".join("{%s}" % ",".join(str(i) for i in sorted(b)) for b in blocks)
-
-
 def cmd_tree(args, parser):
     if not (0.0 <= args.site < 1.0):
         parser.error("--site must lie in [0,1)")
@@ -266,7 +262,7 @@ def cmd_tree(args, parser):
         if args.format == "newick":
             return None, [tree.newick()]
         return None, ["time,partition"] + [
-            "%s,%s" % (fmt_locus(t), _render_partition(blocks)) for t, blocks in tree.levels
+            "%s,%s" % (fmt_locus(t), "|".join(map(render_typeset, blocks))) for t, blocks in tree.levels
         ]
 
     results = _each_log(args.path, parser, draw)

@@ -49,10 +49,9 @@ def child_seed(root, replicate, salt=0):
 class SimRng:
     """Inversion-based draw helpers over a seeded uniform stream."""
 
-    __slots__ = ("seed", "_random")
+    __slots__ = ("_random",)
 
     def __init__(self, seed):
-        self.seed = seed
         self._random = random.Random(seed).random
 
     def uniform(self):

@@ -40,7 +40,8 @@ from dataclasses import dataclass, field
 from itertools import accumulate
 
 from .arg import Arg
-from .backintime import DEFAULT_EVENT_CAP, EventCapExceeded, unrank_pair
+from . import backintime
+from .backintime import EventCapExceeded, unrank_pair
 from .density import strictly_inside
 from .rng import SALTS, replicate_rng
 from .state import Coalesce, Lineage, Recombine, State
@@ -86,7 +87,7 @@ class PartialGraph:
     """The mutable graph a spatial simulation grows stage by stage."""
 
     __slots__ = (
-        "n", "branches", "nodes", "leaves", "top_id", "breakpoints",
+        "n", "branches", "nodes", "top_id", "breakpoints",
         "tree", "tree_length",
     )
 
@@ -94,7 +95,6 @@ class PartialGraph:
         self.n = n
         self.branches = {}
         self.nodes = {}
-        self.leaves = tuple(range(n))
         self.top_id = None
         self.breakpoints = []
         self.tree = ()  # finite local-tree branches, in id order
@@ -193,8 +193,11 @@ def live_intervals(graph):
 
 
 def live_branches(graph, t):
-    """Id-sorted tuple of the branches spanning latitude t; O(branches)."""
-    return tuple(sorted(b.id for b in graph.branches.values() if b.lo <= t < b.hi))
+    """Id-sorted tuple of the branches spanning latitude t; O(branches).
+
+    Branches are stored in id order (ids count up and none is removed).
+    """
+    return tuple(b.id for b in graph.branches.values() if b.lo <= t < b.hi)
 
 
 def free_rise(graph, intervals, t0, rng):
@@ -416,7 +419,7 @@ def graph_to_arg(graph, config):
     check, and the replay of that step reports it as clause (b).
     """
     funcs = {b.id: b.material for b in graph.branches.values()}
-    live = set(graph.leaves)
+    live = set(range(graph.n))
     initial = state = State(graph.n, [funcs[i] for i in live])
     assert all(funcs[j].vals == (frozenset({j + 1}),) for j in live), "leaves are not singletons"
     times, events, states = [], [], []
@@ -439,8 +442,9 @@ def graph_to_arg(graph, config):
     return Arg(config, times, events, states, initial)
 
 
-def simulate_spatial(config, max_events=DEFAULT_EVENT_CAP):
+def simulate_spatial(config):
     """Run one spatial simulation and return its Arg."""
+    cap = backintime.DEFAULT_EVENT_CAP
     rng = replicate_rng(config.seed, config.replicate_index, SALTS["spatial"])
     rho, density = config.rho, config.density
     graph = kingman_tree(config.n_samples, rng)
@@ -451,8 +455,6 @@ def simulate_spatial(config, max_events=DEFAULT_EVENT_CAP):
         fork_id, t0 = sample_recomb_location(graph, rng)
         trace = trace_lineage(graph, fork_id, t0, s_new, rho, density, rng)
         accept_breakpoint(graph, s_new, trace)
-        if len(graph.nodes) > max_events:
-            raise EventCapExceeded(
-                "exceeded %d events (n=%d rho=%g)" % (max_events, config.n_samples, rho)
-            )
+        if len(graph.nodes) > cap:
+            raise EventCapExceeded("exceeded %d events (n=%d rho=%g)" % (cap, config.n_samples, rho))
     return graph_to_arg(graph, config)

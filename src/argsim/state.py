@@ -153,7 +153,7 @@ class Lineage:
 
     def __repr__(self):
         return "Lineage(%s)" % ", ".join(
-            "[%g,%g)->{%s}" % (lo, hi, ",".join(map(str, sorted(val))))
+            "[%g,%g)->%s" % (lo, hi, render_typeset(val))
             for lo, hi, val in self.segments()
         )
 
@@ -202,9 +202,6 @@ class State:
     @classmethod
     def absorbing(cls, n):
         return cls(n, [Lineage.constant(full_set(n))])
-
-    def __len__(self):
-        return len(self.lineages)
 
     def __eq__(self, other):
         return (

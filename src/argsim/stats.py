@@ -102,6 +102,10 @@ def ks_one_sample_with_atom(sample, cont_cdf, atom_mass):
     return d, p, z
 
 
+# the smallest expected cell count a chi-square test lets stand
+MIN_EXPECTED = 5.0
+
+
 def chi_square(observed, expected_weights):
     """Pearson goodness of fit: (stat, p, dof).
 
@@ -115,18 +119,18 @@ def chi_square(observed, expected_weights):
     if not all(w > 0 for w in expected_weights):
         raise ValueError("expected weights must be positive")
     expected = [w / wsum * total for w in expected_weights]
-    if min(expected) < 5.0:
+    if min(expected) < MIN_EXPECTED:
         raise ValueError("expected count below 5; merge bins first")
     stat = math.fsum((o - e) ** 2 / e for o, e in zip(observed, expected))
     dof = len(observed) - 1
     return stat, float(gammaincc(dof / 2.0, stat / 2.0)), dof
 
 
-def chi_square_two_sample(a, b, min_expected=5.0):
+def chi_square_two_sample(a, b):
     """Homogeneity chi-square for two integer-valued samples.
 
     Values are binned by exact value; sparse adjacent bins are merged from
-    the right until every expected cell count reaches min_expected.
+    the right until every expected cell count reaches MIN_EXPECTED.
     """
     values = sorted(set(a) | set(b))
     ca = {v: 0 for v in values}
@@ -144,7 +148,7 @@ def chi_square_two_sample(a, b, min_expected=5.0):
         acc_a += oa
         acc_b += ob
         tot = acc_a + acc_b
-        if tot * na / (na + nb) >= min_expected and tot * nb / (na + nb) >= min_expected:
+        if tot * na / (na + nb) >= MIN_EXPECTED and tot * nb / (na + nb) >= MIN_EXPECTED:
             merged.append((acc_a, acc_b))
             acc_a = acc_b = 0
     if acc_a or acc_b:

@@ -1,8 +1,8 @@
-"""Shared test helpers: fixture states, random legal event walks, the
-known-broken engine, and oracles that recheck what the package asserts
-incrementally: the replay validator, the partial-graph invariants, the
-projection of a path at a site, the site tree read off every state, and
-the segment-wise lineage operators."""
+"""Shared test helpers: fixture states, hand-built paths, random legal
+event walks, the known-broken engine, and oracles that recheck what the
+package asserts incrementally: the replay validator, the partial-graph
+invariants, the projection of a path at a site, the site tree read off
+every state, and the segment-wise lineage operators."""
 
 import math
 import random
@@ -10,7 +10,7 @@ from bisect import bisect_right
 
 import pytest
 
-from argsim.arg import ValidationReport
+from argsim.arg import Arg, ValidationReport
 from argsim.state import Coalesce, IllegalEventError, Lineage, Recombine, State, fmt_locus, full_set
 
 
@@ -101,6 +101,18 @@ def union_oracle(x, y):
         segs.append((lo, hi, x.value_at(lo) | y.value_at(lo)))
         lo = hi
     return Lineage(*canonical(segs))
+
+
+def build_arg(config, timed_events):
+    """Hand-assemble an Arg by applying (time, event) pairs in order."""
+    initial = state = State.initial(config.n_samples)
+    times, events, states = [], [], []
+    for t, ev in timed_events:
+        state = state.apply(ev)
+        times.append(t)
+        events.append(ev)
+        states.append(state)
+    return Arg(config, times, events, states, initial)
 
 
 def random_walk(n, seed, steps, p_recomb=0.45):
@@ -239,7 +251,8 @@ def check_invariants(graph):
             joined = frozenset().union(*below)
             assert sum(len(c) for c in below) == len(joined), "overlap below node %d" % nd.id
             assert joined == frozenset().union(*above), "column %d not conserved at node %d" % (col, nd.id)
-    for leaf in graph.leaves:
+    assert list(graph.branches) == list(range(len(graph.branches))), "branch ids out of order"
+    for leaf in range(graph.n):
         b = graph.branches[leaf]
         assert b.lo == 0.0 and b.material == Lineage.constant({leaf + 1})
     # live columns partition the samples at a few probe latitudes

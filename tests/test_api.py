@@ -3,8 +3,10 @@
 Test-only hooks (a mutant switch, a debug log) belong in the tests, as
 fixtures or monkeypatches, not in production signatures. A parameter whose
 name starts with an underscore is how such hooks usually look, so no
-public function or method may take one. Every exported name either serves
-the command line or is library API that the README names, with a reason.
+public function or method may take one. A defaulted parameter that no call
+in the package sets is a setting only the tests use, so there is none
+either. Every exported name either serves the command line or is library
+API that the README names, with a reason.
 """
 
 import ast
@@ -15,6 +17,7 @@ import re
 from pathlib import Path
 
 import argsim
+from argsim import stats
 
 
 def argsim_modules():
@@ -51,6 +54,80 @@ def test_public_signatures_take_no_underscore_parameters():
         if param.startswith("_")
     ]
     assert hidden == []
+
+
+def public_defs(tree):
+    """(qualified name, call name, def, leading self/cls count) per public callable.
+
+    Covers the public top-level functions and the public methods and
+    __init__ of public classes. The call name is what a call spells: the
+    function's or method's own name, or the class name for __init__.
+    """
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            yield node.name, node.name, node, 0
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for fn in node.body:
+                if isinstance(fn, ast.FunctionDef) and (fn.name == "__init__" or not fn.name.startswith("_")):
+                    static = any(getattr(d, "id", None) == "staticmethod" for d in fn.decorator_list)
+                    call_name = node.name if fn.name == "__init__" else fn.name
+                    yield "%s.%s" % (node.name, fn.name), call_name, fn, 0 if static else 1
+
+
+def defaulted_parameters(trees):
+    """(qualified name, call name, parameter, position) per defaulted parameter.
+
+    The position counts the arguments a call passes before the parameter,
+    self or cls excluded; a keyword-only parameter has none.
+    """
+    for modname, tree in trees:
+        for qualname, call_name, fn, skip in public_defs(tree):
+            qualname = "%s.%s" % (modname, qualname)
+            positional = fn.args.posonlyargs + fn.args.args
+            first = len(positional) - len(fn.args.defaults)
+            for pos, param in enumerate(positional[first:], first):
+                yield qualname, call_name, param.arg, pos - skip
+            for param, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+                if default is not None:
+                    yield qualname, call_name, param.arg, None
+
+
+def calls_by_name(trees):
+    """Callee name -> [(positional argument count, keyword names)] for every call.
+
+    The callee name is a bare name or the last attribute (``mod.f(...)``,
+    ``obj.method(...)``). Positions after a ``*args`` are not counted.
+    """
+    calls = {}
+    for _, tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                count = next((i for i, a in enumerate(node.args) if isinstance(a, ast.Starred)), len(node.args))
+                calls.setdefault(name, []).append((count, {kw.arg for kw in node.keywords}))
+    return calls
+
+
+def test_production_sets_every_defaulted_parameter():
+    # A default no call in the package overrides is a setting only the
+    # tests use: make it a constant (or drop it) and let the tests
+    # monkeypatch the constant. main(argv=None) is the one exception, the
+    # entry-point seam: the console script passes nothing.
+    trees = [(mod.__name__, ast.parse(inspect.getsource(mod))) for mod in argsim_modules()]
+    calls = calls_by_name(trees)
+    defaulted = list(defaulted_parameters(trees))
+    assert len(defaulted) > 5  # the walk reaches the defaults
+    unset = [
+        "%s(%s)" % (qualname, param)
+        for qualname, call_name, param, pos in defaulted
+        if not any(param in keywords or (pos is not None and count > pos)
+                   for count, keywords in calls.get(call_name, ()))
+    ]
+    assert unset == ["argsim.cli.main(argv)"]
+    assert {name: str(inspect.signature(fn)) for name, fn in stats.ENGINES.items()} == {
+        "backintime": "(config)",
+        "spatial": "(config)",
+    }
 
 
 def test_every_exported_name_resolves():

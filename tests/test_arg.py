@@ -26,6 +26,7 @@ from argsim.config import SimConfig
 from argsim.spatial import simulate_spatial
 from argsim.state import Coalesce, Lineage, Recombine, State
 from conftest import (
+    build_arg,
     project_path,
     project_state,
     random_walk,
@@ -34,18 +35,6 @@ from conftest import (
     state_at,
     walk_site_tree,
 )
-
-
-def build_arg(config, timed_events):
-    """Hand-assemble an Arg by applying (time, event) pairs in order."""
-    state = State.initial(config.n_samples)
-    times, events, states = [], [], []
-    for t, ev in timed_events:
-        state = state.apply(ev)
-        times.append(t)
-        events.append(ev)
-        states.append(state)
-    return Arg(config, times, events, states)
 
 
 def two_leaf_arg(t_coal=1.3):
@@ -80,7 +69,7 @@ def test_validate_repeated_locus_fails_clause_c():
 
 def test_validate_illegal_event_fails_clause_b():
     cfg = SimConfig(n_samples=2, rho=0.0, seed=0)
-    arg = Arg(cfg, [1.0], [Coalesce(0, 5)], [State.absorbing(2)])
+    arg = Arg(cfg, [1.0], [Coalesce(0, 5)], [State.absorbing(2)], State.initial(2))
     report = validate_arg(arg)
     assert not report.passed
     assert any(v[1] == "b" for v in report.violations)
@@ -95,6 +84,7 @@ def test_validate_diverging_recorded_state_fails_clause_b():
         [0.5, 1.0],
         [Coalesce(0, 1), Coalesce(0, 1)],
         [wrong, State.absorbing(3)],
+        State.initial(3),
     )
     report = validate_arg(arg)
     assert not report.passed
@@ -136,7 +126,7 @@ def test_validate_runs_full_check_once_per_path(monkeypatch):
     events = list(arg.events)
     events[m] = Coalesce(0, 10 ** 6)
     calls.clear()
-    report = validate_arg(Arg(arg.config, arg.times, events, arg.states))
+    report = validate_arg(Arg(arg.config, arg.times, events, arg.states, arg.initial))
     assert [v[:2] for v in report.violations] == [(m, "b")]
     assert len(calls) == 2
 
@@ -248,7 +238,7 @@ def test_recombining_the_absorbing_state_is_clause_b(r1_mutant):
     done = State.initial(2).coalesce(0, 1)
     split = State(2, done.lineages[0].split(0.5))
     arg = Arg(cfg, [1.0, 2.0, 3.0], [Coalesce(0, 1), Recombine(0, 0.5), Coalesce(0, 1)],
-              [done, split, State.absorbing(2)])
+              [done, split, State.absorbing(2)], State.initial(2))
     report = validate_arg(arg)
     assert report.violations == replay_validate(arg).violations
     assert report.violations == [(1, "b", "cannot recombine the absorbing state")]

@@ -5,6 +5,7 @@ import math
 import pytest
 from scipy.integrate import quad
 
+from argsim import backintime
 from argsim.backintime import (
     EventCapExceeded,
     sample_event,
@@ -140,7 +141,7 @@ def test_sample_event_pure_coalescence_when_rho_zero():
     x = State.initial(2)
     rng = SimRng(3)
     for _ in range(50):
-        assert sample_event(x, 0.0, UNIFORM, rng) == Coalesce(0, 1)
+        assert sample_event(x, total_rate(x, 0.0, UNIFORM), UNIFORM, rng) == Coalesce(0, 1)
 
 
 def test_sample_event_frequencies():
@@ -151,7 +152,7 @@ def test_sample_event_frequencies():
     n_coal = 0
     n_rec0 = 0
     for _ in range(n):
-        ev = sample_event(x, 1.0, UNIFORM, rng, rates=rates)
+        ev = sample_event(x, rates, UNIFORM, rng)
         if isinstance(ev, Coalesce):
             n_coal += 1
         elif ev.i == 0:
@@ -175,7 +176,7 @@ def test_recombination_locus_is_truncated_uniform():
     rng = SimRng(55)
     loci = []
     while len(loci) < 10 ** 5:
-        ev = sample_event(x, 1.0, UNIFORM, rng, rates=rates)
+        ev = sample_event(x, rates, UNIFORM, rng)
         if isinstance(ev, Recombine) and ev.i == 0:
             loci.append(ev.locus)
     assert all(0.3 < u < 1.0 for u in loci)
@@ -234,10 +235,11 @@ def test_simulation_is_deterministic():
     assert (c.times, c.events) != (a.times, a.events)
 
 
-def test_event_cap_raises():
+def test_event_cap_raises(monkeypatch):
+    monkeypatch.setattr(backintime, "DEFAULT_EVENT_CAP", 2)
     cfg = SimConfig(n_samples=4, rho=0.0, seed=1)
-    with pytest.raises(EventCapExceeded):
-        simulate_backintime(cfg, max_events=2)
+    with pytest.raises(EventCapExceeded, match=r"^exceeded 2 events \(n=4 rho=0\)$"):
+        simulate_backintime(cfg)
 
 
 def test_distinct_breakpoints_along_paths():

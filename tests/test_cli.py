@@ -5,7 +5,6 @@ import gc
 import json
 import os
 import weakref
-from functools import partial
 
 import pytest
 
@@ -16,18 +15,8 @@ from argsim.backintime import simulate_backintime
 from argsim.cli import main
 from argsim.config import SimConfig
 from argsim.rng import SALTS, child_seed
-from argsim.state import Coalesce, Recombine, State
-
-
-def build_arg(config, timed_events):
-    state = State.initial(config.n_samples)
-    times, events, states = [], [], []
-    for t, ev in timed_events:
-        state = state.apply(ev)
-        times.append(t)
-        events.append(ev)
-        states.append(state)
-    return Arg(config, times, events, states)
+from argsim.state import Coalesce, Recombine
+from conftest import build_arg
 
 
 def test_version():
@@ -362,9 +351,19 @@ def test_compare_rejects_bad_arguments(tmp_path, capsys):
         assert captured.out == "", extra
 
 
+def capped_backintime(config):
+    """simulate_backintime with the event cap at 1 for this call only.
+
+    The CLI's up-front estimate reads the same cap, so patching it for the
+    whole run would refuse the run before any replicate.
+    """
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(backintime, "DEFAULT_EVENT_CAP", 1)
+        return simulate_backintime(config)
+
+
 def test_event_cap_exits_2_with_one_line(tmp_path, monkeypatch, capsys):
-    capped = partial(simulate_backintime, max_events=1)
-    monkeypatch.setitem(stats.ENGINES, "backintime", capped)
+    monkeypatch.setitem(stats.ENGINES, "backintime", capped_backintime)
     out = tmp_path / "capped.log"
     assert main(["simulate", "--engine", "backintime", "--samples", "3", "--rho", "1",
                  "--seed", "4", "--reps", "2", "--out", str(out)]) == 2
@@ -389,11 +388,14 @@ def test_expected_events_past_the_cap_exit_2_up_front(tmp_path, monkeypatch, cap
         assert main(argv) == 2
         assert capsys.readouterr().err.splitlines() == [line]
     assert not out.exists() and not (tmp_path / "r.csv").exists()
+    # at cap 7 the estimate lets the run start, and the engines, which read
+    # the same cap, stop the first path that runs past it
     monkeypatch.setattr(backintime, "DEFAULT_EVENT_CAP", 7)
-    assert main(sim) == 0
-    assert main(cmp_) in (0, 1)
-    assert capsys.readouterr().err == ""
-    assert out.exists() and (tmp_path / "r.csv").exists()
+    for argv, line in ((sim, "error: replicate 0: exceeded 7 events (n=4 rho=1)"),
+                       (cmp_, "error: exceeded 7 events (n=4 rho=1)")):
+        assert main(argv) == 2
+        assert capsys.readouterr().err.splitlines() == [line]
+    assert not out.exists() and not (tmp_path / "r.csv").exists()
 
 
 def test_huge_rho_is_refused_before_any_event(tmp_path, capsys):
@@ -428,7 +430,7 @@ def _full_disk(arg, fh):
 
 @pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
 @pytest.mark.parametrize("failing, writer, code, err", [
-    (partial(simulate_backintime, max_events=1), write_arg, 2,
+    (capped_backintime, write_arg, 2,
      ["error: replicate 1: exceeded 1 events (n=3 rho=1)"]),
     (_unfinished, write_arg, 1,
      ["engine produced an invalid event path (replicate 1):", "INVALID (1 violation):",

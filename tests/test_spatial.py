@@ -203,7 +203,7 @@ def walk_local_tree(graph):
     the set of branch ids visited, the top branch included.
     """
     visited = set()
-    for leaf in graph.leaves:
+    for leaf in range(graph.n):
         cur = graph.branches[leaf]
         while cur.id not in visited:
             visited.add(cur.id)
@@ -707,9 +707,12 @@ def test_each_stage_graph_is_the_final_path_projected_on_its_interval(monkeypatc
     assert checked > 200  # 40 stage-0 graphs, and rho=5 takes several stages a replicate
 
 
-def test_spatial_respects_event_cap():
+def test_spatial_respects_event_cap(monkeypatch):
+    # the cap lives in backintime; spatial must read it there at call time
+    from argsim import backintime
     from argsim.backintime import EventCapExceeded
 
+    monkeypatch.setattr(backintime, "DEFAULT_EVENT_CAP", 5)
     cfg = SimConfig(n_samples=4, rho=30.0, seed=2)
-    with pytest.raises(EventCapExceeded):
-        simulate_spatial(cfg, max_events=5)
+    with pytest.raises(EventCapExceeded, match=r"^exceeded 5 events \(n=4 rho=30\)$"):
+        simulate_spatial(cfg)
