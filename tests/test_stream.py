@@ -29,6 +29,9 @@ GRID = list(itertools.product(
     # over old edges
     ("spatial", "uniform", 20, 10),
     ("spatial", "beta:2,2", 20, 10),
+    # many splits per stage, splits of the top branch included
+    ("spatial", "uniform", 20, 30),
+    ("spatial", "beta:2,2", 4, 40),
 ]
 
 # sha256 of each cell's log, as written by `argsim simulate`
@@ -53,6 +56,8 @@ PINNED = {
     "spatial beta:2,2 n=8 rho=4": "0c7cf3c5b4357d083d38be605d2e261fb357ef3dd614d1bd36fbe8f873faa04d",
     "spatial uniform n=20 rho=10": "fa749999205bcfa3fbd966fecb37fecfffb9b073a8a6b3d7269307a4ad4728ee",
     "spatial beta:2,2 n=20 rho=10": "e8e62569acedff12f739188f9f743e029bd7a2607e3b427a84d74e9ea7a843f6",
+    "spatial uniform n=20 rho=30": "0293926bf6e05e6aeacb45aaf297309f48ad4718eb9ed289e32cd3c349a1c769",
+    "spatial beta:2,2 n=4 rho=40": "7f0e9cd708e6d5168ba0638ec72dc1631fc49aa9bbadd92e8edf1489a6399cee",
 }
 
 
