@@ -281,7 +281,8 @@ def cmd_tree(args, parser):
 
 def cmd_compare(args, parser):
     try:
-        sites = tuple(float(tok) for tok in args.sites.split(",") if tok.strip() != "")
+        # + 0.0 turns -0.0 into 0.0: one site, one row name
+        sites = tuple(float(tok) + 0.0 for tok in args.sites.split(",") if tok.strip() != "")
     except ValueError:
         parser.error("--sites must be a comma-separated list of numbers")
     if not sites:

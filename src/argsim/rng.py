@@ -40,7 +40,7 @@ def mix64(z):
     return (z ^ (z >> 31)) & MASK64
 
 
-def child_seed(root, replicate, salt=0):
+def child_seed(root, replicate, salt):
     """Deterministic 64-bit seed for one replicate of one engine stream."""
     base = mix64((root ^ salt) & MASK64)
     return mix64(base + (replicate + 1) * GOLDEN)
@@ -71,5 +71,5 @@ class SimRng:
         return i if i < k else k - 1  # guards the measure-zero edge
 
 
-def replicate_rng(root, replicate, salt=0):
+def replicate_rng(root, replicate, salt):
     return SimRng(child_seed(root, replicate, salt))

@@ -26,16 +26,21 @@ the states hold the live branches' material as it is. validate_arg checks
 each event against those states, so the two derivations meet there.
 
 Cost per stage, for a graph of N nodes and B branches: the free-mode rates
-(live_intervals) take one sort of the node times and one sweep over the
-branches, O(N log N + B); each free rise resolves branch ids only on the
-interval it lands in, O(B); the splice (accept_breakpoint) reads every
-branch's newest value, O(B), and builds a Lineage only where that changes.
+are the live intervals the graph keeps across stages. live_intervals builds
+them once, for the stage-0 tree, and each splice updates them in place: one
+bisection and one list insert per new node time, O(N), and +1 on the
+intervals each new segment spans. Each free rise resolves branch ids only
+on the interval it lands in, O(B). The splice (accept_breakpoint) gives new
+values only to the branches whose value can change: the old local tree, the
+old top, the path and the pieces made in this stage. It builds a Lineage
+only where that value changes. The tail walk from the absorption point to
+the top stays O(tree height).
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate
 
@@ -88,7 +93,7 @@ class PartialGraph:
 
     __slots__ = (
         "n", "branches", "nodes", "top_id", "breakpoints",
-        "tree", "tree_length",
+        "tree", "tree_length", "starts", "counts",
     )
 
     def __init__(self, n):
@@ -99,6 +104,10 @@ class PartialGraph:
         self.breakpoints = []
         self.tree = ()  # finite local-tree branches, in id order
         self.tree_length = 0.0
+        # the live intervals: starts[k] opens interval k, counts[k] branches
+        # span it (see live_intervals); accept_breakpoint keeps them current
+        self.starts = []
+        self.counts = []
 
     def add_branch(self, lo, hi, upper_node, material):
         bid = len(self.branches)  # nothing is ever removed
@@ -160,6 +169,7 @@ def kingman_tree(n, rng):
         live.pop(j)
     graph.top_id = live[0]
     graph.set_tree(b for b in graph.branches.values() if b.hi < INF)
+    graph.starts, graph.counts = live_intervals(graph)
     return graph
 
 
@@ -170,11 +180,12 @@ def live_intervals(graph):
     the number of branches spanning it (b.lo <= starts[k] < b.hi). The last
     interval is unbounded and holds only the top branch.
 
-    Cost per stage: one sort of the node times plus one pass over the
-    branches, O(nodes log nodes + branches). Each branch adds +1 where it
-    opens and -1 where it closes; a prefix sum gives the counts. Branch ids
-    are resolved later, by live_branches, on the one interval a free rise
-    lands in.
+    One sort of the node times plus one pass over the branches, O(nodes
+    log nodes + branches): each branch adds +1 where it opens and -1 where
+    it closes, and a prefix sum gives the counts. kingman_tree calls it once
+    to seed graph.starts and graph.counts; accept_breakpoint then keeps
+    those in place, so no stage rebuilds them. Branch ids are resolved
+    later, by live_branches, on the one interval a free rise lands in.
     """
     times = sorted({nd.time for nd in graph.nodes.values()})
     starts = [0.0] + times
@@ -200,18 +211,18 @@ def live_branches(graph, t):
     return tuple(b.id for b in graph.branches.values() if b.lo <= t < b.hi)
 
 
-def free_rise(graph, intervals, t0, rng):
+def free_rise(graph, t0, rng):
     """Free mode: rise from latitude t0 until coalescing with a live branch.
 
     Coalescence happens at rate equal to the live-branch count; the target
     is uniform among the branches live at the coalescence latitude. Exact
     piecewise-exponential inversion over the graph's latitude intervals.
 
-    Cost per call: one step per interval crossed, using the counts of
-    live_intervals, plus one live_branches pass over the branches on the
-    interval where the rise lands.
+    Cost per call: one step per interval crossed, using the live intervals
+    the graph keeps (graph.starts, graph.counts), plus one live_branches
+    pass over the branches on the interval where the rise lands.
     """
-    starts, counts = intervals
+    starts, counts = graph.starts, graph.counts
     budget = -math.log(rng.uniform())  # integrated hazard to spend
     k = bisect_right(starts, t0) - 1
     t = t0
@@ -287,13 +298,12 @@ def trace_lineage(graph, fork_id, t0, s_new, rho, density, rng):
     straight left-to-right pass.
     """
     trace = Trace(fork_id=fork_id, t0=t0, xi=graph.branches[fork_id].material.vals[-1])
-    intervals = live_intervals(graph)
     mode_free = True
     ride = None  # branch being ridden
     t = t0
     while True:
         if mode_free:
-            t_coal, target_id = free_rise(graph, intervals, t, rng)
+            t_coal, target_id = free_rise(graph, t, rng)
             trace.steps.append(("coal", t_coal, target_id))
             target = graph.branches[target_id]
             t = t_coal
@@ -324,12 +334,16 @@ def trace_lineage(graph, fork_id, t0, s_new, rho, density, rng):
 def accept_breakpoint(graph, s_new, trace):
     """Step 6 plus the material update: splice the trace into the graph.
 
-    The new segments share one Lineage: xi from s_new on. The one pass that
-    gives every branch its value from s_new on also reads the local tree off
+    The new segments share one Lineage: xi from s_new on. The live
+    intervals are updated in place, and one pass gives each branch whose
+    value can change its value from s_new on, reading the local tree off
     it: the branches left nonempty there.
     """
     xi = trace.xi
     carried = Lineage((s_new,), (frozenset(), xi))
+    old_tree, old_top = graph.tree, graph.top_id
+    first_branch, first_node = len(graph.branches), len(graph.nodes)
+    segs = []  # the new segments of carried material
     alias = {}  # pre-split piece id -> its upper part, chained per split
 
     def current_piece(bid):
@@ -347,6 +361,7 @@ def accept_breakpoint(graph, s_new, trace):
     fork_piece = current_piece(trace.fork_id)
     fork_above = split_at(fork_piece, trace.t0)
     seg = graph.add_branch(trace.t0, None, None, carried)
+    segs.append(seg)
     fork_node = graph.add_node(trace.t0, "r", s_new, [fork_piece.id], [fork_above.id, seg.id])
     fork_piece.upper_node = fork_node.id
     on_path.add(seg.id)
@@ -370,6 +385,7 @@ def accept_breakpoint(graph, s_new, trace):
             locus = step[2]
             above = split_at(ride_piece, t)
             seg = graph.add_branch(t, None, None, carried)
+            segs.append(seg)
             node = graph.add_node(t, "r", locus, [ride_piece.id], [above.id, seg.id])
             on_path.add(ride_piece.id)
             ride_piece.upper_node = node.id
@@ -390,17 +406,41 @@ def accept_breakpoint(graph, s_new, trace):
         if cur.upper_node is None:
             break
         cur = graph.branch_above(cur.upper_node)
-    # every branch's value from s_new on
+    # the live intervals: each new node time opens an interval with the
+    # count of the one it splits (starts[0] is no node time, so the first
+    # node at latitude 0 repeats it); splits keep their span covered, so
+    # only the new segments add to the counts
+    starts, counts = graph.starts, graph.counts
+    for nid in range(first_node, len(graph.nodes)):
+        t = graph.nodes[nid].time
+        k = bisect_right(starts, t)
+        if k == 1 or starts[k - 1] != t:
+            starts.insert(k, t)
+            counts.insert(k, counts[k - 1])
+    for seg in segs:
+        if seg.lo < seg.hi:  # a zero-length segment spans no interval
+            k = bisect_left(starts, seg.lo)
+            while starts[k] < seg.hi:
+                counts[k] += 1
+                k += 1
+    # the value from s_new on: only the old tree and top hold material
+    # there, and every other old branch's empty value stays empty unless
+    # the path gains xi. The walk goes in id order, so the tree does too,
+    # and sample_recomb_location and the fsum of its length see the same
+    # sequence as a pass over every branch would give them
+    walk = {b.id for b in old_tree}
+    walk.add(old_top)
+    walk.update(on_path, range(first_branch, len(graph.branches)))
     tree = []
-    for b in graph.branches.values():
-        last = b.material.vals[-1]
-        if b.id in on_path:
-            col = last | xi
-        elif b.hi > trace.t0:
+    for bid in sorted(walk):
+        b = graph.branches[bid]
+        last = col = b.material.vals[-1]
+        if bid in on_path:
+            if not xi <= last:
+                col = last | xi
+        elif b.hi > trace.t0 and not xi.isdisjoint(last):
             col = last - xi
-        else:
-            col = last
-        if col != last:
+        if col is not last:
             b.material = Lineage(b.material.breaks + (s_new,), b.material.vals + (col,))
         if col and b.hi < INF:
             tree.append(b)

@@ -11,6 +11,7 @@ from bisect import bisect_right
 import pytest
 
 from argsim.arg import Arg, ValidationReport
+from argsim.spatial import live_intervals
 from argsim.state import Coalesce, IllegalEventError, Lineage, Recombine, State, fmt_locus, full_set
 
 
@@ -224,7 +225,8 @@ def check_invariants(graph):
 
     Checks that each branch's material is canonical and changes only at
     the graph's breakpoints, column conservation at every node and every
-    column, that the live columns partition the samples, and the two
+    column, that the live columns partition the samples, that the live
+    intervals the graph keeps equal a fresh live_intervals sweep, and the two
     facts the engine reads off the material: a branch is in the current
     local tree iff its material ends at 1.0, and otherwise its material
     ends at the breakpoint after its last nonempty column.
@@ -265,6 +267,7 @@ def check_invariants(graph):
             assert frozenset().union(*vals) == full
     top = graph.branches[graph.top_id]
     assert top.hi == math.inf and top.material.end == 1.0
+    assert (graph.starts, graph.counts) == live_intervals(graph), "kept intervals differ from the sweep"
     return graph
 
 

@@ -161,8 +161,7 @@ def test_criterion_5_free_rise_law(capsys):
         accept_breakpoint(g, s_new, trace_lineage(g, fid, t0, s_new, 2.0, UNIFORM, rng))
     assert len(g.breakpoints) >= 1
     check_invariants(g)
-    intervals = live_intervals(g)
-    starts, counts = intervals
+    starts, counts = live_intervals(g)
     t_from = 0.1
 
     def cdf(t):
@@ -178,7 +177,7 @@ def test_criterion_5_free_rise_law(capsys):
         return -math.expm1(-acc)
 
     rng2 = SimRng(50051)
-    draws = [free_rise(g, intervals, t_from, rng2)[0] for _ in range(BIG)]
+    draws = [free_rise(g, t_from, rng2)[0] for _ in range(BIG)]
     d, p = ks_one_sample(draws, cdf)
     ok = p > 0.001
     announce(

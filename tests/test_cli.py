@@ -307,6 +307,19 @@ def test_compare_passes_on_matched_engines(tmp_path, capsys):
     assert all(row.endswith(",pass") for row in rows[1:])
 
 
+def test_compare_names_negative_zero_site_0(tmp_path, capsys):
+    # --sites -0 is site 0: same rows, same report bytes
+    reports = []
+    for site in ("0", "-0"):
+        out = tmp_path / ("report%s.csv" % site)
+        assert main(["compare", "--samples", "2", "--rho", "0", "--seed", "1",
+                     "--reps", "50", "--sites", site, "--out", str(out), "--threads", "1"]) == 0
+        reports.append(out.read_text())
+    capsys.readouterr()
+    assert "tmrca_ks_site_0," in reports[1] and "site_-0" not in reports[1]
+    assert reports[1] == reports[0]
+
+
 def test_compare_alpha_one_fails_everything(tmp_path):
     out = tmp_path / "report.csv"
     rc = main(["compare", "--samples", "2", "--rho", "0", "--seed", "1",
@@ -328,6 +341,7 @@ def test_compare_rejects_bad_arguments(tmp_path, capsys):
         ["--sites", ""],
         ["--sites", "1.0"],
         ["--sites", "0,0"],
+        ["--sites", "0,-0"],  # -0.0 == 0.0: one site named twice
         ["--alpha", "0"],
         ["--alpha", "1.5"],
         ["--density", "beta:0,1"],

@@ -30,11 +30,11 @@ def test_mix64_range_and_injectivity_sample():
 
 
 def test_child_seed_determinism_and_distinctness():
-    assert child_seed(7, 0) == child_seed(7, 0)
-    seeds = {child_seed(7, r) for r in range(500)}
+    assert child_seed(7, 0, 0) == child_seed(7, 0, 0)
+    seeds = {child_seed(7, r, 0) for r in range(500)}
     assert len(seeds) == 500
     assert child_seed(7, 0, SALTS["backintime"]) != child_seed(7, 0, SALTS["spatial"])
-    assert child_seed(7, 0) != child_seed(8, 0)
+    assert child_seed(7, 0, 0) != child_seed(8, 0, 0)
 
 
 def test_uniform_is_open_interval():

@@ -123,6 +123,7 @@ def two_leaf_graph(height=1.0):
     a.upper_node = b.upper_node = node.id
     g.top_id = top.id
     g.set_tree((a, b))
+    g.starts, g.counts = live_intervals(g)
     return g
 
 
@@ -190,6 +191,7 @@ def scan_intervals(graph):
 
 def assert_sweep_matches_scan(graph):
     starts, counts = live_intervals(graph)
+    assert (graph.starts, graph.counts) == (starts, counts), "kept intervals differ from the sweep"
     want_starts, want_live = scan_intervals(graph)
     assert starts == want_starts
     assert counts == [len(ids) for ids in want_live]
@@ -252,7 +254,8 @@ def zero_length_graph():
     Branch 0 is cut at latitude 0 and branch 4 (the upper part of 1) at 0.5,
     so 0 spans [0, 0) and 4 spans [0.5, 0.5); the node at latitude 0 makes
     starts repeat 0.0. The cut nodes have one parent each, so this is no
-    ARG: only live_intervals and live_branches read it.
+    ARG: only live_intervals and live_branches read it, and the kept
+    intervals are rebuilt by live_intervals after the cuts.
     """
     g = two_leaf_graph(1.0)
     for bid, t in ((0, 0.0), (1, 0.5), (4, 0.5)):
@@ -260,6 +263,7 @@ def zero_length_graph():
         above = g.split_branch(piece, t)
         node = g.add_node(t, "c", None, [piece.id], [above.id])
         piece.upper_node = node.id
+    g.starts, g.counts = live_intervals(g)
     return g
 
 
@@ -275,6 +279,32 @@ def test_live_intervals_match_the_scan_on_fixtures():
     assert_sweep_matches_scan(g)
     assert live_intervals(g) == ([0.0, 0.0, 0.5, 1.0], [2, 2, 2, 1])
     assert [live_branches(g, t) for t in (0.0, 0.5)] == [(1, 3), (3, 5)]
+    # a fork at latitude 0 on a leaf: the splice repeats starts[0], as the
+    # sweep does for the node at 0 above
+    g = kingman_tree(2, SimRng(5))
+    accept_breakpoint(g, 0.5, trace_lineage(g, 0, 0.0, 0.5, 1.0, UNIFORM, SimRng(9)))
+    assert_sweep_matches_scan(g)
+    assert_tree_matches_walk(g)
+    assert g.starts[:2] == [0.0, 0.0] and g.counts[0] == g.counts[1] == 3
+
+
+def test_simulate_spatial_sweeps_once_per_replicate(monkeypatch):
+    # the stage-0 tree is swept once; every later stage updates the kept
+    # intervals in place
+    sweep = spatial.live_intervals
+    calls = []
+
+    def counting(graph):
+        calls.append(graph.breakpoints[:])
+        return sweep(graph)
+
+    monkeypatch.setattr(spatial, "live_intervals", counting)
+    log = record_stages(monkeypatch)
+    reps = 5
+    for r in range(reps):
+        simulate_spatial(SimConfig(n_samples=6, rho=5.0, seed=3, replicate_index=r))
+    assert len(log) > 2 * reps  # several stages a replicate
+    assert calls == [[]] * reps
 
 
 def test_kingman_tree_moments():
@@ -294,11 +324,10 @@ def test_kingman_tree_moments():
 
 def test_free_rise_above_the_root_is_unit_exponential():
     g = two_leaf_graph(1.0)
-    intervals = live_intervals(g)
     rng = SimRng(99)
     draws = []
     for _ in range(5000):
-        t, target = free_rise(g, intervals, 5.0, rng)
+        t, target = free_rise(g, 5.0, rng)
         assert target == g.top_id
         draws.append(t - 5.0)
     d, p = ks_one_sample(draws, lambda x: -math.expm1(-x))
@@ -322,7 +351,7 @@ def test_free_rise_piecewise_exponential_law():
     draws = []
     first_targets = []
     for _ in range(10000):
-        t, target = free_rise(g, intervals=(starts, counts), t0=0.0, rng=rng)
+        t, target = free_rise(g, t0=0.0, rng=rng)
         k = 0
         while k + 1 < len(starts) and starts[k + 1] <= t:
             k += 1
