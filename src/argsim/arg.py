@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 
 from .state import (
@@ -335,11 +336,18 @@ _HEADER_FIELDS = (
 
 
 def _header_config(header, lineno):
+    from . import backintime  # deferred: backintime imports this module
     from .config import SimConfig  # deferred: config pulls in the density registry
 
     n_samples, rho, density, seed, replicate = (
         _field(header, key, kinds, "line %d" % lineno) for key, kinds in _HEADER_FIELDS
     )
+    # a path takes at least n - 1 events; refuse before State.initial(n) is built
+    cap = backintime.DEFAULT_EVENT_CAP
+    if n_samples - 1 > cap:
+        raise ArgParseError(
+            "line %d: n_samples %d needs more events than the cap of %d" % (lineno, n_samples, cap)
+        )
     try:
         return SimConfig(
             n_samples=n_samples, rho=rho, density=density, seed=seed, replicate_index=replicate
@@ -380,7 +388,7 @@ def _iter_logs(fp):
         if not raw:
             continue
         try:
-            obj = json.loads(raw)
+            obj = _DECODER.decode(raw)
         except (ValueError, RecursionError) as err:
             raise ArgParseError("line %d: %s" % (lineno, err))
         if not isinstance(obj, dict):
@@ -420,6 +428,22 @@ def _iter_logs(fp):
         raise ArgParseError("truncated log: header at line %d has no trailer" % header_line)
     if not found:
         raise ArgParseError("empty stream: no event logs found")
+
+
+def _finite(text):
+    """A JSON number or constant (NaN, Infinity) as a float, if finite.
+
+    1e400 is valid JSON that reads as inf, and a log holding it would be
+    written back as text no reader takes.
+    """
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError("non-finite number %s" % text)
+    return value
+
+
+# one decoder for every line: json.loads with hooks would build one per call
+_DECODER = json.JSONDecoder(parse_float=_finite, parse_constant=_finite)
 
 
 def _check_trailer(lineno, trailer, count, final):

@@ -28,6 +28,8 @@ class SimConfig:
             raise ValueError("need at least 2 samples, got %r" % (self.n_samples,))
         if not 0.0 <= self.rho < math.inf:
             raise ValueError("recombination rate must be finite and >= 0, got %r" % (self.rho,))
+        # -0.0 would print "-0" in a log header, which reads back as 0
+        object.__setattr__(self, "rho", abs(self.rho))
         if isinstance(self.density, str):
             object.__setattr__(self, "density", parse_density(self.density))
         if not 0 <= self.seed < 2**64:

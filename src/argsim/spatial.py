@@ -22,8 +22,9 @@ of the current locus), then:
 
 The finished graph converts into the same Arg event-log form the
 back-in-time engine emits: nodes sorted by latitude become events, and
-the states hold the live branches' material as it is. validate_arg checks
-each event against those states, so the two derivations meet there.
+State.successor takes each node's children's material out of the state
+and its parents' in, as the branches hold it. validate_arg checks each
+event against those states, so the two derivations meet there.
 
 Cost per stage, for a graph of N nodes and B branches: the free-mode rates
 are the live intervals the graph keeps across stages. live_intervals builds
@@ -451,30 +452,22 @@ def accept_breakpoint(graph, s_new, trace):
 def graph_to_arg(graph, config):
     """Convert the finished graph to the event-log form.
 
-    Nodes sorted by latitude become events. Each state holds the material
-    Lineages of the live branches as they are: none is built and no event
-    is replayed here. A branch keeps one Lineage object across the states
-    it lives in, so validate_arg's step check matches the untouched
-    lineages by identity; a state the material disagrees with fails that
-    check, and the replay of that step reports it as clause (b).
+    Nodes sorted by latitude become events. Each state is State.successor
+    of the one before: the node's children's material out, its parents'
+    in, as the branches hold it. No Lineage is built and no event is
+    replayed here. A branch keeps one Lineage object across the states it
+    lives in, so validate_arg's step check matches the untouched lineages
+    by identity; a state the material disagrees with fails that check, and
+    the replay of that step reports it as clause (b).
     """
-    funcs = {b.id: b.material for b in graph.branches.values()}
-    live = set(range(graph.n))
-    initial = state = State(graph.n, [funcs[i] for i in live])
-    assert all(funcs[j].vals == (frozenset({j + 1}),) for j in live), "leaves are not singletons"
+    material = [b.material for b in graph.branches.values()]  # indexed by branch id
+    initial = state = State(graph.n, material[:graph.n])
+    assert all(material[j].vals == (frozenset({j + 1}),) for j in range(graph.n)), "leaves are not singletons"
     times, events, states = [], [], []
     for node in sorted(graph.nodes.values(), key=lambda nd: (nd.time, nd.id)):
-        ranked = state.lineages
-        if node.kind == "c":
-            c1, c2 = node.children
-            i, j = sorted((ranked.index(funcs[c1]), ranked.index(funcs[c2])))
-            event = Coalesce(i, j)
-        else:
-            (child,) = node.children
-            event = Recombine(ranked.index(funcs[child]), node.locus)
-        live.difference_update(node.children)
-        live.update(node.parents)
-        state = State(graph.n, [funcs[i] for i in live])
+        gone = sorted(state.lineages.index(material[c]) for c in node.children)
+        event = Coalesce(*gone) if node.kind == "c" else Recombine(gone[0], node.locus)
+        state = state.successor(gone, [material[p] for p in node.parents])
         times.append(node.time)
         events.append(event)
         states.append(state)

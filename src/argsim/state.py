@@ -240,10 +240,7 @@ class State:
         if not (0 <= i < j < k):
             raise IllegalEventError("coalesce ranks out of range: (%r, %r) with %d lineages" % (i, j, k))
         merged = self.lineages[i].union(self.lineages[j])
-        rest = list(self.lineages)
-        del rest[j], rest[i]
-        insort(rest, merged, key=Lineage.rank_key)
-        return State._ranked(self.n, rest)
+        return self.successor((i, j), (merged,))
 
     def recombine(self, i, u):
         k = len(self.lineages)
@@ -258,10 +255,19 @@ class State:
             )
         below, above = self.lineages[i].split(u)
         assert not below.is_null and not above.is_null
+        return self.successor((i,), (below, above))
+
+    def successor(self, gone, created):
+        """This state without its lineages at the ascending ranks ``gone``, plus ``created``.
+
+        The one rule for a path's next state, with no legality check. Rank
+        keys are unique in a valid state, so insort gives a sort's order.
+        """
         rest = list(self.lineages)
-        del rest[i]
-        insort(rest, below, key=Lineage.rank_key)
-        insort(rest, above, key=Lineage.rank_key)
+        for r in reversed(gone):
+            del rest[r]
+        for lin in created:
+            insort(rest, lin, key=Lineage.rank_key)
         return State._ranked(self.n, rest)
 
     def apply(self, event):

@@ -5,11 +5,13 @@ import io
 import itertools
 import json
 import math
+import re
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from argsim import backintime
 from argsim.arg import (
     Arg,
     ArgParseError,
@@ -502,6 +504,45 @@ def test_loaded_floats_are_exact():
     loaded = read_arg(io.StringIO(buf.getvalue()))
     assert loaded.config.rho == cfg.rho
     assert loaded.times == arg.times
+
+
+def _rec_log_lines():
+    """The lines of a one-log stream that holds a recombination."""
+    cfg = SimConfig(n_samples=2, rho=2.0, seed=1)
+    for r in itertools.count():
+        arg = simulate_backintime(cfg.with_replicate(r))
+        if any(isinstance(ev, Recombine) for ev in arg.events):
+            buf = io.StringIO()
+            write_arg(arg, buf)
+            return buf.getvalue().splitlines()
+
+
+@pytest.mark.parametrize("number", ["1e400", "-1e400", "NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("key", ["rho", "u", "t"])
+def test_non_finite_numbers_are_parse_errors(number, key):
+    # 1e400 is valid JSON that reads as inf; an infinite last time would
+    # pass validation and be written back as "inf", which no reader takes
+    lines = _rec_log_lines()
+    lineno = max(k for k, line in enumerate(lines, 1) if '"%s":' % key in line)
+    lines[lineno - 1] = re.sub(r'"%s":[^,}]+' % key, '"%s":%s' % (key, number), lines[lineno - 1])
+    with pytest.raises(ArgParseError) as exc:
+        list(read_args(io.StringIO("\n".join(lines) + "\n")))
+    assert str(exc.value) == "line %d: non-finite number %s" % (lineno, number)
+
+
+def test_header_past_the_event_cap_is_a_parse_error(monkeypatch):
+    # a path takes at least n - 1 events, so a header whose n asks for more
+    # than the cap is refused before the n-lineage initial state is built
+    monkeypatch.setattr(backintime, "DEFAULT_EVENT_CAP", 3)
+    text = {}
+    for n in (4, 5):
+        buf = io.StringIO()
+        write_arg(build_arg(SimConfig(n_samples=n), [(k + 1.0, Coalesce(0, 1)) for k in range(n - 1)]), buf)
+        text[n] = buf.getvalue()
+    assert read_arg(io.StringIO(text[4])).event_count == 3
+    with pytest.raises(ArgParseError) as exc:
+        read_arg(io.StringIO(text[5]))
+    assert str(exc.value) == "line 1: n_samples 5 needs more events than the cap of 3"
 
 
 def _log_lines():

@@ -2,7 +2,9 @@
 
 import errno
 import gc
+import io
 import json
+import math
 import os
 import weakref
 
@@ -10,7 +12,7 @@ import pytest
 
 from argsim import arg as arg_module
 from argsim import backintime, cli, stats
-from argsim.arg import Arg, write_arg
+from argsim.arg import Arg, read_args, write_arg
 from argsim.backintime import simulate_backintime
 from argsim.cli import main
 from argsim.config import SimConfig
@@ -232,6 +234,49 @@ def test_validate_malformed_log_exits_2_with_one_line(tmp_path, capsys, line, ed
     assert main(["validate", str(out)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("parse error: line %d: " % line)
+
+
+@pytest.mark.parametrize("number", ["1e400", "NaN", "Infinity"])
+def test_non_finite_time_exits_2_in_validate_and_tree(tmp_path, capsys, number):
+    # read as inf, a last time would validate, give the tree inf branch
+    # lengths and be written back as "inf", which no reader takes
+    out = tmp_path / "run.log"
+    main(["simulate", "--engine", "backintime", "--samples", "2", "--rho", "0",
+          "--seed", "1", "--reps", "1", "--out", str(out)])
+    lines = out.read_text().splitlines()
+    obj = json.loads(lines[1])
+    lines[1] = json.dumps(obj).replace(json.dumps(obj["t"]), number)
+    out.write_text("\n".join(lines) + "\n")
+    for argv in (["validate", str(out)], ["tree", str(out), "--site", "0.5"]):
+        capsys.readouterr()
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["parse error: line 2: non-finite number %s" % number]
+
+
+def test_negative_zero_rho_reads_back_byte_for_byte(tmp_path):
+    assert math.copysign(1.0, SimConfig(n_samples=2, rho=-0.0).rho) == 1.0
+    out = tmp_path / "run.log"
+    assert main(["simulate", "--engine", "spatial", "--samples", "3", "--rho", "-0",
+                 "--seed", "4", "--reps", "2", "--out", str(out)]) == 0
+    text = out.read_text()
+    assert text.startswith('{"format_version":1,"n_samples":3,"rho":0,')
+    buf = io.StringIO()
+    for arg in read_args(io.StringIO(text)):
+        write_arg(arg, buf)
+    assert buf.getvalue() == text
+
+
+def test_header_past_the_event_cap_exits_2_with_one_line(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "run.log"
+    main(["simulate", "--engine", "backintime", "--samples", "3", "--rho", "0",
+          "--seed", "2", "--reps", "1", "--out", str(out)])
+    monkeypatch.setattr(backintime, "DEFAULT_EVENT_CAP", 1)
+    capsys.readouterr()
+    assert main(["validate", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["parse error: line 1: n_samples 3 needs more events than the cap of 1"]
 
 
 def test_tree_newick_output(tmp_path, capsys):

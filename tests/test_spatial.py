@@ -607,6 +607,19 @@ def test_graph_to_arg_builds_no_lineage(monkeypatch):
     assert all(validate_arg(arg).passed for arg in args)
 
 
+def test_graph_to_arg_sorts_one_state_per_path(monkeypatch):
+    # the initial state is the one sort; every later state is
+    # State.successor of the one before, with no sort per node
+    built = []
+    init = State.__init__
+    monkeypatch.setattr(State, "__init__", lambda self, *a: built.append(a) or init(self, *a))
+    args = [simulate_spatial(SimConfig(n_samples=n, rho=5.0, seed=3)) for n in (2, 6)]
+    assert len(built) == 2
+    assert all(arg.event_count > 5 for arg in args)
+    monkeypatch.undo()
+    assert all(validate_arg(arg).passed for arg in args)
+
+
 def test_accept_fork_at_the_lower_end_of_its_branch():
     # a fork at latitude 0 leaves split_branch a zero-length lower piece;
     # it lies below the fork, so it keeps the detached material

@@ -197,6 +197,27 @@ def test_lineage_count_changes_by_one():
             assert delta == (1 if isinstance(event, Recombine) else -1)
 
 
+@given(st.integers(2, 7), st.integers(0, 2**32), st.integers(1, 40), st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_successor_matches_the_sort_built_state(n, seed, steps, reverse):
+    # the sort under rank_key is the reference; successor must give its
+    # order, holding the very objects it was passed, whatever order the
+    # created lineages come in
+    for prev, event, nxt in random_walk(n, seed, steps):
+        if isinstance(event, Coalesce):
+            gone = (event.i, event.j)
+            created = [prev.lineages[event.i].union(prev.lineages[event.j])]
+        else:
+            gone = (event.i,)
+            created = list(prev.lineages[event.i].split(event.locus))
+        if reverse:
+            created.reverse()
+        kept = [lin for r, lin in enumerate(prev.lineages) if r not in gone]
+        got, want = prev.successor(gone, created), State(n, kept + created)
+        assert [id(lin) for lin in got.lineages] == [id(lin) for lin in want.lineages]
+        assert got == want == nxt
+
+
 def test_project_at_zero_freezes_blocks():
     for seed in range(10):
         states = walk_states(4, seed, 15)
