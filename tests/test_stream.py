@@ -32,6 +32,10 @@ GRID = list(itertools.product(
     # many splits per stage, splits of the top branch included
     ("spatial", "uniform", 20, 30),
     ("spatial", "beta:2,2", 4, 40),
+    # many samples: label sets past 64 labels, and labels of two digits,
+    # whose numeric order is not their text order
+    ("backintime", "uniform", 70, 2),
+    ("spatial", "uniform", 70, 2),
 ]
 
 # sha256 of each cell's log, as written by `argsim simulate`
@@ -46,6 +50,7 @@ PINNED = {
     "backintime beta:2,2 n=8 rho=4": "6b529e72efe98429f621aae1b38a0c7f960b2d9f8c290a23b8b10cf0811ce2cc",
     "backintime beta:2,2 n=20 rho=15": "c9e43981cb532e96a552348fca8397bcb9aae7c52dac486b8958dbb2e450e504",
     "backintime uniform n=20 rho=30": "872c215982632c768bf2b2ee68f60f1fb714c8674fe319b02a18a37e9681f442",
+    "backintime uniform n=70 rho=2": "7456862b1fdde772e303447d14a6bd904c88c4f65bc3397160ef8b922f862995",
     "spatial uniform n=3 rho=1": "31993982e36e7d702a6e26fe324e204d0ac07ebd768998fd71afb87fdb90945d",
     "spatial uniform n=3 rho=4": "70e21bb48835be400e19e2008347c9e740525f72b1cdeea87f477c49460c063b",
     "spatial uniform n=8 rho=1": "63c909491d8b01ad68bf8cb25f7b58267791b5c1b47d305769e20d91ed3d7d30",
@@ -58,6 +63,7 @@ PINNED = {
     "spatial beta:2,2 n=20 rho=10": "e8e62569acedff12f739188f9f743e029bd7a2607e3b427a84d74e9ea7a843f6",
     "spatial uniform n=20 rho=30": "0293926bf6e05e6aeacb45aaf297309f48ad4718eb9ed289e32cd3c349a1c769",
     "spatial beta:2,2 n=4 rho=40": "7f0e9cd708e6d5168ba0638ec72dc1631fc49aa9bbadd92e8edf1489a6399cee",
+    "spatial uniform n=70 rho=2": "acabbdf448b9203549df3336b773b72130c442d1525108f56e44a54e3d633fbe",
 }
 
 
