@@ -172,10 +172,11 @@ def breakpoints(arg):
 def _site_merges(arg, s):
     """Walk the path once for the tree at site s.
 
-    Returns the merges ((t, vi, vj), ...) of the two blocks at s of each
-    coalescence whose lineages both carry material there, up to the one
-    that leaves a single block, and the tree's total length: the sum over
-    the walk of the block count times each inter-event time.
+    Returns the merges ((t, vi, vj), ...) of the two blocks at s (label
+    bitmasks) of each coalescence whose lineages both carry material
+    there, up to the one that leaves a single block, and the tree's total
+    length: the sum over the walk of the block count times each
+    inter-event time.
     """
     k = arg.n_samples
     merges = []
@@ -202,20 +203,20 @@ def _site_merges(arg, s):
 class LocalTree:
     """The coalescent tree at one site, as its partition jump chain."""
 
-    levels: tuple  # ((time, partition-as-tuple-of-blocks), ...)
+    levels: tuple  # ((time, partition-as-tuple-of-label-bitmasks), ...)
 
     def newick(self):
         """Newick string; children ordered smallest leaf label first."""
         nodes = {}
         for block in self.levels[0][1]:
-            (leaf,) = block
-            nodes[block] = (0.0, str(leaf))
+            assert block & (block - 1) == 0, "the first level holds singletons"
+            nodes[block] = (0.0, str(block.bit_length()))
         root = None
         for time, partition in self.levels[1:]:
             merged = [b for b in partition if b not in nodes]
             assert len(merged) == 1, "levels must merge exactly one pair"
             target = merged[0]
-            children = sorted((b for b in nodes if b <= target), key=min)
+            children = sorted((b for b in nodes if b & ~target == 0), key=_lowest_bit)
             assert len(children) == 2, "binary merges only"
             parts = []
             for child in children:
@@ -227,12 +228,17 @@ class LocalTree:
         return nodes[root][1] + ";"
 
 
+def _lowest_bit(mask):
+    """Sort key of a label bitmask: disjoint masks sort by their smallest label."""
+    return mask & -mask
+
+
 def local_tree(arg, s):
     """The site-s tree: its partition after each merge, blocks sorted by smallest label."""
-    part = tuple(frozenset({i}) for i in range(1, arg.n_samples + 1))
+    part = tuple(1 << j for j in range(arg.n_samples))
     levels = [(0.0, part)]
     for t, vi, vj in _site_merges(arg, s)[0]:
-        part = sorted([b for b in part if b != vi and b != vj] + [vi | vj], key=min)
+        part = sorted([b for b in part if b != vi and b != vj] + [vi | vj], key=_lowest_bit)
         levels.append((t, tuple(part)))
     return LocalTree(levels=tuple(levels))
 
@@ -314,8 +320,11 @@ def write_arg(arg, fp):
 def _field(obj, key, kinds, where):
     """obj[key] when obj is a dict holding a value of one of ``kinds``.
 
-    JSON booleans never count as numbers. Anything else is an
-    ArgParseError whose message starts with ``where`` (say, "line 3").
+    JSON booleans never count as numbers. A field that may be a float is
+    returned as one: JSON integers are unbounded, and one past the float
+    range is refused here, not left to overflow in later arithmetic.
+    Anything else is an ArgParseError whose message starts with ``where``
+    (say, "line 3").
     """
     if not isinstance(obj, dict) or key not in obj:
         raise ArgParseError("%s: missing %r" % (where, key))
@@ -323,6 +332,11 @@ def _field(obj, key, kinds, where):
     if not isinstance(value, kinds) or isinstance(value, bool):
         raise ArgParseError("%s: %r must be %s, got %r" % (
             where, key, " or ".join(k.__name__ for k in kinds), value))
+    if float in kinds:
+        try:
+            return float(value)
+        except OverflowError:
+            raise ArgParseError("%s: %r is an integer too large for a float" % (where, key)) from None
     return value
 
 

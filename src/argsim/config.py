@@ -28,8 +28,12 @@ class SimConfig:
             raise ValueError("need at least 2 samples, got %r" % (self.n_samples,))
         if not 0.0 <= self.rho < math.inf:
             raise ValueError("recombination rate must be finite and >= 0, got %r" % (self.rho,))
+        try:
+            rho = float(self.rho)
+        except OverflowError:  # an int compares below inf but may not fit a float
+            raise ValueError("recombination rate must be finite, got an integer too large for a float") from None
         # -0.0 would print "-0" in a log header, which reads back as 0
-        object.__setattr__(self, "rho", abs(self.rho))
+        object.__setattr__(self, "rho", abs(rho))
         if isinstance(self.density, str):
             object.__setattr__(self, "density", parse_density(self.density))
         if not 0 <= self.seed < 2**64:

@@ -154,7 +154,7 @@ def kingman_tree(n, rng):
     """Step 1: the locus-0 coalescent tree as a stage-0 graph."""
     graph = PartialGraph(n)
     for j in range(n):
-        graph.add_branch(0.0, INF, None, Lineage.constant({j + 1}))
+        graph.add_branch(0.0, INF, None, Lineage.constant(1 << j))
     live = list(range(n))
     t = 0.0
     while len(live) > 1:
@@ -287,7 +287,7 @@ class Trace:
 
     fork_id: int
     t0: float
-    xi: frozenset
+    xi: int  # the detached labels, as a bitmask
     steps: list = field(default_factory=list)  # ordered (kind, time, payload...)
 
 
@@ -341,7 +341,7 @@ def accept_breakpoint(graph, s_new, trace):
     it: the branches left nonempty there.
     """
     xi = trace.xi
-    carried = Lineage((s_new,), (frozenset(), xi))
+    carried = Lineage((s_new,), (0, xi))
     old_tree, old_top = graph.tree, graph.top_id
     first_branch, first_node = len(graph.branches), len(graph.nodes)
     segs = []  # the new segments of carried material
@@ -437,11 +437,11 @@ def accept_breakpoint(graph, s_new, trace):
         b = graph.branches[bid]
         last = col = b.material.vals[-1]
         if bid in on_path:
-            if not xi <= last:
+            if xi & ~last:
                 col = last | xi
-        elif b.hi > trace.t0 and not xi.isdisjoint(last):
-            col = last - xi
-        if col is not last:
+        elif b.hi > trace.t0 and xi & last:
+            col = last & ~xi
+        if col != last:
             b.material = Lineage(b.material.breaks + (s_new,), b.material.vals + (col,))
         if col and b.hi < INF:
             tree.append(b)
@@ -462,7 +462,7 @@ def graph_to_arg(graph, config):
     """
     material = [b.material for b in graph.branches.values()]  # indexed by branch id
     initial = state = State(graph.n, material[:graph.n])
-    assert all(material[j].vals == (frozenset({j + 1}),) for j in range(graph.n)), "leaves are not singletons"
+    assert all(material[j].vals == (1 << j,) for j in range(graph.n)), "leaves are not singletons"
     times, events, states = [], [], []
     for node in sorted(graph.nodes.values(), key=lambda nd: (nd.time, nd.id)):
         gone = sorted(state.lineages.index(material[c]) for c in node.children)

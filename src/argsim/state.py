@@ -2,11 +2,11 @@
 
 A state is a finite collection of lineages. Each lineage records, along the
 unit sequence [0, 1), which sample labels it is ancestral to: a
-right-continuous step function whose value at a locus is a (possibly empty)
-set of labels. At every locus the nonempty values across the lineages of a
-state partition the full label set {1, ..., n}, and no lineage is empty
-everywhere. The process ends in the absorbing state: a single lineage
-carrying {1, ..., n} at every locus.
+right-continuous step function whose value at a locus is a label set, held
+as an int bitmask (bit j - 1 for label j; 0 is empty). At every locus the
+nonzero values across the lineages of a state partition {1, ..., n}, and
+no lineage is empty everywhere. The process ends in the absorbing state: a
+single lineage carrying {1, ..., n} at every locus.
 
 Lineages within a state are kept in a canonical order: by the first locus
 with nonempty value, ties broken by the smallest label carried there. Events
@@ -34,7 +34,7 @@ class IllegalEventError(ValueError):
 
 
 def full_set(n):
-    return frozenset(range(1, n + 1))
+    return (1 << n) - 1
 
 
 class Lineage:
@@ -42,7 +42,7 @@ class Lineage:
 
     ``breaks`` are the interior jump loci (strictly increasing) and ``vals``
     the values on the successive segments, ``len(vals) == len(breaks) + 1``,
-    with no two adjacent values equal. Values are frozensets of int labels.
+    with no two adjacent values equal. Values are label bitmasks (ints).
     The operators (split, union) are linear merges over the break tuples
     that emit a break only where the value changes, so they build canonical
     lineages directly.
@@ -61,7 +61,7 @@ class Lineage:
         for k, v in enumerate(vals):
             if v:
                 start = breaks[k - 1] if k else 0.0
-                self.start_min = min(v)
+                self.start_min = (v & -v).bit_length()
                 break
         if start is None:
             self.start = None  # empty everywhere; never stored in a State
@@ -78,8 +78,8 @@ class Lineage:
         self.mass = None
 
     @classmethod
-    def constant(cls, labels):
-        return cls((), (frozenset(labels),))
+    def constant(cls, mask):
+        return cls((), (mask,))
 
     @property
     def is_null(self):
@@ -108,13 +108,12 @@ class Lineage:
         breaks, vals = self.breaks, self.vals
         k = bisect_right(breaks, u)  # vals[k] holds at u
         j = k - 1 if k and breaks[k - 1] == u else k  # vals[j] holds just below u
-        empty = frozenset()
         if vals[j]:
-            below = Lineage(breaks[:j] + (u,), vals[:j + 1] + (empty,))
+            below = Lineage(breaks[:j] + (u,), vals[:j + 1] + (0,))
         else:
             below = Lineage(breaks[:j], vals[:j + 1])
         if vals[k]:
-            above = Lineage((u,) + breaks[k:], (empty,) + vals[k:])
+            above = Lineage((u,) + breaks[k:], (0,) + vals[k:])
         else:
             above = Lineage(breaks[k:], vals[k:])
         return below, above
@@ -197,7 +196,7 @@ class State:
     def initial(cls, n):
         """The starting state: one constant singleton lineage per sample."""
         assert n >= 2
-        return cls(n, [Lineage.constant((j,)) for j in range(1, n + 1)])
+        return cls(n, [Lineage.constant(1 << j) for j in range(n)])
 
     @classmethod
     def absorbing(cls, n):
@@ -282,12 +281,12 @@ class State:
         assert self.lineages, "state has no lineages"
         grid = sorted({b for lin in self.lineages for b in lin.breaks})
         for lo in [0.0] + grid:
-            seen = set()
+            seen = 0
             for lin in self.lineages:
                 val = lin.value_at(lo)
-                assert not (val & seen), "overlapping labels at locus %r" % lo
+                assert not val & seen, "overlapping labels at locus %r" % lo
                 seen |= val
-            assert seen == full_set(self.n), "labels at locus %r: %r" % (lo, seen)
+            assert seen == full_set(self.n), "labels at locus %r: %s" % (lo, render_typeset(seen))
         for lin in self.lineages:
             _check_lineage(lin)
         assert list(self.lineages) == sorted(self.lineages, key=Lineage.rank_key)
@@ -369,8 +368,8 @@ def _check_parts(x, y, whole):
     lo = 0.0
     while lo < math.inf:
         a, b, w = x.vals[i], y.vals[j], whole.vals[l]
-        assert a.isdisjoint(b), "overlapping labels at locus %r" % lo
-        assert a | b == w, "labels at locus %r: %r, expected %r" % (lo, a | b, w)
+        assert not a & b, "overlapping labels at locus %r" % lo
+        assert a | b == w, "labels at locus %r: %s, expected %s" % (lo, render_typeset(a | b), render_typeset(w))
         lo = min(xb[i], yb[j], wb[l])
         i += xb[i] == lo
         j += yb[j] == lo
@@ -385,8 +384,9 @@ def _check_lineage(lin):
     assert all(x < y for x, y in zip(lin.breaks, lin.breaks[1:]))
 
 
-def render_typeset(val):
-    return "{%s}" % ",".join(str(x) for x in sorted(val))
+def render_typeset(mask):
+    """The labels of a bitmask, ascending: "{1,3}" for 0b101."""
+    return "{%s}" % ",".join(str(j) for j, bit in enumerate(reversed(bin(mask)), 1) if bit == "1")
 
 
 def render_lineage(lin):

@@ -2,11 +2,14 @@
 event walks, the known-broken engine, and oracles that recheck what the
 package asserts incrementally: the replay validator, the partial-graph
 invariants, the projection of a path at a site, the site tree read off
-every state, and the segment-wise lineage operators."""
+every state, the segment-wise lineage operators, and the label bitmasks
+built from label sets."""
 
 import math
 import random
 from bisect import bisect_right
+from functools import reduce
+from operator import or_
 
 import pytest
 
@@ -32,6 +35,21 @@ def r1_mutant(monkeypatch):
     )
 
 
+def mask_of(labels):
+    """The bitmask of a label set: bit j - 1 for label j."""
+    return sum(1 << (j - 1) for j in set(labels))
+
+
+def labels_of(mask):
+    """The labels a bitmask holds, ascending."""
+    return [j for j in range(1, mask.bit_length() + 1) if mask >> (j - 1) & 1]
+
+
+def union_of(masks):
+    """The union of label bitmasks."""
+    return reduce(or_, masks, 0)
+
+
 def lin(*segments):
     """Build a Lineage from (lo, hi, labels) triples; labels iterable or None.
 
@@ -39,18 +57,18 @@ def lin(*segments):
     with empty material so the function always covers [0, 1).
     """
     segs = sorted(
-        (lo, hi, frozenset(labels or ())) for lo, hi, labels in segments
+        (lo, hi, mask_of(labels or ())) for lo, hi, labels in segments
     )
     filled = []
     cursor = 0.0
     for lo, hi, val in segs:
         assert lo >= cursor, "overlapping fixture segments"
         if lo > cursor:
-            filled.append((cursor, lo, frozenset()))
+            filled.append((cursor, lo, 0))
         filled.append((lo, hi, val))
         cursor = hi
     if cursor < 1.0:
-        filled.append((cursor, 1.0, frozenset()))
+        filled.append((cursor, 1.0, 0))
     return Lineage(*canonical(filled))
 
 
@@ -71,13 +89,13 @@ def canonical(segments):
             breaks.append(lo)
         vals.append(val)
     if not vals:
-        vals = [frozenset()]
+        vals = [0]
     return tuple(breaks), tuple(vals)
 
 
 def split_oracle(lineage, u):
     """Lineage.split segment by segment: the oracle for the merge."""
-    empty = frozenset()
+    empty = 0
     below_segs = []
     above_segs = []
     for lo, hi, val in lineage.segments():
@@ -250,21 +268,21 @@ def check_invariants(graph):
         for col in range(n_cols):
             below = [column(graph, graph.branches[c], col) for c in nd.children]
             above = [column(graph, graph.branches[p], col) for p in nd.parents]
-            joined = frozenset().union(*below)
-            assert sum(len(c) for c in below) == len(joined), "overlap below node %d" % nd.id
-            assert joined == frozenset().union(*above), "column %d not conserved at node %d" % (col, nd.id)
+            joined = union_of(below)
+            assert sum(c.bit_count() for c in below) == joined.bit_count(), "overlap below node %d" % nd.id
+            assert joined == union_of(above), "column %d not conserved at node %d" % (col, nd.id)
     assert list(graph.branches) == list(range(len(graph.branches))), "branch ids out of order"
     for leaf in range(graph.n):
         b = graph.branches[leaf]
-        assert b.lo == 0.0 and b.material == Lineage.constant({leaf + 1})
+        assert b.lo == 0.0 and b.material == Lineage.constant(mask_of({leaf + 1}))
     # live columns partition the samples at a few probe latitudes
     times = sorted({nd.time for nd in graph.nodes.values()})
     for t in [0.0] + times[:-1]:
         live = [b for b in graph.branches.values() if b.lo <= t < b.hi]
         for col in range(n_cols):
             vals = [column(graph, b, col) for b in live]
-            assert sum(len(v) for v in vals) == graph.n
-            assert frozenset().union(*vals) == full
+            assert sum(v.bit_count() for v in vals) == graph.n
+            assert union_of(vals) == full
     top = graph.branches[graph.top_id]
     assert top.hi == math.inf and top.material.end == 1.0
     assert (graph.starts, graph.counts) == live_intervals(graph), "kept intervals differ from the sweep"
@@ -311,7 +329,7 @@ def state_at(initial, steps, t):
 def site_partition(state, s):
     """Blocks of the label partition at locus s, sorted by smallest label."""
     blocks = [lin.value_at(s) for lin in state.lineages]
-    return tuple(sorted((b for b in blocks if b), key=min))
+    return tuple(sorted((b for b in blocks if b), key=lambda b: labels_of(b)[0]))
 
 
 def walk_site_tree(arg, s):

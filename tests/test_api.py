@@ -130,6 +130,18 @@ def test_production_sets_every_defaulted_parameter():
     }
 
 
+def test_labels_have_one_representation():
+    # every label set is an int bitmask; a frozenset anywhere in the
+    # package would be a second representation to convert between
+    found = [
+        "%s:%d" % (mod.__name__, node.lineno)
+        for mod in argsim_modules()
+        for node in ast.walk(ast.parse(inspect.getsource(mod)))
+        if isinstance(node, ast.Name) and node.id == "frozenset"
+    ]
+    assert found == []
+
+
 def test_every_exported_name_resolves():
     missing = [name for name in argsim.__all__ if not hasattr(argsim, name)]
     assert missing == []

@@ -29,6 +29,7 @@ from argsim.spatial import simulate_spatial
 from argsim.state import Coalesce, Lineage, Recombine, State
 from conftest import (
     build_arg,
+    mask_of,
     project_path,
     project_state,
     random_walk,
@@ -305,8 +306,8 @@ def test_local_tree_two_leaves():
     arg = two_leaf_arg(1.3)
     tree = local_tree(arg, 0.5)
     assert tree.levels == (
-        (0.0, (frozenset({1}), frozenset({2}))),
-        (1.3, (frozenset({1, 2}),)),
+        (0.0, (mask_of({1}), mask_of({2}))),
+        (1.3, (mask_of({1, 2}),)),
     )
     assert tree.levels[-1][0] == 1.3
     assert summary(arg, sites=(0.5,)).length_at[0.5] == pytest.approx(2.6)
@@ -528,6 +529,32 @@ def test_non_finite_numbers_are_parse_errors(number, key):
     with pytest.raises(ArgParseError) as exc:
         list(read_args(io.StringIO("\n".join(lines) + "\n")))
     assert str(exc.value) == "line %d: non-finite number %s" % (lineno, number)
+
+
+@pytest.mark.parametrize("key", ["rho", "u", "t"])
+def test_integers_past_the_float_range_are_parse_errors(key):
+    # JSON integers are unbounded: such a time would validate, then
+    # overflow in the tree's length sum and in fmt_locus
+    lines = _rec_log_lines()
+    lineno = max(k for k, line in enumerate(lines, 1) if '"%s":' % key in line)
+    lines[lineno - 1] = re.sub(r'"%s":[^,}]+' % key, '"%s":1%s' % (key, "0" * 400), lines[lineno - 1])
+    with pytest.raises(ArgParseError) as exc:
+        list(read_args(io.StringIO("\n".join(lines) + "\n")))
+    assert str(exc.value) == "line %d: %r is an integer too large for a float" % (lineno, key)
+
+
+def test_integer_fields_that_may_be_floats_read_as_floats():
+    lines = _rec_log_lines()
+    lines[0] = re.sub(r'"rho":[^,}]+', '"rho":2', lines[0])
+    arg = read_arg(io.StringIO("\n".join(lines) + "\n"))
+    assert type(arg.config.rho) is float and arg.config.rho == 2.0
+    assert all(type(t) is float for t in arg.times)
+
+
+def test_config_refuses_an_integer_rho_past_the_float_range():
+    with pytest.raises(ValueError, match="too large for a float"):
+        SimConfig(n_samples=2, rho=10 ** 400)
+    assert type(SimConfig(n_samples=2, rho=3).rho) is float
 
 
 def test_header_past_the_event_cap_is_a_parse_error(monkeypatch):

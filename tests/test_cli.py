@@ -255,6 +255,24 @@ def test_non_finite_time_exits_2_in_validate_and_tree(tmp_path, capsys, number):
         assert captured.err.splitlines() == ["parse error: line 2: non-finite number %s" % number]
 
 
+def test_integer_time_past_the_float_range_exits_2_in_validate_and_tree(tmp_path, capsys):
+    # JSON integers are unbounded: such a time validated, and the tree's
+    # length sum died with an OverflowError traceback
+    out = tmp_path / "run.log"
+    main(["simulate", "--engine", "backintime", "--samples", "2", "--rho", "0",
+          "--seed", "1", "--reps", "1", "--out", str(out)])
+    lines = out.read_text().splitlines()
+    obj = json.loads(lines[1])
+    lines[1] = json.dumps(obj).replace(json.dumps(obj["t"]), "1" + "0" * 400)
+    out.write_text("\n".join(lines) + "\n")
+    for argv in (["validate", str(out)], ["tree", str(out), "--site", "0.5"]):
+        capsys.readouterr()
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["parse error: line 2: 't' is an integer too large for a float"]
+
+
 def test_negative_zero_rho_reads_back_byte_for_byte(tmp_path):
     assert math.copysign(1.0, SimConfig(n_samples=2, rho=-0.0).rho) == 1.0
     out = tmp_path / "run.log"

@@ -31,7 +31,7 @@ from argsim.spatial import (
 )
 from argsim.state import Coalesce, Lineage, Recombine, State
 from argsim.stats import chi_square, kingman_expectations, ks_one_sample, ks_one_sample_with_atom
-from conftest import check_invariants, column, project_path, project_state
+from conftest import check_invariants, column, labels_of, mask_of, project_path, project_state
 
 INF = float("inf")
 UNIFORM = UniformDensity()
@@ -90,7 +90,7 @@ def record_stages(monkeypatch, keep_graphs=False):
         log.append({
             "stage": len(graph.breakpoints),
             "locus": s_new,
-            "xi": sorted(trace.xi),
+            "xi": labels_of(trace.xi),
             "transitions": transitions(trace),
         })
         if keep_graphs:
@@ -116,9 +116,9 @@ def columns(graph):
 def two_leaf_graph(height=1.0):
     """Stage-0 graph: leaves 1 and 2 coalescing at the given height."""
     g = PartialGraph(2)
-    a = g.add_branch(0.0, height, None, Lineage.constant({1}))
-    b = g.add_branch(0.0, height, None, Lineage.constant({2}))
-    top = g.add_branch(height, INF, None, Lineage.constant({1, 2}))
+    a = g.add_branch(0.0, height, None, Lineage.constant(mask_of({1})))
+    b = g.add_branch(0.0, height, None, Lineage.constant(mask_of({2})))
+    top = g.add_branch(height, INF, None, Lineage.constant(mask_of({1, 2})))
     node = g.add_node(height, "c", None, [a.id, b.id], [top.id])
     a.upper_node = b.upper_node = node.id
     g.top_id = top.id
@@ -162,7 +162,7 @@ def test_kingman_tree_structure():
     check_invariants(g)
     assert len(g.nodes) == 4
     assert {column(g, b, 0) for b in g.branches.values() if b.lo == 0.0 and b.hi < INF} >= {
-        frozenset({j}) for j in range(1, 6)
+        mask_of({j}) for j in range(1, 6)
     }
     starts, counts = live_intervals(g)
     assert counts == [5, 4, 3, 2, 1]
@@ -453,12 +453,13 @@ def test_stage1_graph_layout():
     assert spans[3][0] == 0.3 and spans[3][1] == pytest.approx(1.0)
     assert spans[4][0] == 0.3 and spans[4][1] == pytest.approx(0.6)
     cols = columns(g)
-    e = frozenset()
-    assert cols[0] == (frozenset({1}), frozenset({1}))
-    assert cols[3] == (frozenset({1}), e)
-    assert cols[4] == (e, frozenset({1}))
-    assert cols[5] == (frozenset({2}), frozenset({1, 2}))
-    assert cols[2] == (frozenset({1, 2}), frozenset({1, 2}))
+    e = 0
+    s1, s2, s12 = mask_of({1}), mask_of({2}), mask_of({1, 2})
+    assert cols[0] == (s1, s1)
+    assert cols[3] == (s1, e)
+    assert cols[4] == (e, s1)
+    assert cols[5] == (s2, s12)
+    assert cols[2] == (s12, s12)
     ends = {b.id: b.material.end for b in g.branches.values()}
     assert ends == {0: 1.0, 1: 1.0, 2: 1.0, 3: 0.5, 4: 1.0, 5: 1.0}
     assert g.tree_length == pytest.approx(1.6)
@@ -476,7 +477,7 @@ def test_trace_rides_an_old_edge_and_climbs():
     assert trace.steps[0][1] == pytest.approx(0.4)
     assert trace.steps[0][2] == 3
     assert trace.steps[-1][1] == pytest.approx(1.0)
-    assert trace.xi == frozenset({1})
+    assert trace.xi == mask_of({1})
     trans = transitions(trace)
     assert [e["kind"] for e in trans] == ["fork", "coal", "climb"]
     assert trans[0] == {"t": 0.1, "kind": "fork", "branch": 0}
@@ -528,8 +529,8 @@ def test_stage2_accept_after_detach():
     assert g.breakpoints == [0.5, 0.75]
     assert g.tree_length == pytest.approx(1.6)
     cols = columns(g)
-    e = frozenset()
-    s1, s2, s12 = frozenset({1}), frozenset({2}), frozenset({1, 2})
+    e = 0
+    s1, s2, s12 = mask_of({1}), mask_of({2}), mask_of({1, 2})
     assert cols[0] == (s1, s1, s1)
     assert cols[6] == (s1, s1, e)  # fork remainder lost the tail material
     assert cols[7] == (e, e, s1)
@@ -601,7 +602,7 @@ def test_graph_to_arg_builds_no_lineage(monkeypatch):
     monkeypatch.setattr(Lineage, "__init__", lambda self, *a: built.append(a) or init(self, *a))
     args = [graph_to_arg(graph, SimConfig(n_samples=graph.n, rho=5.0, seed=0)) for graph in (g, big)]
     assert built == []
-    Lineage.constant({1})
+    Lineage.constant(mask_of({1}))
     assert len(built) == 1  # the patch is live
     monkeypatch.undo()
     assert all(validate_arg(arg).passed for arg in args)
@@ -629,7 +630,7 @@ def test_accept_fork_at_the_lower_end_of_its_branch():
     check_invariants(g)
     stub = g.branches[0]
     assert stub.lo == stub.hi == 0.0
-    assert columns(g)[0] == (frozenset({1}), frozenset({1}))
+    assert columns(g)[0] == (mask_of({1}), mask_of({1}))
     assert_tree_matches_walk(g)
     assert g.tree[0] is stub  # in the tree, with span 0
 

@@ -19,10 +19,13 @@ from argsim.state import (
     State,
     full_set,
     render_state,
+    render_typeset,
 )
 from conftest import (
     canonical,
+    labels_of,
     lin,
+    mask_of,
     project_state,
     random_walk,
     site_partition,
@@ -36,9 +39,9 @@ def test_initial_state_is_ranked_singletons():
     x = State.initial(3)
     assert len(x.lineages) == 3
     assert [l.value_at(0.0) for l in x.lineages] == [
-        frozenset({1}),
-        frozenset({2}),
-        frozenset({3}),
+        mask_of({1}),
+        mask_of({2}),
+        mask_of({3}),
     ]
     x.check()
 
@@ -152,7 +155,7 @@ def test_coalesce_to_absorbing():
 
 def test_coalesce_disjoint_blocks():
     x = State.initial(3).coalesce(1, 2)
-    assert [l.value_at(0.0) for l in x.lineages] == [frozenset({1}), frozenset({2, 3})]
+    assert [l.value_at(0.0) for l in x.lineages] == [mask_of({1}), mask_of({2, 3})]
 
 
 def test_coalesce_complementary_supports():
@@ -175,13 +178,13 @@ def test_coalesce_rejects_bad_ranks():
 
 def test_site_partition_basics():
     assert site_partition(State.initial(3), 0.7) == (
-        frozenset({1}),
-        frozenset({2}),
-        frozenset({3}),
+        mask_of({1}),
+        mask_of({2}),
+        mask_of({3}),
     )
-    assert site_partition(State.absorbing(4), 0.1) == (frozenset({1, 2, 3, 4}),)
+    assert site_partition(State.absorbing(4), 0.1) == (mask_of({1, 2, 3, 4}),)
     x = State.initial(2).recombine(0, 0.5)
-    assert site_partition(x, 0.6) == (frozenset({1}), frozenset({2}))
+    assert site_partition(x, 0.6) == (mask_of({1}), mask_of({2}))
 
 
 def test_partition_invariant_along_random_walks():
@@ -296,13 +299,13 @@ def test_split_preserves_union():
 
 def test_value_at_is_right_continuous():
     l = lin((0.0, 0.5, {1}), (0.5, 1.0, {1, 2}))
-    assert l.value_at(0.5) == frozenset({1, 2})
-    assert l.value_at(math.nextafter(0.5, 0.0)) == frozenset({1})
+    assert l.value_at(0.5) == mask_of({1, 2})
+    assert l.value_at(math.nextafter(0.5, 0.0)) == mask_of({1})
 
 
 def test_canonical_merges_adjacent_equal_segments():
     l = Lineage(*canonical(
-        [(0.0, 0.3, frozenset({1})), (0.3, 1.0, frozenset({1}))]
+        [(0.0, 0.3, mask_of({1})), (0.3, 1.0, mask_of({1}))]
     ))
     assert l.breaks == ()
     assert l == lin((0.0, 1.0, {1}))
@@ -318,7 +321,9 @@ INTERIOR = tuple(g + 0.0625 for g in (0.0,) + GRID)
 def canonical_lineages(draw):
     """Random canonical lineages, empty runs and null lineages included."""
     los = [0.0] + sorted(draw(st.lists(st.sampled_from(GRID), unique=True, max_size=6)))
-    vals = draw(st.lists(st.frozensets(st.integers(1, 4), max_size=3), min_size=len(los), max_size=len(los)))
+    vals = draw(st.lists(
+        st.frozensets(st.integers(1, 4), max_size=3).map(mask_of), min_size=len(los), max_size=len(los)
+    ))
     return Lineage(*canonical(zip(los, los[1:] + [1.0], vals)))
 
 
@@ -370,7 +375,19 @@ def test_check_step_calls_no_operator(monkeypatch):
 
 
 def test_full_set():
-    assert full_set(4) == frozenset({1, 2, 3, 4})
+    assert full_set(4) == mask_of({1, 2, 3, 4}) == 0b1111
+
+
+@given(st.frozensets(st.integers(1, 130)), st.integers(1, 130))
+@settings(max_examples=300, deadline=None)
+def test_mask_helpers_match_the_label_sets(labels, n):
+    # masks past 64 bits, and labels of two and three digits, whose text
+    # order is not their numeric order
+    mask = mask_of(labels)
+    assert render_typeset(mask) == "{%s}" % ",".join(str(j) for j in sorted(labels))
+    if labels:
+        assert Lineage.constant(mask).start_min == min(labels)
+    assert labels_of(full_set(n)) == list(range(1, n + 1))
 
 
 def test_apply_dispatch():
@@ -418,8 +435,8 @@ def _add_label(n, prev, event, nxt, draw):
     choices = [(c, k) for c in _created(prev, nxt) for k, v in enumerate(c.vals) if v != full_set(n)]
     assume(choices)
     c, k = draw(st.sampled_from(choices))
-    label = draw(st.sampled_from(sorted(full_set(n) - c.vals[k])))
-    bad = _with_value(c, k, c.vals[k] | {label})
+    label = draw(st.sampled_from(labels_of(full_set(n) & ~c.vals[k])))
+    bad = _with_value(c, k, c.vals[k] | mask_of({label}))
     return [bad if l is c else l for l in nxt.lineages]
 
 
@@ -431,20 +448,20 @@ def _add_sibling_label(n, prev, event, nxt, draw):
         (c, k, label)
         for c, other in ((below, above), (above, below)) if c is not None
         for k, v in enumerate(c.vals)
-        for label in other.value_at(c.breaks[k - 1] if k else 0.0) - v
-        if v | {label} not in c.vals[max(k - 1, 0):k + 2]
+        for label in labels_of(other.value_at(c.breaks[k - 1] if k else 0.0) & ~v)
+        if v | mask_of({label}) not in c.vals[max(k - 1, 0):k + 2]
     ]
     assume(choices)
     c, k, label = draw(st.sampled_from(choices))
-    bad = _with_value(c, k, c.vals[k] | {label})
+    bad = _with_value(c, k, c.vals[k] | mask_of({label}))
     return [bad if l is c else l for l in nxt.lineages]
 
 
 def _drop_label(n, prev, event, nxt, draw):
     choices = [(c, k) for c in _created(prev, nxt) for k, v in enumerate(c.vals) if v]
     c, k = draw(st.sampled_from(choices))
-    label = draw(st.sampled_from(sorted(c.vals[k])))
-    bad = _with_value(c, k, c.vals[k] - {label})
+    label = draw(st.sampled_from(labels_of(c.vals[k])))
+    bad = _with_value(c, k, c.vals[k] & ~mask_of({label}))
     return [bad if l is c else l for l in nxt.lineages]
 
 
@@ -464,7 +481,7 @@ def _null_split_part(n, prev, event, nxt, draw):
     assume(isinstance(event, Recombine))
     kept = [l for l in nxt.lineages if any(l is k for k in prev.lineages)]
     whole = prev.lineages[event.i]
-    return sorted(kept + [whole], key=Lineage.rank_key) + [Lineage.constant(())]
+    return sorted(kept + [whole], key=Lineage.rank_key) + [Lineage.constant(0)]
 
 
 def _unsorted(n, prev, event, nxt, draw):
