@@ -135,14 +135,20 @@ def _past_event_cap(n, rho):
     """Whether a path expects more events than the cap; if so, says so.
 
     A path has n - 1 coalescences and two events per breakpoint, and a
-    mean Kingman tree length E[L] gives rho * E[L] / 2 breakpoints.
+    mean Kingman tree length E[L] gives rho * E[L] / 2 breakpoints. E[L]
+    costs O(n) and n may not fit a float, so n - 1 is weighed first.
     """
-    expected = n - 1 + rho * kingman_expectations(n)[1]
     cap = backintime.DEFAULT_EVENT_CAP
-    if expected > cap:
-        sys.stderr.write("error: a path is expected to take %.4g events, past the cap of %d"
-                         " (n=%d rho=%g)\n" % (expected, cap, n, rho))
-    return expected > cap
+    if n - 1 > cap:
+        expected = "at least n - 1"
+    else:
+        events = n - 1 + rho * kingman_expectations(n)[1]
+        if events <= cap:
+            return False
+        expected = "%.4g" % events
+    sys.stderr.write("error: a path is expected to take %s events, past the cap of %d"
+                     " (n=%d rho=%g)\n" % (expected, cap, n, rho))
+    return True
 
 
 def cmd_simulate(args, parser):

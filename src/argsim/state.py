@@ -25,7 +25,8 @@ Two events act on states:
 from __future__ import annotations
 
 import math
-from bisect import bisect_right, insort
+import operator
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 
 
@@ -297,67 +298,63 @@ class State:
     def check_step(self, prev, event):
         """Assert that this state is ``prev.apply(event)`` and satisfies check().
 
-        ``prev`` must already satisfy check(). The event must be legal in
-        prev: its ranks in range and, for a recombination, its locus
-        strictly inside the active interval, with one created part ending
-        at or below the locus and the other starting at or above it. The
-        lineages the event did not touch must be prev's own objects; they
-        are valid by induction, so only the removed and created lineages
-        are walked. The created ones must be canonical and carry exactly
-        the removed material, and the ranks must be in order. Canonical
-        forms and rank order are unique, so together these prove the state
-        equals the replay without building it. The material check is one
-        merge over the breaks of the three lineages involved (two removed
-        and one created, or one removed and two created), with no operator
-        call: it asserts on each piece that the two parts are disjoint and
-        their union is the whole. This costs O(k + breaks of those three
-        lineages), where check() costs O(breaks of the whole state * k).
+        ``prev`` must satisfy check(), so its rank keys (start, smallest
+        label at start) are unique and ascend. The event must be legal in
+        prev: ranks in range and, for a recombination, the locus u strictly
+        inside the active interval, one created part ending at or below u
+        and the other starting at or above it.
+
+        Rank lemma. ``Coalesce(i, j)``: lineage i starts no later than j and
+        at a tie carries the smaller label, so the union keeps i's rank key
+        and rank: the state is old[:i] + (union,) + old[i+1:j] + old[j+1:].
+        ``Recombine(i, u)``: u lies past i's start, so the part below u
+        keeps i's rank key and rank i. The part from u on sits at some rank
+        p > i, and new[q] is old[q] exactly for i < q < p, so bisection
+        finds p as the first rank past i where new[p] is not old[p].
+
+        The untouched runs must be prev's own objects (valid by induction;
+        an equal copy is refused), compared as slices in C. The created
+        lineages must be canonical and carry exactly the removed material:
+        one merge over the breaks of the three lineages involved, with no
+        operator call. The upper split part is checked against its two
+        neighbours. Canonical forms and rank order are unique, so this
+        proves the state is the replay without building it, in O(log k)
+        Python steps plus slice comparisons and those three lineages'
+        breaks, where check() costs O(breaks of the whole state * k).
         Returns self for chaining.
         """
         assert self.n == prev.n, "sample count changed"
-        k = len(prev.lineages)
+        old, new, i = prev.lineages, self.lineages, event.i
+        k = len(old)
         if isinstance(event, Coalesce):
-            assert 0 <= event.i < event.j < k, "coalesce ranks out of range"
-            gone, n_created = (event.i, event.j), 1
+            j = event.j
+            assert 0 <= i < j < k, "coalesce ranks out of range"
+            assert len(new) == k - 1, "a coalescence left %d of %d lineages" % (len(new), k)
+            kept, untouched = new[:i] + new[i + 1:], old[:i] + old[i + 1:j] + old[j + 1:]
         else:
-            assert 0 <= event.i < k, "recombine rank out of range"
+            assert 0 <= i < k, "recombine rank out of range"
             assert k > 1, "recombination of the absorbing state"
-            b, e = prev.active_intervals()[event.i]
+            b, e = prev.active_intervals()[i]
             assert b < event.locus < e, "locus outside the active interval"
-            gone, n_created = (event.i,), 2
-        kept = [lin for r, lin in enumerate(prev.lineages) if r not in gone]
-        places = []  # ranks of the created lineages
-        pos = 0
-        for q, lin in enumerate(self.lineages):
-            if pos < len(kept) and lin is kept[pos]:
-                pos += 1
-            else:
-                places.append(q)
-        assert pos == len(kept), "a lineage the event did not touch changed"
-        created = [self.lineages[q] for q in places]
-        assert len(created) == n_created, "event created %d lineages" % len(created)
-        for lin in created:
-            _check_lineage(lin)
-        if n_created == 2:
-            below, above = created
-            assert below.end <= event.locus <= above.start, "split parts cross the locus"
+            assert len(new) == k + 1, "a recombination left %d of %d lineages" % (len(new), k)
+            p = bisect_left(range(k), True, i + 1, key=lambda q: new[q] is not old[q])
+            kept, untouched = new[:i] + new[i + 1:p] + new[p + 1:], old[:i] + old[i + 1:]
+        assert all(map(operator.is_, kept, untouched)), "a lineage the event did not touch changed"
+        _check_lineage(new[i])
         # Kept and removed lineages partition the labels at every locus
         # (prev is valid), so the new state does iff the created lineages
         # carry exactly the removed material, disjointly.
-        if n_created == 1:
-            _check_parts(prev.lineages[event.i], prev.lineages[event.j], created[0])
+        if isinstance(event, Coalesce):
+            _check_parts(old[i], old[j], new[i])
         else:
-            _check_parts(below, above, prev.lineages[event.i])
-        # the kept lineages are in prev's rank order, so the whole state is
-        # in rank order iff each created lineage sits between its neighbours
-        lins = self.lineages
-        for q in places:
-            key = lins[q].rank_key()
-            assert (q == 0 or lins[q - 1].rank_key() <= key) and (
-                q + 1 == len(lins) or key <= lins[q + 1].rank_key()
-            ), "lineages out of rank order"
-        if len(self.lineages) == 1:
-            assert self.lineages[0] == Lineage.constant(full_set(self.n))
+            below, above = new[i], new[p]
+            _check_lineage(above)
+            assert below.end <= event.locus <= above.start, "split parts cross the locus"
+            _check_parts(below, above, old[i])
+            keys = [lin.rank_key() for lin in new[p - 1:p + 2]]
+            assert keys == sorted(keys), "lineages out of rank order"
+        if len(new) == 1:
+            assert new[0] == Lineage.constant(full_set(self.n))
         return self
 
 

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import time
 import weakref
 
 import pytest
@@ -482,6 +483,27 @@ def test_huge_rho_is_refused_before_any_event(tmp_path, capsys):
         "error: a path is expected to take 3e+300 events, past the cap of 10000000 (n=3 rho=1e+300)"
     ]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("n", [10 ** 12, 10 ** 399 + 7], ids=["1e12", "400-digit"])
+def test_huge_samples_are_refused_at_once_with_one_line(tmp_path, capsys, n):
+    # n - 1 alone is past the cap: E[L] would be an O(n) sum, and n may not fit a float
+    out, csv = tmp_path / "r.log", tmp_path / "r.csv"
+    manifest = tmp_path / "run.log.manifest.json"
+    manifest.write_text(json.dumps(dict(GOOD_MANIFEST, n_samples=n)))
+    line = ("error: a path is expected to take at least n - 1 events, past the cap of 10000000"
+            " (n=%d rho=%%g)" % n)
+    for argv, rho in (
+        (["simulate", "--samples", str(n), "--out", str(out)], 0),
+        (["compare", "--samples", str(n), "--rho", "2", "--reps", "10", "--out", str(csv)], 2),
+        (["simulate", "--from-manifest", str(manifest), "--out", str(out)], 1),
+    ):
+        start = time.perf_counter()
+        assert main(argv) == 2
+        assert time.perf_counter() - start < 2.0
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [line % rho] and captured.out == ""
+    assert list(tmp_path.iterdir()) == [manifest]
 
 
 # --- streaming: one replicate alive at a time, and nothing half written ------

@@ -86,11 +86,14 @@ def record_stages(monkeypatch, keep_graphs=False):
     accept = spatial.accept_breakpoint
 
     def recording(graph, s_new, trace):
+        # read before the splice: the fork branch's value from the newest breakpoint on
+        fork_value = labels_of(graph.branches[trace.fork_id].material.vals[-1])
         accept(graph, s_new, trace)
         log.append({
             "stage": len(graph.breakpoints),
             "locus": s_new,
             "xi": labels_of(trace.xi),
+            "fork_value": fork_value,
             "transitions": transitions(trace),
         })
         if keep_graphs:
@@ -697,8 +700,8 @@ def test_trace_log_records_every_stage(monkeypatch):
         assert all(e["kind"] in ("fork", "coal", "detach", "climb") for e in trans)
         times = [e["t"] for e in trans]
         assert times == sorted(times)
-        xi = entry["xi"]
-        assert xi == sorted(xi) and 0 < len(xi) <= 4
+        # the detached labels are all the fork branch carried past the newest breakpoint
+        assert entry["xi"] == entry["fork_value"] and 0 < len(entry["xi"]) <= 4
 
 
 def test_diamond_recoalescence_keeps_the_local_tree(monkeypatch):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from argsim.arg import validate_arg
+from argsim.arg import Arg, validate_arg
 from argsim.backintime import simulate_backintime
 from argsim.config import SimConfig
 from argsim.spatial import simulate_spatial
@@ -523,3 +523,98 @@ def test_check_step_rejects_what_check_rejects(corrupt, n, seed, at, data):
         bad.check()
     with pytest.raises(AssertionError):
         bad.check_step(prev, event)
+
+
+def _with_state(arg, idx, lineages):
+    """arg with its recorded state at event idx replaced by these lineages, in this order."""
+    states = list(arg.states)
+    states[idx] = raw_state(arg.n_samples, lineages)
+    return Arg(arg.config, arg.times, arg.events, states, arg.initial)
+
+
+def test_wrong_length_states_fail_the_step_check_and_clause_b():
+    # a length past the event's would index past the end of a rank run
+    arg = simulate_backintime(SimConfig(n_samples=6, rho=3.0, seed=2))
+    prev = arg.initial
+    kinds = set()
+    for idx, event in enumerate(arg.events):
+        old = prev.lineages
+        if isinstance(event, Coalesce):  # k - 1 lineages are right
+            wrong = [old[:-2], old, old + old[-1:]]
+        else:  # k + 1 lineages are right
+            wrong = [old, old + old[:2]]
+        for lineages in wrong:
+            with pytest.raises(AssertionError):
+                raw_state(arg.n_samples, lineages).check_step(prev, event)
+            report = validate_arg(_with_state(arg, idx, lineages))
+            assert report.violations[0][:2] == (idx, "b")
+        kinds.add(type(event))
+        prev = arg.states[idx]
+    assert kinds == {Coalesce, Recombine}
+
+
+def _moved(lineages, src, dst):
+    out = list(lineages)
+    out.insert(dst, out.pop(src))
+    return out
+
+
+@pytest.mark.parametrize("engine", [simulate_backintime, simulate_spatial])
+def test_check_step_far_from_the_event_rank(engine):
+    # n=100 puts most untouched lineages far from ranks i and p
+    arg = engine(SimConfig(n_samples=100, rho=5.0, seed=3))
+    prev, copied, far = arg.initial, 0, 0
+    for idx, event in enumerate(arg.events):
+        nxt = prev.apply(event)
+        assert nxt.check_step(prev, event) is nxt
+        new, k = nxt.lineages, len(prev.lineages)
+        own = {id(lin) for lin in prev.lineages}
+        created = [q for q, lin in enumerate(new) if id(lin) not in own]
+        # the last rank the event touched: p for a recombination, j - 1 for a coalescence
+        last = created[-1] if isinstance(event, Recombine) else event.j - 1
+        bad = []
+        if last < len(new) - 2:  # two kept lineages past it, swapped
+            bad.append(_moved(new, len(new) - 1, len(new) - 2))
+            far += 1
+        if isinstance(event, Recombine):  # the upper part one rank either way
+            assert created == [event.i, last]
+            bad.append(_moved(new, last, last - 1))
+            if last < k:
+                bad.append(_moved(new, last + 1, last))
+        for lineages in bad:
+            with pytest.raises(AssertionError):
+                raw_state(prev.n, lineages).check_step(prev, event)
+        untouched = [q for q in range(len(new)) if q not in created]
+        if not untouched:  # the absorbing coalescence
+            break
+        # an equal copy of an untouched lineage is not prev's own: the step
+        # check refuses it, and validation accepts it through the replay
+        r = untouched[-1]
+        copy = list(new)
+        copy[r] = Lineage(new[r].breaks, new[r].vals)
+        assert copy[r] == new[r] and copy[r] is not new[r]
+        with pytest.raises(AssertionError):
+            raw_state(prev.n, copy).check_step(prev, event)
+        if idx % 25 == 0:
+            assert validate_arg(_with_state(arg, idx, copy)).passed
+            copied += 1
+        prev = nxt
+    assert far > 50 and copied >= 4
+    assert any(isinstance(event, Recombine) for event in arg.events)
+
+
+@given(st.integers(2, 12), st.integers(0, 10 ** 6))
+@settings(max_examples=200, deadline=None)
+def test_rank_lemma_on_random_walks(n, seed):
+    # what check_step leans on: the lineage left at rank i is the union, or
+    # the part below the locus, and the upper part sits at the first rank
+    # past i whose lineage is not prev's
+    for prev, event, nxt in random_walk(n, seed, 40):
+        old, new, i = prev.lineages, nxt.lineages, event.i
+        if isinstance(event, Coalesce):
+            assert new[i] == old[i].union(old[event.j])
+        else:
+            below, above = old[i].split(event.locus)
+            assert new[i] == below
+            p = next(q for q in range(i + 1, len(new)) if q == len(old) or new[q] is not old[q])
+            assert new[p] == above
