@@ -23,14 +23,13 @@ from .arg import (
     write_arg,
 )
 from .backintime import (
-    EventCapExceeded,
     RateBreakdown,
     sample_event,
     sample_waiting_time,
     simulate_backintime,
     total_rate,
 )
-from .config import SimConfig
+from .config import EventCapExceeded, SimConfig
 from .density import BetaDensity, UniformDensity, parse_density
 from .rng import SimRng, child_seed, replicate_rng
 from .spatial import (

@@ -22,6 +22,7 @@ import json
 import math
 from dataclasses import dataclass, field
 
+from . import config
 from .state import (
     Coalesce,
     IllegalEventError,
@@ -350,20 +351,17 @@ _HEADER_FIELDS = (
 
 
 def _header_config(header, lineno):
-    from . import backintime  # deferred: backintime imports this module
-    from .config import SimConfig  # deferred: config pulls in the density registry
-
     n_samples, rho, density, seed, replicate = (
         _field(header, key, kinds, "line %d" % lineno) for key, kinds in _HEADER_FIELDS
     )
     # a path takes at least n - 1 events; refuse before State.initial(n) is built
-    cap = backintime.DEFAULT_EVENT_CAP
+    cap = config.DEFAULT_EVENT_CAP
     if n_samples - 1 > cap:
         raise ArgParseError(
             "line %d: n_samples %d needs more events than the cap of %d" % (lineno, n_samples, cap)
         )
     try:
-        return SimConfig(
+        return config.SimConfig(
             n_samples=n_samples, rho=rho, density=density, seed=seed, replicate_index=replicate
         )
     except ValueError as err:
@@ -395,7 +393,7 @@ def read_args(fp):
 
 def _iter_logs(fp):
     found = False
-    config = None
+    cfg = None
     header_line = 0
     for lineno, raw in enumerate(fp, start=1):
         raw = raw.strip()
@@ -408,18 +406,17 @@ def _iter_logs(fp):
         if not isinstance(obj, dict):
             raise ArgParseError("line %d: not a JSON object" % lineno)
         if "format_version" in obj:
-            if config is not None:
+            if cfg is not None:
                 raise ArgParseError(
                     "line %d: new header before the trailer of the log at line %d" % (lineno, header_line)
                 )
-            if obj["format_version"] != FORMAT_VERSION:
-                raise ArgParseError(
-                    "line %d: unsupported format_version %r" % (lineno, obj["format_version"])
-                )
-            config, header_line = _header_config(obj, lineno), lineno
-            initial = state = State.initial(config.n_samples)
+            version = _field(obj, "format_version", (int,), "line %d" % lineno)
+            if version != FORMAT_VERSION:
+                raise ArgParseError("line %d: unsupported format_version %r" % (lineno, version))
+            cfg, header_line = _header_config(obj, lineno), lineno
+            initial = state = State.initial(cfg.n_samples)
             times, events, states = [], [], []
-        elif config is None:
+        elif cfg is None:
             raise ArgParseError("line %d: content before any header" % lineno)
         elif "ev" in obj:
             where = "line %d" % lineno
@@ -436,9 +433,9 @@ def _iter_logs(fp):
         else:
             _check_trailer(lineno, obj, len(events), state)
             found = True
-            yield Arg(config, times, events, states, initial)
-            config = None
-    if config is not None:
+            yield Arg(cfg, times, events, states, initial)
+            cfg = None
+    if cfg is not None:
         raise ArgParseError("truncated log: header at line %d has no trailer" % header_line)
     if not found:
         raise ArgParseError("empty stream: no event logs found")
@@ -461,10 +458,9 @@ _DECODER = json.JSONDecoder(parse_float=_finite, parse_constant=_finite)
 
 
 def _check_trailer(lineno, trailer, count, final):
-    if trailer.get("events") != count:
-        raise ArgParseError(
-            "line %d: trailer count %r != %d events read" % (lineno, trailer.get("events"), count)
-        )
+    events = _field(trailer, "events", (int,), "line %d" % lineno)
+    if events != count:
+        raise ArgParseError("line %d: trailer count %d != %d events read" % (lineno, events, count))
     digest = _checksum(final)
     if trailer.get("checksum") != digest:
         raise ArgParseError(

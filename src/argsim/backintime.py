@@ -8,7 +8,7 @@ with (b_i, e_i) the active interval of the rank-i lineage. Waiting times
 are exponential with rate q(x) (inversion); the embedded chain picks a
 uniformly weighted coalescing pair or a lineage with weight proportional
 to its recombination mass, with the split locus drawn from p restricted
-to the active interval.
+to the active interval. Each event is checked by SimConfig.check_event_cap.
 """
 
 from __future__ import annotations
@@ -17,16 +17,8 @@ import math
 from dataclasses import dataclass
 
 from .arg import Arg
-from .rng import SALTS, replicate_rng
+from .rng import SALTS, replicate_rng, unrank_pair
 from .state import Coalesce, Recombine, State
-
-# the hard event cap of one path; both engines and the CLI's up-front
-# estimate read it when they run, so patching it here caps them all
-DEFAULT_EVENT_CAP = 10_000_000
-
-
-class EventCapExceeded(RuntimeError):
-    """A simulation ran past the configured hard event cap."""
 
 
 @dataclass(frozen=True)
@@ -74,17 +66,6 @@ def sample_waiting_time(rates, rng):
     return -math.log(rng.uniform()) / rates.total
 
 
-def unrank_pair(index, k):
-    """The pair (i, j), i < j, at ``index`` in the lexicographic order of k items."""
-    i = 0
-    row = k - 1
-    while index >= row:
-        index -= row
-        i += 1
-        row -= 1
-    return i, i + 1 + index
-
-
 def sample_event(state, rates, density, rng):
     """One step of the embedded chain: a Coalesce or Recombine event.
 
@@ -114,7 +95,6 @@ def sample_event(state, rates, density, rng):
 
 def simulate_backintime(config):
     """Run one full simulation from singletons to the absorbing state."""
-    cap = DEFAULT_EVENT_CAP
     rng = replicate_rng(config.seed, config.replicate_index, SALTS["backintime"])
     initial = state = State.initial(config.n_samples)
     rho, density = config.rho, config.density
@@ -123,8 +103,6 @@ def simulate_backintime(config):
     events = []
     states = []
     while not state.is_absorbed:
-        if len(events) >= cap:
-            raise EventCapExceeded("exceeded %d events (n=%d rho=%g)" % (cap, config.n_samples, rho))
         rates = total_rate(state, rho, density)
         t += sample_waiting_time(rates, rng)
         event = sample_event(state, rates, density, rng)
@@ -132,4 +110,5 @@ def simulate_backintime(config):
         times.append(t)
         events.append(event)
         states.append(state)
+        config.check_event_cap(len(events))
     return Arg(config, times, events, states, initial)

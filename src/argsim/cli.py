@@ -14,7 +14,7 @@ import json
 import os
 import sys
 
-from . import __version__, backintime
+from . import __version__, config
 from .arg import (
     ArgParseError,
     _field,
@@ -23,8 +23,7 @@ from .arg import (
     validate_arg,
     write_arg,
 )
-from .backintime import EventCapExceeded
-from .config import SimConfig
+from .config import EventCapExceeded, SimConfig
 from .density import parse_density
 from .rng import SALTS, child_seed
 from .state import fmt_locus, render_typeset
@@ -75,7 +74,8 @@ def build_parser():
     cmp_.add_argument("--alpha", type=float, default=0.001)
     cmp_.add_argument("--out", default="compare_report.csv", help="CSV report path")
     cmp_.add_argument("--threads", type=int, default=None,
-                      help="worker processes, at least 1 (default: CPU count)")
+                      help="worker processes, at least 1 (default: CPU count); at most"
+                           " min(N, --reps, CPU count) start")
     return p
 
 
@@ -138,7 +138,7 @@ def _past_event_cap(n, rho):
     mean Kingman tree length E[L] gives rho * E[L] / 2 breakpoints. E[L]
     costs O(n) and n may not fit a float, so n - 1 is weighed first.
     """
-    cap = backintime.DEFAULT_EVENT_CAP
+    cap = config.DEFAULT_EVENT_CAP
     if n - 1 > cap:
         expected = "at least n - 1"
     else:
@@ -307,17 +307,14 @@ def cmd_compare(args, parser):
         parser.error("--threads must be at least 1")
     try:
         density = parse_density(args.density)
-        SimConfig(n_samples=args.samples, rho=args.rho, density=density, seed=args.seed)
+        base = SimConfig(n_samples=args.samples, rho=args.rho, density=density, seed=args.seed)
     except ValueError as exc:
         parser.error(str(exc))
     _check_out(args.out, parser)
-    if _past_event_cap(args.samples, args.rho):
+    if _past_event_cap(base.n_samples, base.rho):
         return 2
     try:
-        reports, _ = equivalence_report(
-            args.samples, args.rho, density, args.seed, args.reps,
-            sites=sites, alpha=args.alpha, threads=args.threads,
-        )
+        reports, _ = equivalence_report(base, args.reps, sites=sites, alpha=args.alpha, threads=args.threads)
     except EventCapExceeded as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 2

@@ -1,4 +1,10 @@
-"""Run configuration shared by both engines."""
+"""Run configuration and the event cap, shared by both engines.
+
+A path may take at most DEFAULT_EVENT_CAP events; SimConfig.check_event_cap
+is the one rule that enforces it. Both engines, the log reader's header
+check and the CLI's up-front estimate read the cap when they run, so
+patching it here caps them all, and neither engine imports the other.
+"""
 
 from __future__ import annotations
 
@@ -6,6 +12,12 @@ import math
 from dataclasses import dataclass, field
 
 from .density import UniformDensity, parse_density
+
+DEFAULT_EVENT_CAP = 10_000_000
+
+
+class EventCapExceeded(RuntimeError):
+    """A simulation ran past the hard event cap."""
 
 
 @dataclass(frozen=True)
@@ -43,3 +55,9 @@ class SimConfig:
 
     def with_replicate(self, r):
         return SimConfig(self.n_samples, self.rho, self.density, self.seed, r)
+
+    def check_event_cap(self, events):
+        """Raise EventCapExceeded if a path of this config has taken more than the cap."""
+        cap = DEFAULT_EVENT_CAP
+        if events > cap:
+            raise EventCapExceeded("exceeded %d events (n=%d rho=%g)" % (cap, self.n_samples, self.rho))

@@ -13,7 +13,8 @@ purposes and order-independent, so replicates can run in parallel.
 Draws come from CPython's Mersenne Twister via random.Random seeded with
 the child seed. Only .random() is consumed — its output sequence is
 guaranteed stable across CPython versions — and every non-uniform draw is
-derived from it by explicit inversion.
+derived from it by explicit inversion. unrank_pair maps one uniform
+index to a coalescing pair; both engines draw their pairs through it.
 """
 
 from __future__ import annotations
@@ -73,3 +74,14 @@ class SimRng:
 
 def replicate_rng(root, replicate, salt):
     return SimRng(child_seed(root, replicate, salt))
+
+
+def unrank_pair(index, k):
+    """The pair (i, j), i < j, at ``index`` in the lexicographic order of k items."""
+    i = 0
+    row = k - 1
+    while index >= row:
+        index -= row
+        i += 1
+        row -= 1
+    return i, i + 1 + index

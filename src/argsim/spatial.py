@@ -24,7 +24,8 @@ The finished graph converts into the same Arg event-log form the
 back-in-time engine emits: nodes sorted by latitude become events, and
 State.successor takes each node's children's material out of the state
 and its parents' in, as the branches hold it. validate_arg checks each
-event against those states, so the two derivations meet there.
+event against those states, so the two derivations meet there. The event
+cap is SimConfig.check_event_cap, applied after step 1 and each stage.
 
 Cost per stage, for a graph of N nodes and B branches: the free-mode rates
 are the live intervals the graph keeps across stages. live_intervals builds
@@ -46,10 +47,8 @@ from dataclasses import dataclass, field
 from itertools import accumulate
 
 from .arg import Arg
-from . import backintime
-from .backintime import EventCapExceeded, unrank_pair
 from .density import strictly_inside
-from .rng import SALTS, replicate_rng
+from .rng import SALTS, replicate_rng, unrank_pair
 from .state import Coalesce, Lineage, Recombine, State
 
 INF = math.inf
@@ -477,10 +476,10 @@ def graph_to_arg(graph, config):
 
 def simulate_spatial(config):
     """Run one spatial simulation and return its Arg."""
-    cap = backintime.DEFAULT_EVENT_CAP
     rng = replicate_rng(config.seed, config.replicate_index, SALTS["spatial"])
     rho, density = config.rho, config.density
     graph = kingman_tree(config.n_samples, rng)
+    config.check_event_cap(len(graph.nodes))
     while True:
         s_new = sample_next_breakpoint(graph, rho, density, rng)
         if s_new >= 1.0:
@@ -488,6 +487,5 @@ def simulate_spatial(config):
         fork_id, t0 = sample_recomb_location(graph, rng)
         trace = trace_lineage(graph, fork_id, t0, s_new, rho, density, rng)
         accept_breakpoint(graph, s_new, trace)
-        if len(graph.nodes) > cap:
-            raise EventCapExceeded("exceeded %d events (n=%d rho=%g)" % (cap, config.n_samples, rho))
+        config.check_event_cap(len(graph.nodes))
     return graph_to_arg(graph, config)

@@ -24,7 +24,6 @@ from scipy.special import gammaincc, kolmogorov
 
 from .arg import summary
 from .backintime import simulate_backintime
-from .config import SimConfig
 from .spatial import simulate_spatial
 
 
@@ -224,44 +223,45 @@ ENGINES = {
 
 
 def _one_replicate(task):
-    engine, n, rho, density_spec, seed, r, sites = task
-    cfg = SimConfig(n_samples=n, rho=rho, density=density_spec, seed=seed, replicate_index=r)
-    return summary(ENGINES[engine](cfg), sites=sites)
+    engine, config, sites = task
+    return summary(ENGINES[engine](config), sites=sites)
 
 
-def run_replicates(engine, n, rho, density_spec, seed, reps, sites=(0.0,), threads=None):
-    """Simulate a replicate batch and collect its summaries.
+def run_replicates(engine, config, reps, sites=(0.0,), threads=None):
+    """Simulate replicates 0 .. reps - 1 of config and collect their summaries.
 
     Child seeds are derived per replicate, so the batch gives the same
-    result at any thread count; threads defaults to the CPU count.
+    result at any thread count. threads defaults to the CPU count; at most
+    min(threads, reps, CPU count) worker processes start.
     """
     if engine not in ENGINES:
         raise ValueError("unknown engine %r" % engine)
-    if threads is None:
-        threads = os.cpu_count() or 1
-    tasks = [(engine, n, rho, density_spec, seed, r, tuple(sites)) for r in range(reps)]
-    if threads <= 1 or reps < 64:
+    cpus = os.cpu_count() or 1
+    workers = min(cpus if threads is None else threads, reps, cpus)
+    tasks = [(engine, config.with_replicate(r), tuple(sites)) for r in range(reps)]
+    if workers <= 1 or reps < 64:
         return [_one_replicate(t) for t in tasks]
     from multiprocessing import Pool
 
-    with Pool(processes=threads) as pool:
-        return pool.map(_one_replicate, tasks, chunksize=max(1, reps // (threads * 8)))
+    with Pool(processes=workers) as pool:
+        return pool.map(_one_replicate, tasks, chunksize=max(1, reps // (workers * 8)))
 
 
-def equivalence_report(n, rho, density_spec, seed, reps, sites=(0.0, 0.5), alpha=0.001, threads=None):
+def equivalence_report(config, reps, sites=(0.0, 0.5), alpha=0.001, threads=None):
     """Run both engines and test every summary statistic for agreement.
 
-    Returns (reports, samples) where samples maps engine name to its
-    summary list; the battery is two-sample KS for the continuous
-    statistics, homogeneity chi-square for the breakpoint count and the
-    maximum lineage count, and a z-test on the mean breakpoint count. The
-    event count gets no row: it is n - 1 + 2 * breakpoints, so its
-    chi-square would repeat the breakpoint row exactly. With several tests
-    at level alpha, the chance of a stray failure stays near
-    len(reports) * alpha (union bound); the alpha here is per-test.
+    Each engine runs replicates 0 .. reps - 1 of config. Returns (reports,
+    samples) where samples maps engine name to its summary list; the
+    battery is two-sample KS for the continuous statistics, homogeneity
+    chi-square for the breakpoint count and the maximum lineage count, and
+    a z-test on the mean breakpoint count. The event count gets no row: it
+    is n - 1 + 2 * breakpoints, so its chi-square would repeat the
+    breakpoint row exactly. With several tests at level alpha, the chance
+    of a stray failure stays near len(reports) * alpha (union bound); the
+    alpha here is per-test.
     """
-    a = run_replicates("backintime", n, rho, density_spec, seed, reps, sites, threads)
-    b = run_replicates("spatial", n, rho, density_spec, seed, reps, sites, threads)
+    a = run_replicates("backintime", config, reps, sites, threads)
+    b = run_replicates("spatial", config, reps, sites, threads)
     reports = []
 
     def add_ks(name, xs, ys):

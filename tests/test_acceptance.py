@@ -59,7 +59,8 @@ def big_battery():
     """The N=4, rho=1 equivalence run shared by criteria 2 and 9."""
     start = time.perf_counter()
     reports, samples = equivalence_report(
-        4, 1.0, "uniform", seed=2002, reps=BIG, sites=(0.0, 0.5), alpha=0.001, threads=1
+        SimConfig(n_samples=4, rho=1.0, density="uniform", seed=2002), reps=BIG, sites=(0.0, 0.5),
+        alpha=0.001, threads=1,
     )
     return reports, samples, time.perf_counter() - start
 
@@ -69,7 +70,8 @@ def test_criterion_1_kingman_means(capsys):
     want_t, want_l = kingman_expectations(6)
     rows = []
     for engine in ("backintime", "spatial"):
-        batch = run_replicates(engine, 6, 0.0, "uniform", 1001, BIG, sites=(0.0,), threads=1)
+        batch = run_replicates(engine, SimConfig(n_samples=6, rho=0.0, density="uniform", seed=1001), BIG,
+                               sites=(0.0,), threads=1)
         mt = math.fsum(s.tmrca_at[0.0] for s in batch) / BIG
         ml = math.fsum(s.length_at[0.0] for s in batch) / BIG
         rows.append((engine, abs(mt - want_t) / want_t, abs(ml - want_l) / want_l))

@@ -142,6 +142,25 @@ def test_labels_have_one_representation():
     assert found == []
 
 
+def test_only_the_registry_and_the_package_import_an_engine():
+    # the two engines are each other's oracle, so neither may lean on the
+    # other: shared limits live in config, shared draws in rng
+    engines = {"backintime", "spatial"}
+    importers = {}
+    for mod in [argsim, *argsim_modules()]:
+        for node in ast.walk(ast.parse(inspect.getsource(mod))):
+            if isinstance(node, ast.ImportFrom):
+                names = {node.module} if node.module else {alias.name for alias in node.names}
+            elif isinstance(node, ast.Import):
+                names = {alias.name for alias in node.names}
+            else:
+                continue
+            found = {name.rsplit(".", 1)[-1] for name in names} & engines
+            if found:
+                importers.setdefault(mod.__name__, set()).update(found)
+    assert importers == {"argsim": engines, "argsim.stats": engines}
+
+
 def test_every_exported_name_resolves():
     missing = [name for name in argsim.__all__ if not hasattr(argsim, name)]
     assert missing == []

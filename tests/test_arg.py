@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from argsim import backintime
+from argsim import config
 from argsim.arg import (
     Arg,
     ArgParseError,
@@ -560,7 +560,7 @@ def test_config_refuses_an_integer_rho_past_the_float_range():
 def test_header_past_the_event_cap_is_a_parse_error(monkeypatch):
     # a path takes at least n - 1 events, so a header whose n asks for more
     # than the cap is refused before the n-lineage initial state is built
-    monkeypatch.setattr(backintime, "DEFAULT_EVENT_CAP", 3)
+    monkeypatch.setattr(config, "DEFAULT_EVENT_CAP", 3)
     text = {}
     for n in (4, 5):
         buf = io.StringIO()

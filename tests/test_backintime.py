@@ -5,15 +5,14 @@ import math
 import pytest
 from scipy.integrate import quad
 
-from argsim import backintime
+from argsim import config
 from argsim.backintime import (
-    EventCapExceeded,
     sample_event,
     sample_waiting_time,
     simulate_backintime,
     total_rate,
 )
-from argsim.config import SimConfig
+from argsim.config import EventCapExceeded, SimConfig
 from argsim.density import BetaDensity, UniformDensity
 from argsim.rng import SimRng
 from argsim.state import Coalesce, Recombine, State
@@ -236,7 +235,7 @@ def test_simulation_is_deterministic():
 
 
 def test_event_cap_raises(monkeypatch):
-    monkeypatch.setattr(backintime, "DEFAULT_EVENT_CAP", 2)
+    monkeypatch.setattr(config, "DEFAULT_EVENT_CAP", 2)
     cfg = SimConfig(n_samples=4, rho=0.0, seed=1)
     with pytest.raises(EventCapExceeded, match=r"^exceeded 2 events \(n=4 rho=0\)$"):
         simulate_backintime(cfg)

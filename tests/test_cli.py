@@ -12,7 +12,8 @@ import weakref
 import pytest
 
 from argsim import arg as arg_module
-from argsim import backintime, cli, stats
+from argsim import cli, stats
+from argsim import config as config_module
 from argsim.arg import Arg, read_args, write_arg
 from argsim.backintime import simulate_backintime
 from argsim.cli import main
@@ -256,6 +257,33 @@ def test_non_finite_time_exits_2_in_validate_and_tree(tmp_path, capsys, number):
         assert captured.err.splitlines() == ["parse error: line 2: non-finite number %s" % number]
 
 
+@pytest.mark.parametrize("line, key, value", [
+    (1, "format_version", True),
+    (1, "format_version", 1.0),
+    (3, "events", True),
+    (3, "events", 1.0),
+])
+def test_integer_log_fields_refuse_bools_and_floats(tmp_path, capsys, line, key, value):
+    # true == 1 == 1.0 in Python: the header's format_version and the
+    # trailer's event count read as 1 unless their type is checked
+    out = tmp_path / "run.log"
+    main(["simulate", "--engine", "backintime", "--samples", "2", "--rho", "0",
+          "--seed", "1", "--reps", "1", "--out", str(out)])
+    lines = out.read_text().splitlines()
+    assert len(lines) == 3  # header, one event, trailer
+    obj = json.loads(lines[line - 1])
+    assert obj[key] == 1
+    obj[key] = value
+    lines[line - 1] = json.dumps(obj)
+    out.write_text("\n".join(lines) + "\n")
+    for argv in (["validate", str(out)], ["tree", str(out), "--site", "0.5"]):
+        capsys.readouterr()
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["parse error: line %d: %r must be int, got %r" % (line, key, value)]
+
+
 def test_integer_time_past_the_float_range_exits_2_in_validate_and_tree(tmp_path, capsys):
     # JSON integers are unbounded: such a time validated, and the tree's
     # length sum died with an OverflowError traceback
@@ -291,7 +319,7 @@ def test_header_past_the_event_cap_exits_2_with_one_line(tmp_path, monkeypatch, 
     out = tmp_path / "run.log"
     main(["simulate", "--engine", "backintime", "--samples", "3", "--rho", "0",
           "--seed", "2", "--reps", "1", "--out", str(out)])
-    monkeypatch.setattr(backintime, "DEFAULT_EVENT_CAP", 1)
+    monkeypatch.setattr(config_module, "DEFAULT_EVENT_CAP", 1)
     capsys.readouterr()
     assert main(["validate", str(out)]) == 2
     err = capsys.readouterr().err.splitlines()
@@ -436,7 +464,7 @@ def capped_backintime(config):
     whole run would refuse the run before any replicate.
     """
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(backintime, "DEFAULT_EVENT_CAP", 1)
+        patch.setattr(config_module, "DEFAULT_EVENT_CAP", 1)
         return simulate_backintime(config)
 
 
@@ -460,7 +488,7 @@ def test_expected_events_past_the_cap_exit_2_up_front(tmp_path, monkeypatch, cap
     sim = ["simulate", "--samples", "4", "--rho", "1", "--reps", "2", "--out", str(out)]
     cmp_ = ["compare", "--samples", "4", "--rho", "1", "--reps", "10", "--threads", "1",
             "--out", str(tmp_path / "r.csv")]
-    monkeypatch.setattr(backintime, "DEFAULT_EVENT_CAP", 6)
+    monkeypatch.setattr(config_module, "DEFAULT_EVENT_CAP", 6)
     line = "error: a path is expected to take 6.667 events, past the cap of 6 (n=4 rho=1)"
     for argv in (sim, cmp_):
         assert main(argv) == 2
@@ -468,7 +496,7 @@ def test_expected_events_past_the_cap_exit_2_up_front(tmp_path, monkeypatch, cap
     assert not out.exists() and not (tmp_path / "r.csv").exists()
     # at cap 7 the estimate lets the run start, and the engines, which read
     # the same cap, stop the first path that runs past it
-    monkeypatch.setattr(backintime, "DEFAULT_EVENT_CAP", 7)
+    monkeypatch.setattr(config_module, "DEFAULT_EVENT_CAP", 7)
     for argv, line in ((sim, "error: replicate 0: exceeded 7 events (n=4 rho=1)"),
                        (cmp_, "error: exceeded 7 events (n=4 rho=1)")):
         assert main(argv) == 2

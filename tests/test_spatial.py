@@ -30,7 +30,7 @@ from argsim.spatial import (
     trace_lineage,
 )
 from argsim.state import Coalesce, Lineage, Recombine, State
-from argsim.stats import chi_square, kingman_expectations, ks_one_sample, ks_one_sample_with_atom
+from argsim.stats import ENGINES, chi_square, kingman_expectations, ks_one_sample, ks_one_sample_with_atom
 from conftest import check_invariants, column, labels_of, mask_of, project_path, project_state
 
 INF = float("inf")
@@ -754,11 +754,25 @@ def test_each_stage_graph_is_the_final_path_projected_on_its_interval(monkeypatc
 
 
 def test_spatial_respects_event_cap(monkeypatch):
-    # the cap lives in backintime; spatial must read it there at call time
-    from argsim import backintime
-    from argsim.backintime import EventCapExceeded
+    # the cap lives in config; spatial must read it there at call time
+    from argsim import config
+    from argsim.config import EventCapExceeded
 
-    monkeypatch.setattr(backintime, "DEFAULT_EVENT_CAP", 5)
+    monkeypatch.setattr(config, "DEFAULT_EVENT_CAP", 5)
     cfg = SimConfig(n_samples=4, rho=30.0, seed=2)
     with pytest.raises(EventCapExceeded, match=r"^exceeded 5 events \(n=4 rho=30\)$"):
         simulate_spatial(cfg)
+
+
+@pytest.mark.parametrize("rho", [0.0, 0.01])
+@pytest.mark.parametrize("engine", ["backintime", "spatial"])
+def test_both_engines_apply_one_cap_rule(monkeypatch, engine, rho):
+    # n=10 takes 9 coalescences, past a cap of 5. At these rates the first
+    # spatial breakpoint draw stops, so the cap must also hold for the
+    # stage-0 tree, not only after a stage
+    from argsim import config
+    from argsim.config import EventCapExceeded
+
+    monkeypatch.setattr(config, "DEFAULT_EVENT_CAP", 5)
+    with pytest.raises(EventCapExceeded, match=r"^exceeded 5 events \(n=10 rho=%g\)$" % rho):
+        ENGINES[engine](SimConfig(n_samples=10, rho=rho, seed=1))

@@ -15,6 +15,7 @@ import scipy.stats
 
 from argsim import stats
 from argsim.arg import SummaryStats
+from argsim.config import SimConfig
 from argsim.stats import (
     CSV_HEADER,
     TestReport,
@@ -196,7 +197,7 @@ def test_kingman_expectations_closed_form():
 
 
 def test_run_replicates_deterministic_and_thread_invariant():
-    kwargs = dict(n=3, rho=0.5, density_spec="uniform", seed=40, reps=64, sites=(0.0,))
+    kwargs = dict(config=SimConfig(n_samples=3, rho=0.5, density="uniform", seed=40), reps=64, sites=(0.0,))
     serial = run_replicates("backintime", threads=1, **kwargs)
     again = run_replicates("backintime", threads=1, **kwargs)
     assert serial == again
@@ -204,7 +205,40 @@ def test_run_replicates_deterministic_and_thread_invariant():
     assert pooled == serial
     assert [s.replicate for s in serial] == list(range(64))
     with pytest.raises(ValueError):
-        run_replicates("sideways", 3, 0.5, "uniform", 40, 4)
+        run_replicates("sideways", SimConfig(n_samples=3, rho=0.5, density="uniform", seed=40), 4)
+
+
+@pytest.mark.parametrize("threads, cpus, workers", [
+    (100000, 4, 4),  # bounded by the CPU count
+    (100000, 1000, 64),  # bounded by the replicate count
+    (3, 4, 3),
+    (None, 8, 8),
+])
+def test_run_replicates_starts_at_most_one_worker_per_cpu_and_replicate(monkeypatch, threads, cpus, workers):
+    # a stand-in Pool records what it is asked for and maps serially, so
+    # no process starts whatever the thread count
+    started = []
+
+    class SerialPool:
+        def __init__(self, processes):
+            started.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize):
+            started.append(chunksize)
+            return [fn(t) for t in tasks]
+
+    config = SimConfig(n_samples=3, rho=0.5, seed=40)
+    serial = run_replicates("backintime", config, 64, threads=1)
+    monkeypatch.setattr("multiprocessing.Pool", SerialPool)
+    monkeypatch.setattr(stats.os, "cpu_count", lambda: cpus)
+    assert run_replicates("backintime", config, 64, threads=threads) == serial
+    assert started == [workers, max(1, 64 // (workers * 8))]
 
 
 @pytest.mark.parametrize("engine", ["backintime", "spatial"])
@@ -219,7 +253,8 @@ def test_two_site_tmrca_correlation_matches_hudson(engine):
     rho, s = 5.0, 0.5
     r = rho * s
     want = (r + 18.0) / (r * r + 13.0 * r + 18.0)
-    batch = run_replicates(engine, 2, rho, "uniform", 11, 4000, sites=(0.0, s), threads=1)
+    batch = run_replicates(engine, SimConfig(n_samples=2, rho=rho, density="uniform", seed=11), 4000,
+                           sites=(0.0, s), threads=1)
     got = statistics.correlation([x.tmrca_at[0.0] for x in batch], [x.tmrca_at[s] for x in batch])
     assert abs(got - want) < 0.06, (engine, got, want)
 
@@ -236,7 +271,8 @@ def test_two_site_shared_mrca_matches_exact_law(engine):
     rho, s, reps = 2.0, 0.5, 10000
     r = rho * s
     want = (r + 18.0) / (r * r + 13.0 * r + 18.0)
-    batch = run_replicates(engine, 2, rho, "uniform", 77, reps, sites=(0.0, s), threads=1)
+    batch = run_replicates(engine, SimConfig(n_samples=2, rho=rho, density="uniform", seed=77), reps,
+                           sites=(0.0, s), threads=1)
     hits = sum(x.tmrca_at[0.0] == x.tmrca_at[s] for x in batch)
     z = (hits - reps * want) / math.sqrt(reps * want * (1.0 - want))
     assert abs(z) < 4.0, (engine, hits / reps, want, z)
@@ -244,7 +280,7 @@ def test_two_site_shared_mrca_matches_exact_law(engine):
 
 def test_equivalence_report_null_battery():
     reports, samples = equivalence_report(
-        n=3, rho=0.5, density_spec="uniform", seed=2718, reps=400, threads=1
+        SimConfig(n_samples=3, rho=0.5, density="uniform", seed=2718), reps=400, threads=1
     )
     names = [r.name for r in reports]
     assert names == [
@@ -261,7 +297,7 @@ def test_equivalence_report_null_battery():
         assert r.passed, render_report_table(reports)
     assert len(samples["backintime"]) == len(samples["spatial"]) == 400
     reports2, _ = equivalence_report(
-        n=3, rho=0.5, density_spec="uniform", seed=2718, reps=400, threads=1
+        SimConfig(n_samples=3, rho=0.5, density="uniform", seed=2718), reps=400, threads=1
     )
     assert [(r.name, r.statistic, r.p_value) for r in reports] == [
         (r.name, r.statistic, r.p_value) for r in reports2
@@ -273,7 +309,7 @@ def test_breakpoints_mean_z_uses_alpha(monkeypatch):
     # must follow --alpha like every other row, with no fixed |z| cut
     counts = {"backintime": [0, 2] * 100, "spatial": [1, 3] * 33 + [0, 2] * 67}
 
-    def fake(engine, n, rho, density_spec, seed, reps, sites=(0.0,), threads=None):
+    def fake(engine, config, reps, sites=(0.0,), threads=None):
         return [
             SummaryStats(replicate=r, breakpoint_count=bp, grand_mrca=1.0 + r, max_lineages=3,
                          tmrca_at={s: 1.0 + r for s in sites}, length_at={s: 2.0 + r for s in sites})
@@ -283,7 +319,8 @@ def test_breakpoints_mean_z_uses_alpha(monkeypatch):
     monkeypatch.setattr(stats, "run_replicates", fake)
     rows = {}
     for alpha in (1e-6, 0.01):
-        reports, _ = equivalence_report(3, 1.0, "uniform", 0, 200, sites=(0.0,), alpha=alpha)
+        reports, _ = equivalence_report(SimConfig(n_samples=3, rho=1.0, density="uniform", seed=0), 200,
+                                        sites=(0.0,), alpha=alpha)
         (rows[alpha],) = [r for r in reports if r.name == "breakpoints_mean_z"]
     assert -3.15 < rows[0.01].statistic < -3.05
     assert 1e-6 < rows[0.01].p_value < 0.01

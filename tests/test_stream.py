@@ -13,6 +13,7 @@ import hashlib
 import itertools
 
 from argsim.cli import main
+from argsim.config import SimConfig
 from argsim.stats import run_replicates
 
 SEED = 4242
@@ -114,7 +115,8 @@ def test_summaries_match_pinned_digests():
     got = {}
     for engine in SUMMARY_PINNED:
         h = hashlib.sha256()
-        for st in run_replicates(engine, 8, 4.0, "beta:2,2", SEED, 200, sites=(0.0, 0.3, 0.7), threads=1):
+        for st in run_replicates(engine, SimConfig(n_samples=8, rho=4.0, density="beta:2,2", seed=SEED), 200,
+                                 sites=(0.0, 0.3, 0.7), threads=1):
             h.update(repr((
                 st.replicate, st.breakpoint_count, st.grand_mrca, st.max_lineages,
                 st.tmrca_at, st.length_at,
