@@ -131,6 +131,21 @@ def _check_out(path, parser):
         parser.error("cannot write %s: no writable directory %s" % (path, folder))
 
 
+def _rename_target(path, parser):
+    """The file simulate renames its staged output over: path, through symlinks.
+
+    Writing through a symlink keeps the link and replaces its target. A
+    target that exists as anything but a regular file (a FIFO, a device)
+    exits 2 before any run: the rename would put a regular file in its place.
+    """
+    _check_out(path, parser)
+    real = os.path.realpath(path)
+    if os.path.lexists(real) and not os.path.isfile(real):
+        parser.error("cannot write %s: not a regular file" % path)
+    _check_out(real, parser)
+    return real
+
+
 def _past_event_cap(n, rho):
     """Whether a path expects more events than the cap; if so, says so.
 
@@ -160,8 +175,8 @@ def cmd_simulate(args, parser):
         parser.error(str(exc))
     if s["reps"] < 1:
         parser.error("--reps must be at least 1")
-    for path in (s["out"], s["out"] + ".manifest.json"):
-        _check_out(path, parser)
+    targets = (s["out"], s["out"] + ".manifest.json")
+    renamed = [_rename_target(path, parser) for path in targets]
     if _past_event_cap(base.n_samples, base.rho):
         return 2
     salt = SALTS[s["engine"]]
@@ -181,8 +196,7 @@ def cmd_simulate(args, parser):
     # Each replicate is written as soon as it passes validation, into files
     # beside the targets that are renamed over them only once the whole run
     # has passed, so a failed run leaves no log and no manifest behind.
-    targets = (s["out"], s["out"] + ".manifest.json")
-    staged = ["%s.%d.tmp" % (path, os.getpid()) for path in targets]
+    staged = ["%s.%d.tmp" % (path, os.getpid()) for path in renamed]
     target = targets[0]  # the file a write failure is reported against
     total_events = 0
     try:
@@ -205,8 +219,8 @@ def cmd_simulate(args, parser):
         with open(staged[1], "x") as fh:
             json.dump(manifest, fh, indent=2, sort_keys=True)
             fh.write("\n")
-        for tmp, target in zip(staged, targets):
-            os.replace(tmp, target)
+        for tmp, real, target in zip(staged, renamed, targets):
+            os.replace(tmp, real)
     except OSError as exc:
         parser.error("cannot write %s: %s" % (target, exc.strerror))
     finally:

@@ -32,11 +32,13 @@ are the live intervals the graph keeps across stages. live_intervals builds
 them once, for the stage-0 tree, and each splice updates them in place: one
 bisection and one list insert per new node time, O(N), and +1 on the
 intervals each new segment spans. Each free rise resolves branch ids only
-on the interval it lands in, O(B). The splice (accept_breakpoint) gives new
-values only to the branches whose value can change: the old local tree, the
-old top, the path and the pieces made in this stage. It builds a Lineage
-only where that value changes. The tail walk from the absorption point to
-the top stays O(tree height).
+on the interval it lands in, O(B). The splice (accept_breakpoint) costs
+what the stage changes: its tail walk stops at the meeting piece, where the
+path rejoins the fork's line, and it revalues only the path, the fork's
+line up to that piece and the pieces made in this stage, building a
+Lineage only where a value changes. Every other local-tree piece keeps its
+value, so the new tree is one filter of the old one plus the revalued
+pieces left in it, sorted by id.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate
+from operator import attrgetter
 
 from .arg import Arg
 from .density import strictly_inside
@@ -127,8 +130,17 @@ class PartialGraph:
         self.tree_length = math.fsum(b.hi - b.lo for b in self.tree)
 
     def branch_above(self, node_id):
-        """The branch leaving a node upward; at a fork, the one whose material ends last."""
-        return max((self.branches[p] for p in self.nodes[node_id].parents), key=lambda b: b.material.end)
+        """The branch leaving a node upward; at a fork, the one whose material ends last.
+
+        A node has one parent or two; at a tie the first wins, as max does.
+        """
+        parents = self.nodes[node_id].parents
+        above = self.branches[parents[0]]
+        if len(parents) > 1:
+            other = self.branches[parents[1]]
+            if other.material.end > above.material.end:
+                return other
+        return above
 
     def split_branch(self, piece, t):
         """Cut a branch at latitude t; the lower part keeps the id.
@@ -335,13 +347,25 @@ def accept_breakpoint(graph, s_new, trace):
     """Step 6 plus the material update: splice the trace into the graph.
 
     The new segments share one Lineage: xi from s_new on. The live
-    intervals are updated in place, and one pass gives each branch whose
-    value can change its value from s_new on, reading the local tree off
-    it: the branches left nonempty there.
+    intervals are updated in place. From s_new on, the path gains xi and
+    the fork's old line loses it, up to the meeting piece: the first piece
+    up the tail from the absorption point whose newest value already holds
+    xi. Local-tree values are the leaf sets of their edges, a laminar
+    family, and only edges below the fork's hold a strict part of xi; those
+    end at or below t0. So a piece above t0 holds all of xi or none of it,
+    the ones that hold it form the fork's line, and the tail meets that
+    line at the meeting piece (at the latest the top, which holds every
+    label). Above it the path and the line coincide: xi leaves and returns,
+    so no value changes there.
+
+    So one pass revalues only the path, the fork's line from the fork up to
+    the meeting piece and the pieces made in this stage; every other
+    local-tree piece stays in the tree as it is. The tree is the branches
+    left nonempty from s_new on.
     """
     xi = trace.xi
     carried = Lineage((s_new,), (0, xi))
-    old_tree, old_top = graph.tree, graph.top_id
+    old_tree = graph.tree
     first_branch, first_node = len(graph.branches), len(graph.nodes)
     segs = []  # the new segments of carried material
     alias = {}  # pre-split piece id -> its upper part, chained per split
@@ -398,13 +422,19 @@ def accept_breakpoint(graph, s_new, trace):
                 tail_start = ride_piece
                 break
     assert tail_start is not None and seg is None, "trace must end absorbed"
-    # the tail: the old tree from the absorption point up to the top
+    # the tail: up the old tree from the absorption point to the meeting
+    # piece, the first whose newest value already holds xi (the top does)
     cur = tail_start
-    while True:
+    while xi & ~cur.material.vals[-1]:
         assert cur.material.end == 1.0, "tail left the local tree"
         on_path.add(cur.id)
-        if cur.upper_node is None:
-            break
+        cur = graph.branch_above(cur.upper_node)
+    meet = cur
+    # the fork's line from the fork up to the meeting piece loses xi
+    lost = set()
+    cur = fork_above
+    while cur is not meet:
+        lost.add(cur.id)
         cur = graph.branch_above(cur.upper_node)
     # the live intervals: each new node time opens an interval with the
     # count of the one it splits (starts[0] is no node time, so the first
@@ -423,27 +453,25 @@ def accept_breakpoint(graph, s_new, trace):
             while starts[k] < seg.hi:
                 counts[k] += 1
                 k += 1
-    # the value from s_new on: only the old tree and top hold material
-    # there, and every other old branch's empty value stays empty unless
-    # the path gains xi. The walk goes in id order, so the tree does too,
-    # and sample_recomb_location and the fsum of its length see the same
+    # the value from s_new on: only the path, the fork's line and the
+    # pieces made in this stage can change it, so every other old-tree piece
+    # stays in the tree as it is. The tree goes in id order, so
+    # sample_recomb_location and the fsum of its length see the same
     # sequence as a pass over every branch would give them
-    walk = {b.id for b in old_tree}
-    walk.add(old_top)
-    walk.update(on_path, range(first_branch, len(graph.branches)))
-    tree = []
-    for bid in sorted(walk):
+    visited = on_path.union(lost, range(first_branch, len(graph.branches)))
+    tree = [b for b in old_tree if b.id not in visited]
+    for bid in visited:
         b = graph.branches[bid]
         last = col = b.material.vals[-1]
         if bid in on_path:
-            if xi & ~last:
-                col = last | xi
-        elif b.hi > trace.t0 and xi & last:
+            col = last | xi
+        elif bid in lost:
             col = last & ~xi
         if col != last:
             b.material = Lineage(b.material.breaks + (s_new,), b.material.vals + (col,))
         if col and b.hi < INF:
             tree.append(b)
+    tree.sort(key=attrgetter("id"))
     graph.breakpoints.append(s_new)
     graph.set_tree(tree)
 
@@ -464,8 +492,15 @@ def graph_to_arg(graph, config):
     assert all(material[j].vals == (1 << j,) for j in range(graph.n)), "leaves are not singletons"
     times, events, states = [], [], []
     for node in sorted(graph.nodes.values(), key=lambda nd: (nd.time, nd.id)):
-        gone = sorted(state.lineages.index(material[c]) for c in node.children)
-        event = Coalesce(*gone) if node.kind == "c" else Recombine(gone[0], node.locus)
+        ids = list(map(id, state.lineages))  # ranks by identity: no Lineage.__eq__ call
+        if node.kind == "c":
+            a, b = node.children
+            i, j = ids.index(id(material[a])), ids.index(id(material[b]))
+            gone = (i, j) if i < j else (j, i)
+            event = Coalesce(*gone)
+        else:
+            gone = (ids.index(id(material[node.children[0]])),)
+            event = Recombine(gone[0], node.locus)
         state = state.successor(gone, [material[p] for p in node.parents])
         times.append(node.time)
         events.append(event)

@@ -375,10 +375,10 @@ def _check_parts(x, y, whole):
 
 def _check_lineage(lin):
     """Assert that a stored lineage is non-null and canonical."""
-    assert not lin.is_null, "null lineage stored"
-    for a, b in zip(lin.vals, lin.vals[1:]):
-        assert a != b, "uncanonical lineage: equal adjacent values"
-    assert all(x < y for x, y in zip(lin.breaks, lin.breaks[1:]))
+    assert lin.start is not None, "null lineage stored"
+    vals, breaks = lin.vals, lin.breaks
+    assert all(map(operator.ne, vals, vals[1:])), "uncanonical lineage: equal adjacent values"
+    assert all(map(operator.lt, breaks, breaks[1:]))
 
 
 def render_typeset(mask):

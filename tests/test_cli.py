@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import stat
 import time
 import weakref
 
@@ -139,6 +140,54 @@ def test_simulate_rejects_bad_parameters(tmp_path, capsys):
         assert [line for line in err if "error:" in line] == [err[-1]], argv
         assert captured.out == "", argv
     assert list(tmp_path.iterdir()) == []
+
+
+SIM = ["simulate", "--engine", "spatial", "--samples", "4", "--rho", "1", "--seed", "5", "--reps", "2"]
+
+
+@pytest.mark.parametrize("manifest", [False, True])
+def test_simulate_refuses_a_path_that_is_not_a_regular_file(tmp_path, capsys, manifest):
+    # a FIFO, directly or behind a symlink, as the log or as its manifest:
+    # exit 2 before any run, with the FIFO still in place and no file written
+    out = tmp_path / "run.log"
+    named = tmp_path / "run.log.manifest.json" if manifest else out
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    for link in (False, True):
+        if link:
+            os.symlink(fifo, named)
+        else:
+            os.mkfifo(named)
+        with pytest.raises(SystemExit) as exc:
+            main(SIM + ["--out", str(out)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines()[-1] == "argsim: error: cannot write %s: not a regular file" % named
+        assert captured.out == ""
+        assert os.path.islink(named) == link and stat.S_ISFIFO(os.stat(named).st_mode)
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted({"fifo", named.name})
+        os.remove(named)
+
+
+def test_simulate_writes_through_symlinks(tmp_path):
+    want = tmp_path / "want.log"
+    assert main(SIM + ["--out", str(want)]) == 0
+    # the log links to an old file, the manifest to a file not yet made
+    # in another folder: both links stay, and their targets get the bytes
+    elsewhere = tmp_path / "elsewhere"
+    elsewhere.mkdir()
+    target, manifest_target = tmp_path / "old.log", elsewhere / "made.json"
+    target.write_bytes(b"old bytes\n")
+    out = tmp_path / "run.log"
+    os.symlink(target, out)
+    os.symlink(manifest_target, tmp_path / "run.log.manifest.json")
+    assert main(SIM + ["--out", str(out)]) == 0
+    assert os.path.islink(out) and os.path.islink(tmp_path / "run.log.manifest.json")
+    assert target.read_bytes() == want.read_bytes()
+    assert json.loads(manifest_target.read_text())["out"] == str(out)
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "elsewhere", "old.log", "run.log", "run.log.manifest.json", "want.log", "want.log.manifest.json"]
+    assert [p.name for p in elsewhere.iterdir()] == ["made.json"]
 
 
 GOOD_MANIFEST = {"engine": "backintime", "n_samples": 3, "rho": 1, "density": "uniform",

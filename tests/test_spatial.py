@@ -31,7 +31,7 @@ from argsim.spatial import (
 )
 from argsim.state import Coalesce, Lineage, Recombine, State
 from argsim.stats import ENGINES, chi_square, kingman_expectations, ks_one_sample, ks_one_sample_with_atom
-from conftest import check_invariants, column, labels_of, mask_of, project_path, project_state
+from conftest import check_invariants, column, labels_of, mask_of, project_path, project_state, union_of
 
 INF = float("inf")
 UNIFORM = UniformDensity()
@@ -289,6 +289,172 @@ def test_live_intervals_match_the_scan_on_fixtures():
     assert_sweep_matches_scan(g)
     assert_tree_matches_walk(g)
     assert g.starts[:2] == [0.0, 0.0] and g.counts[0] == g.counts[1] == 3
+
+
+def assert_newest_conserved(graph):
+    """The newest column is conserved at every node; O(nodes).
+
+    A node's children carry disjoint newest values whose union is the
+    union of its parents' (disjoint) newest values, and the top carries
+    every label.
+    """
+    full = (1 << graph.n) - 1
+    assert graph.branches[graph.top_id].material.vals[-1] == full
+    for nd in graph.nodes.values():
+        below = [graph.branches[c].material.vals[-1] for c in nd.children]
+        above = [graph.branches[p].material.vals[-1] for p in nd.parents]
+        for side in (below, above):
+            assert sum(v.bit_count() for v in side) == union_of(side).bit_count(), "overlap at node %d" % nd.id
+        assert union_of(below) == union_of(above), "newest column not conserved at node %d" % nd.id
+
+
+def meeting_piece(graph, trace):
+    """Ids of a trace's (absorption piece, meeting piece), read before its splice.
+
+    The absorption piece is the local-tree piece the trace ends on; the
+    meeting piece is the first piece up from it whose newest value holds
+    the detached labels, where the path rejoins the fork's line.
+    """
+    ride = None
+    for step in trace.steps:
+        if step[0] == "coal":
+            ride = graph.branches[step[2]]
+        elif step[0] == "climb":
+            ride = graph.branch_above(ride.upper_node)
+    absorbed = cur = ride
+    assert absorbed.material.end == 1.0
+    while trace.xi & ~cur.material.vals[-1]:
+        cur = graph.branch_above(cur.upper_node)
+    return absorbed.id, cur.id
+
+
+def material_before(bid, before, made_by):
+    """The Lineage a branch held before a stage; None for a new carried segment.
+
+    ``before`` maps the ids the stage found to their material, and
+    ``made_by`` each id the stage made to the node below it. A piece made
+    by a split shares the material of the piece it was cut from (the
+    node's first child); a new segment of carried material is a
+    recombination node's second parent.
+    """
+    while bid not in before:
+        node = made_by[bid]
+        if node.parents.index(bid) == 1:
+            return None
+        bid = node.children[0]
+    return before[bid]
+
+
+def stages_of(n, rho, seed):
+    """Yield (graph, s_new, trace) for each stage of a spatial path.
+
+    The caller splices each trace with accept_breakpoint before asking
+    for the next stage.
+    """
+    rng = replicate_rng(seed, 0, SALTS["spatial"])
+    g = kingman_tree(n, rng)
+    while True:
+        s_new = sample_next_breakpoint(g, rho, UNIFORM, rng)
+        if s_new >= 1.0:
+            return
+        fork_id, t0 = sample_recomb_location(g, rng)
+        yield g, s_new, trace_lineage(g, fork_id, t0, s_new, rho, UNIFORM, rng)
+
+
+@pytest.mark.parametrize("n", [3, 6, 20])
+@pytest.mark.parametrize("rho", [1.0, 5.0, 30.0])
+def test_each_stage_revalues_only_what_changes(n, rho):
+    # at every stage: the newest column is conserved, the local tree and
+    # the live intervals match their references, and a branch gets a new
+    # material object iff its newest value changed, with every older
+    # column kept
+    seeds = 4 if rho <= 5.0 else 2 if n < 20 else 1  # the scan costs O(nodes x branches)
+    for seed in range(900, 900 + seeds):
+        for g, s_new, trace in stages_of(n, rho, seed):
+            before = {b.id: b.material for b in g.branches.values()}
+            first_node = len(g.nodes)
+            accept_breakpoint(g, s_new, trace)
+            made_by = {p: nd for nd in list(g.nodes.values())[first_node:] for p in nd.parents}
+            assert_newest_conserved(g)
+            assert_tree_matches_walk(g)
+            assert_sweep_matches_scan(g)
+            for b in g.branches.values():
+                old = material_before(b.id, before, made_by)
+                if old is None:
+                    assert b.material.breaks == (s_new,) and b.material.vals == (0, trace.xi)
+                elif b.material.vals[-1] == old.vals[-1]:
+                    assert b.material is old, "branch %d: unchanged value, new material" % b.id
+                else:
+                    assert b.material is not old
+                    assert b.material.breaks == old.breaks + (s_new,) and b.material.vals[:-1] == old.vals
+
+
+def test_seeds_meet_the_forks_line_at_both_ends():
+    # the stages of test_each_stage_revalues_only_what_changes rejoin the
+    # fork's line right where they are absorbed, and at the top
+    seen = {"at absorption": 0, "at the top": 0, "between": 0}
+    for n, rho in ((3, 1.0), (6, 5.0), (20, 5.0)):
+        for seed in range(900, 904):
+            for g, s_new, trace in stages_of(n, rho, seed):
+                absorbed, meet = meeting_piece(g, trace)
+                seen["at absorption"] += meet == absorbed
+                seen["at the top"] += meet == g.top_id
+                seen["between"] += meet not in (absorbed, g.top_id)
+                accept_breakpoint(g, s_new, trace)
+    assert min(seen.values()) >= 3, seen
+
+
+def four_leaf_graph():
+    """Stage-0 graph ((((1,2) at 1, 3) at 2, 4) at 3).
+
+    Branch ids: leaves 0-3, then 4 = {1,2} on [1, 2), 5 = {1,2,3} on
+    [2, 3) and the top 6 = {1,2,3,4} on [3, inf).
+    """
+    g = PartialGraph(4)
+    leaves = [g.add_branch(0.0, INF, None, Lineage.constant(mask_of({j + 1}))) for j in range(4)]
+    below = leaves[0]
+    for k, t in enumerate((1.0, 2.0, 3.0), 1):
+        other = leaves[k]
+        merged = g.add_branch(t, INF, None, Lineage.constant(below.material.vals[0] | other.material.vals[0]))
+        node = g.add_node(t, "c", None, [below.id, other.id], [merged.id])
+        below.hi = other.hi = t
+        below.upper_node = other.upper_node = node.id
+        below = merged
+    g.top_id = below.id
+    g.set_tree(b for b in g.branches.values() if b.hi < INF)
+    g.starts, g.counts = live_intervals(g)
+    check_invariants(g)
+    return g
+
+
+def test_splice_stops_at_the_meeting_piece(monkeypatch):
+    # leaf 1 forks at 0.3 and its material coalesces with leaf 2 at 0.6:
+    # the path rejoins the fork's line at branch 4 = {1,2}, so neither
+    # walk climbs past it to branch 5 or the top
+    g = four_leaf_graph()
+    rng = ScriptedRng(uniforms=[math.exp(-1.2)], indices=[1])  # rate 4 on [0, 1)
+    trace = trace_lineage(g, fork_id=0, t0=0.3, s_new=0.5, rho=1.0, density=UNIFORM, rng=rng)
+    assert rng.exhausted() and trace.steps == [("coal", pytest.approx(0.6), 1)]
+    assert meeting_piece(g, trace) == (1, 4)
+    climbed = []
+    step_up = PartialGraph.branch_above
+
+    def recording(graph, node_id):
+        above = step_up(graph, node_id)
+        climbed.append(above.id)
+        return above
+
+    monkeypatch.setattr(PartialGraph, "branch_above", recording)
+    accept_breakpoint(g, 0.5, trace)
+    monkeypatch.undo()
+    assert climbed == [4, 4]  # once up the tail, once up the fork's line
+    check_invariants(g)
+    assert_tree_matches_walk(g)
+    # the upper parts of the fork branch (7) and of leaf 2 (9) swap label 1;
+    # the carried segment 8 holds it from 0.3 to 0.6
+    assert [column(g, g.branches[bid], 1) for bid in (7, 8, 9, 4, 5, 6)] == [
+        0, mask_of({1}), mask_of({1, 2}), mask_of({1, 2}), mask_of({1, 2, 3}), mask_of({1, 2, 3, 4})]
+    assert g.tree == tuple(g.branches[bid] for bid in (0, 1, 2, 3, 4, 5, 8, 9))
 
 
 def test_simulate_spatial_sweeps_once_per_replicate(monkeypatch):
@@ -608,6 +774,27 @@ def test_graph_to_arg_builds_no_lineage(monkeypatch):
     Lineage.constant(mask_of({1}))
     assert len(built) == 1  # the patch is live
     monkeypatch.undo()
+    assert all(validate_arg(arg).passed for arg in args)
+
+
+def test_graph_to_arg_finds_ranks_by_identity(monkeypatch):
+    # a child's rank is found by the identity of its material, so no two
+    # lineages are compared by value
+    log = record_stages(monkeypatch, keep_graphs=True)
+    want, finished = [], []
+    for n in (3, 8):
+        stages = len(log)
+        want.append(simulate_spatial(SimConfig(n_samples=n, rho=5.0, seed=3)))
+        assert len(log) > stages + 2
+        finished.append(log[-1]["graph"])
+
+    def refuse(self, other):
+        raise AssertionError("Lineage.__eq__ called")
+
+    monkeypatch.setattr(Lineage, "__eq__", refuse)
+    args = [graph_to_arg(graph, arg.config) for graph, arg in zip(finished, want)]
+    monkeypatch.undo()
+    assert [(a.times, a.events) for a in args] == [(a.times, a.events) for a in want]
     assert all(validate_arg(arg).passed for arg in args)
 
 
