@@ -7,17 +7,18 @@ produce this shape; everything downstream (validation, local trees,
 summary statistics, serialization) consumes it.
 
 Post-event states are stored alongside events so validation and tree
-extraction are single passes. Validation checks each recorded step
-against its event without redoing it (State.check_step). The serialized
-form is events-only. Reading a stream is lazy: each event is replayed as
-its line is parsed, each log's final state is checked against its
-trailer's checksum, and the logs are yielded one at a time, so a reader
-that drops each log before taking the next holds one replicate at once.
+extraction are single passes. validate_arg checks each recorded step of
+engine output against its event without redoing it (State.check_step).
+The serialized form is events-only. Reading a stream is lazy: replaying
+each event as its line is parsed derives a read log's states, the final
+one is checked against the trailer's checksum, and the logs are yielded
+one at a time, so a reader that drops each log holds one replicate.
 """
 
 from __future__ import annotations
 
 import hashlib
+import heapq
 import json
 import math
 from dataclasses import dataclass, field
@@ -88,6 +89,32 @@ class ValidationReport:
         return "\n".join(lines)
 
 
+def validate_replayed(arg):
+    """validate_arg's clauses (c), (d) and (e), which read only times, loci and the end.
+
+    They are the whole check of a path whose states replay its events from
+    the singleton state, as read_args builds them: (a) and (b) hold there.
+    """
+    violations = []
+    seen_loci = {}
+    prev_t = 0.0
+    for idx, (t, event) in enumerate(zip(arg.times, arg.events)):
+        if not t > prev_t:
+            violations.append((idx, "e", "time %r does not increase past %r" % (t, prev_t)))
+        prev_t = t
+        if isinstance(event, Recombine):
+            if event.locus in seen_loci:
+                violations.append(
+                    (idx, "c", "locus %s repeats event %d" % (fmt_locus(event.locus), seen_loci[event.locus]))
+                )
+            seen_loci[event.locus] = idx
+    if not arg.states or not arg.final_state.is_absorbed:
+        violations.append((None, "d", "path does not end in the absorbing state"))
+    elif arg.final_state != State.absorbing(arg.n_samples):
+        violations.append((None, "d", "final state is not the full-label lineage"))
+    return ValidationReport(not violations, violations)
+
+
 def validate_arg(arg):
     """Check every path-membership clause of the event log.
 
@@ -95,6 +122,7 @@ def validate_arg(arg):
     coalescence/recombination reaching the recorded state, with the label
     partition holding at every locus; (c) recombination loci are pairwise
     distinct; (d) the path ends absorbed; (e) times strictly increase.
+    Violations come in path order: (a), per event (e), (c), (b), then (d).
 
     Once per path, the start state gets the full State.check(). Per event,
     the recorded state gets State.check_step() against the recorded state
@@ -111,24 +139,14 @@ def validate_arg(arg):
     violations = []
     if arg.initial != State.initial(arg.n_samples):
         violations.append((None, "a", "initial state is not the singleton state"))
+    steps = []  # clause (b), in event order
     state = arg.initial
     try:
         state.check()
         checked = True  # whether `state` is known to satisfy check()
     except AssertionError:
         checked = False
-    seen_loci = {}
-    prev_t = 0.0
-    for idx, (t, event, recorded) in enumerate(zip(arg.times, arg.events, arg.states)):
-        if not t > prev_t:
-            violations.append((idx, "e", "time %r does not increase past %r" % (t, prev_t)))
-        prev_t = t
-        if isinstance(event, Recombine):
-            if event.locus in seen_loci:
-                violations.append(
-                    (idx, "c", "locus %s repeats event %d" % (fmt_locus(event.locus), seen_loci[event.locus]))
-                )
-            seen_loci[event.locus] = idx
+    for idx, (event, recorded) in enumerate(zip(arg.events, arg.states)):
         prev = state
         if checked:
             try:
@@ -140,23 +158,21 @@ def validate_arg(arg):
         try:
             replay = prev.apply(event)
         except IllegalEventError as err:
-            violations.append((idx, "b", str(err)))
+            steps.append((idx, "b", str(err)))
             checked = False
             continue
         if replay != recorded:
-            violations.append((idx, "b", "recorded state diverges from replay"))
+            steps.append((idx, "b", "recorded state diverges from replay"))
             checked = False
             continue
         try:
             state.check()
             checked = True
         except AssertionError as err:
-            violations.append((idx, "b", "invariant broken: %s" % err))
+            steps.append((idx, "b", "invariant broken: %s" % err))
             checked = False
-    if not arg.states or not arg.final_state.is_absorbed:
-        violations.append((None, "d", "path does not end in the absorbing state"))
-    elif arg.final_state != State.absorbing(arg.n_samples):
-        violations.append((None, "d", "final state is not the full-label lineage"))
+    violations += heapq.merge(validate_replayed(arg).violations, steps,
+                              key=lambda v: math.inf if v[0] is None else v[0])
     return ValidationReport(not violations, violations)
 
 

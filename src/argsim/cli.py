@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 1 failed validation or failed comparison,
 2 usage or parse errors, a run expected to pass the event cap or stopped
-at it, or a tree asked of a log that never absorbs.
+at it, or a tree asked of a log that fails clause (c), (d) or (e).
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from .arg import (
     local_tree,
     read_args,
     validate_arg,
+    validate_replayed,
     write_arg,
 )
 from .config import EventCapExceeded, SimConfig
@@ -119,14 +120,18 @@ def _simulate_settings(args, parser):
 
 
 def _check_out(path, parser):
-    """Exit 2 before any run when path cannot be opened as a new file.
+    """Exit 2 before any run when path cannot be written as a regular file.
 
-    A failure this cannot foresee is reported the same way when the file
-    is written.
+    A path that is, through symlinks, a FIFO or a device is refused: opening
+    it may block, and a rename would replace it. A failure this cannot
+    foresee is reported the same way when the file is written.
     """
     folder = os.path.dirname(path) or "."
     if os.path.isdir(path):
         parser.error("cannot write %s: it is a directory" % path)
+    real = os.path.realpath(path)
+    if os.path.lexists(real) and not os.path.isfile(real):
+        parser.error("cannot write %s: not a regular file" % path)
     if not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
         parser.error("cannot write %s: no writable directory %s" % (path, folder))
 
@@ -134,14 +139,10 @@ def _check_out(path, parser):
 def _rename_target(path, parser):
     """The file simulate renames its staged output over: path, through symlinks.
 
-    Writing through a symlink keeps the link and replaces its target. A
-    target that exists as anything but a regular file (a FIFO, a device)
-    exits 2 before any run: the rename would put a regular file in its place.
+    Writing through a symlink keeps the link and replaces its target.
     """
     _check_out(path, parser)
     real = os.path.realpath(path)
-    if os.path.lexists(real) and not os.path.isfile(real):
-        parser.error("cannot write %s: not a regular file" % path)
     _check_out(real, parser)
     return real
 
@@ -256,7 +257,7 @@ def _tag(idx, arg):
 
 def cmd_validate(args, parser):
     def check(idx, arg):
-        report = validate_arg(arg)
+        report = validate_replayed(arg)
         if report.passed:
             return True, "%s: pass (%d events)" % (_tag(idx, arg), arg.event_count)
         return False, "%s: FAIL\n%s" % (_tag(idx, arg), report.render())
@@ -275,9 +276,11 @@ def cmd_tree(args, parser):
 
     def draw(idx, arg):
         """(error line or None, output lines) for one log."""
-        if not arg.final_state.is_absorbed:
-            return ("error: %s does not end in the absorbing state; run validate for details"
-                    % _tag(idx, arg)), []
+        report = validate_replayed(arg)
+        if not report.passed:
+            _, clause, message = report.violations[0]
+            return ("error: %s fails clause (%s): %s; run validate for details"
+                    % (_tag(idx, arg), clause, message)), []
         tree = local_tree(arg, args.site)
         if args.format == "newick":
             return None, [tree.newick()]

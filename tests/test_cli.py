@@ -1,5 +1,6 @@
 """CLI tests: everything runs in-process through main(argv)."""
 
+import contextlib
 import errno
 import gc
 import io
@@ -7,21 +8,24 @@ import json
 import math
 import os
 import stat
+import tempfile
 import time
 import weakref
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from argsim import arg as arg_module
 from argsim import cli, stats
 from argsim import config as config_module
-from argsim.arg import Arg, read_args, write_arg
+from argsim.arg import Arg, read_args, validate_arg, write_arg
 from argsim.backintime import simulate_backintime
 from argsim.cli import main
 from argsim.config import SimConfig
 from argsim.rng import SALTS, child_seed
-from argsim.state import Coalesce, Recombine
-from conftest import build_arg
+from argsim.state import Coalesce, IllegalEventError, Recombine, State
+from conftest import build_arg, random_walk
 
 
 def test_version():
@@ -410,7 +414,13 @@ def test_tree_multiple_replicates_are_labeled(tmp_path, capsys):
     assert printed[1].endswith(";") and printed[3].endswith(";")
 
 
-@pytest.mark.parametrize("timed_events", [[], [(0.5, Coalesce(0, 1))]])
+@pytest.mark.parametrize("timed_events", [
+    [],
+    [(0.5, Coalesce(0, 1))],
+    [(0.5, Coalesce(0, 1)), (0.3, Coalesce(0, 1))],  # absorbed, with decreasing times
+    [(0.1, Recombine(0, 0.5)), (0.2, Recombine(1, 0.5))]  # absorbed, with a repeated locus
+    + [(t, Coalesce(0, 1)) for t in (0.3, 0.4, 0.5, 0.6)],
+])
 def test_tree_on_a_log_that_never_absorbs_exits_2(tmp_path, capsys, timed_events):
     cfg = SimConfig(n_samples=3, rho=0.0, seed=6)
     path = tmp_path / "open.log"
@@ -423,6 +433,8 @@ def test_tree_on_a_log_that_never_absorbs_exits_2(tmp_path, capsys, timed_events
     assert captured.out == ""
     err = captured.err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: replicate 1 (seed 6, index 0) ")
+    first = validate_arg(build_arg(cfg, timed_events)).violations[0]
+    assert "fails clause (%s): %s;" % first[1:] in err[0]
 
 
 def test_tree_rejects_bad_site(tmp_path):
@@ -433,6 +445,23 @@ def test_tree_rejects_bad_site(tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["tree", str(path), "--site", site])
         assert exc.value.code == 2
+
+
+def test_compare_refuses_a_path_that_is_not_a_regular_file(tmp_path, monkeypatch, capsys):
+    # refused before any replicate runs: opening a FIFO to write blocks
+    # until a reader comes, so the run would print its table and hang
+    monkeypatch.setattr(cli, "equivalence_report", lambda *a, **k: pytest.fail("compare ran"))
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    os.symlink(fifo, tmp_path / "link.csv")
+    for out in (fifo, tmp_path / "link.csv", os.devnull):
+        with pytest.raises(SystemExit) as exc:
+            main(["compare", "--samples", "3", "--reps", "10", "--threads", "1", "--out", str(out)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines()[-1] == "argsim: error: cannot write %s: not a regular file" % out
+        assert captured.out == ""
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
 
 
 def test_compare_passes_on_matched_engines(tmp_path, capsys):
@@ -700,3 +729,96 @@ def test_truncated_last_log_prints_nothing_to_stdout(tmp_path, capsys):
         assert captured.out == ""
         err = captured.err.splitlines()
         assert len(err) == 1 and err[0].startswith("parse error: "), err
+
+
+# --- validate FILE: the reader's replay is the only derivation of a state ---
+
+
+@st.composite
+def tampered_logs(draw):
+    """A random legal walk, as an Arg, with a time or a locus tampered or its tail dropped.
+
+    The tampered events are replayed up to the first one that is illegal
+    (a repeated locus can make a later step illegal), so the log parses.
+    """
+    n = draw(st.integers(2, 5))
+    walk = list(random_walk(n, draw(st.integers(0, 10 ** 6)), draw(st.integers(1, 30))))
+    times = [float(t) for t in range(1, len(walk) + 1)]
+    events = [event for _, event, _ in walk]
+    tamper = draw(st.sampled_from(["none", "equal time", "earlier time", "repeat locus", "drop tail"]))
+    m = draw(st.integers(0, len(walk) - 1))
+    if tamper == "equal time":
+        times[m] = times[m - 1] if m else 0.0
+    elif tamper == "earlier time":
+        times[m] = (times[m - 1] if m else 0.0) - draw(st.sampled_from([0.25, 1.0, 1.5]))
+    elif tamper == "repeat locus":
+        # an earlier recombination's locus, on a lineage whose active interval holds it
+        loci = [event.locus for event in events[:m] if isinstance(event, Recombine)]
+        choices = [(i, u) for u in loci for i, (b, e) in enumerate(walk[m][0].active_intervals()) if b < u < e]
+        assume(choices)
+        events[m] = Recombine(*draw(st.sampled_from(choices)))
+    elif tamper == "drop tail":
+        del times[m:], events[m:]
+    state, timed = State.initial(n), []
+    for t, event in zip(times, events):
+        try:
+            state = state.apply(event)
+        except IllegalEventError:
+            break
+        timed.append((t, event))
+    cfg = SimConfig(n_samples=n, rho=1.0, seed=draw(st.integers(0, 9)))
+    return build_arg(cfg.with_replicate(draw(st.integers(0, 9))), timed)
+
+
+@given(st.lists(tampered_logs(), min_size=1, max_size=3))
+@settings(max_examples=200, deadline=None)
+def test_validate_file_reports_what_validate_arg_reports_on_each_read_log(args):
+    # validate FILE checks only clauses (c), (d) and (e); validate_arg, run
+    # here on each read log, also step-checks the reader's replayed states
+    with tempfile.TemporaryDirectory() as folder:
+        path = os.path.join(folder, "run.log")
+        with open(path, "w") as fh:
+            for arg in args:
+                write_arg(arg, fh)
+        with open(path) as fh:
+            read = list(read_args(fh))
+        printed = io.StringIO()
+        with contextlib.redirect_stdout(printed):
+            code = main(["validate", path])
+    reports = [validate_arg(arg) for arg in read]
+    want = []
+    for idx, (arg, report) in enumerate(zip(read, reports)):
+        tag = "replicate %d (seed %d, index %d)" % (idx, arg.config.seed, arg.config.replicate_index)
+        want.append("%s: pass (%d events)" % (tag, arg.event_count) if report.passed
+                    else "%s: FAIL\n%s" % (tag, report.render()))
+    assert printed.getvalue() == "".join(line + "\n" for line in want)
+    assert code == (0 if all(report.passed for report in reports) else 1)
+
+
+def _count_calls(monkeypatch, cls, names):
+    """Patch each named method of cls to count its calls in the returned dict."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, name=name, method=getattr(cls, name)):
+            calls[name] += 1
+            return method(*args)
+        monkeypatch.setattr(cls, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("engine, flags", [
+    ("backintime", ["--samples", "8", "--rho", "5", "--density", "beta:2,2", "--reps", "4"]),
+    ("spatial", ["--samples", "6", "--rho", "4", "--reps", "3"]),
+])
+def test_validate_file_replays_once(tmp_path, monkeypatch, capsys, engine, flags):
+    out = tmp_path / "run.log"
+    calls = _count_calls(monkeypatch, State, ["apply", "check_step", "check"])
+    assert main(["simulate", "--engine", engine, "--seed", "12", "--out", str(out)] + flags) == 0
+    reps = int(flags[-1])
+    assert calls["check"] == reps  # simulate validates each path: one full check at its start
+    events = sum(json.loads(line)["events"] for line in out.read_text().splitlines() if '"checksum"' in line)
+    assert events > 10 * reps
+    calls.update(dict.fromkeys(calls, 0))
+    assert main(["validate", str(out)]) == 0
+    assert calls == {"apply": events, "check_step": 0, "check": 0}
+    capsys.readouterr()
