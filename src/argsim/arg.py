@@ -334,26 +334,25 @@ def write_arg(arg, fp):
         fp.write("\n")
 
 
-def _field(obj, key, kinds, where):
+def _field(obj, key, kinds):
     """obj[key] when obj is a dict holding a value of one of ``kinds``.
 
     JSON booleans never count as numbers. A field that may be a float is
     returned as one: JSON integers are unbounded, and one past the float
     range is refused here, not left to overflow in later arithmetic.
-    Anything else is an ArgParseError whose message starts with ``where``
-    (say, "line 3").
+    Anything else is an ArgParseError; the caller prefixes where it was
+    (say, "line 3: ").
     """
     if not isinstance(obj, dict) or key not in obj:
-        raise ArgParseError("%s: missing %r" % (where, key))
+        raise ArgParseError("missing %r" % key)
     value = obj[key]
     if not isinstance(value, kinds) or isinstance(value, bool):
-        raise ArgParseError("%s: %r must be %s, got %r" % (
-            where, key, " or ".join(k.__name__ for k in kinds), value))
+        raise ArgParseError("%r must be %s, got %r" % (key, " or ".join(k.__name__ for k in kinds), value))
     if float in kinds:
         try:
             return float(value)
         except OverflowError:
-            raise ArgParseError("%s: %r is an integer too large for a float" % (where, key)) from None
+            raise ArgParseError("%r is an integer too large for a float" % key) from None
     return value
 
 
@@ -366,32 +365,28 @@ _HEADER_FIELDS = (
 )
 
 
-def _header_config(header, lineno):
-    n_samples, rho, density, seed, replicate = (
-        _field(header, key, kinds, "line %d" % lineno) for key, kinds in _HEADER_FIELDS
-    )
+def _header_config(header):
+    n_samples, rho, density, seed, replicate = (_field(header, key, kinds) for key, kinds in _HEADER_FIELDS)
     # a path takes at least n - 1 events; refuse before State.initial(n) is built
     cap = config.DEFAULT_EVENT_CAP
     if n_samples - 1 > cap:
-        raise ArgParseError(
-            "line %d: n_samples %d needs more events than the cap of %d" % (lineno, n_samples, cap)
-        )
+        raise ArgParseError("n_samples %d needs more events than the cap of %d" % (n_samples, cap))
     try:
         return config.SimConfig(
             n_samples=n_samples, rho=rho, density=density, seed=seed, replicate_index=replicate
         )
     except ValueError as err:
-        raise ArgParseError("line %d: bad header: %s" % (lineno, err)) from None
+        raise ArgParseError("bad header: %s" % err) from None
 
 
-def _parse_event(obj, where):
+def _parse_event(obj):
     ev = obj["ev"]
-    kind = _field(ev, "type", (str,), where)
+    kind = _field(ev, "type", (str,))
     if kind == "coal":
-        return Coalesce(_field(ev, "i", (int,), where), _field(ev, "j", (int,), where))
+        return Coalesce(_field(ev, "i", (int,)), _field(ev, "j", (int,)))
     if kind == "rec":
-        return Recombine(_field(ev, "i", (int,), where), _field(ev, "u", (int, float), where))
-    raise ArgParseError("%s: unknown event type %r" % (where, kind))
+        return Recombine(_field(ev, "i", (int,)), _field(ev, "u", (int, float)))
+    raise ArgParseError("unknown event type %r" % kind)
 
 
 def read_args(fp):
@@ -416,41 +411,37 @@ def _iter_logs(fp):
         if not raw:
             continue
         try:
-            obj = _DECODER.decode(raw)
-        except (ValueError, RecursionError) as err:
-            raise ArgParseError("line %d: %s" % (lineno, err))
-        if not isinstance(obj, dict):
-            raise ArgParseError("line %d: not a JSON object" % lineno)
-        if "format_version" in obj:
-            if cfg is not None:
-                raise ArgParseError(
-                    "line %d: new header before the trailer of the log at line %d" % (lineno, header_line)
-                )
-            version = _field(obj, "format_version", (int,), "line %d" % lineno)
-            if version != FORMAT_VERSION:
-                raise ArgParseError("line %d: unsupported format_version %r" % (lineno, version))
-            cfg, header_line = _header_config(obj, lineno), lineno
-            initial = state = State.initial(cfg.n_samples)
-            times, events, states = [], [], []
-        elif cfg is None:
-            raise ArgParseError("line %d: content before any header" % lineno)
-        elif "ev" in obj:
-            where = "line %d" % lineno
-            event = _parse_event(obj, where)
-            if _field(obj, "n", (int,), where) != len(events):
-                raise ArgParseError("%s: event index %r out of order" % (where, obj["n"]))
-            times.append(_field(obj, "t", (int, float), where))
-            try:
-                state = state.apply(event)
-            except IllegalEventError as err:
-                raise ArgParseError("%s: event %d cannot be replayed: %s" % (where, len(events), err))
-            events.append(event)
-            states.append(state)
-        else:
-            _check_trailer(lineno, obj, len(events), state)
-            found = True
-            yield Arg(cfg, times, events, states, initial)
-            cfg = None
+            obj = _decode(raw)
+            if "format_version" in obj:
+                if cfg is not None:
+                    raise ArgParseError("new header before the trailer of the log at line %d" % header_line)
+                version = _field(obj, "format_version", (int,))
+                if version != FORMAT_VERSION:
+                    raise ArgParseError("unsupported format_version %r" % version)
+                cfg, header_line = _header_config(obj), lineno
+                initial = state = State.initial(cfg.n_samples)
+                times, events, states = [], [], []
+                continue
+            if cfg is None:
+                raise ArgParseError("content before any header")
+            if "ev" in obj:
+                event = _parse_event(obj)
+                if _field(obj, "n", (int,)) != len(events):
+                    raise ArgParseError("event index %r out of order" % obj["n"])
+                times.append(_field(obj, "t", (int, float)))
+                try:
+                    state = state.apply(event)
+                except IllegalEventError as err:
+                    raise ArgParseError("event %d cannot be replayed: %s" % (len(events), err)) from None
+                events.append(event)
+                states.append(state)
+                continue
+            _check_trailer(obj, len(events), state)
+        except ArgParseError as err:
+            raise ArgParseError("line %d: %s" % (lineno, err)) from None
+        found = True
+        yield Arg(cfg, times, events, states, initial)
+        cfg = None
     if cfg is not None:
         raise ArgParseError("truncated log: header at line %d has no trailer" % header_line)
     if not found:
@@ -473,15 +464,24 @@ def _finite(text):
 _DECODER = json.JSONDecoder(parse_float=_finite, parse_constant=_finite)
 
 
-def _check_trailer(lineno, trailer, count, final):
-    events = _field(trailer, "events", (int,), "line %d" % lineno)
+def _decode(raw):
+    """One line as a JSON object, else an ArgParseError."""
+    try:
+        obj = _DECODER.decode(raw)
+    except (ValueError, RecursionError) as err:
+        raise ArgParseError(str(err)) from None
+    if not isinstance(obj, dict):
+        raise ArgParseError("not a JSON object")
+    return obj
+
+
+def _check_trailer(trailer, count, final):
+    events = _field(trailer, "events", (int,))
     if events != count:
-        raise ArgParseError("line %d: trailer count %d != %d events read" % (lineno, events, count))
+        raise ArgParseError("trailer count %d != %d events read" % (events, count))
     digest = _checksum(final)
     if trailer.get("checksum") != digest:
-        raise ArgParseError(
-            "line %d: checksum mismatch (log %r, replay %r)" % (lineno, trailer.get("checksum"), digest)
-        )
+        raise ArgParseError("checksum mismatch (log %r, replay %r)" % (trailer.get("checksum"), digest))
 
 
 def read_arg(fp):

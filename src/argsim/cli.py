@@ -55,14 +55,17 @@ def build_parser():
     sim.add_argument("--out", default=None, help="output event-log path")
     sim.add_argument("--from-manifest", default=None, metavar="MANIFEST",
                      help="load all settings from a previous run's manifest")
+    sim.set_defaults(run=cmd_simulate)
 
     val = sub.add_parser("validate", help="replay an event-log file and check legality")
     val.add_argument("path")
+    val.set_defaults(run=cmd_validate)
 
     tree = sub.add_parser("tree", help="print the local tree at a site")
     tree.add_argument("path")
     tree.add_argument("--site", type=float, required=True)
     tree.add_argument("--format", choices=("newick", "levels"), default="newick")
+    tree.set_defaults(run=cmd_tree)
 
     cmp_ = sub.add_parser("compare", help="run both engines and test distributional agreement")
     cmp_.add_argument("--samples", type=int, required=True)
@@ -77,6 +80,7 @@ def build_parser():
     cmp_.add_argument("--threads", type=int, default=None,
                       help="worker processes, at least 1 (default: CPU count); at most"
                            " min(N, --reps, CPU count) start")
+    cmp_.set_defaults(run=cmd_compare)
     return p
 
 
@@ -99,11 +103,11 @@ def _simulate_settings(args, parser):
             with open(args.from_manifest) as fh:
                 man = json.load(fh)
             for setting, key, kinds in _MANIFEST_FIELDS:
-                settings[setting] = _field(man, key, kinds, where)
+                settings[setting] = _field(man, key, kinds)
             if "out" in man:
-                settings["out"] = _field(man, "out", (str,), where)
+                settings["out"] = _field(man, "out", (str,))
         except ArgParseError as exc:
-            parser.error(str(exc))
+            parser.error("%s: %s" % (where, exc))
         except (OSError, ValueError) as exc:
             parser.error("cannot read %s: %s" % (where, exc))
         if settings["engine"] not in ENGINES:
@@ -350,15 +354,7 @@ def cmd_compare(args, parser):
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "simulate":
-        return cmd_simulate(args, parser)
-    if args.command == "validate":
-        return cmd_validate(args, parser)
-    if args.command == "tree":
-        return cmd_tree(args, parser)
-    if args.command == "compare":
-        return cmd_compare(args, parser)
-    parser.error("unknown command %r" % args.command)
+    return args.run(args, parser)
 
 
 if __name__ == "__main__":

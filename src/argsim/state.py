@@ -10,7 +10,10 @@ single lineage carrying {1, ..., n} at every locus.
 
 Lineages within a state are kept in a canonical order: by the first locus
 with nonempty value, ties broken by the smallest label carried there. Events
-address lineages by their 0-based rank in that order.
+address lineages by their 0-based rank in that order. Every constructor in
+the package builds only canonical lineages (see Lineage), whose rank keys
+and active intervals are read off their ends; check and check_step assert a
+recorded lineage canonical before they read any derived field of it.
 
 Two events act on states:
 
@@ -42,11 +45,12 @@ class Lineage:
     """One lineage: a right-continuous step function on [0, 1).
 
     ``breaks`` are the interior jump loci (strictly increasing) and ``vals``
-    the values on the successive segments, ``len(vals) == len(breaks) + 1``,
-    with no two adjacent values equal. Values are label bitmasks (ints).
-    The operators (split, union) are linear merges over the break tuples
-    that emit a break only where the value changes, so they build canonical
-    lineages directly.
+    the values on the successive segments, ``len(vals) == len(breaks) + 1``.
+    Values are label bitmasks (ints). Canonical: no two adjacent values are
+    equal, and the one null form is ``vals == (0,)``. ``start``, ``start_min``
+    and ``end`` are read off the two values at each end, so they are defined
+    only for canonical lineages. union, split, constant and the spatial
+    splice's revalued and carried material build only canonical lineages.
 
     ``mass`` is left to the back-in-time engine: the recombination mass of
     the last active interval it weighed the lineage on (see total_rate).
@@ -57,26 +61,14 @@ class Lineage:
     def __init__(self, breaks, vals):
         self.breaks = breaks
         self.vals = vals
-        # first locus with nonempty value, and the smallest label there
-        start = None
-        for k, v in enumerate(vals):
-            if v:
-                start = breaks[k - 1] if k else 0.0
-                self.start_min = (v & -v).bit_length()
-                break
-        if start is None:
-            self.start = None  # empty everywhere; never stored in a State
-            self.start_min = None
-        else:
-            self.start = start
-        # end of the support: past the last nonempty segment
-        end = None
-        for k in range(len(vals) - 1, -1, -1):
-            if vals[k]:
-                end = breaks[k] if k < len(breaks) else 1.0
-                break
-        self.end = end
         self.mass = None
+        if vals == (0,):  # empty everywhere; never stored in a State
+            self.start = self.start_min = self.end = None
+            return
+        first = vals[0] or vals[1]
+        self.start = 0.0 if vals[0] else breaks[0]
+        self.start_min = (first & -first).bit_length()
+        self.end = 1.0 if vals[-1] else breaks[-1]
 
     @classmethod
     def constant(cls, mask):
@@ -224,12 +216,8 @@ class State:
         """
         if self._intervals is None:
             first = self.lineages[0]
-            full = full_set(self.n)
-            b = 1.0
-            for k, val in enumerate(first.vals):
-                if val != full:
-                    b = first.breaks[k - 1] if k else 0.0
-                    break
+            # a canonical value that is the full set changes at the first break
+            b = 0.0 if first.vals[0] != full_set(self.n) else (first.breaks or (1.0,))[0]
             out = [(b, first.end)]
             out += [(lin.start, lin.end) for lin in self.lineages[1:]]
             self._intervals = tuple(out)

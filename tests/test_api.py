@@ -188,6 +188,19 @@ def test_traced_classes_define_their_public_methods_in_their_own_body():
         assert {"mass", "cdf", "ppf", "sample_truncated"} <= set(vars(cls))
 
 
+def test_benchmark_spans_name_traceable_functions(monkeypatch):
+    # The benchmark's self-test needs every span it lists to fire. A
+    # function deleted, renamed or turned into a generator (the tracer
+    # skips generators) would lose its span without failing anything else.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    child = importlib.import_module("child")
+    tracer = importlib.import_module("tracer")
+    traceable = {name for name, _, _, _ in tracer.discover()}
+    listed = {name for workload in child.WORKLOADS.values() for name in workload["spans"]}
+    listed |= tracer.RECORDED | set(tracer.ENGINES) | set(tracer.OBSERVERS)
+    assert sorted(listed - traceable) == []
+
+
 def definition_refs():
     """(top-level name -> identifiers its definition reads, names cli defines).
 

@@ -340,6 +340,53 @@ def test_merges_match_the_segment_oracles(x, y, on_break, data):
     assert [_fields(part) for part in got] == [_fields(part) for part in want]
 
 
+def _support_oracle(l):
+    """(start, start_min, end) by definition: the first and last nonzero segments."""
+    nonzero = [(lo, hi, val) for lo, hi, val in l.segments() if val]
+    if not nonzero:
+        return None, None, None
+    lo, _, val = nonzero[0]
+    return lo, min(labels_of(val)), nonzero[-1][1]
+
+
+def assert_derived_fields(state):
+    """Check every rank key and active interval against its definition; return the largest start_min."""
+    supports = [_support_oracle(l) for l in state.lineages]
+    assert [(l.start, l.start_min, l.end) for l in state.lineages] == supports
+    full = full_set(state.n)
+    b = next((lo for lo, _, val in state.lineages[0].segments() if val != full), 1.0)
+    want = ((b, supports[0][2]),) + tuple((start, end) for start, _, end in supports[1:])
+    assert state.active_intervals() == want
+    return max(start_min for _, start_min, _ in supports)
+
+
+@given(canonical_lineages())
+@settings(max_examples=300, deadline=None)
+def test_derived_fields_match_their_definitions(l):
+    assert (l.start, l.start_min, l.end) == _support_oracle(l)
+    if not l.is_null:
+        # active_intervals reads only rank 0 and n; at n=3 a drawn value
+        # can be the full label set, before or after other values
+        assert_derived_fields(raw_state(3, [l]))
+
+
+def test_derived_fields_match_their_definitions_on_paths():
+    for n in (2, 3, 5, 8):
+        for seed in range(6):
+            for prev, _, nxt in random_walk(n, seed, 60):
+                assert_derived_fields(prev)
+                assert_derived_fields(nxt)
+    configs = [SimConfig(n_samples=5, rho=4.0, density="beta:2,2", seed=seed) for seed in range(3)]
+    configs.append(SimConfig(n_samples=70, rho=2.0, seed=1))
+    for engine in (simulate_backintime, simulate_spatial):
+        top = 0
+        for cfg in configs:
+            arg = engine(cfg)
+            for state in (arg.initial, *arg.states):
+                top = max(top, assert_derived_fields(state))
+        assert top > 64  # labels past 64 bits were read
+
+
 def test_operators_walk_no_segments(monkeypatch):
     cfg = SimConfig(n_samples=6, rho=4.0, density="beta:2,2", seed=5)
     spatial = simulate_spatial(cfg)
