@@ -76,8 +76,11 @@ class Arg:
 
 @dataclass
 class ValidationReport:
-    passed: bool
     violations: list
+
+    @property
+    def passed(self):
+        return not self.violations
 
     def render(self):
         if self.passed:
@@ -112,7 +115,7 @@ def validate_replayed(arg):
         violations.append((None, "d", "path does not end in the absorbing state"))
     elif arg.final_state != State.absorbing(arg.n_samples):
         violations.append((None, "d", "final state is not the full-label lineage"))
-    return ValidationReport(not violations, violations)
+    return ValidationReport(violations)
 
 
 def validate_arg(arg):
@@ -173,7 +176,7 @@ def validate_arg(arg):
             checked = False
     violations += heapq.merge(validate_replayed(arg).violations, steps,
                               key=lambda v: math.inf if v[0] is None else v[0])
-    return ValidationReport(not violations, violations)
+    return ValidationReport(violations)
 
 
 def breakpoints(arg):

@@ -127,28 +127,19 @@ def _check_out(path, parser):
     """Exit 2 before any run when path cannot be written as a regular file.
 
     A path that is, through symlinks, a FIFO or a device is refused: opening
-    it may block, and a rename would replace it. A failure this cannot
-    foresee is reported the same way when the file is written.
+    it may block, and a rename would replace it. The folder checked is the
+    one the file is written in, that of the path through symlinks. A
+    failure this cannot foresee is reported the same way when the file is
+    written.
     """
-    folder = os.path.dirname(path) or "."
     if os.path.isdir(path):
         parser.error("cannot write %s: it is a directory" % path)
     real = os.path.realpath(path)
     if os.path.lexists(real) and not os.path.isfile(real):
         parser.error("cannot write %s: not a regular file" % path)
+    folder = os.path.dirname(real)
     if not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
         parser.error("cannot write %s: no writable directory %s" % (path, folder))
-
-
-def _rename_target(path, parser):
-    """The file simulate renames its staged output over: path, through symlinks.
-
-    Writing through a symlink keeps the link and replaces its target.
-    """
-    _check_out(path, parser)
-    real = os.path.realpath(path)
-    _check_out(real, parser)
-    return real
 
 
 def _past_event_cap(n, rho):
@@ -181,7 +172,10 @@ def cmd_simulate(args, parser):
     if s["reps"] < 1:
         parser.error("--reps must be at least 1")
     targets = (s["out"], s["out"] + ".manifest.json")
-    renamed = [_rename_target(path, parser) for path in targets]
+    for path in targets:
+        _check_out(path, parser)
+    # writing through a symlink keeps the link and replaces its target
+    renamed = [os.path.realpath(path) for path in targets]
     if _past_event_cap(base.n_samples, base.rho):
         return 2
     salt = SALTS[s["engine"]]

@@ -20,6 +20,11 @@ of the current locus), then:
      gives every branch its value from the new locus on, reading the new
      local tree off those values in the same pass.
 
+Branch and node ids are indices into the graph's lists. A node with a
+locus is a recombination, one without a coalescence. A split links a
+branch's pieces bottom to top through the node's first parent, so the
+splice finds the piece of a pre-stage id at a latitude by walking up.
+
 The finished graph converts into the same Arg event-log form the
 back-in-time engine emits: nodes sorted by latitude become events, and
 State.successor takes each node's children's material out of the state
@@ -78,32 +83,37 @@ class Branch:
 
 
 class GraphNode:
-    """An internal vertex: a coalescence ('c') or recombination ('r')."""
+    """An internal vertex: a recombination at ``locus``, or a coalescence (locus None)."""
 
-    __slots__ = ("id", "time", "kind", "locus", "children", "parents")
+    __slots__ = ("id", "time", "locus", "children", "parents")
 
-    def __init__(self, nid, time, kind, locus, children, parents):
+    def __init__(self, nid, time, locus, children, parents):
         self.id = nid
         self.time = time
-        self.kind = kind
         self.locus = locus
         self.children = children  # branch ids below
         self.parents = parents  # branch ids above
 
 
 class PartialGraph:
-    """The mutable graph a spatial simulation grows stage by stage."""
+    """The mutable graph a spatial simulation grows stage by stage.
+
+    ``branches`` and ``nodes`` are lists indexed by id: an id is the list's
+    length when the item is added, and nothing is removed. A node with a
+    locus is a recombination (one child, two parents); one without is a
+    coalescence (two children, one parent). A split links the pieces of a
+    branch bottom to top through the node's first parent.
+    """
 
     __slots__ = (
-        "n", "branches", "nodes", "top_id", "breakpoints",
+        "n", "branches", "nodes", "breakpoints",
         "tree", "tree_length", "starts", "counts",
     )
 
     def __init__(self, n):
         self.n = n
-        self.branches = {}
-        self.nodes = {}
-        self.top_id = None
+        self.branches = []
+        self.nodes = []
         self.breakpoints = []
         self.tree = ()  # finite local-tree branches, in id order
         self.tree_length = 0.0
@@ -113,15 +123,13 @@ class PartialGraph:
         self.counts = []
 
     def add_branch(self, lo, hi, upper_node, material):
-        bid = len(self.branches)  # nothing is ever removed
-        b = Branch(bid, lo, hi, upper_node, material)
-        self.branches[bid] = b
+        b = Branch(len(self.branches), lo, hi, upper_node, material)
+        self.branches.append(b)
         return b
 
-    def add_node(self, time, kind, locus, children, parents):
-        nid = len(self.nodes)
-        nd = GraphNode(nid, time, kind, locus, children, parents)
-        self.nodes[nid] = nd
+    def add_node(self, time, locus, children, parents):
+        nd = GraphNode(len(self.nodes), time, locus, children, parents)
+        self.nodes.append(nd)
         return nd
 
     def set_tree(self, branches):
@@ -147,15 +155,14 @@ class PartialGraph:
 
         Returns the new upper part. Node links of the upper end move to the
         new piece; the caller wires both cut ends to the event node it is
-        creating.
+        creating, and must list the upper part first among that node's
+        parents, so the pieces of a branch chain bottom to top.
         """
         assert piece.lo <= t < piece.hi
         above = self.add_branch(t, piece.hi, piece.upper_node, piece.material)
         if piece.upper_node is not None:
             upper = self.nodes[piece.upper_node]
             upper.children[upper.children.index(piece.id)] = above.id
-        if self.top_id == piece.id:
-            self.top_id = above.id
         piece.hi = t
         piece.upper_node = None
         return above
@@ -174,13 +181,12 @@ def kingman_tree(n, rng):
         i, j = unrank_pair(rng.index(k * (k - 1) // 2), k)
         a, b = graph.branches[live[i]], graph.branches[live[j]]
         merged = graph.add_branch(t, INF, None, Lineage.constant(a.material.vals[0] | b.material.vals[0]))
-        node = graph.add_node(t, "c", None, [a.id, b.id], [merged.id])
+        node = graph.add_node(t, None, [a.id, b.id], [merged.id])
         a.hi = b.hi = t
         a.upper_node = b.upper_node = node.id
         live[i] = merged.id
         live.pop(j)
-    graph.top_id = live[0]
-    graph.set_tree(b for b in graph.branches.values() if b.hi < INF)
+    graph.set_tree(b for b in graph.branches if b.hi < INF)
     graph.starts, graph.counts = live_intervals(graph)
     return graph
 
@@ -199,28 +205,24 @@ def live_intervals(graph):
     those in place, so no stage rebuilds them. Branch ids are resolved
     later, by live_branches, on the one interval a free rise lands in.
     """
-    times = sorted({nd.time for nd in graph.nodes.values()})
+    times = sorted({nd.time for nd in graph.nodes})
     starts = [0.0] + times
     first = {t: k for k, t in enumerate(times, 1)}
     first[0.0] = 0  # a node at latitude 0 repeats starts[0]
     first[INF] = len(starts)  # the top branch never closes
     delta = [0] * (len(starts) + 1)
-    for b in graph.branches.values():
+    for b in graph.branches:
         if b.lo < b.hi:  # a zero-length branch spans no interval
             delta[first[b.lo]] += 1
             delta[first[b.hi]] -= 1
     counts = list(accumulate(delta[:-1]))
-    top = graph.branches[graph.top_id]
-    assert counts[-1] == 1 and top.lo <= starts[-1] < top.hi
+    assert counts[-1] == 1  # only the top branch spans the unbounded interval
     return starts, counts
 
 
 def live_branches(graph, t):
-    """Id-sorted tuple of the branches spanning latitude t; O(branches).
-
-    Branches are stored in id order (ids count up and none is removed).
-    """
-    return tuple(b.id for b in graph.branches.values() if b.lo <= t < b.hi)
+    """Id-sorted tuple of the branches spanning latitude t; O(branches)."""
+    return tuple(b.id for b in graph.branches if b.lo <= t < b.hi)
 
 
 def free_rise(graph, t0, rng):
@@ -310,19 +312,13 @@ def trace_lineage(graph, fork_id, t0, s_new, rho, density, rng):
     straight left-to-right pass.
     """
     trace = Trace(fork_id=fork_id, t0=t0, xi=graph.branches[fork_id].material.vals[-1])
-    mode_free = True
-    ride = None  # branch being ridden
+    ride = None  # branch being ridden; None in free mode
     t = t0
     while True:
-        if mode_free:
-            t_coal, target_id = free_rise(graph, t, rng)
-            trace.steps.append(("coal", t_coal, target_id))
-            target = graph.branches[target_id]
-            t = t_coal
-            if target.material.end == 1.0:
-                return trace
-            mode_free = False
-            ride = target
+        if ride is None:
+            t, target_id = free_rise(graph, t, rng)
+            trace.steps.append(("coal", t, target_id))
+            ride = graph.branches[target_id]
         else:
             # riding an older edge: its material gap spans from the end of
             # its material to the new locus
@@ -333,14 +329,13 @@ def trace_lineage(graph, fork_id, t0, s_new, rho, density, rng):
                 locus = density.sample_truncated(rng, gap_lo, s_new)
                 trace.steps.append(("detach", t_detach, locus))
                 t = t_detach
-                mode_free = True
                 ride = None
-            else:
-                trace.steps.append(("climb", ride.hi))
-                t = ride.hi
-                ride = graph.branch_above(ride.upper_node)
-                if ride.material.end == 1.0:
-                    return trace
+                continue
+            trace.steps.append(("climb", ride.hi))
+            t = ride.hi
+            ride = graph.branch_above(ride.upper_node)
+        if ride.material.end == 1.0:
+            return trace
 
 
 def accept_breakpoint(graph, s_new, trace):
@@ -365,66 +360,42 @@ def accept_breakpoint(graph, s_new, trace):
     """
     xi = trace.xi
     carried = Lineage((s_new,), (0, xi))
-    old_tree = graph.tree
     first_branch, first_node = len(graph.branches), len(graph.nodes)
-    segs = []  # the new segments of carried material
-    alias = {}  # pre-split piece id -> its upper part, chained per split
-
-    def current_piece(bid):
-        while bid in alias:
-            bid = alias[bid]
-        return graph.branches[bid]
-
-    def split_at(piece, t):
-        above = graph.split_branch(piece, t)
-        alias[piece.id] = above.id
-        return above
-
-    on_path = set()
     # the fork: a recombination node at t0 on the fork branch
-    fork_piece = current_piece(trace.fork_id)
-    fork_above = split_at(fork_piece, trace.t0)
-    seg = graph.add_branch(trace.t0, None, None, carried)
-    segs.append(seg)
-    fork_node = graph.add_node(trace.t0, "r", s_new, [fork_piece.id], [fork_above.id, seg.id])
-    fork_piece.upper_node = fork_node.id
-    on_path.add(seg.id)
-    ride_piece = None
-    tail_start = None
+    fork = graph.branches[trace.fork_id]
+    fork_above = graph.split_branch(fork, trace.t0)
+    cur = graph.add_branch(trace.t0, None, None, carried)  # the piece the path is on
+    segs = [cur]  # the new segments of carried material
+    node = graph.add_node(trace.t0, s_new, [fork.id], [fork_above.id, cur.id])
+    fork.upper_node = node.id
+    on_path = {cur.id}
     for step in trace.steps:
         kind, t = step[0], step[1]
         if kind == "coal":
-            target = current_piece(step[2])
-            above = split_at(target, t)
-            node = graph.add_node(t, "c", None, [target.id, seg.id], [above.id])
-            target.upper_node = node.id
-            seg.hi = t
-            seg.upper_node = node.id
-            seg = None
-            if target.material.end == 1.0:
-                tail_start = above
-                break
-            ride_piece = above
+            # the target's id is from before this stage: walk up its pieces
+            # (upper part first among a split's parents) to the one at t
+            target = graph.branches[step[2]]
+            while target.hi <= t:
+                target = graph.branches[graph.nodes[target.upper_node].parents[0]]
+            above = graph.split_branch(target, t)
+            node = graph.add_node(t, None, [target.id, cur.id], [above.id])
+            target.upper_node = cur.upper_node = node.id
+            cur.hi = t
+            cur = above
         elif kind == "detach":
-            locus = step[2]
-            above = split_at(ride_piece, t)
+            above = graph.split_branch(cur, t)
             seg = graph.add_branch(t, None, None, carried)
+            node = graph.add_node(t, step[2], [cur.id], [above.id, seg.id])
+            cur.upper_node = node.id
+            on_path.update((cur.id, seg.id))
             segs.append(seg)
-            node = graph.add_node(t, "r", locus, [ride_piece.id], [above.id, seg.id])
-            on_path.add(ride_piece.id)
-            ride_piece.upper_node = node.id
-            on_path.add(seg.id)
-            ride_piece = None
+            cur = seg
         else:  # climb through the ridden piece's upper node
-            on_path.add(ride_piece.id)
-            ride_piece = graph.branch_above(ride_piece.upper_node)
-            if ride_piece.material.end == 1.0:
-                tail_start = ride_piece
-                break
-    assert tail_start is not None and seg is None, "trace must end absorbed"
+            on_path.add(cur.id)
+            cur = graph.branch_above(cur.upper_node)
+    assert cur.hi is not None and cur.material.end == 1.0, "trace must end absorbed"
     # the tail: up the old tree from the absorption point to the meeting
     # piece, the first whose newest value already holds xi (the top does)
-    cur = tail_start
     while xi & ~cur.material.vals[-1]:
         assert cur.material.end == 1.0, "tail left the local tree"
         on_path.add(cur.id)
@@ -459,7 +430,7 @@ def accept_breakpoint(graph, s_new, trace):
     # sample_recomb_location and the fsum of its length see the same
     # sequence as a pass over every branch would give them
     visited = on_path.union(lost, range(first_branch, len(graph.branches)))
-    tree = [b for b in old_tree if b.id not in visited]
+    tree = [b for b in graph.tree if b.id not in visited]
     for bid in visited:
         b = graph.branches[bid]
         last = col = b.material.vals[-1]
@@ -487,13 +458,13 @@ def graph_to_arg(graph, config):
     by identity; a state the material disagrees with fails that check, and
     the replay of that step reports it as clause (b).
     """
-    material = [b.material for b in graph.branches.values()]  # indexed by branch id
+    material = [b.material for b in graph.branches]
     initial = state = State(graph.n, material[:graph.n])
     assert all(material[j].vals == (1 << j,) for j in range(graph.n)), "leaves are not singletons"
     times, events, states = [], [], []
-    for node in sorted(graph.nodes.values(), key=lambda nd: (nd.time, nd.id)):
+    for node in sorted(graph.nodes, key=attrgetter("time")):  # stable: ties stay in id order
         ids = list(map(id, state.lineages))  # ranks by identity: no Lineage.__eq__ call
-        if node.kind == "c":
+        if node.locus is None:
             a, b = node.children
             i, j = ids.index(id(material[a])), ids.index(id(material[b]))
             gone = (i, j) if i < j else (j, i)

@@ -226,7 +226,7 @@ def replay_validate(arg):
         violations.append((None, "d", "path does not end in the absorbing state"))
     elif arg.final_state != State.absorbing(arg.n_samples):
         violations.append((None, "d", "final state is not the full-label lineage"))
-    return ValidationReport(not violations, violations)
+    return ValidationReport(violations)
 
 
 def column(graph, branch, l):
@@ -238,20 +238,40 @@ def column(graph, branch, l):
     return branch.material.value_at(([0.0] + graph.breakpoints)[l])
 
 
+def top_id(graph):
+    """Id of a spatial graph's top branch: the one branch with hi == inf."""
+    (top,) = [b.id for b in graph.branches if b.hi == math.inf]
+    return top
+
+
 def check_invariants(graph):
     """Assert a spatial PartialGraph's structure; returns the graph.
 
-    Checks that each branch's material is canonical and changes only at
-    the graph's breakpoints, column conservation at every node and every
-    column, that the live columns partition the samples, that the live
-    intervals the graph keeps equal a fresh live_intervals sweep, and the two
-    facts the engine reads off the material: a branch is in the current
-    local tree iff its material ends at 1.0, and otherwise its material
-    ends at the breakpoint after its last nonempty column.
+    Checks that ids are list indices, the links the engine walks (a node
+    with a locus has one child and two parents, one without two and one;
+    each child ends and each parent starts at the node's time; each
+    branch's upper node lists it among its children), that each branch's
+    material is canonical and changes only at the graph's breakpoints,
+    column conservation at every node and every column, that the live
+    columns partition the samples, that the live intervals the graph keeps
+    equal a fresh live_intervals sweep, and the two facts the engine reads
+    off the material: a branch is in the current local tree iff its
+    material ends at 1.0, and otherwise its material ends at the
+    breakpoint after its last nonempty column.
     """
     n_cols = len(graph.breakpoints) + 1
     full = full_set(graph.n)
-    for b in graph.branches.values():
+    assert [b.id for b in graph.branches] == list(range(len(graph.branches))), "branch ids out of order"
+    assert [nd.id for nd in graph.nodes] == list(range(len(graph.nodes))), "node ids out of order"
+    for nd in graph.nodes:
+        shape = (1, 2) if nd.locus is not None else (2, 1)
+        assert (len(nd.children), len(nd.parents)) == shape, "node %d has the wrong degree" % nd.id
+        assert all(graph.branches[c].hi == nd.time for c in nd.children), "a child of node %d ends off it" % nd.id
+        assert all(graph.branches[p].lo == nd.time for p in nd.parents), "a parent of node %d starts off it" % nd.id
+    for b in graph.branches:
+        assert b.upper_node is None or b.id in graph.nodes[b.upper_node].children, (
+            "branch %d is not a child of its upper node" % b.id
+        )
         m = b.material
         assert set(m.breaks) <= set(graph.breakpoints), "branch %d breaks off the breakpoints" % b.id
         assert all(x < y for x, y in zip(m.breaks, m.breaks[1:]))
@@ -264,27 +284,25 @@ def check_invariants(graph):
             assert m.breaks[-1] == m.end == graph.breakpoints[nonempty[-1]], (
                 "branch %d material ends at %r, last nonempty column %d" % (b.id, m.end, nonempty[-1])
             )
-    for nd in graph.nodes.values():
+    for nd in graph.nodes:
         for col in range(n_cols):
             below = [column(graph, graph.branches[c], col) for c in nd.children]
             above = [column(graph, graph.branches[p], col) for p in nd.parents]
             joined = union_of(below)
             assert sum(c.bit_count() for c in below) == joined.bit_count(), "overlap below node %d" % nd.id
             assert joined == union_of(above), "column %d not conserved at node %d" % (col, nd.id)
-    assert list(graph.branches) == list(range(len(graph.branches))), "branch ids out of order"
     for leaf in range(graph.n):
         b = graph.branches[leaf]
         assert b.lo == 0.0 and b.material == Lineage.constant(mask_of({leaf + 1}))
     # live columns partition the samples at a few probe latitudes
-    times = sorted({nd.time for nd in graph.nodes.values()})
+    times = sorted({nd.time for nd in graph.nodes})
     for t in [0.0] + times[:-1]:
-        live = [b for b in graph.branches.values() if b.lo <= t < b.hi]
+        live = [b for b in graph.branches if b.lo <= t < b.hi]
         for col in range(n_cols):
             vals = [column(graph, b, col) for b in live]
             assert sum(v.bit_count() for v in vals) == graph.n
             assert union_of(vals) == full
-    top = graph.branches[graph.top_id]
-    assert top.hi == math.inf and top.material.end == 1.0
+    assert graph.branches[top_id(graph)].material.end == 1.0
     assert (graph.starts, graph.counts) == live_intervals(graph), "kept intervals differ from the sweep"
     return graph
 

@@ -120,7 +120,7 @@ def test_criterion_3_next_breakpoint_law(capsys):
 def test_criterion_4_recomb_location_law(capsys):
     g = kingman_tree(4, replicate_rng(3003, 0, SALTS["spatial"]))
     starts, live_counts = live_intervals(g)
-    finite = [b for b in g.branches.values() if b.hi != INF]
+    finite = [b for b in g.branches if b.hi != INF]
     rng = SimRng(40041)
     counts = {b.id: 0 for b in finite}
     lats = []

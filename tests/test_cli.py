@@ -194,6 +194,32 @@ def test_simulate_writes_through_symlinks(tmp_path):
     assert [p.name for p in elsewhere.iterdir()] == ["made.json"]
 
 
+def refuse_folder(monkeypatch, folder):
+    """Make os.access deny writes to one folder.
+
+    chmod shows nothing to a test run as root, which may write anywhere.
+    """
+    access = os.access
+    denied = os.path.realpath(folder)
+    monkeypatch.setattr(os, "access", lambda path, mode, **kw: (
+        os.path.realpath(path) != denied and access(path, mode, **kw)))
+
+
+def test_simulate_checks_the_folder_a_link_writes_in(tmp_path, monkeypatch):
+    # the log and manifest links sit in a refused folder but point into a
+    # writable one: only the targets' folder is written, so the run goes on
+    ro, w = tmp_path / "ro", tmp_path / "w"
+    ro.mkdir()
+    w.mkdir()
+    os.symlink(w / "run.log", ro / "link.log")
+    os.symlink(w / "run.json", ro / "link.log.manifest.json")
+    refuse_folder(monkeypatch, ro)
+    assert not os.access(ro, os.W_OK) and os.access(w, os.W_OK)
+    assert main(SIM + ["--out", str(ro / "link.log")]) == 0
+    assert sorted(p.name for p in w.iterdir()) == ["run.json", "run.log"]
+    assert sorted(p.name for p in ro.iterdir()) == ["link.log", "link.log.manifest.json"]
+
+
 GOOD_MANIFEST = {"engine": "backintime", "n_samples": 3, "rho": 1, "density": "uniform",
                  "seed": 0, "reps": 2}
 
@@ -462,6 +488,25 @@ def test_compare_refuses_a_path_that_is_not_a_regular_file(tmp_path, monkeypatch
         assert captured.err.splitlines()[-1] == "argsim: error: cannot write %s: not a regular file" % out
         assert captured.out == ""
     assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+
+
+def test_compare_checks_the_folder_a_link_writes_in(tmp_path, monkeypatch, capsys):
+    # the link sits in a writable folder but points into a refused one:
+    # refused before the battery runs, naming the refused folder
+    monkeypatch.setattr(cli, "equivalence_report", lambda *a, **k: pytest.fail("compare ran"))
+    ro, w = tmp_path / "ro", tmp_path / "w"
+    ro.mkdir()
+    w.mkdir()
+    os.symlink(ro / "report.csv", w / "link.csv")
+    refuse_folder(monkeypatch, ro)
+    with pytest.raises(SystemExit) as exc:
+        main(["compare", "--samples", "3", "--reps", "10", "--threads", "1", "--out", str(w / "link.csv")])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines()[-1] == "argsim: error: cannot write %s: no writable directory %s" % (
+        w / "link.csv", os.path.realpath(ro))
+    assert captured.out == ""
+    assert list(ro.iterdir()) == []
 
 
 def test_compare_passes_on_matched_engines(tmp_path, capsys):

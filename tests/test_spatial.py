@@ -31,7 +31,7 @@ from argsim.spatial import (
 )
 from argsim.state import Coalesce, Lineage, Recombine, State
 from argsim.stats import ENGINES, chi_square, kingman_expectations, ks_one_sample, ks_one_sample_with_atom
-from conftest import check_invariants, column, labels_of, mask_of, project_path, project_state, union_of
+from conftest import check_invariants, column, labels_of, mask_of, project_path, project_state, top_id, union_of
 
 INF = float("inf")
 UNIFORM = UniformDensity()
@@ -105,14 +105,14 @@ def record_stages(monkeypatch, keep_graphs=False):
 
 def top_time(graph):
     """Latitude of the graph's highest node: the root of its oldest tree."""
-    return max(nd.time for nd in graph.nodes.values())
+    return max(nd.time for nd in graph.nodes)
 
 
 def columns(graph):
     """Every branch's material columns, one per stage, by branch id."""
     return {
         b.id: tuple(column(graph, b, l) for l in range(len(graph.breakpoints) + 1))
-        for b in graph.branches.values()
+        for b in graph.branches
     }
 
 
@@ -122,9 +122,8 @@ def two_leaf_graph(height=1.0):
     a = g.add_branch(0.0, height, None, Lineage.constant(mask_of({1})))
     b = g.add_branch(0.0, height, None, Lineage.constant(mask_of({2})))
     top = g.add_branch(height, INF, None, Lineage.constant(mask_of({1, 2})))
-    node = g.add_node(height, "c", None, [a.id, b.id], [top.id])
+    node = g.add_node(height, None, [a.id, b.id], [top.id])
     a.upper_node = b.upper_node = node.id
-    g.top_id = top.id
     g.set_tree((a, b))
     g.starts, g.counts = live_intervals(g)
     return g
@@ -164,7 +163,7 @@ def test_kingman_tree_structure():
     g = kingman_tree(5, rng)
     check_invariants(g)
     assert len(g.nodes) == 4
-    assert {column(g, b, 0) for b in g.branches.values() if b.lo == 0.0 and b.hi < INF} >= {
+    assert {column(g, b, 0) for b in g.branches if b.lo == 0.0 and b.hi < INF} >= {
         mask_of({j}) for j in range(1, 6)
     }
     starts, counts = live_intervals(g)
@@ -182,13 +181,13 @@ def scan_intervals(graph):
     Returns (starts, live) with live[k] the id-sorted tuple of branches
     spanning starts[k]; O(nodes x branches) per call.
     """
-    times = sorted({nd.time for nd in graph.nodes.values()})
+    times = sorted({nd.time for nd in graph.nodes})
     starts = [0.0] + times
     live = [
-        tuple(sorted(b.id for b in graph.branches.values() if b.lo <= lo < b.hi))
+        tuple(sorted(b.id for b in graph.branches if b.lo <= lo < b.hi))
         for lo in starts
     ]
-    assert live[-1] == (graph.top_id,)
+    assert live[-1] == (top_id(graph),)
     return starts, live
 
 
@@ -213,7 +212,7 @@ def walk_local_tree(graph):
         while cur.id not in visited:
             visited.add(cur.id)
             if cur.upper_node is None:
-                assert cur.id == graph.top_id
+                assert cur.id == top_id(graph)
                 break
             cur = graph.branch_above(cur.upper_node)
     return visited
@@ -221,9 +220,9 @@ def walk_local_tree(graph):
 
 def assert_tree_matches_walk(graph):
     walked = walk_local_tree(graph)
-    assert walked == {b.id for b in graph.branches.values() if b.material.end == 1.0}
+    assert walked == {b.id for b in graph.branches if b.material.end == 1.0}
     newest = len(graph.breakpoints)
-    assert walked == {b.id for b in graph.branches.values() if column(graph, b, newest)}
+    assert walked == {b.id for b in graph.branches if column(graph, b, newest)}
     finite = [graph.branches[bid] for bid in sorted(walked) if graph.branches[bid].hi < INF]
     assert graph.tree == tuple(finite)
     assert graph.tree_length == math.fsum(b.hi - b.lo for b in finite)
@@ -264,7 +263,7 @@ def zero_length_graph():
     for bid, t in ((0, 0.0), (1, 0.5), (4, 0.5)):
         piece = g.branches[bid]
         above = g.split_branch(piece, t)
-        node = g.add_node(t, "c", None, [piece.id], [above.id])
+        node = g.add_node(t, None, [piece.id], [above.id])
         piece.upper_node = node.id
     g.starts, g.counts = live_intervals(g)
     return g
@@ -299,8 +298,8 @@ def assert_newest_conserved(graph):
     every label.
     """
     full = (1 << graph.n) - 1
-    assert graph.branches[graph.top_id].material.vals[-1] == full
-    for nd in graph.nodes.values():
+    assert graph.branches[top_id(graph)].material.vals[-1] == full
+    for nd in graph.nodes:
         below = [graph.branches[c].material.vals[-1] for c in nd.children]
         above = [graph.branches[p].material.vals[-1] for p in nd.parents]
         for side in (below, above):
@@ -371,14 +370,14 @@ def test_each_stage_revalues_only_what_changes(n, rho):
     seeds = 4 if rho <= 5.0 else 2 if n < 20 else 1  # the scan costs O(nodes x branches)
     for seed in range(900, 900 + seeds):
         for g, s_new, trace in stages_of(n, rho, seed):
-            before = {b.id: b.material for b in g.branches.values()}
+            before = {b.id: b.material for b in g.branches}
             first_node = len(g.nodes)
             accept_breakpoint(g, s_new, trace)
-            made_by = {p: nd for nd in list(g.nodes.values())[first_node:] for p in nd.parents}
+            made_by = {p: nd for nd in g.nodes[first_node:] for p in nd.parents}
             assert_newest_conserved(g)
             assert_tree_matches_walk(g)
             assert_sweep_matches_scan(g)
-            for b in g.branches.values():
+            for b in g.branches:
                 old = material_before(b.id, before, made_by)
                 if old is None:
                     assert b.material.breaks == (s_new,) and b.material.vals == (0, trace.xi)
@@ -398,8 +397,8 @@ def test_seeds_meet_the_forks_line_at_both_ends():
             for g, s_new, trace in stages_of(n, rho, seed):
                 absorbed, meet = meeting_piece(g, trace)
                 seen["at absorption"] += meet == absorbed
-                seen["at the top"] += meet == g.top_id
-                seen["between"] += meet not in (absorbed, g.top_id)
+                seen["at the top"] += meet == top_id(g)
+                seen["between"] += meet not in (absorbed, top_id(g))
                 accept_breakpoint(g, s_new, trace)
     assert min(seen.values()) >= 3, seen
 
@@ -416,12 +415,11 @@ def four_leaf_graph():
     for k, t in enumerate((1.0, 2.0, 3.0), 1):
         other = leaves[k]
         merged = g.add_branch(t, INF, None, Lineage.constant(below.material.vals[0] | other.material.vals[0]))
-        node = g.add_node(t, "c", None, [below.id, other.id], [merged.id])
+        node = g.add_node(t, None, [below.id, other.id], [merged.id])
         below.hi = other.hi = t
         below.upper_node = other.upper_node = node.id
         below = merged
-    g.top_id = below.id
-    g.set_tree(b for b in g.branches.values() if b.hi < INF)
+    g.set_tree(b for b in g.branches if b.hi < INF)
     g.starts, g.counts = live_intervals(g)
     check_invariants(g)
     return g
@@ -497,7 +495,7 @@ def test_free_rise_above_the_root_is_unit_exponential():
     draws = []
     for _ in range(5000):
         t, target = free_rise(g, 5.0, rng)
-        assert target == g.top_id
+        assert target == top_id(g)
         draws.append(t - 5.0)
     d, p = ks_one_sample(draws, lambda x: -math.expm1(-x))
     assert p > 1e-4
@@ -617,7 +615,7 @@ def test_sample_recomb_location_is_uniform_on_the_tree():
 def test_stage1_graph_layout():
     g = stage1_graph()
     assert g.breakpoints == [0.5]
-    spans = {b.id: (b.lo, b.hi) for b in g.branches.values()}
+    spans = {b.id: (b.lo, b.hi) for b in g.branches}
     assert spans[0] == (0.0, 0.3)
     assert spans[3][0] == 0.3 and spans[3][1] == pytest.approx(1.0)
     assert spans[4][0] == 0.3 and spans[4][1] == pytest.approx(0.6)
@@ -629,7 +627,7 @@ def test_stage1_graph_layout():
     assert cols[4] == (e, s1)
     assert cols[5] == (s2, s12)
     assert cols[2] == (s12, s12)
-    ends = {b.id: b.material.end for b in g.branches.values()}
+    ends = {b.id: b.material.end for b in g.branches}
     assert ends == {0: 1.0, 1: 1.0, 2: 1.0, 3: 0.5, 4: 1.0, 5: 1.0}
     assert g.tree_length == pytest.approx(1.6)
 
@@ -728,13 +726,45 @@ def test_stage2_accept_after_detach():
     assert arg.grand_mrca == pytest.approx(1.0)
 
 
+def test_recoalescing_onto_the_ridden_branch_cuts_the_piece_above_the_detach():
+    # the trace rides branch 3, detaches from it at 0.45 and coalesces onto
+    # it again at 0.5: by then branch 3 has been split twice in this stage
+    # (at 0.4 and 0.45), and the coalescence must cut the upper piece
+    g = stage1_graph()
+    rng = ScriptedRng(
+        uniforms=[math.exp(-0.7), 0.5, math.exp(-0.15)],
+        exponentials=[0.05, 1e9],
+        indices=[1, 1],
+    )
+    trace = trace_lineage(g, fork_id=0, t0=0.1, s_new=0.75, rho=2.0, density=UNIFORM, rng=rng)
+    assert rng.exhausted()
+    assert [step[0] for step in trace.steps] == ["coal", "detach", "coal", "climb"]
+    assert trace.steps[0][2] == trace.steps[2][2] == 3
+    assert len(g.branches) == 6
+    accept_breakpoint(g, 0.75, trace)
+    check_invariants(g)
+    assert_tree_matches_walk(g)
+    # new ids: 6 the fork's upper part, 7 the first carried segment, 8 the
+    # piece of 3 above 0.4, 9 the piece above the detach, 10 the second
+    # carried segment and 11 the piece above the re-coalescence
+    ends = [t for bid in (3, 8, 9, 11) for t in (g.branches[bid].lo, g.branches[bid].hi)]
+    assert ends == pytest.approx([0.3, 0.4, 0.4, 0.45, 0.45, 0.5, 0.5, 1.0])
+    (node,) = [nd for nd in g.nodes if nd.parents == [11]]
+    assert node.locus is None and node.children == [9, 10]
+    e, s1, s2, s12 = 0, mask_of({1}), mask_of({2}), mask_of({1, 2})
+    cols = columns(g)
+    assert cols[9] == (s1, e, e)  # between the detach and the re-coalescence
+    assert cols[11] == (s1, e, s1)  # the material climbs on to the top
+    assert cols[5] == (s2, s12, s2)  # the fork's old line lost label 1
+
+
 def test_material_that_disagrees_with_the_nodes_is_clause_b():
     # swap the material of the stage-2 fork's two upper branches: the
     # node structure stays, but the states read off the columns no longer
     # follow from the events, and only the replay in validate_arg can tell
     g, trace = detached_trace()
     accept_breakpoint(g, 0.75, trace)
-    (fork,) = [nd for nd in g.nodes.values() if nd.kind == "r" and nd.locus == 0.75]
+    (fork,) = [nd for nd in g.nodes if nd.locus == 0.75]
     a, b = (g.branches[p] for p in fork.parents)
     a.material, b.material = b.material, a.material
     report = validate_arg(graph_to_arg(g, SimConfig(n_samples=2, rho=2.0, seed=0)))
