@@ -1,21 +1,39 @@
 """Breakpoint-locus densities on (0, 1).
 
-A density provides pdf/cdf/inverse-cdf (scipy's betaincinv for Beta) plus
-truncated sampling by inversion, ppf(F(lo) + U * (F(hi) - F(lo))), kept
-strictly inside (lo, hi). Densities must be strictly positive almost
-everywhere on (0, 1) so the inverse CDF is well defined; Uniform and
-Beta(a, b) both qualify.
+A density provides pdf/cdf/inverse-cdf (scipy's betainc and betaincinv for
+Beta) plus truncated sampling by inversion, ppf(F(lo) + U * (F(hi) -
+F(lo))), kept strictly inside (lo, hi). Densities must be strictly
+positive almost everywhere on (0, 1) so the inverse CDF is well defined;
+Uniform and Beta(a, b) both qualify.
 
 Densities are specified on the command line as tagged strings
 ("uniform", "beta:2,2") and parsed through a small registry so new
 families can be added without touching the engines.
+
+scipy is loaded only when a Beta law is parsed (its atoms are checked with
+betainc) or a p-value is computed (stats.py); a uniform run never loads
+it. Each scipy function is a module global that starts as a stub: its
+first call imports the function, rebinds the global to it and forwards,
+so later calls pay only the global lookup.
 """
 
 from __future__ import annotations
 
 import math
 
-from scipy.special import betainc, betaincinv
+
+def _betainc(a, b, x):
+    global _betainc
+    from scipy.special import betainc as _betainc
+
+    return _betainc(a, b, x)
+
+
+def _betaincinv(a, b, y):
+    global _betaincinv
+    from scipy.special import betaincinv as _betaincinv
+
+    return _betaincinv(a, b, y)
 
 
 def strictly_inside(x, lo, hi):
@@ -94,11 +112,11 @@ class BetaDensity:
             return 0.0
         if s >= 1.0:
             return 1.0
-        return float(betainc(self.a, self.b, s))
+        return float(_betainc(self.a, self.b, s))
 
     def ppf(self, q):
         assert 0.0 <= q <= 1.0
-        return float(betaincinv(self.a, self.b, q))
+        return float(_betaincinv(self.a, self.b, q))
 
     def mass(self, lo, hi):
         return max(0.0, self.cdf(hi) - self.cdf(lo))

@@ -77,11 +77,11 @@ def replicate_rng(root, replicate, salt):
 
 
 def unrank_pair(index, k):
-    """The pair (i, j), i < j, at ``index`` in the lexicographic order of k items."""
-    i = 0
-    row = k - 1
-    while index >= row:
-        index -= row
-        i += 1
-        row -= 1
-    return i, i + 1 + index
+    """The pair (i, j), i < j, at ``index`` in the lexicographic order of k items.
+
+    Rows i .. k-2 (row i being (i, i+1) .. (i, k-1)) hold the last
+    (k-i)(k-i-1)/2 pairs, so i comes from the integer square root that
+    inverts this triangular number, and j from the first index of row i.
+    """
+    i = k - 2 - (math.isqrt(4 * k * (k - 1) - 8 * index - 7) - 1) // 2
+    return i, index + i + 1 - k * (k - 1) // 2 + (k - i) * (k - i - 1) // 2

@@ -20,11 +20,25 @@ import math
 import os
 from dataclasses import dataclass
 
-from scipy.special import gammaincc, kolmogorov
-
 from .arg import summary
 from .backintime import simulate_backintime
 from .spatial import simulate_spatial
+
+
+# scipy is bound on first use, as in density.py, so importing the package
+# does not load it
+def _kolmogorov(x):
+    global _kolmogorov
+    from scipy.special import kolmogorov as _kolmogorov
+
+    return _kolmogorov(x)
+
+
+def _gammaincc(a, x):
+    global _gammaincc
+    from scipy.special import gammaincc as _gammaincc
+
+    return _gammaincc(a, x)
 
 
 def ks_two_sample(a, b):
@@ -51,7 +65,7 @@ def ks_two_sample(a, b):
         if diff > d:
             d = diff
     ne = na * nb / (na + nb)
-    return d, float(kolmogorov(math.sqrt(ne) * d))
+    return d, float(_kolmogorov(math.sqrt(ne) * d))
 
 
 def ks_one_sample(sample, cdf):
@@ -77,7 +91,7 @@ def ks_one_sample(sample, cdf):
         d = max(d, j / n - fx, f_left - i / n)
         i = j
     d = max(0.0, d)
-    return d, float(kolmogorov(math.sqrt(n) * d))
+    return d, float(_kolmogorov(math.sqrt(n) * d))
 
 
 def ks_one_sample_with_atom(sample, cont_cdf, atom_mass):
@@ -122,7 +136,7 @@ def chi_square(observed, expected_weights):
         raise ValueError("expected count below 5; merge bins first")
     stat = math.fsum((o - e) ** 2 / e for o, e in zip(observed, expected))
     dof = len(observed) - 1
-    return stat, float(gammaincc(dof / 2.0, stat / 2.0)), dof
+    return stat, float(_gammaincc(dof / 2.0, stat / 2.0)), dof
 
 
 def chi_square_two_sample(a, b):
@@ -167,7 +181,7 @@ def chi_square_two_sample(a, b):
         eb = tot * nb / (na + nb)
         stat += (oa - ea) ** 2 / ea + (ob - eb) ** 2 / eb
     dof = len(merged) - 1
-    return stat, float(gammaincc(dof / 2.0, stat / 2.0)), dof
+    return stat, float(_gammaincc(dof / 2.0, stat / 2.0)), dof
 
 
 def mean_difference_z(a, b):

@@ -2,20 +2,41 @@
 event walks, the known-broken engine, and oracles that recheck what the
 package asserts incrementally: the replay validator, the partial-graph
 invariants, the projection of a path at a site, the site tree read off
-every state, the segment-wise lineage operators, and the label bitmasks
-built from label sets."""
+every state, the segment-wise lineage operators, the label bitmasks
+built from label sets, and a fresh interpreter to run a script in."""
 
+import json
 import math
+import os
 import random
+import subprocess
+import sys
 from bisect import bisect_right
 from functools import reduce
 from operator import or_
+from pathlib import Path
 
 import pytest
 
+import argsim
 from argsim.arg import Arg, ValidationReport
 from argsim.spatial import live_intervals
 from argsim.state import Coalesce, IllegalEventError, Lineage, Recombine, State, fmt_locus, full_set
+
+
+def run_fresh(script, *args):
+    """Run ``script`` in a new interpreter that imports the argsim under test.
+
+    What the package has loaded, and whether a function was called before,
+    depends on the process; a fresh one starts with neither. The script
+    prints one JSON value as its last line, which is returned.
+    """
+    path = [str(Path(argsim.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    done = subprocess.run([sys.executable, "-c", script, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
 
 
 @pytest.fixture

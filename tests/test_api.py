@@ -161,6 +161,33 @@ def test_only_the_registry_and_the_package_import_an_engine():
     assert importers == {"argsim": engines, "argsim.stats": engines}
 
 
+def run_at_import(tree):
+    """Every node a module runs when it is imported: all but function bodies."""
+    todo = list(tree.body)
+    while todo:
+        node = todo.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            todo.extend(ast.iter_child_nodes(node))
+
+
+def test_no_module_imports_scipy_or_numpy_when_it_is_imported():
+    # a uniform run needs neither, and importing scipy.special costs most of
+    # the start-up time and memory; bind it on first use, as density.py does
+    found = []
+    for path in sorted(Path(argsim.__file__).parent.glob("*.py")):
+        for node in run_at_import(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            if any(name.partition(".")[0] in ("scipy", "numpy") for name in names):
+                found.append("%s:%d: %s" % (path.name, node.lineno, ast.unparse(node)))
+    assert found == []
+
+
 def test_every_exported_name_resolves():
     missing = [name for name in argsim.__all__ if not hasattr(argsim, name)]
     assert missing == []

@@ -25,7 +25,7 @@ from argsim.cli import main
 from argsim.config import SimConfig
 from argsim.rng import SALTS, child_seed
 from argsim.state import Coalesce, IllegalEventError, Recombine, State
-from conftest import build_arg, random_walk
+from conftest import build_arg, random_walk, run_fresh
 
 
 def test_version():
@@ -867,3 +867,44 @@ def test_validate_file_replays_once(tmp_path, monkeypatch, capsys, engine, flags
     assert main(["validate", str(out)]) == 0
     assert calls == {"apply": events, "check_step": 0, "check": 0}
     capsys.readouterr()
+
+
+# runs each argv (a JSON list of lists) through main and records, after the
+# import and after each command, which of numpy, scipy and scipy.special
+# the process holds
+LOADED_AFTER_EACH_COMMAND = """
+import contextlib, io, json, sys
+from argsim.cli import main
+
+def loaded():
+    return [name for name in ("numpy", "scipy", "scipy.special") if name in sys.modules]
+
+seen = [loaded()]
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0, argv
+    seen.append(loaded())
+print(json.dumps(seen))
+"""
+
+
+def test_a_uniform_run_never_loads_scipy(tmp_path):
+    # uniform simulate, validate and tree need no special function; a Beta
+    # law's atom check and compare's p-values do, which shows the probe
+    # sees scipy when it is there
+    argv = []
+    for engine in ("backintime", "spatial"):
+        log = str(tmp_path / ("%s.log" % engine))
+        argv += [["simulate", "--engine", engine, "--samples", "5", "--rho", "3", "--seed", "4",
+                  "--reps", "3", "--out", log],
+                 ["validate", log],
+                 ["tree", log, "--site", "0.5"]]
+    argv.append(["simulate", "--engine", "backintime", "--samples", "3", "--rho", "1",
+                 "--density", "beta:2,2", "--seed", "4", "--reps", "1",
+                 "--out", str(tmp_path / "beta.log")])
+    seen = run_fresh(LOADED_AFTER_EACH_COMMAND, json.dumps(argv))
+    assert seen[:-1] == [[]] * len(argv)
+    assert seen[-1] == ["numpy", "scipy", "scipy.special"]
+    compare = ["compare", "--samples", "2", "--rho", "0", "--seed", "1", "--reps", "50",
+               "--sites", "0", "--out", str(tmp_path / "report.csv"), "--threads", "1"]
+    assert run_fresh(LOADED_AFTER_EACH_COMMAND, json.dumps([compare])) == [[], ["numpy", "scipy", "scipy.special"]]

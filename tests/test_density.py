@@ -10,6 +10,7 @@ from scipy.special import betaincinv
 from argsim.density import BetaDensity, UniformDensity, parse_density
 from argsim.rng import SimRng
 from argsim.stats import ks_one_sample
+from conftest import run_fresh
 
 
 def test_uniform_basic_values():
@@ -53,6 +54,33 @@ def test_beta_ppf_inverts_cdf():
         s = d.ppf(q)
         assert d.cdf(s) == pytest.approx(q, abs=1e-10)
         assert s == pytest.approx(betaincinv(2.0, 3.0, q), abs=1e-9)
+
+
+# BetaDensity's cdf and ppf in call order, the first call being the one
+# that binds scipy, each next to scipy's own value at the same arguments
+FIRST_AND_LATER_BETA_CALLS = """
+import json
+from argsim.density import BetaDensity
+
+laws = [(5.0, 1.0), (0.5, 0.5), (2.0, 2.0)]  # asymmetric first: a swap of a and b shows
+points = [1e-300, 1e-9, 0.01, 0.25, 0.5, 0.7, 0.99, 1.0 - 1e-12]
+calls = [(method, a, b, x, getattr(BetaDensity(a, b), method)(x))
+         for a, b in laws for x in points for method in ("cdf", "ppf")]
+
+import scipy.special
+from argsim import density
+
+scipy_fn = {"cdf": scipy.special.betainc, "ppf": scipy.special.betaincinv}
+assert density._betainc is scipy.special.betainc
+assert density._betaincinv is scipy.special.betaincinv
+print(json.dumps([call + (float(scipy_fn[call[0]](*call[1:4])),) for call in calls]))
+"""
+
+
+def test_beta_first_call_binds_scipy_and_returns_its_floats():
+    calls = run_fresh(FIRST_AND_LATER_BETA_CALLS)
+    assert len(calls) == 48
+    assert [call for call in calls if call[4] != call[5]] == []
 
 
 def bisect_ppf(density, q):

@@ -1,6 +1,8 @@
 """Seeding and inversion-draw helper tests."""
 
+import itertools
 import math
+import random
 
 from argsim.rng import (
     GOLDEN,
@@ -10,6 +12,7 @@ from argsim.rng import (
     child_seed,
     mix64,
     replicate_rng,
+    unrank_pair,
 )
 
 
@@ -75,3 +78,38 @@ def test_replicate_rng_matches_child_seed():
     rng = replicate_rng(5, 3, SALTS["spatial"])
     direct = SimRng(child_seed(5, 3, SALTS["spatial"]))
     assert [rng.uniform() for _ in range(10)] == [direct.uniform() for _ in range(10)]
+
+
+def unrank_pair_by_rows(index, k):
+    """Oracle: walk the rows of the lexicographic pair order."""
+    i = 0
+    row = k - 1
+    while index >= row:
+        index -= row
+        i += 1
+        row -= 1
+    return i, i + 1 + index
+
+
+def test_unrank_pair_is_the_lexicographic_pair_order():
+    # every index up to k = 199; past it, the first and last index of every
+    # row, where a square root one off would first show (the row is
+    # monotone in the index and j is linear in it within a row)
+    for k in range(2, 200):
+        pairs = list(map(unrank_pair, range(k * (k - 1) // 2), itertools.repeat(k)))
+        assert pairs == list(itertools.combinations(range(k), 2)), k
+    for k in range(200, 400):
+        first = 0
+        for i in range(k - 1):
+            last = first + k - 2 - i
+            assert unrank_pair(first, k) == (i, i + 1) and unrank_pair(last, k) == (i, k - 1), (k, i)
+            first = last + 1
+
+
+def test_unrank_pair_matches_the_row_walk_at_large_k():
+    # the walk costs O(k) a call, so 2000 draws take about a second
+    rng = random.Random(24)
+    for _ in range(2000):
+        k = rng.randint(2, 20000)
+        index = rng.randrange(k * (k - 1) // 2)
+        assert unrank_pair(index, k) == unrank_pair_by_rows(index, k), (index, k)

@@ -30,6 +30,7 @@ from argsim.stats import (
     render_report_table,
     run_replicates,
 )
+from conftest import run_fresh
 
 
 def test_ks_two_sample_extremes():
@@ -47,6 +48,38 @@ def test_ks_two_sample_extremes():
     assert d == 1.0
     assert p > 0.0
     assert p == float(scipy.special.kolmogorov(math.sqrt(50.0)))
+
+
+# the two-sample p-values in call order, the first call of each being the
+# one that binds scipy, each next to scipy's own value at the same argument
+FIRST_AND_LATER_P_VALUES = """
+import json, math, random
+from argsim.stats import chi_square_two_sample, ks_two_sample
+
+rng = random.Random(3)
+samples = [([rng.random() for _ in range(na)], [rng.random() ** 1.3 for _ in range(nb)])
+           for na, nb in ((30, 40), (100, 100), (7, 250))]
+ks = [ks_two_sample(a, b) + (len(a) * len(b) / (len(a) + len(b)),) for a, b in samples]
+counts = [([rng.randrange(k) for _ in range(200)], [rng.randrange(k) for _ in range(150)])
+          for k in (3, 6, 10)]
+chi = [chi_square_two_sample(a, b) for a, b in counts]
+
+import scipy.special
+from argsim import stats
+
+assert stats._kolmogorov is scipy.special.kolmogorov
+assert stats._gammaincc is scipy.special.gammaincc
+print(json.dumps(
+    [[p, float(scipy.special.kolmogorov(math.sqrt(ne) * d))] for d, p, ne in ks]
+    + [[p, float(scipy.special.gammaincc(dof / 2.0, stat / 2.0))] for stat, p, dof in chi]))
+"""
+
+
+def test_first_p_value_binds_scipy_and_returns_its_floats():
+    pairs = run_fresh(FIRST_AND_LATER_P_VALUES)
+    assert len(pairs) == 6
+    assert all(0.0 < p < 1.0 for p, _ in pairs)  # no pair is a trivial 0 or 1
+    assert [pair for pair in pairs if pair[0] != pair[1]] == []
 
 
 def test_ks_two_sample_statistic_matches_scipy():
