@@ -111,7 +111,7 @@ def validate_replayed(arg):
                     (idx, "c", "locus %s repeats event %d" % (fmt_locus(event.locus), seen_loci[event.locus]))
                 )
             seen_loci[event.locus] = idx
-    if not arg.states or not arg.final_state.is_absorbed:
+    if not arg.final_state.is_absorbed:
         violations.append((None, "d", "path does not end in the absorbing state"))
     elif arg.final_state != State.absorbing(arg.n_samples):
         violations.append((None, "d", "final state is not the full-label lineage"))
@@ -221,31 +221,28 @@ def _site_merges(arg, s):
 
 @dataclass
 class LocalTree:
-    """The coalescent tree at one site, as its partition jump chain."""
+    """The coalescent tree at one site, as its merges in time order."""
 
-    levels: tuple  # ((time, partition-as-tuple-of-label-bitmasks), ...)
+    merges: tuple  # ((time, block, block), ...): the label bitmasks each coalescence joins
+
+    @property
+    def levels(self):
+        """The partition after each merge: ((time, blocks sorted by smallest label), ...)."""
+        part = tuple(1 << j for j in range(len(self.merges) + 1))
+        levels = [(0.0, part)]
+        for t, vi, vj in self.merges:
+            part = tuple(sorted([b for b in part if b != vi and b != vj] + [vi | vj], key=_lowest_bit))
+            levels.append((t, part))
+        return tuple(levels)
 
     def newick(self):
         """Newick string; children ordered smallest leaf label first."""
-        nodes = {}
-        for block in self.levels[0][1]:
-            assert block & (block - 1) == 0, "the first level holds singletons"
-            nodes[block] = (0.0, str(block.bit_length()))
-        root = None
-        for time, partition in self.levels[1:]:
-            merged = [b for b in partition if b not in nodes]
-            assert len(merged) == 1, "levels must merge exactly one pair"
-            target = merged[0]
-            children = sorted((b for b in nodes if b & ~target == 0), key=_lowest_bit)
-            assert len(children) == 2, "binary merges only"
-            parts = []
-            for child in children:
-                h, text = nodes.pop(child)
-                parts.append("%s:%r" % (text, time - h))
-            nodes[target] = (time, "(%s)" % ",".join(parts))
-            root = target
-        assert len(nodes) == 1 and root is not None
-        return nodes[root][1] + ";"
+        nodes = {1 << j: (0.0, str(j + 1)) for j in range(len(self.merges) + 1)}
+        for t, vi, vj in self.merges:
+            children = (nodes.pop(b) for b in sorted((vi, vj), key=_lowest_bit))
+            text = "(%s)" % ",".join("%s:%r" % (label, t - h) for h, label in children)
+            nodes[vi | vj] = (t, text)
+        return text + ";"
 
 
 def _lowest_bit(mask):
@@ -254,13 +251,8 @@ def _lowest_bit(mask):
 
 
 def local_tree(arg, s):
-    """The site-s tree: its partition after each merge, blocks sorted by smallest label."""
-    part = tuple(1 << j for j in range(arg.n_samples))
-    levels = [(0.0, part)]
-    for t, vi, vj in _site_merges(arg, s)[0]:
-        part = sorted([b for b in part if b != vi and b != vj] + [vi | vj], key=_lowest_bit)
-        levels.append((t, tuple(part)))
-    return LocalTree(levels=tuple(levels))
+    """The tree at site s."""
+    return LocalTree(tuple(_site_merges(arg, s)[0]))
 
 
 @dataclass
@@ -281,21 +273,14 @@ class SummaryStats:
 
 def summary(arg, sites=(0.0,)):
     """Extract the scalar statistics of one path at the requested sites."""
-    bp = 0
-    k = max_lineages = arg.n_samples
-    for event in arg.events:
-        if isinstance(event, Recombine):
-            bp += 1
-            k += 1
-            max_lineages = max(max_lineages, k)
-        else:
-            k -= 1
+    n = arg.n_samples
     trees = {s: _site_merges(arg, s) for s in sites}
     return SummaryStats(
         replicate=arg.config.replicate_index,
-        breakpoint_count=bp,
+        # a recombination adds a lineage and a coalescence removes one
+        breakpoint_count=(arg.event_count - n + len(arg.final_state.lineages)) // 2,
         grand_mrca=arg.grand_mrca,
-        max_lineages=max_lineages,
+        max_lineages=max(n, max(len(x.lineages) for x in arg.states)),
         tmrca_at={s: merges[-1][0] for s, (merges, _) in trees.items()},
         length_at={s: length for s, (_, length) in trees.items()},
     )

@@ -110,12 +110,12 @@ def _simulate_settings(args, parser):
             parser.error("%s: %s" % (where, exc))
         except (OSError, ValueError) as exc:
             parser.error("cannot read %s: %s" % (where, exc))
-        if settings["engine"] not in ENGINES:
-            parser.error("%s: unknown engine %r" % (where, settings["engine"]))
     for key in settings:
         value = getattr(args, key)
         if value is not None:
             settings[key] = value
+    if settings["engine"] not in ENGINES:  # --engine has choices: the manifest's engine stands
+        parser.error("manifest %s: unknown engine %r" % (args.from_manifest, settings["engine"]))
     if settings["samples"] is None:
         parser.error("--samples is required (or use --from-manifest)")
     if settings["out"] is None:
@@ -165,8 +165,7 @@ def _past_event_cap(n, rho):
 def cmd_simulate(args, parser):
     s = _simulate_settings(args, parser)
     try:
-        density = parse_density(s["density"])
-        base = SimConfig(n_samples=s["samples"], rho=s["rho"], density=density, seed=s["seed"])
+        base = SimConfig(n_samples=s["samples"], rho=s["rho"], density=parse_density(s["density"]), seed=s["seed"])
     except ValueError as exc:
         parser.error(str(exc))
     if s["reps"] < 1:
@@ -184,13 +183,13 @@ def cmd_simulate(args, parser):
         "tool": "argsim %s" % __version__,
         "format_version": 1,
         "engine": s["engine"],
-        "n_samples": s["samples"],
-        "rho": s["rho"],
-        "density": density.spec,
-        "seed": s["seed"],
+        "n_samples": base.n_samples,
+        "rho": base.rho,
+        "density": base.density.spec,
+        "seed": base.seed,
         "reps": s["reps"],
         "out": s["out"],
-        "child_seeds": [child_seed(s["seed"], r, salt) for r in range(s["reps"])],
+        "child_seeds": [child_seed(base.seed, r, salt) for r in range(s["reps"])],
     }
     # Each replicate is written as soon as it passes validation, into files
     # beside the targets that are renamed over them only once the whole run

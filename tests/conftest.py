@@ -393,3 +393,29 @@ def walk_site_tree(arg, s):
             if len(part) == 1:
                 return tuple(levels), t, total_length
     raise AssertionError("a complete path always merges every site")
+
+
+def newick_from_levels(levels):
+    """Newick of a tree given as its partition jump chain, children smallest leaf label first.
+
+    Rediscovers each merge from the partitions alone: the one block new at
+    a level, and the two blocks of the level before that it covers. The
+    package reads the same string off the merges it recorded.
+    """
+    nodes = {}
+    for block in levels[0][1]:
+        assert block & (block - 1) == 0, "the first level holds singletons"
+        nodes[block] = (0.0, str(block.bit_length()))
+    for time, partition in levels[1:]:
+        merged = [b for b in partition if b not in nodes]
+        assert len(merged) == 1, "levels must merge exactly one pair"
+        target = merged[0]
+        children = sorted((b for b in nodes if b & ~target == 0), key=lambda b: b & -b)
+        assert len(children) == 2, "binary merges only"
+        parts = []
+        for child in children:
+            h, text = nodes.pop(child)
+            parts.append("%s:%r" % (text, time - h))
+        nodes[target] = (time, "(%s)" % ",".join(parts))
+    assert len(nodes) == 1
+    return nodes.popitem()[1][1] + ";"

@@ -30,6 +30,7 @@ from argsim.state import Coalesce, Lineage, Recombine, State
 from conftest import (
     build_arg,
     mask_of,
+    newick_from_levels,
     project_path,
     project_state,
     random_walk,
@@ -422,6 +423,56 @@ def test_summary_matches_local_tree():
             assert stats.tmrca_at[s] == height
             assert stats.length_at[s] == pytest.approx(length, rel=1e-9)
             assert stats.tmrca_at[s] <= stats.grand_mrca + 1e-15
+
+
+def test_local_tree_newick_and_levels_match_the_partition_walk():
+    # newick() and levels read the merges a path records; the oracle
+    # rediscovers each merge from the partitions of every state
+    grid = itertools.product(
+        (simulate_backintime, simulate_spatial), range(2, 15), range(10),
+        ("uniform", "beta:2,2", "beta:0.5,0.5"),
+    )
+    for simulate, n, rho, density in grid:
+        cfg = SimConfig(n_samples=n, rho=rho, density=density, seed=97)
+        arg = simulate(cfg)
+        for s in (0.0, 0.13, 0.5, 0.91):
+            tree = local_tree(arg, s)
+            levels = walk_site_tree(arg, s)[0]
+            assert tree.levels == levels
+            assert tree.newick() == newick_from_levels(levels)
+
+
+def walked_counts(arg):
+    """(recombinations, most lineages at once), counted event by event."""
+    k = most = arg.n_samples
+    recombinations = 0
+    for event in arg.events:
+        if isinstance(event, Recombine):
+            recombinations += 1
+            k += 1
+            most = max(most, k)
+        else:
+            k -= 1
+    return recombinations, most
+
+
+def test_summary_counts_match_an_event_walk():
+    for simulate, n, rho, rep in itertools.product(
+        (simulate_backintime, simulate_spatial), (2, 4, 7), (0.0, 1.5, 6.0), range(5),
+    ):
+        arg = simulate(SimConfig(n_samples=n, rho=rho, seed=101, replicate_index=rep))
+        stats = summary(arg)
+        assert (stats.breakpoint_count, stats.max_lineages) == walked_counts(arg)
+
+
+def test_summary_counts_on_a_path_that_is_not_absorbed():
+    # three lineages after the recombination, two at the end: counting the
+    # end as one lineage would find no breakpoint
+    cfg = SimConfig(n_samples=2, rho=1.0, seed=0)
+    arg = build_arg(cfg, [(0.1, Recombine(0, 0.5)), (0.3, Coalesce(0, 1))])
+    assert not arg.final_state.is_absorbed
+    stats = summary(arg)
+    assert (stats.breakpoint_count, stats.max_lineages) == walked_counts(arg) == (1, 3)
 
 
 def test_summary_event_identity():

@@ -108,6 +108,22 @@ def test_simulate_flag_overrides_manifest(tmp_path):
     assert override.read_bytes() != first.read_bytes()
 
 
+def test_simulate_records_the_config_it_ran(tmp_path):
+    # --rho -0 runs rho 0.0: the manifest holds that, and a rerun from it
+    # writes the same log
+    first = tmp_path / "first.log"
+    assert main(["simulate", "--samples", "3", "--rho", "-0", "--seed", "4", "--reps", "2",
+                 "--out", str(first)]) == 0
+    man = json.loads((tmp_path / "first.log.manifest.json").read_text())
+    assert math.copysign(1.0, man["rho"]) == 1.0
+    second = tmp_path / "second.log"
+    assert main(["simulate", "--from-manifest", str(first) + ".manifest.json",
+                 "--out", str(second)]) == 0
+    assert second.read_bytes() == first.read_bytes()
+    assert (tmp_path / "second.log.manifest.json").read_text() == (
+        (tmp_path / "first.log.manifest.json").read_text().replace("first.log", "second.log"))
+
+
 def test_simulate_requires_samples_and_out(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["simulate", "--engine", "backintime", "--out", str(tmp_path / "x.log")])
@@ -243,6 +259,16 @@ def test_simulate_malformed_manifest_exits_2_with_one_line(tmp_path, capsys, man
         "argsim: error: manifest %s: %s" % (path, message)
     ]
     assert not out.exists()
+
+
+def test_simulate_engine_flag_overrides_a_bad_manifest_engine(tmp_path):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(dict(GOOD_MANIFEST, engine="foo")))
+    out = tmp_path / "run.log"
+    assert main(["simulate", "--from-manifest", str(path), "--engine", "spatial",
+                 "--out", str(out)]) == 0
+    assert json.loads((tmp_path / "run.log.manifest.json").read_text())["engine"] == "spatial"
+    assert out.exists()
 
 
 def test_validate_accepts_engine_output(tmp_path, capsys):
