@@ -63,7 +63,7 @@ def sample_waiting_time(rates, rng):
     """Exponential holding time with rate rates.total, by inversion."""
     if not rates.total > 0.0:
         raise ValueError("no waiting time in an absorbing state")
-    return -math.log(rng.uniform()) / rates.total
+    return rng.exponential(rates.total)
 
 
 def sample_event(state, rates, density, rng):

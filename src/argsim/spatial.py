@@ -237,7 +237,7 @@ def free_rise(graph, t0, rng):
     pass over the branches on the interval where the rise lands.
     """
     starts, counts = graph.starts, graph.counts
-    budget = -math.log(rng.uniform())  # integrated hazard to spend
+    budget = rng.exponential(1.0)  # integrated hazard to spend
     k = bisect_right(starts, t0) - 1
     t = t0
     while True:

@@ -18,7 +18,9 @@ from __future__ import annotations
 
 import math
 import os
+from collections import Counter
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .arg import summary
 from .backintime import simulate_backintime
@@ -145,31 +147,22 @@ def chi_square_two_sample(a, b):
     Values are binned by exact value; sparse adjacent bins are merged from
     the right until every expected cell count reaches MIN_EXPECTED.
     """
-    values = sorted(set(a) | set(b))
-    ca = {v: 0 for v in values}
-    cb = {v: 0 for v in values}
-    for x in a:
-        ca[x] += 1
-    for x in b:
-        cb[x] += 1
+    ca, cb = Counter(a), Counter(b)
     na, nb = len(a), len(b)
-    bins = [(ca[v], cb[v]) for v in values]
     # merge right-to-left into the neighbor until all expected counts clear
     merged = []
     acc_a = acc_b = 0
-    for oa, ob in reversed(bins):
-        acc_a += oa
-        acc_b += ob
+    for v in sorted(ca.keys() | cb.keys(), reverse=True):
+        acc_a += ca[v]
+        acc_b += cb[v]
         tot = acc_a + acc_b
         if tot * na / (na + nb) >= MIN_EXPECTED and tot * nb / (na + nb) >= MIN_EXPECTED:
             merged.append((acc_a, acc_b))
             acc_a = acc_b = 0
-    if acc_a or acc_b:
-        if merged:
-            la, lb = merged[-1]
-            merged[-1] = (la + acc_a, lb + acc_b)
-        else:
-            merged.append((acc_a, acc_b))
+    # leftover low bins join the leftmost merged bin (none merged: one cell)
+    if merged:
+        la, lb = merged[-1]
+        merged[-1] = (la + acc_a, lb + acc_b)
     merged.reverse()
     if len(merged) < 2:
         # distributions are concentrated on one cell: identical by construction
@@ -265,36 +258,31 @@ def equivalence_report(config, reps, sites=(0.0, 0.5), alpha=0.001, threads=None
     """Run both engines and test every summary statistic for agreement.
 
     Each engine runs replicates 0 .. reps - 1 of config. Returns (reports,
-    samples) where samples maps engine name to its summary list; the
-    battery is two-sample KS for the continuous statistics, homogeneity
-    chi-square for the breakpoint count and the maximum lineage count, and
-    a z-test on the mean breakpoint count. The event count gets no row: it
-    is n - 1 + 2 * breakpoints, so its chi-square would repeat the
-    breakpoint row exactly. With several tests at level alpha, the chance
-    of a stray failure stays near len(reports) * alpha (union bound); the
-    alpha here is per-test.
+    samples), samples mapping engine name to its summary list. The rows
+    are the table below, in CSV order: a name, a two-sample test (statistic
+    and p-value first) and the SummaryStats getter it reads. A new row is
+    one table line, a re-recorded COMPARE_PINNED and a change to
+    perfbench's fixed row count (ROADMAP item 1). The event count gets no
+    row: it is n - 1 + 2 * breakpoints, so its chi-square would repeat the
+    breakpoint row. alpha is per test; the chance of a stray failure stays
+    near len(reports) * alpha (union bound).
     """
     a = run_replicates("backintime", config, reps, sites, threads)
     b = run_replicates("spatial", config, reps, sites, threads)
+    # built per call, not at import: perfbench's tracer rebinds module globals, not list items
+    battery = [
+        *[("tmrca_ks_site_%g" % s, ks_two_sample, lambda x, s=s: x.tmrca_at[s]) for s in sites],
+        *[("length_ks_site_%g" % s, ks_two_sample, lambda x, s=s: x.length_at[s]) for s in sites],
+        ("grand_mrca_ks", ks_two_sample, attrgetter("grand_mrca")),
+        ("breakpoints_chi2", chi_square_two_sample, attrgetter("breakpoint_count")),
+        ("max_lineages_chi2", chi_square_two_sample, attrgetter("max_lineages")),
+        ("breakpoints_mean_z", mean_difference_z, attrgetter("breakpoint_count")),
+    ]
     reports = []
-
-    def add_ks(name, xs, ys):
-        d, p = ks_two_sample(xs, ys)
-        reports.append(TestReport(name, len(xs), len(ys), d, p, p > alpha))
-
-    for s in sites:
-        add_ks("tmrca_ks_site_%g" % s, [x.tmrca_at[s] for x in a], [y.tmrca_at[s] for y in b])
-    for s in sites:
-        add_ks("length_ks_site_%g" % s, [x.length_at[s] for x in a], [y.length_at[s] for y in b])
-    add_ks("grand_mrca_ks", [x.grand_mrca for x in a], [y.grand_mrca for y in b])
-    bp_a = [x.breakpoint_count for x in a]
-    bp_b = [y.breakpoint_count for y in b]
-    stat, p, _ = chi_square_two_sample(bp_a, bp_b)
-    reports.append(TestReport("breakpoints_chi2", reps, reps, stat, p, p > alpha))
-    stat, p, _ = chi_square_two_sample([x.max_lineages for x in a], [y.max_lineages for y in b])
-    reports.append(TestReport("max_lineages_chi2", reps, reps, stat, p, p > alpha))
-    z, p, _ = mean_difference_z(bp_a, bp_b)
-    reports.append(TestReport("breakpoints_mean_z", reps, reps, z, p, p > alpha))
+    for name, test, statistic in battery:
+        xs, ys = [statistic(x) for x in a], [statistic(y) for y in b]
+        stat, p = test(xs, ys)[:2]
+        reports.append(TestReport(name, len(xs), len(ys), stat, p, p > alpha))
     return reports, {"backintime": a, "spatial": b}
 
 

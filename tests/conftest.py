@@ -3,7 +3,8 @@ event walks, the known-broken engine, and oracles that recheck what the
 package asserts incrementally: the replay validator, the partial-graph
 invariants, the projection of a path at a site, the site tree read off
 every state, the segment-wise lineage operators, the label bitmasks
-built from label sets, and a fresh interpreter to run a script in."""
+built from label sets, a fresh interpreter to run a script in, and the
+exact two-locus chain."""
 
 import json
 import math
@@ -12,6 +13,7 @@ import random
 import subprocess
 import sys
 from bisect import bisect_right
+from fractions import Fraction
 from functools import reduce
 from operator import or_
 from pathlib import Path
@@ -419,3 +421,71 @@ def newick_from_levels(levels):
         nodes[target] = (time, "(%s)" % ",".join(parts))
     assert len(nodes) == 1
     return nodes.popitem()[1][1] + ";"
+
+
+def kingman_tail(m):
+    """(E[T_MRCA], E[L]) of a Kingman tree on m lineages, as Fractions; zero at m = 1."""
+    return 2 - Fraction(2, m), 2 * sum(Fraction(1, k) for k in range(1, m))
+
+
+def solve_exact(matrix, columns):
+    """The solutions of matrix · x = column, one per column, by Gauss-Jordan elimination."""
+    size = len(matrix)
+    rows = [[Fraction(v) for v in row] + [Fraction(col[r]) for col in columns] for r, row in enumerate(matrix)]
+    for c in range(size):
+        pivot = next(r for r in range(c, size) if rows[r][c])
+        rows[c], rows[pivot] = rows[pivot], rows[c]
+        rows[c] = [v / rows[c][c] for v in rows[c]]
+        for r in range(size):
+            if r != c and rows[r][c]:
+                f = rows[r][c]
+                rows[r] = [v - f * w for v, w in zip(rows[r], rows[c])]
+    return [[row[size + m] for row in rows] for m in range(len(columns))]
+
+
+def two_locus_moments(n, R):
+    """E[T_a T_b], P(T_a = T_b) and E[L_a L_b] for two sites of an n-sample path, exactly.
+
+    T and L are a site's tree height and total length; R is the
+    recombination rate between the sites, rho times the density's mass
+    between them. The chain's state (i, j, k) counts the lineages carrying
+    both sites, only site a and only site b. Each pair coalesces at rate 1,
+    and a both-site lineage splits at rate R/2 (Griffiths 1981, Theor Pop
+    Biol 19:169). Each site alone is a Kingman tree on its i + j or i + k
+    lineages, so E[T_a] and E[L_a] from any state are closed forms, and
+    once a site has one lineage the other finishes alone. The moments then
+    solve linear equations over the states where both sites have two
+    lineages or more: for additive functionals A and B with rewards a and
+    b, E[AB] = (a E[B] + b E[A]) / q + E[A'B'] after the state's first
+    jump, q being its total rate.
+    """
+    R = Fraction(R)
+    states = [(i, j, k) for i in range(n + 1) for j in range(n + 1 - i) for k in range(n + 1 - i)
+              if i + j >= 2 and i + k >= 2]
+    index = {x: r for r, x in enumerate(states)}
+    matrix = [[0] * len(states) for _ in states]
+    tt, same, ll = [], [], []
+    for r, (i, j, k) in enumerate(states):
+        moves = [
+            (i * R / 2, (i - 1, j + 1, k + 1)),  # a both-site lineage splits
+            (i * (i - 1) // 2, (i - 1, j, k)),
+            (i * j + j * (j - 1) // 2, (i, j - 1, k)),  # site a loses a lineage
+            (i * k + k * (k - 1) // 2, (i, j, k - 1)),  # site b loses a lineage
+            (j * k, (i + 1, j - 1, k - 1)),  # a site-a and a site-b lineage join
+        ]
+        hit = 0  # the rate of reaching both sites' last lineage at once
+        for rate, y in moves:
+            if not rate:
+                continue
+            matrix[r][r] += rate
+            if y in index:
+                matrix[r][index[y]] -= rate
+            elif y[0] + y[1] == y[0] + y[2] == 1:
+                hit += rate
+        (ta, la), (tb, lb) = kingman_tail(i + j), kingman_tail(i + k)
+        tt.append(ta + tb)
+        same.append(hit)
+        ll.append((i + j) * lb + (i + k) * la)
+    ett, p_same, ell = solve_exact(matrix, [tt, same, ll])
+    start = index[(n, 0, 0)]
+    return ett[start], p_same[start], ell[start]

@@ -1,4 +1,4 @@
-"""Acceptance battery: nine numbered end-to-end criteria.
+"""Acceptance battery: ten numbered end-to-end criteria.
 
 Each test prints one ``ACCEPTANCE <k>: PASS/FAIL`` line through the
 capture-disabled channel (so the lines land in plain test logs) and then
@@ -9,6 +9,7 @@ assertions themselves are the statistical and exact bounds.
 
 import math
 import time
+from fractions import Fraction
 
 import pytest
 from scipy.integrate import quad
@@ -40,7 +41,7 @@ from argsim.stats import (
     render_report_table,
     run_replicates,
 )
-from conftest import check_invariants, lin
+from conftest import check_invariants, lin, two_locus_moments
 from test_backintime import three_lineage_fixture
 
 INF = float("inf")
@@ -56,7 +57,7 @@ def announce(capsys, num, ok, detail):
 
 @pytest.fixture(scope="module")
 def big_battery():
-    """The N=4, rho=1 equivalence run shared by criteria 2 and 9."""
+    """The N=4, rho=1 equivalence run shared by criteria 2, 9 and 10."""
     start = time.perf_counter()
     reports, samples = equivalence_report(
         SimConfig(n_samples=4, rho=1.0, density="uniform", seed=2002), reps=BIG, sites=(0.0, 0.5),
@@ -270,3 +271,36 @@ def test_criterion_9_r1_mutant_is_caught(big_battery, r1_mutant, capsys):
             stat, p, elapsed,
         ),
     )
+
+
+def one_sample_z(xs, mean):
+    """z of the sample mean of xs against a known mean."""
+    n = len(xs)
+    m = math.fsum(xs) / n
+    var = math.fsum((x - m) ** 2 for x in xs) / (n - 1)
+    return (m - mean) / math.sqrt(var / n)
+
+
+def test_criterion_10_two_locus_joint_law(big_battery, capsys):
+    # criterion 2's paths against the exact two-locus chain: each engine
+    # on its own, with no replicate run here
+    _, samples, _ = big_battery
+    start = time.perf_counter()
+    rho, s = 1.0, 0.5
+    want = two_locus_moments(4, Fraction(rho * UNIFORM.mass(0.0, s)))
+    rows = []
+    for engine, batch in samples.items():
+        draws = (
+            [x.tmrca_at[0.0] * x.tmrca_at[s] for x in batch],
+            [float(x.tmrca_at[0.0] == x.tmrca_at[s]) for x in batch],
+            [x.length_at[0.0] * x.length_at[s] for x in batch],
+        )
+        rows.append((engine, [one_sample_z(xs, float(w)) for xs, w in zip(draws, want)]))
+    elapsed = time.perf_counter() - start
+    ok = all(abs(z) <= 4.0 for _, zs in rows for z in zs)
+    detail = "N=4 rho=1 sites 0, 0.5, exact E[T0 T0.5] %.6g, P(T0 = T0.5) %.6g, E[L0 L0.5] %.6g; z %s (%.1f s)" % (
+        *map(float, want),
+        "; ".join("%s %s" % (e, " ".join("%+.2f" % z for z in zs)) for e, zs in rows),
+        elapsed,
+    )
+    announce(capsys, 10, ok, detail)

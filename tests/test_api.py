@@ -18,6 +18,7 @@ from pathlib import Path
 
 import argsim
 from argsim import stats
+from argsim.config import SimConfig
 
 
 def argsim_modules():
@@ -188,6 +189,20 @@ def test_no_module_imports_scipy_or_numpy_when_it_is_imported():
     assert found == []
 
 
+def test_only_rng_inverts_a_uniform_into_an_exponential():
+    # one inversion: every exponential draw goes through SimRng.exponential
+    found = []
+    for path in sorted(Path(argsim.__file__).parent.glob("*.py")):
+        if path.name == "rng.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (isinstance(node, ast.Call) and ast.unparse(node.func) == "math.log" and node.args
+                    and isinstance(node.args[0], ast.Call)
+                    and getattr(node.args[0].func, "attr", None) == "uniform"):
+                found.append("%s:%d: %s" % (path.name, node.lineno, ast.unparse(node)))
+    assert found == []
+
+
 def test_every_exported_name_resolves():
     missing = [name for name in argsim.__all__ if not hasattr(argsim, name)]
     assert missing == []
@@ -226,6 +241,21 @@ def test_benchmark_spans_name_traceable_functions(monkeypatch):
     listed = {name for workload in child.WORKLOADS.values() for name in workload["spans"]}
     listed |= tracer.RECORDED | set(tracer.ENGINES) | set(tracer.OBSERVERS)
     assert sorted(listed - traceable) == []
+
+
+def test_compare_battery_has_the_row_count_the_benchmark_checks(monkeypatch):
+    # perfbench's compare cycle fails any report without exactly
+    # 2 * len(sites) + 4 rows over its replicate count. A battery row added
+    # or dropped here must first make the benchmark read the row count off
+    # the report (ROADMAP item 1).
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    child = importlib.import_module("child")
+    argv = child.WORKLOADS["compare-battery"]["compare"]
+    sites = tuple(float(s) for s in argv[argv.index("--sites") + 1].split(","))
+    reps = 20
+    reports, _ = stats.equivalence_report(SimConfig(n_samples=3, rho=1.0, seed=5), reps, sites=sites, threads=1)
+    assert len(reports) == 2 * len(sites) + 4, "perfbench fixes the compare row count: see ROADMAP item 1"
+    assert [(r.n_a, r.n_b) for r in reports] == [(reps, reps)] * len(reports)
 
 
 def definition_refs():

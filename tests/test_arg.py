@@ -21,6 +21,7 @@ from argsim.arg import (
     read_args,
     summary,
     validate_arg,
+    validate_replayed,
     write_arg,
 )
 from argsim.backintime import simulate_backintime
@@ -29,6 +30,7 @@ from argsim.spatial import simulate_spatial
 from argsim.state import Coalesce, Lineage, Recombine, State
 from conftest import (
     build_arg,
+    lin,
     mask_of,
     newick_from_levels,
     project_path,
@@ -246,6 +248,23 @@ def test_recombining_the_absorbing_state_is_clause_b(r1_mutant):
     report = validate_arg(arg)
     assert report.violations == replay_validate(arg).violations
     assert report.violations == [(1, "b", "cannot recombine the absorbing state")]
+
+
+def test_a_broken_start_is_clause_a_then_each_replayed_state_gets_the_full_check():
+    # label 1 twice and label 2 nowhere: the start fails check(), so the
+    # first event is replayed and fully checked, and the path ends absorbed
+    # in a lineage that does not carry every label
+    start = State(2, [lin((0.0, 1.0, {1})), lin((0.0, 1.0, {1}))])
+    arg = Arg(SimConfig(n_samples=2, rho=0.0, seed=0), [1.0], [Coalesce(0, 1)],
+              [start.apply(Coalesce(0, 1))], start)
+    report = validate_arg(arg)
+    assert report.violations == [
+        (None, "a", "initial state is not the singleton state"),
+        (0, "b", "invariant broken: labels at locus 0.0: {1}"),
+        (None, "d", "final state is not the full-label lineage"),
+    ]
+    assert report.violations == replay_validate(arg).violations
+    assert validate_replayed(arg).violations == report.violations[-1:]
 
 
 def test_validate_replays_no_event_on_a_good_path(monkeypatch):
@@ -537,6 +556,21 @@ def test_parse_error_reports_line_numbers():
     with pytest.raises(ArgParseError) as exc:
         list(read_args(io.StringIO(broken)))
     assert "line 2" in str(exc.value)
+
+
+@pytest.mark.parametrize("line, old, new, message", [
+    (0, '"format_version":1', '"format_version":2', "line 1: unsupported format_version 2"),
+    (-1, '"events":1', '"events":2', "line 3: trailer count 2 != 1 events read"),
+])
+def test_parse_rejects_a_version_or_trailer_count_it_does_not_know(line, old, new, message):
+    buf = io.StringIO()
+    write_arg(simulate_backintime(SimConfig(n_samples=2, rho=0.0, seed=2)), buf)
+    lines = buf.getvalue().splitlines()
+    assert old in lines[line]
+    lines[line] = lines[line].replace(old, new)
+    with pytest.raises(ArgParseError) as exc:
+        read_arg(io.StringIO("\n".join(lines) + "\n"))
+    assert str(exc.value) == message
 
 
 def test_parse_rejects_unknown_event_type():

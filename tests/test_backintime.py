@@ -203,6 +203,13 @@ def test_waiting_time_rejects_absorbing():
         sample_waiting_time(rates, SimRng(0))
 
 
+def test_sample_event_rejects_absorbing():
+    state = State.absorbing(3)
+    with pytest.raises(ValueError) as exc:
+        sample_event(state, total_rate(state, 1.0, UNIFORM), UNIFORM, SimRng(0))
+    assert str(exc.value) == "cannot sample an event in an absorbing state"
+
+
 def test_kingman_path_shape():
     cfg = SimConfig(n_samples=5, rho=0.0, seed=21)
     arg = simulate_backintime(cfg)

@@ -261,6 +261,36 @@ def test_simulate_malformed_manifest_exits_2_with_one_line(tmp_path, capsys, man
     assert not out.exists()
 
 
+def test_simulate_manifest_that_is_not_json_exits_2_with_one_line(tmp_path, capsys):
+    path = tmp_path / "run.log.manifest.json"
+    path.write_text("not json {")
+    out = tmp_path / "rerun.log"
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--from-manifest", str(path), "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert [line for line in err if "error:" in line] == [
+        "argsim: error: cannot read manifest %s: Expecting value: line 1 column 1 (char 0)" % path
+    ]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--samples", "3", "--seed", "-1", "--out", "run.log"],
+    ["compare", "--samples", "3", "--reps", "10", "--seed", "-1", "--out", "run.csv"],
+], ids=["simulate", "compare"])
+def test_negative_seed_exits_2_with_one_line(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([str(tmp_path / a) if a.startswith("run.") else a for a in argv])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert [line for line in captured.err.splitlines() if "error:" in line] == [
+        "argsim: error: seed must be an unsigned 64-bit integer"
+    ]
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_simulate_engine_flag_overrides_a_bad_manifest_engine(tmp_path):
     path = tmp_path / "m.json"
     path.write_text(json.dumps(dict(GOOD_MANIFEST, engine="foo")))

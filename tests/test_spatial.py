@@ -138,7 +138,7 @@ def stage1_graph():
       2: [1, inf)    [{1,2}, {1,2}]  5: [0.6, 1)   [{2}, {1,2}]
     """
     g = two_leaf_graph(1.0)
-    rng = ScriptedRng(uniforms=[math.exp(-0.6)], indices=[1])
+    rng = ScriptedRng(exponentials=[0.6], indices=[1])
     trace = trace_lineage(g, fork_id=0, t0=0.3, s_new=0.5, rho=2.0, density=UNIFORM, rng=rng)
     assert rng.exhausted()
     assert trace.steps[-1][1] == pytest.approx(0.6)
@@ -430,7 +430,7 @@ def test_splice_stops_at_the_meeting_piece(monkeypatch):
     # the path rejoins the fork's line at branch 4 = {1,2}, so neither
     # walk climbs past it to branch 5 or the top
     g = four_leaf_graph()
-    rng = ScriptedRng(uniforms=[math.exp(-1.2)], indices=[1])  # rate 4 on [0, 1)
+    rng = ScriptedRng(exponentials=[1.2], indices=[1])  # rate 4 on [0, 1)
     trace = trace_lineage(g, fork_id=0, t0=0.3, s_new=0.5, rho=1.0, density=UNIFORM, rng=rng)
     assert rng.exhausted() and trace.steps == [("coal", pytest.approx(0.6), 1)]
     assert meeting_piece(g, trace) == (1, 4)
@@ -634,11 +634,11 @@ def test_stage1_graph_layout():
 
 def test_trace_rides_an_old_edge_and_climbs():
     g = stage1_graph()
-    rng = ScriptedRng(uniforms=[math.exp(-0.7)], exponentials=[1e9], indices=[1])
+    rng = ScriptedRng(exponentials=[0.7, 1e9], indices=[1])
     trace = trace_lineage(g, fork_id=0, t0=0.1, s_new=0.75, rho=2.0, density=UNIFORM, rng=rng)
     assert rng.exhausted()
     # detach clock rate: half of rho times the ridden edge's material gap
-    assert rng.exp_rates == [pytest.approx(0.5 * 2.0 * UNIFORM.mass(0.5, 0.75))]
+    assert rng.exp_rates == [1.0, pytest.approx(0.5 * 2.0 * UNIFORM.mass(0.5, 0.75))]
     kinds = [s[0] for s in trace.steps]
     assert kinds == ["coal", "climb"]
     assert trace.steps[0][1] == pytest.approx(0.4)
@@ -654,13 +654,13 @@ def detached_trace():
     """Stage-1 graph plus a scripted ride/detach/re-coalesce trace."""
     g = stage1_graph()
     rng = ScriptedRng(
-        uniforms=[math.exp(-0.7), 0.5, math.exp(-0.15)],
-        exponentials=[0.05],
+        uniforms=[0.5],
+        exponentials=[0.7, 0.05, 0.15],
         indices=[1, 2],
     )
     trace = trace_lineage(g, fork_id=0, t0=0.1, s_new=0.75, rho=2.0, density=UNIFORM, rng=rng)
     assert rng.exhausted()
-    assert rng.exp_rates == [pytest.approx(0.25)]
+    assert rng.exp_rates == [1.0, pytest.approx(0.25), 1.0]
     return g, trace
 
 
@@ -732,8 +732,8 @@ def test_recoalescing_onto_the_ridden_branch_cuts_the_piece_above_the_detach():
     # (at 0.4 and 0.45), and the coalescence must cut the upper piece
     g = stage1_graph()
     rng = ScriptedRng(
-        uniforms=[math.exp(-0.7), 0.5, math.exp(-0.15)],
-        exponentials=[0.05, 1e9],
+        uniforms=[0.5],
+        exponentials=[0.7, 0.05, 0.15, 1e9],
         indices=[1, 1],
     )
     trace = trace_lineage(g, fork_id=0, t0=0.1, s_new=0.75, rho=2.0, density=UNIFORM, rng=rng)

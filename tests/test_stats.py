@@ -8,6 +8,7 @@ advertised operating characteristics via meta-trials.
 import math
 import random
 import statistics
+from fractions import Fraction
 
 import pytest
 import scipy.special
@@ -30,7 +31,7 @@ from argsim.stats import (
     render_report_table,
     run_replicates,
 )
-from conftest import run_fresh
+from conftest import run_fresh, two_locus_moments
 
 
 def test_ks_two_sample_extremes():
@@ -199,6 +200,21 @@ def test_chi_square_two_sample_merges_sparse_tail():
     assert p < 1e-9
 
 
+@pytest.mark.parametrize("a, b, want", [
+    # the low bin 0 is too sparse and joins bin 1, the leftmost merged bin
+    ([0] * 3 + [1] * 20 + [2] * 40, [0] + [1] * 30 + [2] * 30, (2.582170289690456, 0.10807339279504619, 1)),
+    # sparse at both ends: 3 and 4 merge into 2, and 0 joins 1
+    ([0] * 3 + [1] * 20 + [2] * 40 + [3] * 2, [0] + [1] * 30 + [2] * 30 + [4],
+     (2.77340085079811, 0.09584233625879877, 1)),
+    # every bin too sparse: one cell
+    ([0, 1, 2], [1, 2, 3], (0.0, 1.0, 0)),
+    # the leftover joins the only merged bin: one cell
+    ([5] * 10 + [0, 1], [5] * 10 + [2], (0.0, 1.0, 0)),
+])
+def test_chi_square_two_sample_merges_sparse_low_bins_leftward(a, b, want):
+    assert chi_square_two_sample(a, b) == want
+
+
 def test_chi_square_two_sample_detects_rate_change():
     rng = random.Random(12)
     a = [int(rng.expovariate(1.0)) for _ in range(2000)]
@@ -309,6 +325,21 @@ def test_two_site_shared_mrca_matches_exact_law(engine):
     hits = sum(x.tmrca_at[0.0] == x.tmrca_at[s] for x in batch)
     z = (hits - reps * want) / math.sqrt(reps * want * (1.0 - want))
     assert abs(z) < 4.0, (engine, hits / reps, want, z)
+
+
+@pytest.mark.parametrize("r", [0, 1, 2, 5])
+def test_two_locus_chain_gives_griffiths_law_at_two_samples(r):
+    # at n=2, Var(T) = E[T] = 1, so E[T_a T_b] - 1 is the correlation; it
+    # and P(T_a = T_b) both equal (R + 18) / (R^2 + 13 R + 18)
+    ett, p_same, _ = two_locus_moments(2, r)
+    want = Fraction(r + 18, r * r + 13 * r + 18)
+    assert (ett - 1, p_same) == (want, want)
+
+
+def test_two_locus_chain_without_recombination_is_one_kingman_tree():
+    # T = sum of Exp(C(k, 2)) and L = sum of k Exp(C(k, 2)), k = 2 .. 4:
+    # E[T^2] = 41/36 + (3/2)^2 and E[L^2] = 4 (1 + 1/4 + 1/9) + (11/3)^2
+    assert two_locus_moments(4, 0) == (Fraction(61, 18), 1, Fraction(170, 9))
 
 
 def test_equivalence_report_null_battery():
