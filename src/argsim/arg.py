@@ -143,21 +143,19 @@ def validate_arg(arg):
     if arg.initial != State.initial(arg.n_samples):
         violations.append((None, "a", "initial state is not the singleton state"))
     steps = []  # clause (b), in event order
-    state = arg.initial
     try:
-        state.check()
-        checked = True  # whether `state` is known to satisfy check()
+        arg.initial.check()
+        checked = True  # whether `prev` is known to satisfy check()
     except AssertionError:
         checked = False
-    for idx, (event, recorded) in enumerate(zip(arg.events, arg.states)):
-        prev = state
+    # prev is the recorded state before the event: a failed step resynchronizes
+    for idx, (prev, event, recorded) in enumerate(zip((arg.initial,) + arg.states, arg.events, arg.states)):
         if checked:
             try:
-                state = recorded.check_step(prev, event)
+                recorded.check_step(prev, event)
                 continue
             except AssertionError:
                 pass
-        state = recorded  # resynchronize to keep reporting useful
         try:
             replay = prev.apply(event)
         except IllegalEventError as err:
@@ -169,7 +167,7 @@ def validate_arg(arg):
             checked = False
             continue
         try:
-            state.check()
+            recorded.check()
             checked = True
         except AssertionError as err:
             steps.append((idx, "b", "invariant broken: %s" % err))

@@ -339,7 +339,7 @@ def cmd_compare(args, parser):
             for r in reports:
                 fh.write(r.csv_row() + "\n")
     except OSError as exc:
-        parser.error("cannot write %s: %s" % (exc.filename, exc.strerror))
+        parser.error("cannot write %s: %s" % (args.out, exc.strerror))
     print("report -> %s" % args.out)
     return 0 if all(r.passed for r in reports) else 1
 

@@ -7,8 +7,7 @@ positive almost everywhere on (0, 1) so the inverse CDF is well defined;
 Uniform and Beta(a, b) both qualify.
 
 Densities are specified on the command line as tagged strings
-("uniform", "beta:2,2") and parsed through a small registry so new
-families can be added without touching the engines.
+("uniform", "beta:2,2").
 
 scipy is loaded only when a Beta law is parsed (its atoms are checked with
 betainc) or a p-value is computed (stats.py); a uniform run never loads
@@ -161,22 +160,14 @@ def _parse_beta(args):
     return d
 
 
-def _parse_uniform(args):
-    if args:
-        raise ValueError("uniform density takes no parameters, got uniform:%s" % args)
-    return UniformDensity()
-
-
-DENSITIES = {
-    "uniform": _parse_uniform,
-    "beta": _parse_beta,
-}
-
-
 def parse_density(spec):
     """Parse a tagged density spec string like "uniform" or "beta:2,2"."""
     tag, _, args = spec.partition(":")
     tag = tag.strip().lower()
-    if tag not in DENSITIES:
-        raise ValueError("unknown density %r (known: %s)" % (spec, ", ".join(sorted(DENSITIES))))
-    return DENSITIES[tag](args)
+    if tag == "beta":
+        return _parse_beta(args)
+    if tag != "uniform":
+        raise ValueError("unknown density %r (known: beta, uniform)" % spec)
+    if args:
+        raise ValueError("uniform density takes no parameters, got uniform:%s" % args)
+    return UniformDensity()

@@ -1,11 +1,12 @@
 """Statistical harness: summary batches and the test battery.
 
 The two engines must agree in distribution on every functional of the
-event path; this module turns that claim into concrete tests. The
-Kolmogorov-Smirnov statistics are computed here; their asymptotic p-values
-come from scipy.special.kolmogorov, the survival function of the
-Kolmogorov distribution. Chi-square p-values go through the regularized
-upper incomplete gamma function.
+event path; this module turns that claim into concrete tests. One function
+computes the Kolmogorov-Smirnov distance of a sample from a CDF; the
+two-sample D is that of one sample from the other's empirical CDF, so the
+battery runs the code the closed-form tests check. P-values come from
+scipy.special: kolmogorov, the Kolmogorov survival function, for KS, and
+gammaincc, the regularized upper incomplete gamma function, for chi-square.
 
 Test p-values are meant for pinned-seed CI runs: at alpha = 0.001 a
 correct implementation fails a given test about once per thousand seeds,
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import math
 import os
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from operator import attrgetter
@@ -43,57 +45,48 @@ def _gammaincc(a, x):
     return _gammaincc(a, x)
 
 
-def ks_two_sample(a, b):
-    """Two-sample KS: (D, asymptotic p-value)."""
-    if not a or not b:
-        raise ValueError("KS needs nonempty samples")
-    xs = sorted(a)
-    ys = sorted(b)
-    na, nb = len(xs), len(ys)
-    i = j = 0
-    d = 0.0
-    while i < na or j < nb:
-        if j >= nb or (i < na and xs[i] <= ys[j]):
-            x = xs[i]
-        else:
-            x = ys[j]
-        # pass every copy of x in both samples before comparing: the sup of
-        # the step-function gap sits just after the tied block
-        while i < na and xs[i] == x:
-            i += 1
-        while j < nb and ys[j] == x:
-            j += 1
-        diff = abs(i / na - j / nb)
-        if diff > d:
-            d = diff
-    ne = na * nb / (na + nb)
-    return d, float(_kolmogorov(math.sqrt(ne) * d))
-
-
-def ks_one_sample(sample, cdf):
-    """One-sample KS against an analytic CDF callable: (D, p-value).
+def _ks_distance(sample, cdf):
+    """sup |F_n - cdf| for a nonempty sample's empirical CDF F_n.
 
     Tied sample values are grouped, and the lower comparison uses the CDF's
     left limit (evaluated one ulp below), so a step CDF sitting exactly on
     a degenerate sample scores D = 0 as it should.
     """
-    if not sample:
-        raise ValueError("KS needs a nonempty sample")
     xs = sorted(sample)
     n = len(xs)
     d = 0.0
     i = 0
     while i < n:
-        j = i
-        while j < n and xs[j] == xs[i]:
-            j += 1
         x = xs[i]
-        fx = cdf(x)
-        f_left = cdf(math.nextafter(x, -math.inf))
-        d = max(d, j / n - fx, f_left - i / n)
+        j = i
+        while j < n and xs[j] == x:
+            j += 1
+        d = max(d, j / n - cdf(x), cdf(math.nextafter(x, -math.inf)) - i / n)
         i = j
-    d = max(0.0, d)
-    return d, float(_kolmogorov(math.sqrt(n) * d))
+    return max(0.0, d)
+
+
+def ks_two_sample(a, b):
+    """Two-sample KS: (D, asymptotic p-value).
+
+    D is the distance of a from b's empirical CDF. a's CDF is flat between
+    a's points, so the sup of the gap sits at one of them or just below
+    it, with the counts and divisions of a merge of the pooled samples.
+    """
+    if not a or not b:
+        raise ValueError("KS needs nonempty samples")
+    ys = sorted(b)
+    na, nb = len(a), len(ys)
+    d = _ks_distance(a, lambda x: bisect_right(ys, x) / nb)
+    return d, float(_kolmogorov(math.sqrt(na * nb / (na + nb)) * d))
+
+
+def ks_one_sample(sample, cdf):
+    """One-sample KS against an analytic CDF callable: (D, p-value)."""
+    if not sample:
+        raise ValueError("KS needs a nonempty sample")
+    d = _ks_distance(sample, cdf)
+    return d, float(_kolmogorov(math.sqrt(len(sample)) * d))
 
 
 def ks_one_sample_with_atom(sample, cont_cdf, atom_mass):

@@ -58,6 +58,32 @@ def r1_mutant(monkeypatch):
     )
 
 
+@pytest.fixture
+def smc_prime_mutant(monkeypatch):
+    """The SMC' spatial engine: a free rise sees only the current local tree.
+
+    The detached lineage coalesces at rate 1 with each branch whose material
+    reaches 1.0 (the top branch included) and with nothing older, so its
+    target is absorbed at once and it never rides. Each site's tree stays
+    Kingman and every path is legal, but the joint law along the sequence
+    is SMC' (McVean & Cardin 2005), not the coalescent with recombination.
+    trace_lineage looks free_rise up as a module global, so patching it
+    turns simulate_spatial into the mutant. The patch is undone when the
+    test ends.
+    """
+    def rise(graph, t0, rng):
+        tree = [b for b in graph.branches if b.material.end == 1.0]  # in id order
+        cuts = sorted({t0, *(x for b in tree for x in (b.lo, b.hi) if x > t0)})
+        budget = rng.exponential(1.0)
+        for lo, hi in zip(cuts, cuts[1:]):
+            live = [b.id for b in tree if b.lo <= lo < b.hi]
+            if budget <= (hi - lo) * len(live):
+                return lo + budget / len(live), live[rng.index(len(live))]
+            budget -= (hi - lo) * len(live)
+
+    monkeypatch.setattr(argsim.spatial, "free_rise", rise)
+
+
 def mask_of(labels):
     """The bitmask of a label set: bit j - 1 for label j."""
     return sum(1 << (j - 1) for j in set(labels))
@@ -143,6 +169,37 @@ def union_oracle(x, y):
         segs.append((lo, hi, x.value_at(lo) | y.value_at(lo)))
         lo = hi
     return Lineage(*canonical(segs))
+
+
+def ks_two_sample_oracle(a, b):
+    """Two-sample KS by a two-pointer merge of the pooled samples: (D, p).
+
+    The oracle for stats.ks_two_sample, which takes D as the one-sample
+    distance of a from b's empirical CDF.
+    """
+    from scipy.special import kolmogorov
+
+    xs = sorted(a)
+    ys = sorted(b)
+    na, nb = len(xs), len(ys)
+    i = j = 0
+    d = 0.0
+    while i < na or j < nb:
+        if j >= nb or (i < na and xs[i] <= ys[j]):
+            x = xs[i]
+        else:
+            x = ys[j]
+        # pass every copy of x in both samples before comparing: the sup of
+        # the step-function gap sits just after the tied block
+        while i < na and xs[i] == x:
+            i += 1
+        while j < nb and ys[j] == x:
+            j += 1
+        diff = abs(i / na - j / nb)
+        if diff > d:
+            d = diff
+    ne = na * nb / (na + nb)
+    return d, float(kolmogorov(math.sqrt(ne) * d))
 
 
 def build_arg(config, timed_events):

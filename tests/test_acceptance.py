@@ -1,4 +1,4 @@
-"""Acceptance battery: ten numbered end-to-end criteria.
+"""Acceptance battery: eleven numbered end-to-end criteria.
 
 Each test prints one ``ACCEPTANCE <k>: PASS/FAIL`` line through the
 capture-disabled channel (so the lines land in plain test logs) and then
@@ -304,3 +304,28 @@ def test_criterion_10_two_locus_joint_law(big_battery, capsys):
         elapsed,
     )
     announce(capsys, 10, ok, detail)
+
+
+def test_criterion_11_smc_prime_mutant_is_caught(smc_prime_mutant, monkeypatch, capsys):
+    # the mutant keeps every per-site marginal, so only a joint statistic
+    # can see it: the exact two-locus chain, with no second engine. At
+    # rho=5 its P(T0 = T0.5) falls by about 6.8 SE over 5000 paths.
+    start = time.perf_counter()
+    n, rho, s, reps = 4, 5.0, 0.5, 5000
+    want = float(two_locus_moments(n, Fraction(rho * UNIFORM.mass(0.0, s)))[1])
+    cfg = SimConfig(n_samples=n, rho=rho, density="uniform", seed=11)
+    mutant = run_replicates("spatial", cfg, reps, sites=(0.0, s), threads=1)
+    monkeypatch.undo()  # the fixture patched through this monkeypatch: plain spatial from here
+    control = run_replicates("spatial", cfg, reps, sites=(0.0, s), threads=1)
+    z_mutant, z_control = (
+        one_sample_z([float(x.tmrca_at[0.0] == x.tmrca_at[s]) for x in batch], want)
+        for batch in (mutant, control)
+    )
+    z_height = one_sample_z([x.tmrca_at[s] for x in mutant], kingman_expectations(n)[0])
+    elapsed = time.perf_counter() - start
+    ok = z_mutant < -4.0 and abs(z_control) <= 4.0 and abs(z_height) <= 4.0
+    detail = (
+        "SMC' free rise, N=4 rho=5 sites 0, 0.5, exact P(T0 = T0.5) %.6g: mutant z %+.2f < -4, "
+        "control z %+.2f, mutant T0.5 mean z %+.2f against Kingman (%.1f s)"
+    ) % (want, z_mutant, z_control, z_height, elapsed)
+    announce(capsys, 11, ok, detail)

@@ -55,6 +55,12 @@ def test_validate_engine_output():
         assert validate_arg(simulate_spatial(cfg)).passed
 
 
+def test_passing_report_renders_one_line():
+    report = validate_arg(two_leaf_arg())
+    assert report.passed
+    assert report.render() == "valid: all clauses hold"
+
+
 def test_validate_repeated_locus_fails_clause_c():
     cfg = SimConfig(n_samples=2, rho=1.0, seed=0)
     arg = build_arg(
@@ -640,6 +646,12 @@ def test_config_refuses_an_integer_rho_past_the_float_range():
     with pytest.raises(ValueError, match="too large for a float"):
         SimConfig(n_samples=2, rho=10 ** 400)
     assert type(SimConfig(n_samples=2, rho=3).rho) is float
+
+
+def test_config_refuses_a_negative_replicate_index():
+    with pytest.raises(ValueError) as exc:
+        SimConfig(n_samples=2, rho=1.0, replicate_index=-1)
+    assert str(exc.value) == "replicate_index must be nonnegative"
 
 
 def test_header_past_the_event_cap_is_a_parse_error(monkeypatch):

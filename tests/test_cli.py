@@ -162,6 +162,16 @@ def test_simulate_rejects_bad_parameters(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_simulate_refuses_beta_shapes_too_large(tmp_path, capsys):
+    # finite shapes whose log normalizer overflows
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--samples", "3", "--density", "beta:1e306,1", "--out", str(tmp_path / "x.log")])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "argsim: error: beta shapes too large, got 1e+306, 1.0")
+    assert list(tmp_path.iterdir()) == []
+
+
 SIM = ["simulate", "--engine", "spatial", "--samples", "4", "--rho", "1", "--seed", "5", "--reps", "2"]
 
 
@@ -563,6 +573,24 @@ def test_compare_checks_the_folder_a_link_writes_in(tmp_path, monkeypatch, capsy
         w / "link.csv", os.path.realpath(ro))
     assert captured.out == ""
     assert list(ro.iterdir()) == []
+
+
+class _FullDiskFile(io.StringIO):
+    """A file that opens but whose writes fail as on a full disk."""
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+def test_compare_names_its_csv_when_writing_it_fails(tmp_path, monkeypatch, capsys):
+    # the error comes from write, not open, so it carries no file name
+    monkeypatch.setattr(cli, "open", lambda *a, **k: _FullDiskFile(), raising=False)
+    out = tmp_path / "report.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["compare", "--samples", "3", "--reps", "10", "--threads", "1", "--out", str(out)])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "argsim: error: cannot write %s: No space left on device" % out)
 
 
 def test_compare_passes_on_matched_engines(tmp_path, capsys):

@@ -175,6 +175,22 @@ def test_parse_density():
         parse_density("uniform:junk")
 
 
+def test_parse_density_messages():
+    for spec, message in (
+        ("gauss", "unknown density 'gauss' (known: beta, uniform)"),
+        ("uniform:junk", "uniform density takes no parameters, got uniform:junk"),
+        ("beta:1", "beta density takes two shapes, e.g. beta:2,2"),
+    ):
+        with pytest.raises(ValueError) as exc:
+            parse_density(spec)
+        assert str(exc.value) == message
+
+
+def test_beta_pdf_is_zero_outside_the_open_unit_interval():
+    d = BetaDensity(0.5, 0.5)
+    assert [d.pdf(s) for s in (-0.5, 0.0, 1.0, 1.5)] == [0.0] * 4
+
+
 def test_spec_roundtrip():
     for d in (UniformDensity(), BetaDensity(2.0, 2.0), BetaDensity(0.5, 4.0)):
         assert parse_density(d.spec) == d

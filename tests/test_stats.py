@@ -31,7 +31,7 @@ from argsim.stats import (
     render_report_table,
     run_replicates,
 )
-from conftest import run_fresh, two_locus_moments
+from conftest import ks_two_sample_oracle, run_fresh, two_locus_moments
 
 
 def test_ks_two_sample_extremes():
@@ -99,6 +99,23 @@ def test_ks_two_sample_handles_ties():
     d, p = ks_two_sample(a, b)
     ref = scipy.stats.ks_2samp(a, b, method="asymp")
     assert d == pytest.approx(ref.statistic, abs=1e-12)
+
+
+def test_ks_two_sample_is_the_pooled_merge_to_the_bit():
+    # continuous, integer-valued, heavily tied and exponential samples,
+    # drawn independently for a and b so that ties across samples occur
+    rng = random.Random(27)
+    kinds = (
+        lambda: rng.random(),
+        lambda: float(rng.randrange(10)),
+        lambda: rng.choice((0.0, 0.5, 1.0)),
+        lambda: rng.expovariate(1.0),
+    )
+    for _ in range(10_000):
+        a_kind, b_kind = rng.choice(kinds), rng.choice(kinds)
+        a = [a_kind() for _ in range(rng.randint(1, 60))]
+        b = [b_kind() for _ in range(rng.randint(1, 60))]
+        assert repr(ks_two_sample(a, b)) == repr(ks_two_sample_oracle(a, b)), (a, b)
 
 
 def test_ks_null_rejection_rate():
