@@ -1,8 +1,8 @@
 """Command-line surface: simulate / validate / tree / compare.
 
-Exit codes: 0 success, 1 failed validation or failed comparison,
-2 usage or parse errors, a run expected to pass the event cap or stopped
-at it, or a tree asked of a log that fails clause (c), (d) or (e).
+Exit codes: 0 success, 1 failed validation or failed comparison, 2 a
+refusal: a usage or parse error, a run expected to pass the event cap or
+stopped at it, or a tree asked of a log that fails clause (c), (d) or (e).
 """
 
 from __future__ import annotations
@@ -37,8 +37,19 @@ from .stats import (
 )
 
 
+class _Refusal(Exception):
+    """Bad input, raised where it is found: main writes "kind: message" and returns 2."""
+    def __init__(self, message, kind="argsim: error"):
+        super().__init__("%s: %s" % (kind, message))
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # argparse's hook, also used by its subparsers
+        raise _Refusal(message, "%s: error" % self.prog)
+
+
 def build_parser():
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="argsim",
         description="Coalescent-with-recombination simulator with two independent engines.",
     )
@@ -91,7 +102,7 @@ _MANIFEST_FIELDS = (
 )
 
 
-def _simulate_settings(args, parser):
+def _simulate_settings(args):
     """Merge --from-manifest with explicit flags; explicit flags win."""
     settings = {
         "engine": "backintime", "samples": None, "rho": 0.0,
@@ -107,24 +118,24 @@ def _simulate_settings(args, parser):
             if "out" in man:
                 settings["out"] = _field(man, "out", (str,))
         except ArgParseError as exc:
-            parser.error("%s: %s" % (where, exc))
+            raise _Refusal("%s: %s" % (where, exc))
         except (OSError, ValueError) as exc:
-            parser.error("cannot read %s: %s" % (where, exc))
+            raise _Refusal("cannot read %s: %s" % (where, exc))
     for key in settings:
         value = getattr(args, key)
         if value is not None:
             settings[key] = value
     if settings["engine"] not in ENGINES:  # --engine has choices: the manifest's engine stands
-        parser.error("manifest %s: unknown engine %r" % (args.from_manifest, settings["engine"]))
+        raise _Refusal("manifest %s: unknown engine %r" % (args.from_manifest, settings["engine"]))
     if settings["samples"] is None:
-        parser.error("--samples is required (or use --from-manifest)")
+        raise _Refusal("--samples is required (or use --from-manifest)")
     if settings["out"] is None:
-        parser.error("--out is required (or use --from-manifest)")
+        raise _Refusal("--out is required (or use --from-manifest)")
     return settings
 
 
-def _check_out(path, parser):
-    """Exit 2 before any run when path cannot be written as a regular file.
+def _check_out(path):
+    """Refuse, before any run, a path that cannot be written as a regular file.
 
     A path that is, through symlinks, a FIFO or a device is refused: opening
     it may block, and a rename would replace it. The folder checked is the
@@ -133,17 +144,17 @@ def _check_out(path, parser):
     written.
     """
     if os.path.isdir(path):
-        parser.error("cannot write %s: it is a directory" % path)
+        raise _Refusal("cannot write %s: it is a directory" % path)
     real = os.path.realpath(path)
     if os.path.lexists(real) and not os.path.isfile(real):
-        parser.error("cannot write %s: not a regular file" % path)
+        raise _Refusal("cannot write %s: not a regular file" % path)
     folder = os.path.dirname(real)
     if not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
-        parser.error("cannot write %s: no writable directory %s" % (path, folder))
+        raise _Refusal("cannot write %s: no writable directory %s" % (path, folder))
 
 
-def _past_event_cap(n, rho):
-    """Whether a path expects more events than the cap; if so, says so.
+def _check_event_cap(n, rho):
+    """Refuse a run whose paths expect more events than the cap.
 
     A path has n - 1 coalescences and two events per breakpoint, and a
     mean Kingman tree length E[L] gives rho * E[L] / 2 breakpoints. E[L]
@@ -155,28 +166,26 @@ def _past_event_cap(n, rho):
     else:
         events = n - 1 + rho * kingman_expectations(n)[1]
         if events <= cap:
-            return False
+            return
         expected = "%.4g" % events
-    sys.stderr.write("error: a path is expected to take %s events, past the cap of %d"
-                     " (n=%d rho=%g)\n" % (expected, cap, n, rho))
-    return True
+    raise _Refusal("a path is expected to take %s events, past the cap of %d"
+                   " (n=%d rho=%g)" % (expected, cap, n, rho), "error")
 
 
-def cmd_simulate(args, parser):
-    s = _simulate_settings(args, parser)
+def cmd_simulate(args):
+    s = _simulate_settings(args)
     try:
         base = SimConfig(n_samples=s["samples"], rho=s["rho"], density=parse_density(s["density"]), seed=s["seed"])
     except ValueError as exc:
-        parser.error(str(exc))
+        raise _Refusal(str(exc))
     if s["reps"] < 1:
-        parser.error("--reps must be at least 1")
+        raise _Refusal("--reps must be at least 1")
     targets = (s["out"], s["out"] + ".manifest.json")
     for path in targets:
-        _check_out(path, parser)
+        _check_out(path)
     # writing through a symlink keeps the link and replaces its target
     renamed = [os.path.realpath(path) for path in targets]
-    if _past_event_cap(base.n_samples, base.rho):
-        return 2
+    _check_event_cap(base.n_samples, base.rho)
     salt = SALTS[s["engine"]]
     run = ENGINES[s["engine"]]
     manifest = {
@@ -203,8 +212,7 @@ def cmd_simulate(args, parser):
                 try:
                     arg = run(base.with_replicate(r))
                 except EventCapExceeded as exc:
-                    sys.stderr.write("error: replicate %d: %s\n" % (r, exc))
-                    return 2
+                    raise _Refusal("replicate %d: %s" % (r, exc), "error")
                 report = validate_arg(arg)
                 if not report.passed:
                     sys.stderr.write("engine produced an invalid event path (replicate %d):\n" % r)
@@ -220,7 +228,7 @@ def cmd_simulate(args, parser):
         for tmp, real, target in zip(staged, renamed, targets):
             os.replace(tmp, real)
     except OSError as exc:
-        parser.error("cannot write %s: %s" % (target, exc.strerror))
+        raise _Refusal("cannot write %s: %s" % (target, exc.strerror))
     finally:
         for tmp in staged:
             with contextlib.suppress(FileNotFoundError):
@@ -229,109 +237,100 @@ def cmd_simulate(args, parser):
     return 0
 
 
-def _each_log(path, parser, visit):
-    """visit(index, arg) on each event log of a file, in order.
+def _each_log(path, visit):
+    """The list of visit(index, arg) over the event logs of a file, in order.
 
-    Returns the list of results, or None after a one-line parse error, so
-    a caller prints nothing before the whole file has parsed. One log is
-    alive at a time: map keeps no reference to a log once visit returns,
-    and the reader builds the next one only then (a for loop's variable,
-    or enumerate's result, would hold the last log while the next is read).
+    A file that cannot be read or parsed is refused, so a caller prints
+    nothing before the whole file has parsed. One log is alive at a time:
+    map keeps no reference to a log once visit returns, and the reader
+    builds the next one only then (a for loop's variable, or enumerate's
+    result, would hold the last log while the next is read).
     """
     try:
         with open(path) as fh:
             return list(map(visit, itertools.count(), read_args(fh)))
     except OSError as exc:
-        parser.error(str(exc))
+        raise _Refusal(str(exc))
     except (ArgParseError, UnicodeDecodeError) as exc:
-        sys.stderr.write("parse error: %s\n" % exc)
-    return None
+        raise _Refusal(str(exc), "parse error")
 
 
 def _tag(idx, arg):
     return "replicate %d (seed %d, index %d)" % (idx, arg.config.seed, arg.config.replicate_index)
 
 
-def cmd_validate(args, parser):
+def cmd_validate(args):
     def check(idx, arg):
         report = validate_replayed(arg)
         if report.passed:
             return True, "%s: pass (%d events)" % (_tag(idx, arg), arg.event_count)
         return False, "%s: FAIL\n%s" % (_tag(idx, arg), report.render())
 
-    results = _each_log(args.path, parser, check)
-    if results is None:
-        return 2
+    results = _each_log(args.path, check)
     for _, text in results:
         print(text)
     return 0 if all(ok for ok, _ in results) else 1
 
 
-def cmd_tree(args, parser):
+def cmd_tree(args):
     if not (0.0 <= args.site < 1.0):
-        parser.error("--site must lie in [0,1)")
+        raise _Refusal("--site must lie in [0,1)")
 
     def draw(idx, arg):
-        """(error line or None, output lines) for one log."""
+        """The output lines of one log, or the refusal of a log that fails a clause."""
         report = validate_replayed(arg)
         if not report.passed:
             _, clause, message = report.violations[0]
-            return ("error: %s fails clause (%s): %s; run validate for details"
-                    % (_tag(idx, arg), clause, message)), []
+            return _Refusal("%s fails clause (%s): %s; run validate for details"
+                            % (_tag(idx, arg), clause, message), "error")
         tree = local_tree(arg, args.site)
         if args.format == "newick":
-            return None, [tree.newick()]
-        return None, ["time,partition"] + [
+            return [tree.newick()]
+        return ["time,partition"] + [
             "%s,%s" % (fmt_locus(t), "|".join(map(render_typeset, blocks))) for t, blocks in tree.levels
         ]
 
-    results = _each_log(args.path, parser, draw)
-    if results is None:
-        return 2
-    for error, _ in results:
-        if error is not None:
-            sys.stderr.write(error + "\n")
-            return 2
-    for idx, (_, lines) in enumerate(results):
+    results = _each_log(args.path, draw)
+    for refusal in (r for r in results if isinstance(r, _Refusal)):
+        raise refusal  # only once the whole file has parsed: a parse error comes first
+    for idx, lines in enumerate(results):
         if len(results) > 1:
             print("# replicate %d" % idx)
         print("\n".join(lines))
     return 0
 
 
-def cmd_compare(args, parser):
+def cmd_compare(args):
     try:
         # + 0.0 turns -0.0 into 0.0: one site, one row name
         sites = tuple(float(tok) + 0.0 for tok in args.sites.split(",") if tok.strip() != "")
     except ValueError:
-        parser.error("--sites must be a comma-separated list of numbers")
+        raise _Refusal("--sites must be a comma-separated list of numbers")
     if not sites:
-        parser.error("--sites must name at least one site")
+        raise _Refusal("--sites must name at least one site")
     names = ["%g" % s for s in sites]  # the report's row names
     if len(set(names)) < len(names):
-        parser.error("--sites names a site twice: %s" % ",".join(names))
+        raise _Refusal("--sites names a site twice: %s" % ",".join(names))
     for s in sites:
         if not (0.0 <= s < 1.0):
-            parser.error("site %g outside [0,1)" % s)
+            raise _Refusal("site %g outside [0,1)" % s)
     if not (0.0 < args.alpha <= 1.0):
-        parser.error("--alpha must lie in (0,1]")
+        raise _Refusal("--alpha must lie in (0,1]")
     if args.reps < 2:
-        parser.error("--reps must be at least 2")
+        raise _Refusal("--reps must be at least 2")
     if args.threads is not None and args.threads < 1:
-        parser.error("--threads must be at least 1")
+        raise _Refusal("--threads must be at least 1")
     try:
         density = parse_density(args.density)
         base = SimConfig(n_samples=args.samples, rho=args.rho, density=density, seed=args.seed)
     except ValueError as exc:
-        parser.error(str(exc))
-    _check_out(args.out, parser)
-    if _past_event_cap(base.n_samples, base.rho):
-        return 2
+        raise _Refusal(str(exc))
+    _check_out(args.out)
+    _check_event_cap(base.n_samples, base.rho)
     try:
         reports, _ = equivalence_report(base, args.reps, sites=sites, alpha=args.alpha, threads=args.threads)
     except EventCapExceeded as exc:
-        sys.stderr.write("error: %s\n" % exc)
-        return 2
+        raise _Refusal(str(exc), "error")
     print(render_report_table(reports))
     try:
         with open(args.out, "w") as fh:
@@ -339,16 +338,15 @@ def cmd_compare(args, parser):
             for r in reports:
                 fh.write(r.csv_row() + "\n")
     except OSError as exc:
-        parser.error("cannot write %s: %s" % (args.out, exc.strerror))
+        raise _Refusal("cannot write %s: %s" % (args.out, exc.strerror))
     print("report -> %s" % args.out)
     return 0 if all(r.passed for r in reports) else 1
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.run(args, parser)
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        args = build_parser().parse_args(argv)
+        return args.run(args)
+    except _Refusal as exc:
+        sys.stderr.write("%s\n" % exc)
+        return 2

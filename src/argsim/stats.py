@@ -173,6 +173,8 @@ def chi_square_two_sample(a, b):
 def mean_difference_z(a, b):
     """Two-sample z statistic for the mean difference: (z, p, se)."""
     na, nb = len(a), len(b)
+    if min(na, nb) < 2:
+        raise ValueError("mean difference needs at least 2 values per sample, got %d and %d" % (na, nb))
     ma = math.fsum(a) / na
     mb = math.fsum(b) / nb
     va = math.fsum((x - ma) ** 2 for x in a) / (na - 1)

@@ -1,10 +1,10 @@
 """Shared test helpers: fixture states, hand-built paths, random legal
-event walks, the known-broken engine, and oracles that recheck what the
+event walks, the known-broken engines, and oracles that recheck what the
 package asserts incrementally: the replay validator, the partial-graph
 invariants, the projection of a path at a site, the site tree read off
 every state, the segment-wise lineage operators, the label bitmasks
-built from label sets, a fresh interpreter to run a script in, and the
-exact two-locus chain."""
+built from label sets, a fresh interpreter to run a script in, the
+exact two-locus chain and the size law of the clade of labels 1 and 2."""
 
 import json
 import math
@@ -82,6 +82,31 @@ def smc_prime_mutant(monkeypatch):
             budget -= (hi - lo) * len(live)
 
     monkeypatch.setattr(argsim.spatial, "free_rise", rise)
+
+
+@pytest.fixture
+def pair_bias_mutant(monkeypatch):
+    """A spatial engine whose locus-0 tree joins labels 1 and 2 first too often.
+
+    The first merge of kingman_tree (k == n) takes ranks (0, 1), labels 1
+    and 2, whenever its index lies in the lower half of its range, so that
+    pair merges first in about half the paths, not in 1 of C(n, 2). The
+    first merge joins two leaves whatever pair it takes, so every tree keeps
+    its times and shape and every path stays legal: only labels are biased.
+    kingman_tree looks unrank_pair up as a spatial module global, and
+    backintime binds its own, so only spatial changes. The patch is undone
+    when the test ends.
+    """
+    unrank_pair = argsim.spatial.unrank_pair
+    last = [0]  # the previous call's k: one tree's merges call with k = n, n - 1, ..., 2
+
+    def biased(index, k):
+        first, last[0] = k >= last[0], k
+        if first and 2 * index < k * (k - 1) // 2:
+            return 0, 1
+        return unrank_pair(index, k)
+
+    monkeypatch.setattr(argsim.spatial, "unrank_pair", biased)
 
 
 def mask_of(labels):
@@ -546,3 +571,20 @@ def two_locus_moments(n, R):
     ett, p_same, ell = solve_exact(matrix, [tt, same, ll])
     start = index[(n, 0, 0)]
     return ett[start], p_same[start], ell[start]
+
+
+def pair_clade_size(merges):
+    """|c|, c the smallest clade holding labels 1 and 2: the first merge whose union holds both."""
+    return next((vi | vj).bit_count() for _, vi, vj in merges if (vi | vj) & 3 == 3)
+
+
+def pair_clade_law(n):
+    """{k: P(|c| = k)} for k = 2 .. n on a Kingman tree of n leaves, exactly.
+
+    2/(3(n-1)) for 2 <= k <= n-1 and (n+1)/(3(n-1)) at k = n. The k = 2
+    term is the chance that labels 1 and 2 form a cherry, from
+    E[#cherries] = n/3 (McKenzie & Steel 2000, Math Biosci 164:81).
+    """
+    law = {k: Fraction(2, 3 * (n - 1)) for k in range(2, n)}
+    law[n] = Fraction(n + 1, 3 * (n - 1))
+    return law

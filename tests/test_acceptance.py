@@ -1,4 +1,4 @@
-"""Acceptance battery: eleven numbered end-to-end criteria.
+"""Acceptance battery: twelve numbered end-to-end criteria.
 
 Each test prints one ``ACCEPTANCE <k>: PASS/FAIL`` line through the
 capture-disabled channel (so the lines land in plain test logs) and then
@@ -14,7 +14,7 @@ from fractions import Fraction
 import pytest
 from scipy.integrate import quad
 
-from argsim.arg import summary, validate_arg
+from argsim.arg import local_tree, summary, validate_arg
 from argsim.backintime import simulate_backintime, total_rate
 from argsim.cli import main
 from argsim.config import SimConfig
@@ -41,7 +41,7 @@ from argsim.stats import (
     render_report_table,
     run_replicates,
 )
-from conftest import check_invariants, lin, two_locus_moments
+from conftest import check_invariants, lin, pair_clade_law, pair_clade_size, two_locus_moments
 from test_backintime import three_lineage_fixture
 
 INF = float("inf")
@@ -329,3 +329,37 @@ def test_criterion_11_smc_prime_mutant_is_caught(smc_prime_mutant, monkeypatch, 
         "control z %+.2f, mutant T0.5 mean z %+.2f against Kingman (%.1f s)"
     ) % (want, z_mutant, z_control, z_height, elapsed)
     announce(capsys, 11, ok, detail)
+
+
+def pair_clade_p_values(simulate, n, sites):
+    """One-sample chi-square p of |c_s| against the Kingman law, per site, over 3000 paths at rho=1."""
+    cfg = SimConfig(n_samples=n, rho=1.0, density="uniform", seed=7)
+    counts = {s: [0] * (n - 1) for s in sites}
+    for r in range(3000):
+        arg = simulate(cfg.with_replicate(r))
+        for s in sites:
+            counts[s][pair_clade_size(local_tree(arg, s).merges) - 2] += 1
+    law = pair_clade_law(n)
+    return [chi_square(counts[s], [float(law[k]) for k in range(2, n + 1)])[1] for s in sites]
+
+
+def test_criterion_12_pair_clade_law(pair_bias_mutant, monkeypatch, capsys):
+    # every battery row is blind to labels. |c_s|, the size of the smallest
+    # clade holding labels 1 and 2 at site s, is not: the pair-bias mutant
+    # keeps every time and tree shape and fails it at both sites.
+    start = time.perf_counter()
+    ns, sites = (4, 5), (0.0, 0.5)
+    mutant = [p for n in ns for p in pair_clade_p_values(simulate_spatial, n, sites)]
+    monkeypatch.undo()  # the fixture patched through this monkeypatch: plain spatial from here
+    engines = {
+        name: [p for n in ns for p in pair_clade_p_values(simulate, n, sites)]
+        for name, simulate in (("backintime", simulate_backintime), ("spatial", simulate_spatial))
+    }
+    elapsed = time.perf_counter() - start
+    alpha = 0.001
+    ok = all(p > alpha for ps in engines.values() for p in ps) and all(p <= alpha for p in mutant)
+    detail = "|c_s| against P(|c| = k), N=4, 5 rho=1 sites 0, 0.5: %s; pair-bias mutant p %s <= %g (%.1f s)" % (
+        "; ".join("%s p %s" % (e, " ".join("%.3g" % p for p in ps)) for e, ps in engines.items()),
+        " ".join("%.3g" % p for p in mutant), alpha, elapsed,
+    )
+    announce(capsys, 12, ok, detail)

@@ -203,6 +203,42 @@ def test_only_rng_inverts_a_uniform_into_an_exponential():
     assert found == []
 
 
+def exit_sites(tree):
+    """(enclosing def's qualified name, node) per exit: SystemExit, sys.exit, .error(...), return 2.
+
+    The name is "" at module level and "Class.method" inside a method.
+    """
+    todo = [(tree, "")]
+    while todo:
+        node, where = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            where = "%s.%s" % (where, node.name) if where else node.name
+        if (isinstance(node, ast.Name) and node.id == "SystemExit"
+                or isinstance(node, ast.Attribute) and ast.unparse(node) == "sys.exit"
+                or isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "error"
+                or isinstance(node, ast.Return) and isinstance(node.value, ast.Constant) and node.value.value == 2):
+            yield where, node
+        todo.extend((child, where) for child in ast.iter_child_nodes(node))
+
+
+def test_only_cli_main_ends_a_run_with_exit_2():
+    # one way to refuse: a bad input raises the CLI's private refusal where
+    # it is found, and main alone writes its one line and returns 2. The
+    # parser's error hook raises the same refusal, so argparse's own usage
+    # text and SystemExit never show; __main__'s sys.exit(main()) is the
+    # entry point.
+    allowed = {("cli.py", "main"), ("__main__.py", "")}
+    found, reached = [], set()
+    for path in sorted(Path(argsim.__file__).parent.glob("*.py")):
+        for where, node in sorted(exit_sites(ast.parse(path.read_text(), str(path))), key=lambda s: s[1].lineno):
+            if (path.name, where) in allowed:
+                reached.add((path.name, where))
+            else:
+                found.append("%s:%d: %s" % (path.name, node.lineno, ast.unparse(node)))
+    assert found == []
+    assert reached == allowed  # the walk sees both
+
+
 def test_every_exported_name_resolves():
     missing = [name for name in argsim.__all__ if not hasattr(argsim, name)]
     assert missing == []

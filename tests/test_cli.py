@@ -28,10 +28,13 @@ from argsim.state import Coalesce, IllegalEventError, Recombine, State
 from conftest import build_arg, random_walk, run_fresh
 
 
-def test_version():
-    with pytest.raises(SystemExit) as exc:
-        main(["--version"])
-    assert exc.value.code == 0
+def test_version(capsys):
+    # --version and --help are no refusals: argparse exits 0 itself
+    for argv in (["--version"], ["--help"], ["simulate", "--help"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_simulate_writes_log_and_manifest(tmp_path):
@@ -124,51 +127,49 @@ def test_simulate_records_the_config_it_ran(tmp_path):
         (tmp_path / "first.log.manifest.json").read_text().replace("first.log", "second.log"))
 
 
-def test_simulate_requires_samples_and_out(tmp_path):
-    with pytest.raises(SystemExit) as exc:
-        main(["simulate", "--engine", "backintime", "--out", str(tmp_path / "x.log")])
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        main(["simulate", "--engine", "backintime", "--samples", "3"])
-    assert exc.value.code == 2
+def test_simulate_requires_samples_and_out(tmp_path, capsys):
+    assert main(["simulate", "--engine", "backintime", "--out", str(tmp_path / "x.log")]) == 2
+    assert capsys.readouterr().err.splitlines() == ["argsim: error: --samples is required (or use --from-manifest)"]
+    assert main(["simulate", "--engine", "backintime", "--samples", "3"]) == 2
+    assert capsys.readouterr().err.splitlines() == ["argsim: error: --out is required (or use --from-manifest)"]
 
 
 def test_simulate_rejects_bad_parameters(tmp_path, capsys):
     out = str(tmp_path / "x.log")
-    for argv in (
-        ["simulate", "--samples", "1", "--out", out],
-        ["simulate", "--samples", "3", "--rho", "-1", "--out", out],
-        ["simulate", "--samples", "3", "--rho", "inf", "--out", out],
-        ["simulate", "--samples", "3", "--density", "beta:0,1", "--out", out],
+    for flags, line in (
+        (["--samples", "1"], "need at least 2 samples, got 1"),
+        (["--samples", "3", "--rho", "-1"], "recombination rate must be finite and >= 0, got -1.0"),
+        (["--samples", "3", "--rho", "inf"], "recombination rate must be finite and >= 0, got inf"),
+        (["--samples", "3", "--density", "beta:0,1"], "beta shapes must be positive and finite, got 0.0, 1.0"),
         # Beta laws that pile mass on one float
-        ["simulate", "--samples", "3", "--rho", "5", "--density", "beta:1e-320,1", "--out", out],
-        ["simulate", "--samples", "3", "--rho", "5", "--density", "beta:1e300,1e300", "--out", out],
-        ["simulate", "--samples", "4", "--rho", "5", "--density", "beta:0.1,0.1", "--out", out],
-        ["simulate", "--samples", "4", "--rho", "5", "--density", "beta:0.3,0.3", "--out", out],
-        ["simulate", "--samples", "3", "--density", "nope", "--out", out],
-        ["simulate", "--samples", "3", "--density", "uniform:junk", "--out", out],
-        ["simulate", "--samples", "3", "--reps", "0", "--out", out],
+        (["--samples", "3", "--rho", "5", "--density", "beta:1e-320,1"],
+         "beta:1e-320,1 puts 1 of its mass on one float (at most 1e-06)"),
+        (["--samples", "3", "--rho", "5", "--density", "beta:1e300,1e300"],
+         "beta:1e300,1e300 puts 0.5 of its mass on one float (at most 1e-06)"),
+        (["--samples", "4", "--rho", "5", "--density", "beta:0.1,0.1"],
+         "beta:0.1,0.1 puts 0.013 of its mass on one float (at most 1e-06)"),
+        (["--samples", "4", "--rho", "5", "--density", "beta:0.3,0.3"],
+         "beta:0.3,0.3 puts 9.1e-06 of its mass on one float (at most 1e-06)"),
+        (["--samples", "3", "--density", "nope"], "unknown density 'nope' (known: beta, uniform)"),
+        (["--samples", "3", "--density", "uniform:junk"], "uniform density takes no parameters, got uniform:junk"),
+        (["--samples", "3", "--reps", "0"], "--reps must be at least 1"),
         # an unwritable --out stops before the first replicate runs
-        ["simulate", "--samples", "3", "--rho", "1", "--out", str(tmp_path / "missing" / "a.log")],
-        ["simulate", "--samples", "3", "--rho", "1", "--out", str(tmp_path)],
+        (["--samples", "3", "--rho", "1", "--out", str(tmp_path / "missing" / "a.log")],
+         "cannot write %s: no writable directory %s" % (
+             tmp_path / "missing" / "a.log", os.path.realpath(tmp_path / "missing"))),
+        (["--samples", "3", "--rho", "1", "--out", str(tmp_path)], "cannot write %s: it is a directory" % tmp_path),
     ):
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        assert exc.value.code == 2
+        assert main(["simulate", "--out", out] + flags) == 2
         captured = capsys.readouterr()
-        err = captured.err.splitlines()
-        assert [line for line in err if "error:" in line] == [err[-1]], argv
-        assert captured.out == "", argv
+        assert captured.err.splitlines() == ["argsim: error: " + line], flags
+        assert captured.out == "", flags
     assert list(tmp_path.iterdir()) == []
 
 
 def test_simulate_refuses_beta_shapes_too_large(tmp_path, capsys):
     # finite shapes whose log normalizer overflows
-    with pytest.raises(SystemExit) as exc:
-        main(["simulate", "--samples", "3", "--density", "beta:1e306,1", "--out", str(tmp_path / "x.log")])
-    assert exc.value.code == 2
-    assert capsys.readouterr().err.splitlines()[-1] == (
-        "argsim: error: beta shapes too large, got 1e+306, 1.0")
+    assert main(["simulate", "--samples", "3", "--density", "beta:1e306,1", "--out", str(tmp_path / "x.log")]) == 2
+    assert capsys.readouterr().err.splitlines() == ["argsim: error: beta shapes too large, got 1e+306, 1.0"]
     assert list(tmp_path.iterdir()) == []
 
 
@@ -188,11 +189,9 @@ def test_simulate_refuses_a_path_that_is_not_a_regular_file(tmp_path, capsys, ma
             os.symlink(fifo, named)
         else:
             os.mkfifo(named)
-        with pytest.raises(SystemExit) as exc:
-            main(SIM + ["--out", str(out)])
-        assert exc.value.code == 2
+        assert main(SIM + ["--out", str(out)]) == 2
         captured = capsys.readouterr()
-        assert captured.err.splitlines()[-1] == "argsim: error: cannot write %s: not a regular file" % named
+        assert captured.err.splitlines() == ["argsim: error: cannot write %s: not a regular file" % named]
         assert captured.out == ""
         assert os.path.islink(named) == link and stat.S_ISFIFO(os.stat(named).st_mode)
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted({"fifo", named.name})
@@ -261,13 +260,8 @@ def test_simulate_malformed_manifest_exits_2_with_one_line(tmp_path, capsys, man
     path = tmp_path / "run.log.manifest.json"
     path.write_text(json.dumps(manifest))
     out = tmp_path / "rerun.log"
-    with pytest.raises(SystemExit) as exc:
-        main(["simulate", "--from-manifest", str(path), "--out", str(out)])
-    assert exc.value.code == 2
-    err = capsys.readouterr().err.splitlines()
-    assert [line for line in err if "error:" in line] == [
-        "argsim: error: manifest %s: %s" % (path, message)
-    ]
+    assert main(["simulate", "--from-manifest", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == ["argsim: error: manifest %s: %s" % (path, message)]
     assert not out.exists()
 
 
@@ -275,11 +269,8 @@ def test_simulate_manifest_that_is_not_json_exits_2_with_one_line(tmp_path, caps
     path = tmp_path / "run.log.manifest.json"
     path.write_text("not json {")
     out = tmp_path / "rerun.log"
-    with pytest.raises(SystemExit) as exc:
-        main(["simulate", "--from-manifest", str(path), "--out", str(out)])
-    assert exc.value.code == 2
-    err = capsys.readouterr().err.splitlines()
-    assert [line for line in err if "error:" in line] == [
+    assert main(["simulate", "--from-manifest", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
         "argsim: error: cannot read manifest %s: Expecting value: line 1 column 1 (char 0)" % path
     ]
     assert not out.exists()
@@ -290,13 +281,9 @@ def test_simulate_manifest_that_is_not_json_exits_2_with_one_line(tmp_path, caps
     ["compare", "--samples", "3", "--reps", "10", "--seed", "-1", "--out", "run.csv"],
 ], ids=["simulate", "compare"])
 def test_negative_seed_exits_2_with_one_line(tmp_path, capsys, argv):
-    with pytest.raises(SystemExit) as exc:
-        main([str(tmp_path / a) if a.startswith("run.") else a for a in argv])
-    assert exc.value.code == 2
+    assert main([str(tmp_path / a) if a.startswith("run.") else a for a in argv]) == 2
     captured = capsys.readouterr()
-    assert [line for line in captured.err.splitlines() if "error:" in line] == [
-        "argsim: error: seed must be an unsigned 64-bit integer"
-    ]
+    assert captured.err.splitlines() == ["argsim: error: seed must be an unsigned 64-bit integer"]
     assert captured.out == ""
     assert list(tmp_path.iterdir()) == []
 
@@ -357,9 +344,10 @@ def test_validate_parse_error_exits_2(tmp_path, capsys):
     capsys.readouterr()
     assert main(["validate", str(binary)]) == 2
     assert capsys.readouterr().err.startswith("parse error: ")
-    with pytest.raises(SystemExit) as exc:
-        main(["validate", str(tmp_path / "missing.log")])
-    assert exc.value.code == 2
+    missing = tmp_path / "missing.log"
+    assert main(["validate", str(missing)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "argsim: error: [Errno 2] No such file or directory: %r" % str(missing)]
 
 
 @pytest.mark.parametrize("line, edit", [
@@ -529,14 +517,14 @@ def test_tree_on_a_log_that_never_absorbs_exits_2(tmp_path, capsys, timed_events
     assert "fails clause (%s): %s;" % first[1:] in err[0]
 
 
-def test_tree_rejects_bad_site(tmp_path):
+def test_tree_rejects_bad_site(tmp_path, capsys):
     path = tmp_path / "x.log"
     main(["simulate", "--engine", "backintime", "--samples", "2", "--rho", "0",
           "--seed", "0", "--reps", "1", "--out", str(path)])
+    capsys.readouterr()
     for site in ("1.0", "-0.1", "1.7"):
-        with pytest.raises(SystemExit) as exc:
-            main(["tree", str(path), "--site", site])
-        assert exc.value.code == 2
+        assert main(["tree", str(path), "--site", site]) == 2
+        assert capsys.readouterr().err.splitlines() == ["argsim: error: --site must lie in [0,1)"]
 
 
 def test_compare_refuses_a_path_that_is_not_a_regular_file(tmp_path, monkeypatch, capsys):
@@ -547,11 +535,9 @@ def test_compare_refuses_a_path_that_is_not_a_regular_file(tmp_path, monkeypatch
     os.mkfifo(fifo)
     os.symlink(fifo, tmp_path / "link.csv")
     for out in (fifo, tmp_path / "link.csv", os.devnull):
-        with pytest.raises(SystemExit) as exc:
-            main(["compare", "--samples", "3", "--reps", "10", "--threads", "1", "--out", str(out)])
-        assert exc.value.code == 2
+        assert main(["compare", "--samples", "3", "--reps", "10", "--threads", "1", "--out", str(out)]) == 2
         captured = capsys.readouterr()
-        assert captured.err.splitlines()[-1] == "argsim: error: cannot write %s: not a regular file" % out
+        assert captured.err.splitlines() == ["argsim: error: cannot write %s: not a regular file" % out]
         assert captured.out == ""
     assert stat.S_ISFIFO(os.stat(fifo).st_mode)
 
@@ -565,12 +551,10 @@ def test_compare_checks_the_folder_a_link_writes_in(tmp_path, monkeypatch, capsy
     w.mkdir()
     os.symlink(ro / "report.csv", w / "link.csv")
     refuse_folder(monkeypatch, ro)
-    with pytest.raises(SystemExit) as exc:
-        main(["compare", "--samples", "3", "--reps", "10", "--threads", "1", "--out", str(w / "link.csv")])
-    assert exc.value.code == 2
+    assert main(["compare", "--samples", "3", "--reps", "10", "--threads", "1", "--out", str(w / "link.csv")]) == 2
     captured = capsys.readouterr()
-    assert captured.err.splitlines()[-1] == "argsim: error: cannot write %s: no writable directory %s" % (
-        w / "link.csv", os.path.realpath(ro))
+    assert captured.err.splitlines() == ["argsim: error: cannot write %s: no writable directory %s" % (
+        w / "link.csv", os.path.realpath(ro))]
     assert captured.out == ""
     assert list(ro.iterdir()) == []
 
@@ -586,11 +570,8 @@ def test_compare_names_its_csv_when_writing_it_fails(tmp_path, monkeypatch, caps
     # the error comes from write, not open, so it carries no file name
     monkeypatch.setattr(cli, "open", lambda *a, **k: _FullDiskFile(), raising=False)
     out = tmp_path / "report.csv"
-    with pytest.raises(SystemExit) as exc:
-        main(["compare", "--samples", "3", "--reps", "10", "--threads", "1", "--out", str(out)])
-    assert exc.value.code == 2
-    assert capsys.readouterr().err.splitlines()[-1] == (
-        "argsim: error: cannot write %s: No space left on device" % out)
+    assert main(["compare", "--samples", "3", "--reps", "10", "--threads", "1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == ["argsim: error: cannot write %s: No space left on device" % out]
 
 
 def test_compare_passes_on_matched_engines(tmp_path, capsys):
@@ -635,32 +616,31 @@ def test_compare_alpha_one_fails_everything(tmp_path):
 def test_compare_rejects_bad_arguments(tmp_path, capsys):
     base = ["compare", "--samples", "3", "--reps", "10",
             "--out", str(tmp_path / "r.csv")]
-    for extra in (
-        ["--sites", "0.5,oops"],
-        ["--sites", ""],
-        ["--sites", "1.0"],
-        ["--sites", "0,0"],
-        ["--sites", "0,-0"],  # -0.0 == 0.0: one site named twice
-        ["--alpha", "0"],
-        ["--alpha", "1.5"],
-        ["--density", "beta:0,1"],
-        ["--density", "beta:0.15,0.15"],
-        ["--samples", "1"],
-        ["--reps", "0"],
-        ["--reps", "1"],
-        ["--threads", "0"],
-        ["--threads", "-4"],
-        ["--density", "uniform:junk"],
+    for extra, line in (
+        (["--sites", "0.5,oops"], "--sites must be a comma-separated list of numbers"),
+        (["--sites", ""], "--sites must name at least one site"),
+        (["--sites", "1.0"], "site 1 outside [0,1)"),
+        (["--sites", "0,0"], "--sites names a site twice: 0,0"),
+        (["--sites", "0,-0"], "--sites names a site twice: 0,0"),  # -0.0 == 0.0: one site named twice
+        (["--alpha", "0"], "--alpha must lie in (0,1]"),
+        (["--alpha", "1.5"], "--alpha must lie in (0,1]"),
+        (["--density", "beta:0,1"], "beta shapes must be positive and finite, got 0.0, 1.0"),
+        (["--density", "beta:0.15,0.15"], "beta:0.15,0.15 puts 0.0021 of its mass on one float (at most 1e-06)"),
+        (["--samples", "1"], "need at least 2 samples, got 1"),
+        (["--reps", "0"], "--reps must be at least 2"),
+        (["--reps", "1"], "--reps must be at least 2"),
+        (["--threads", "0"], "--threads must be at least 1"),
+        (["--threads", "-4"], "--threads must be at least 1"),
+        (["--density", "uniform:junk"], "uniform density takes no parameters, got uniform:junk"),
         # an unwritable --out stops before the battery runs
-        ["--out", str(tmp_path / "missing" / "c.csv")],
-        ["--out", str(tmp_path)],
+        (["--out", str(tmp_path / "missing" / "c.csv")],
+         "cannot write %s: no writable directory %s" % (
+             tmp_path / "missing" / "c.csv", os.path.realpath(tmp_path / "missing"))),
+        (["--out", str(tmp_path)], "cannot write %s: it is a directory" % tmp_path),
     ):
-        with pytest.raises(SystemExit) as exc:
-            main(base + extra)
-        assert exc.value.code == 2
+        assert main(base + extra) == 2
         captured = capsys.readouterr()
-        err = captured.err.splitlines()
-        assert [line for line in err if "error:" in line] == [err[-1]], extra
+        assert captured.err.splitlines() == ["argsim: error: " + line], extra
         assert captured.out == "", extra
 
 
@@ -741,6 +721,73 @@ def test_huge_samples_are_refused_at_once_with_one_line(tmp_path, capsys, n):
     assert list(tmp_path.iterdir()) == [manifest]
 
 
+# --- one refusal route: every exit 2 is one line, with no usage text ---------
+
+
+REFUSALS = [
+    pytest.param(["simulate", "--samples", "x"],
+                 "argsim simulate: error: argument --samples: invalid int value: 'x'", id="bad-int"),
+    pytest.param(["compare", "--samples", "3"],
+                 "argsim compare: error: the following arguments are required: --reps", id="missing-reps"),
+    pytest.param([], "argsim: error: the following arguments are required: command", id="no-command"),
+    pytest.param(["tree", "open.log", "--site", "0", "--format", "x"],
+                 "argsim tree: error: argument --format: invalid choice: 'x' (choose from 'newick', 'levels')",
+                 id="bad-format"),
+    pytest.param(["simulate", "--samples", "1", "--out", "r.log"],
+                 "argsim: error: need at least 2 samples, got 1", id="one-sample"),
+    pytest.param(["simulate", "--from-manifest", "bad.json", "--out", "r.log"],
+                 "argsim: error: manifest bad.json: missing 'n_samples'", id="malformed-manifest"),
+    pytest.param(["simulate", "--samples", "3", "--out", "missing/r.log"],
+                 "argsim: error: cannot write missing/r.log: no writable directory {tmp}/missing", id="unwritable-out"),
+    pytest.param(["validate", "missing.log"],
+                 "argsim: error: [Errno 2] No such file or directory: 'missing.log'", id="unreadable-log"),
+    pytest.param(["compare", "--samples", "3", "--reps", "10", "--sites", "0,-0", "--out", "r.csv"],
+                 "argsim: error: --sites names a site twice: 0,0", id="sites-twice"),
+    pytest.param(["simulate", "--samples", "3", "--rho", "1e300", "--out", "r.log"],
+                 "error: a path is expected to take 3e+300 events, past the cap of 10000000 (n=3 rho=1e+300)",
+                 id="cap-up-front"),
+    pytest.param(["simulate", "--samples", "3", "--rho", "1", "--seed", "4", "--out", "r.log"],
+                 "error: replicate 0: exceeded 1 events (n=3 rho=1)", id="cap-stop-simulate"),
+    pytest.param(["compare", "--samples", "3", "--rho", "1", "--seed", "4", "--reps", "10", "--threads", "1",
+                  "--out", "r.csv"],
+                 "error: exceeded 1 events (n=3 rho=1)", id="cap-stop-compare"),
+    pytest.param(["validate", "empty.log"], "parse error: empty stream: no event logs found", id="parse-error"),
+    pytest.param(["tree", "open.log", "--site", "0.5"],
+                 "error: replicate 0 (seed 4, index 0) fails clause (d): path does not end in the absorbing state;"
+                 " run validate for details", id="tree-clause-d"),
+]
+
+
+@pytest.mark.parametrize("argv, line", REFUSALS)
+def test_every_refusal_is_exit_2_and_one_line(tmp_path, monkeypatch, capsys, argv, line):
+    # argparse's own errors take the same route as the commands' refusals.
+    # backintime runs capped at one event in every row: only the cap-stop
+    # rows get as far as running it.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.json").write_text(json.dumps({"engine": "backintime"}))
+    (tmp_path / "empty.log").write_text("")
+    with open(tmp_path / "open.log", "w") as fh:
+        write_arg(_unfinished(SimConfig(n_samples=3, rho=1.0, seed=4)), fh)
+    monkeypatch.setitem(stats.ENGINES, "backintime", capped_backintime)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == line.format(tmp=os.path.realpath(tmp_path)) + "\n"
+    assert captured.out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json", "empty.log", "open.log"]
+
+
+def test_tree_reports_a_parse_error_before_a_log_that_fails_a_clause(tmp_path, capsys):
+    # the clause of log 0 is read before log 1 fails to parse, but the
+    # whole file is parsed before any log is refused
+    path = tmp_path / "two.log"
+    with open(path, "w") as fh:
+        write_arg(_unfinished(SimConfig(n_samples=3, rho=1.0, seed=4)), fh)
+        fh.write("not json\n")
+    assert main(["tree", str(path), "--site", "0.5"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("parse error: line "), err
+
+
 # --- streaming: one replicate alive at a time, and nothing half written ------
 
 
@@ -784,14 +831,10 @@ def test_failed_run_leaves_no_partial_output(tmp_path, monkeypatch, capsys, exis
     monkeypatch.setitem(stats.ENGINES, "backintime", lambda config: (
         failing if config.replicate_index == 1 else simulate_backintime)(config))
     monkeypatch.setattr(cli, "write_arg", writer)
-    try:
-        rc = main(_simulate_argv(out))
-    except SystemExit as exc:
-        rc = exc.code
-    assert rc == code
+    assert main(_simulate_argv(out)) == code
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.splitlines()[-len(err):] == [line.format(out=out) for line in err]
+    assert captured.err.splitlines() == [line.format(out=out) for line in err]
     assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
 
 

@@ -5,6 +5,7 @@ scipy.stats.ks_2samp serve as independent oracles) and against its own
 advertised operating characteristics via meta-trials.
 """
 
+import itertools
 import math
 import random
 import statistics
@@ -31,7 +32,7 @@ from argsim.stats import (
     render_report_table,
     run_replicates,
 )
-from conftest import ks_two_sample_oracle, run_fresh, two_locus_moments
+from conftest import ks_two_sample_oracle, pair_clade_law, run_fresh, two_locus_moments
 
 
 def test_ks_two_sample_extremes():
@@ -253,6 +254,24 @@ def test_mean_difference_z():
     assert (z, p) == (0.0, 1.0)
 
 
+@pytest.mark.parametrize("a, b, sizes", [
+    ([1.0], [2.0, 3.0], "1 and 2"),
+    ([], [1.0, 2.0], "0 and 2"),
+    ([1.0, 2.0], [3.0], "2 and 1"),
+])
+def test_mean_difference_z_needs_two_values_per_sample(a, b, sizes):
+    # a sample variance divides by n - 1
+    with pytest.raises(ValueError) as exc:
+        mean_difference_z(a, b)
+    assert str(exc.value) == "mean difference needs at least 2 values per sample, got %s" % sizes
+
+
+def test_equivalence_report_of_one_replicate_is_a_value_error():
+    with pytest.raises(ValueError) as exc:
+        equivalence_report(SimConfig(n_samples=3, rho=1.0, seed=5), 1, threads=1)
+    assert str(exc.value) == "mean difference needs at least 2 values per sample, got 1 and 1"
+
+
 def test_kingman_expectations_closed_form():
     assert kingman_expectations(2) == (1.0, 2.0)
     t6, l6 = kingman_expectations(6)
@@ -357,6 +376,31 @@ def test_two_locus_chain_without_recombination_is_one_kingman_tree():
     # T = sum of Exp(C(k, 2)) and L = sum of k Exp(C(k, 2)), k = 2 .. 4:
     # E[T^2] = 41/36 + (3/2)^2 and E[L^2] = 4 (1 + 1/4 + 1/9) + (11/3)^2
     assert two_locus_moments(4, 0) == (Fraction(61, 18), 1, Fraction(170, 9))
+
+
+def enumerate_pair_clade(blocks):
+    """{|c|: probability} over every Kingman merge order from blocks, exactly.
+
+    Each step joins one of the C(k, 2) pairs of the k blocks, all equally
+    likely; c is the first joined block holding labels 1 and 2.
+    """
+    law = {}
+    pairs = list(itertools.combinations(range(len(blocks)), 2))
+    for i, j in pairs:
+        merged = blocks[i] | blocks[j]
+        if merged & 3 == 3:
+            tail = {merged.bit_count(): Fraction(1)}
+        else:
+            tail = enumerate_pair_clade([b for m, b in enumerate(blocks) if m not in (i, j)] + [merged])
+        for size, p in tail.items():
+            law[size] = law.get(size, 0) + p / len(pairs)
+    return law
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_pair_clade_law_matches_every_labelled_history(n):
+    assert enumerate_pair_clade([1 << j for j in range(n)]) == pair_clade_law(n)
+    assert sum(pair_clade_law(n).values()) == 1
 
 
 def test_equivalence_report_null_battery():
