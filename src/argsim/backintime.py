@@ -14,6 +14,7 @@ to the active interval. Each event is checked by SimConfig.check_event_cap.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 from .arg import Arg
@@ -21,7 +22,7 @@ from .rng import SALTS, replicate_rng, unrank_pair
 from .state import Coalesce, Recombine, State
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)  # not frozen: a frozen one is costly to build, once per event
 class RateBreakdown:
     coal_rate: float
     recomb_rates: tuple
@@ -29,33 +30,19 @@ class RateBreakdown:
 
 
 def total_rate(state, rho, density):
-    """Exact rate components for the current state.
+    """Exact rate components for the current state, every rank weighed from scratch.
 
-    Lineages are shared between consecutive states, so each keeps the mass
-    of the last active interval it was weighed on (``Lineage.mass``, with
-    the density and interval it belongs to). density.mass runs only for a
-    new interval: a created lineage, or rank 0 when its interval moves.
-    The intervals are read through State.active_intervals, and the sum
-    runs over the same floats in the same order as without the cache.
+    Rank r weighs rho/2 times density.mass over its active interval, read
+    through State.active_intervals; an empty interval weighs 0. The engine
+    weighs only its start state this way and then keeps the weights itself
+    (see simulate_backintime).
     """
     k = len(state.lineages)
     if k <= 1:
         return RateBreakdown(0.0, (), 0.0)
     coal = k * (k - 1) / 2.0
-    if rho > 0.0:
-        half_rho = 0.5 * rho
-        recomb = []
-        for lin, (b, e) in zip(state.lineages, state.active_intervals()):
-            if b < e:
-                kept = lin.mass
-                if kept is None or kept[0] is not density or kept[1] != b or kept[2] != e:
-                    kept = lin.mass = (density, b, e, density.mass(b, e))
-                recomb.append(half_rho * kept[3])
-            else:
-                recomb.append(0.0)
-        recomb = tuple(recomb)
-    else:
-        recomb = (0.0,) * k
+    half_rho = 0.5 * rho
+    recomb = tuple(half_rho * density.mass(b, e) if b < e else 0.0 for b, e in state.active_intervals())
     return RateBreakdown(coal, recomb, coal + math.fsum(recomb))
 
 
@@ -94,21 +81,50 @@ def sample_event(state, rates, density, rng):
 
 
 def simulate_backintime(config):
-    """Run one full simulation from singletons to the absorbing state."""
+    """Run one full simulation from singletons to the absorbing state.
+
+    The start state is weighed once with total_rate. By the rank lemma (see
+    State.check_step) an event changes at most two ranks' weights, so only
+    those are weighed again, through a per-path dict of density.cdf at 0, 1
+    and each locus drawn. Each weight is the float total_rate gives, so
+    sample_event gets total_rate's rates.
+    """
     rng = replicate_rng(config.seed, config.replicate_index, SALTS["backintime"])
     initial = state = State.initial(config.n_samples)
     rho, density = config.rho, config.density
+    rates = total_rate(state, rho, density)
+    weights = list(rates.recomb_rates)
+    # every active interval ends at 0, 1 or a locus drawn on this path
+    cdf = {0.0: density.cdf(0.0), 1.0: density.cdf(1.0)}
+    half_rho = 0.5 * rho
+
+    def weight(r):
+        b, e = state.active_interval(r)
+        return half_rho * max(0.0, cdf[e] - cdf[b])
+
     t = 0.0
     times = []
     events = []
     states = []
-    while not state.is_absorbed:
-        rates = total_rate(state, rho, density)
+    while True:
         t += sample_waiting_time(rates, rng)
         event = sample_event(state, rates, density, rng)
-        state = state.apply(event)
+        prev, state = state, state.apply(event)
         times.append(t)
         events.append(event)
         states.append(state)
         config.check_event_cap(len(events))
-    return Arg(config, times, events, states, initial)
+        if state.is_absorbed:
+            return Arg(config, times, events, states, initial)
+        i = event.i
+        if isinstance(event, Coalesce):
+            del weights[event.j]
+        else:
+            cdf[event.locus] = density.cdf(event.locus)
+            # the upper part's rank p: new[q] is old[q] exactly for i < q < p
+            p = i + 1 + sum(map(operator.is_, state.lineages[i + 1:], prev.lineages[i + 1:]))
+            weights.insert(p, weight(p))
+        weights[i] = weight(i)
+        k = len(weights)
+        coal = k * (k - 1) / 2.0
+        rates = RateBreakdown(coal, tuple(weights), coal + math.fsum(weights))

@@ -158,24 +158,21 @@ def _check_event_cap(n, rho):
 
     A path has n - 1 coalescences and two events per breakpoint, and a
     mean Kingman tree length E[L] gives rho * E[L] / 2 breakpoints. E[L]
-    costs O(n) and n may not fit a float, so n - 1 is weighed first.
+    costs O(n), and SimConfig has already bounded n.
     """
     cap = config.DEFAULT_EVENT_CAP
-    if n - 1 > cap:
-        expected = "at least n - 1"
-    else:
-        events = n - 1 + rho * kingman_expectations(n)[1]
-        if events <= cap:
-            return
-        expected = "%.4g" % events
-    raise _Refusal("a path is expected to take %s events, past the cap of %d"
-                   " (n=%d rho=%g)" % (expected, cap, n, rho), "error")
+    events = n - 1 + rho * kingman_expectations(n)[1]
+    if events > cap:
+        raise _Refusal("a path is expected to take %.4g events, past the cap of %d"
+                       " (n=%d rho=%g)" % (events, cap, n, rho), "error")
 
 
 def cmd_simulate(args):
     s = _simulate_settings(args)
     try:
         base = SimConfig(n_samples=s["samples"], rho=s["rho"], density=parse_density(s["density"]), seed=s["seed"])
+    except EventCapExceeded as exc:
+        raise _Refusal(str(exc), "error")
     except ValueError as exc:
         raise _Refusal(str(exc))
     if s["reps"] < 1:
@@ -323,6 +320,8 @@ def cmd_compare(args):
     try:
         density = parse_density(args.density)
         base = SimConfig(n_samples=args.samples, rho=args.rho, density=density, seed=args.seed)
+    except EventCapExceeded as exc:
+        raise _Refusal(str(exc), "error")
     except ValueError as exc:
         raise _Refusal(str(exc))
     _check_out(args.out)

@@ -4,6 +4,9 @@ A path may take at most DEFAULT_EVENT_CAP events; SimConfig.check_event_cap
 is the one rule that enforces it. Both engines, the log reader's header
 check and the CLI's up-front estimate read the cap when they run, so
 patching it here caps them all, and neither engine imports the other.
+
+SimConfig refuses more than MAX_SAMPLES samples when it is built, so a
+flag, a manifest and a log header all meet that bound before any state.
 """
 
 from __future__ import annotations
@@ -15,9 +18,14 @@ from .density import UniformDensity, parse_density
 
 DEFAULT_EVENT_CAP = 10_000_000
 
+# A path holds its states: at rho=0, rank tuples of n, n - 1, ..., 1
+# lineages, about 4 n^2 bytes (400 MB at the bound, 41 MB at n=3200), plus
+# about n^2 / 16 bytes of label bitmasks.
+MAX_SAMPLES = 10_000
+
 
 class EventCapExceeded(RuntimeError):
-    """A simulation ran past the hard event cap."""
+    """A simulation ran, or would run, past the hard event cap."""
 
 
 @dataclass(frozen=True)
@@ -52,6 +60,12 @@ class SimConfig:
             raise ValueError("seed must be an unsigned 64-bit integer")
         if self.replicate_index < 0:
             raise ValueError("replicate_index must be nonnegative")
+        if self.n_samples > MAX_SAMPLES:
+            if self.n_samples - 1 > DEFAULT_EVENT_CAP:  # its coalescences alone pass the cap
+                raise EventCapExceeded("a path is expected to take at least n - 1 events, past the cap of %d"
+                                       " (n=%d rho=%g)" % (DEFAULT_EVENT_CAP, self.n_samples, self.rho))
+            raise ValueError("need at most %d samples, got %d: a path's states take about 4 n^2 bytes"
+                             % (MAX_SAMPLES, self.n_samples))
 
     def with_replicate(self, r):
         return SimConfig(self.n_samples, self.rho, self.density, self.seed, r)

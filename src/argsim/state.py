@@ -52,16 +52,16 @@ class Lineage:
     only for canonical lineages. union, split, constant and the spatial
     splice's revalued and carried material build only canonical lineages.
 
-    ``mass`` is left to the back-in-time engine: the recombination mass of
-    the last active interval it weighed the lineage on (see total_rate).
+    A lineage carries no engine field: the back-in-time engine keeps its
+    recombination weights per rank, beside the state (see
+    simulate_backintime).
     """
 
-    __slots__ = ("breaks", "vals", "start", "start_min", "end", "mass")
+    __slots__ = ("breaks", "vals", "start", "start_min", "end")
 
     def __init__(self, breaks, vals):
         self.breaks = breaks
         self.vals = vals
-        self.mass = None
         if vals == (0,):  # empty everywhere; never stored in a State
             self.start = self.start_min = self.end = None
             return
@@ -206,19 +206,25 @@ class State:
     def is_absorbed(self):
         return len(self.lineages) == 1
 
-    def active_intervals(self):
-        """Per-rank (b, e): the open interval where splitting is legal.
+    def active_interval(self, i):
+        """(b, e) of rank i: the open interval where splitting is legal.
 
         For ranks >= 1 this is (support start, support end). The first rank
         is special: its interval only begins once its value differs from the
         full label set, so the shared ancestral prefix cannot be split off.
-        Intervals with b >= e are empty and carry no recombination weight.
+        This is the one place that rule lives. An interval with b >= e is
+        empty and carries no recombination weight.
         """
+        lin = self.lineages[i]
+        if i:
+            return lin.start, lin.end
+        # a canonical value that is the full set changes at the first break
+        return (0.0 if lin.vals[0] != full_set(self.n) else (lin.breaks or (1.0,))[0]), lin.end
+
+    def active_intervals(self):
+        """Every rank's active_interval, in rank order; built once per state."""
         if self._intervals is None:
-            first = self.lineages[0]
-            # a canonical value that is the full set changes at the first break
-            b = 0.0 if first.vals[0] != full_set(self.n) else (first.breaks or (1.0,))[0]
-            out = [(b, first.end)]
+            out = [self.active_interval(0)]
             out += [(lin.start, lin.end) for lin in self.lineages[1:]]
             self._intervals = tuple(out)
         return self._intervals

@@ -5,7 +5,7 @@ import math
 import pytest
 from scipy.integrate import quad
 
-from argsim import config
+from argsim import backintime, config
 from argsim.backintime import (
     sample_event,
     sample_waiting_time,
@@ -15,7 +15,7 @@ from argsim.backintime import (
 from argsim.config import EventCapExceeded, SimConfig
 from argsim.density import BetaDensity, UniformDensity
 from argsim.rng import SimRng
-from argsim.state import Coalesce, Recombine, State
+from argsim.state import Coalesce, Recombine, State, full_set
 from argsim.stats import ks_one_sample
 from conftest import lin
 
@@ -71,24 +71,92 @@ def test_rate_three_lineage_beta_vs_quadrature():
 def test_rate_r1_disabled_unfreezes_prefix(request):
     # the deliberate mutant treats the first-ranked lineage like the rest,
     # so its whole support (0, 1) regains recombination weight; the fixture
-    # state checks its real intervals, so it is built before the patch
+    # checks its real intervals before the patch, and a state caches them,
+    # so the mutant weighs a fresh state of the same lineages
     x = three_lineage_fixture()
     request.getfixturevalue("r1_mutant")
-    rates = total_rate(x, 2.0, UNIFORM)
+    rates = total_rate(State(3, x.lineages), 2.0, UNIFORM)
     assert rates.recomb_rates == pytest.approx((1.0, 0.7, 0.4), rel=1e-12)
     assert rates.total == pytest.approx(5.1, rel=1e-12)
 
 
-def test_kept_mass_follows_the_density_and_the_interval(request):
-    # a lineage keeps the mass of one density on one interval; weighing it
-    # under another density, or on another interval, computes it again
+def test_total_rate_follows_the_density_and_the_interval(request):
+    # one state weighed under one density, then another, then the first
+    # again: each weighing reads its own density; rank 0's interval
+    # follows the shared-prefix rule in force when the state is built
     x = three_lineage_fixture()
     beta = BetaDensity(2.0, 2.0)
     assert total_rate(x, 2.0, UNIFORM).recomb_rates == pytest.approx((0.7, 0.7, 0.4), rel=1e-12)
     assert total_rate(x, 2.0, beta).recomb_rates == pytest.approx((0.784, 0.784, 0.352), rel=1e-12)
     assert total_rate(x, 2.0, UNIFORM).recomb_rates == pytest.approx((0.7, 0.7, 0.4), rel=1e-12)
     request.getfixturevalue("r1_mutant")  # rank 0's interval becomes (0, 1)
-    assert total_rate(x, 2.0, UNIFORM).recomb_rates == pytest.approx((1.0, 0.7, 0.4), rel=1e-12)
+    assert total_rate(State(3, x.lineages), 2.0, UNIFORM).recomb_rates == pytest.approx((1.0, 0.7, 0.4), rel=1e-12)
+
+
+def record_rates(monkeypatch):
+    """Record the (state, rates) of every event sample_event draws.
+
+    simulate_backintime looks sample_event up as a module global, so the
+    recorder sees exactly what the engine passes it.
+    """
+    seen = []
+    draw = backintime.sample_event
+
+    def recording(state, rates, density, rng):
+        seen.append((state, rates))
+        return draw(state, rates, density, rng)
+
+    monkeypatch.setattr(backintime, "sample_event", recording)
+    return seen
+
+
+RATE_GRID = [
+    (n, rho, density, seed)
+    for n in (2, 3, 5, 20, 60)
+    for rho in (0.0, 0.5, 4.0, 15.0)
+    for density in ("uniform", "beta:2,2", "beta:0.5,0.5")
+    for seed in range(3)
+]
+
+
+def assert_kept_rates_are_total_rate(seen, rho, density):
+    for state, rates in seen:
+        want = total_rate(state, rho, density)
+        assert rates.coal_rate == want.coal_rate
+        assert rates.recomb_rates == want.recomb_rates
+        assert rates.total == want.total
+
+
+def test_kept_rates_equal_total_rate_at_every_event(monkeypatch):
+    # the engine weighs the start state with total_rate and then only the
+    # ranks an event touches; every event's rates must still be exactly
+    # (==, not approx) total_rate's of the state it draws from
+    seen = record_rates(monkeypatch)
+    events = recombinations = 0
+    for n, rho, density, seed in RATE_GRID:
+        seen.clear()
+        cfg = SimConfig(n_samples=n, rho=rho, density=density, seed=seed)
+        arg = simulate_backintime(cfg)
+        assert len(seen) == arg.event_count
+        assert_kept_rates_are_total_rate(seen, cfg.rho, cfg.density)
+        events += arg.event_count
+        recombinations += sum(isinstance(ev, Recombine) for ev in arg.events)
+    assert recombinations > 1000 and events > 3000, (recombinations, events)
+
+
+def test_kept_rates_equal_total_rate_under_the_r1_mutant(monkeypatch, r1_mutant):
+    # the mutant moves rank 0's interval in both the kept weights and
+    # total_rate, through the one rank-0 rule
+    seen = record_rates(monkeypatch)
+    moved = 0
+    for n, rho, density, seed in [(n, 2.0, d, s) for n in (2, 3, 5, 20) for d in ("uniform", "beta:2,2") for s in range(3)]:
+        seen.clear()
+        cfg = SimConfig(n_samples=n, rho=rho, density=density, seed=seed)
+        simulate_backintime(cfg)
+        assert_kept_rates_are_total_rate(seen, cfg.rho, cfg.density)
+        # where rank 0 holds a shared prefix, the mutant's weight differs
+        moved += sum(state.lineages[0].vals[0] == full_set(n) for state, _ in seen)
+    assert moved > 50
 
 
 def test_mass_is_weighed_once_per_lineage(monkeypatch):
@@ -101,6 +169,37 @@ def test_mass_is_weighed_once_per_lineage(monkeypatch):
         held = {id(l) for state in (arg.initial,) + arg.states for l in state.lineages}
         assert arg.event_count > 20
         assert len(calls) <= len(held) <= arg.n_samples + 2 * arg.event_count
+
+
+def test_a_path_reads_each_cdf_value_once_and_builds_few_interval_tuples(monkeypatch):
+    # work guards: weighing only the touched ranks must not quietly go back
+    # to weighing every rank per event. The start state costs 2 CDF reads
+    # per lineage, the per-path CDF dict one per end (0 and 1) and per
+    # locus, and each truncated draw two. The all-rank interval tuple is
+    # built for the start state and for each state a recombination is
+    # drawn from
+    calls = [0]
+    cdf = BetaDensity.cdf
+    monkeypatch.setattr(BetaDensity, "cdf", lambda self, s: calls.__setitem__(0, calls[0] + 1) or cdf(self, s))
+    built = [0]
+    intervals = State.active_intervals
+
+    def counting(self):
+        built[0] += self._intervals is None
+        return intervals(self)
+
+    monkeypatch.setattr(State, "active_intervals", counting)
+    recombinations = 0
+    for seed in range(3):
+        base = SimConfig(n_samples=20, rho=15.0, density="beta:2,2", seed=seed)
+        for r in range(30):
+            calls[0] = built[0] = 0
+            arg = simulate_backintime(base.with_replicate(r))
+            loci = [ev.locus for ev in arg.events if isinstance(ev, Recombine)]
+            assert calls[0] <= 2 * arg.n_samples + 2 + len(set(loci)) + 2 * len(loci)
+            assert built[0] <= len(loci) + 1
+            recombinations += len(loci)
+    assert recombinations > 5000
 
 
 def test_rate_only_prefix_is_frozen():

@@ -721,6 +721,49 @@ def test_huge_samples_are_refused_at_once_with_one_line(tmp_path, capsys, n):
     assert list(tmp_path.iterdir()) == [manifest]
 
 
+def test_samples_past_the_admission_bound_are_refused_before_any_state(tmp_path, monkeypatch, capsys):
+    # n=10^6 passes the event cap (n - 1 <= cap), but its states would take
+    # tens of GB: SimConfig refuses it, so a flag, a manifest and a log
+    # header all exit 2 with one line before State.initial runs
+    n = 10 ** 6
+
+    def no_state(cls, n):
+        raise AssertionError("State.initial(%d) reached" % n)
+
+    log = tmp_path / "small.log"
+    assert main(["simulate", "--samples", "3", "--rho", "1", "--out", str(log)]) == 0
+    header, rest = log.read_text().split("\n", 1)
+    big = tmp_path / "big.log"
+    big.write_text(json.dumps(dict(json.loads(header), n_samples=n)) + "\n" + rest)
+    manifest = tmp_path / "run.manifest.json"
+    manifest.write_text(json.dumps(dict(GOOD_MANIFEST, n_samples=n)))
+    before = sorted(tmp_path.iterdir())
+    capsys.readouterr()
+    monkeypatch.setattr(State, "initial", classmethod(no_state))
+    bound = "need at most %d samples, got %d: a path's states take about 4 n^2 bytes" % (config_module.MAX_SAMPLES, n)
+    out = str(tmp_path / "r.log")
+    for argv, line in (
+        (["simulate", "--samples", str(n), "--rho", "0", "--out", out], "argsim: error: " + bound),
+        (["simulate", "--from-manifest", str(manifest), "--out", out], "argsim: error: " + bound),
+        (["compare", "--samples", str(n), "--reps", "10", "--out", str(tmp_path / "r.csv")], "argsim: error: " + bound),
+        (["validate", str(big)], "parse error: line 1: bad header: " + bound),
+        (["tree", str(big), "--site", "0.5"], "parse error: line 1: bad header: " + bound),
+    ):
+        start = time.perf_counter()
+        assert main(argv) == 2
+        assert time.perf_counter() - start < 2.0
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [line] and captured.out == "", argv
+    assert sorted(tmp_path.iterdir()) == before
+
+
+def test_the_admission_bound_is_a_config_rule():
+    assert config_module.MAX_SAMPLES >= 3 * 3200  # the benchmark's largest n runs
+    SimConfig(n_samples=config_module.MAX_SAMPLES)
+    with pytest.raises(ValueError, match=r"^need at most \d+ samples, got \d+: "):
+        SimConfig(n_samples=config_module.MAX_SAMPLES + 1)
+
+
 # --- one refusal route: every exit 2 is one line, with no usage text ---------
 
 

@@ -37,6 +37,11 @@ GRID = list(itertools.product(
     # whose numeric order is not their text order
     ("backintime", "uniform", 70, 2),
     ("spatial", "uniform", 70, 2),
+    # many lineages at once, where the kept per-rank weights and a
+    # reweighing of every rank differ most
+    ("backintime", "beta:2,2", 200, 5),
+    # loci near 0 and 1, which key the per-path CDF dict
+    ("backintime", "beta:0.5,0.5", 20, 15),
 ]
 
 # sha256 of each cell's log, as written by `argsim simulate`
@@ -52,6 +57,8 @@ PINNED = {
     "backintime beta:2,2 n=20 rho=15": "c9e43981cb532e96a552348fca8397bcb9aae7c52dac486b8958dbb2e450e504",
     "backintime uniform n=20 rho=30": "872c215982632c768bf2b2ee68f60f1fb714c8674fe319b02a18a37e9681f442",
     "backintime uniform n=70 rho=2": "7456862b1fdde772e303447d14a6bd904c88c4f65bc3397160ef8b922f862995",
+    "backintime beta:2,2 n=200 rho=5": "1d5d757560de7f79df4994eb3fe3bc9c345e9501354d042a00e163f12daac2d4",
+    "backintime beta:0.5,0.5 n=20 rho=15": "ad424a969fdf05c997abd2eb5a2ebcf137c19f6e8f52a71d456f5f0af19f98b9",
     "spatial uniform n=3 rho=1": "31993982e36e7d702a6e26fe324e204d0ac07ebd768998fd71afb87fdb90945d",
     "spatial uniform n=3 rho=4": "70e21bb48835be400e19e2008347c9e740525f72b1cdeea87f477c49460c063b",
     "spatial uniform n=8 rho=1": "63c909491d8b01ad68bf8cb25f7b58267791b5c1b47d305769e20d91ed3d7d30",
