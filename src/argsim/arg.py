@@ -12,7 +12,11 @@ engine output against its event without redoing it (State.check_step).
 The serialized form is events-only. Reading a stream is lazy: replaying
 each event as its line is parsed derives a read log's states, the final
 one is checked against the trailer's checksum, and the logs are yielded
-one at a time, so a reader that drops each log holds one replicate.
+one at a time, so a reader that drops each log holds one replicate. An
+event line in the form arg_to_lines writes is read by one compiled match
+(_canonical_event). Headers, trailers, any other line and any event whose
+replay fails go through the JSON route (_decode and _field), the one
+place a line is diagnosed.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ import hashlib
 import heapq
 import json
 import math
+import re
 from dataclasses import dataclass, field
 
 from . import config
@@ -396,6 +401,17 @@ def _iter_logs(fp):
         raw = raw.strip()
         if not raw:
             continue
+        step = cfg is not None and _canonical_event(raw, len(events))
+        if step:
+            try:
+                state = state.apply(step[1])
+            except IllegalEventError:
+                pass  # the JSON route below names the error
+            else:
+                times.append(step[0])
+                events.append(step[1])
+                states.append(state)
+                continue
         try:
             obj = _decode(raw)
             if "format_version" in obj:
@@ -432,6 +448,46 @@ def _iter_logs(fp):
         raise ArgParseError("truncated log: header at line %d has no trailer" % header_line)
     if not found:
         raise ArgParseError("empty stream: no event logs found")
+
+
+def _canonical_event(raw, count):
+    """(t, event) of an event line as arg_to_lines writes it, else None.
+
+    One match reads the line. None is every line the match cannot vouch
+    for: another layout, a JSON integer (the JSON route reads -0 as 0.0),
+    an index other than ``count`` or a non-finite time. The JSON route
+    then reads or refuses it, as it does an event whose replay fails (a
+    non-finite locus among them), so it stays the one place a line is
+    diagnosed.
+    """
+    match = _event_match(raw)
+    if match is None:
+        return None
+    n, t, i, j, r, u = match.groups()
+    t = float(t)
+    if int(n) != count or not math.isfinite(t):
+        return None
+    if i is not None:
+        return t, Coalesce(int(i), int(j))
+    return t, Recombine(int(r), float(u))
+
+
+def _event_match(raw):
+    """The full match of ``raw`` against the event line arg_to_lines writes.
+
+    The pattern is compiled on the first call, which rebinds this global
+    to its fullmatch, as density binds scipy: start-up does not pay for it.
+    A number must be a JSON float (a fraction or an exponent); digits are
+    ASCII only, as in JSON.
+    """
+    global _event_match
+    index = r"(0|[1-9][0-9]{0,17})"
+    number = r"(-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+))"
+    _event_match = re.compile(
+        r'\{"n":%s,"t":%s,"ev":\{"type":"(?:coal","i":%s,"j":%s|rec","i":%s,"u":%s)\}\}'
+        % (index, number, index, index, index, number)
+    ).fullmatch
+    return _event_match(raw)
 
 
 def _finite(text):

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 import operator
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 
@@ -242,7 +242,7 @@ class State:
             raise IllegalEventError("recombine rank out of range: %r with %d lineages" % (i, k))
         if k == 1:
             raise IllegalEventError("cannot recombine the absorbing state")
-        b, e = self.active_intervals()[i]
+        b, e = self.active_interval(i)
         if not (b < u < e):
             raise IllegalEventError(
                 "locus %r outside the active interval (%r, %r) of rank %d" % (u, b, e, i)
@@ -254,15 +254,25 @@ class State:
     def successor(self, gone, created):
         """This state without its lineages at the ascending ranks ``gone``, plus ``created``.
 
-        The one rule for a path's next state, with no legality check. Rank
-        keys are unique in a valid state, so insort gives a sort's order.
+        The one rule for a path's next state, with no legality check. By
+        the rank lemma (see check_step) the first created lineage, by rank
+        key, takes rank gone[0]: it keeps the rank key of the lineage there.
+        A second one goes past that rank, where one bisection over the rank
+        keys puts it. The created lineages may come in either order. Rank
+        keys are unique in a valid state, so this is a sort's order.
         """
-        rest = list(self.lineages)
-        for r in reversed(gone):
-            del rest[r]
-        for lin in created:
-            insort(rest, lin, key=Lineage.rank_key)
-        return State._ranked(self.n, rest)
+        old, i = self.lineages, gone[0]
+        rest = old[i + 1:]
+        for r in reversed(gone[1:]):
+            r -= i + 1
+            rest = rest[:r] + rest[r + 1:]
+        if len(created) == 1:
+            return State._ranked(self.n, old[:i] + tuple(created) + rest)
+        first, second = created
+        if second.rank_key() < first.rank_key():
+            first, second = second, first
+        p = bisect_left(rest, second.rank_key(), key=Lineage.rank_key)
+        return State._ranked(self.n, old[:i] + (first,) + rest[:p] + (second,) + rest[p:])
 
     def apply(self, event):
         if isinstance(event, Coalesce):

@@ -48,9 +48,9 @@ def r1_mutant(monkeypatch):
     Every rank's active interval becomes its whole support, so the
     first-ranked lineage can split inside material all samples already
     share. State.active_interval is the one place the shared-prefix rule
-    lives: the engine's kept weights read it, and State.active_intervals
-    (read by total_rate, sample_event and State.recombine) reads rank 0
-    through it. So patching it turns simulate_backintime into the mutant
+    lives: the engine's kept weights and State.recombine read it, and
+    State.active_intervals (read by total_rate and sample_event) reads
+    rank 0 through it. So patching it turns simulate_backintime into the mutant
     whose wrong breakpoint law the statistical battery must catch. A state
     caches its active_intervals tuple, so a state built before the patch
     keeps its real intervals once they are read. The patch is undone when

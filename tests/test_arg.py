@@ -1,16 +1,22 @@
 """Arg path tests: validation, breakpoints, trees, the projection oracle,
 summary statistics, and the event-log serialization."""
 
+import bisect
+import collections
+import contextlib
 import io
 import itertools
 import json
 import math
 import re
+from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import argsim.state
+from argsim import arg as arg_module
 from argsim import config
 from argsim.arg import (
     Arg,
@@ -27,7 +33,7 @@ from argsim.arg import (
 from argsim.backintime import simulate_backintime
 from argsim.config import SimConfig
 from argsim.spatial import simulate_spatial
-from argsim.state import Coalesce, Lineage, Recombine, State
+from argsim.state import Coalesce, Lineage, Recombine, State, fmt_locus
 from conftest import (
     build_arg,
     lin,
@@ -708,3 +714,145 @@ def test_any_line_sequence_parses_or_raises_parse_error(lines):
         list(read_args(io.StringIO("\n".join(lines) + "\n")))
     except ArgParseError:
         pass
+
+
+
+# --- the reader's single match, held to the JSON route ----------------------
+
+
+def _diff_log_lines():
+    """A one-log stream at n=4 that keeps at least 3 lineages over its first 3 events."""
+    cfg = SimConfig(n_samples=4, rho=2.0, seed=3)
+    for r in itertools.count():
+        arg = simulate_backintime(cfg.with_replicate(r))
+        if min(len(state.lineages) for state in arg.states[:3]) >= 3:
+            buf = io.StringIO()
+            write_arg(arg, buf)
+            return buf.getvalue().splitlines()
+
+
+DIFF_LOG_LINES = _diff_log_lines()
+EDGE_NUMBERS = [
+    "-0", "0", "3", "-0.0", "-0e0", "0E-0", "25E-2", "2.5e+0", "1" + "0" * 400, "1" + "0" * 400 + ".0",
+    "1e400", "-1e400", "1e-400", "-1e-400", "5e-324", "00.5", ".5", "1.", "NaN", "inf",
+]
+EDGE_RANKS = ["-1", "-0", "00", "4", "1" + "0" * 400, "true", "1.0", "1e0"]
+
+
+@st.composite
+def event_line(draw):
+    """(m, line): an event line after m events, as arg_to_lines writes one or near that form.
+
+    The event is legal in most states the prefix reaches. One change is
+    drawn: an edge number or rank in one field, or a layout the match does
+    not read. So a line the match reads with an edge number in it is drawn
+    often.
+    """
+    m = draw(st.integers(0, 3))
+    change = draw(st.sampled_from(["none", "t", "t", "u", "i", "j", "n", "spaces", "order", "key"]))
+
+    def field(name, plain, edges):
+        return draw(st.sampled_from(edges)) if change == name else plain
+
+    if draw(st.booleans()):
+        i, j = sorted(draw(st.sets(st.integers(0, 2), min_size=2, max_size=2)))
+        ev = [("type", '"coal"'), ("i", field("i", str(i), EDGE_RANKS)), ("j", field("j", str(j), EDGE_RANKS))]
+    else:
+        u = fmt_locus(draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)))
+        i = str(draw(st.integers(0, 2)))
+        ev = [("type", '"rec"'), ("i", field("i", i, EDGE_RANKS)), ("u", field("u", u, EDGE_NUMBERS))]
+    # an integral float prints as a JSON integer, which EDGE_NUMBERS covers
+    t = fmt_locus(draw(st.floats(allow_nan=False, allow_infinity=False).filter(lambda x: not x.is_integer())))
+    index = field("n", str(m), [str(m + 1), "-0", "%d.0" % m, "1" + "0" * 400])
+    outer = [("n", index), ("t", field("t", t, EDGE_NUMBERS))]
+    comma = colon = ""
+    if change == "spaces":
+        comma, colon = draw(st.sampled_from([(" ", ""), ("", " "), (" ", " ")]))
+    elif change == "order":
+        ev, outer = draw(st.permutations(ev)), draw(st.permutations(outer))
+    elif change == "key":
+        extra = (draw(st.sampled_from(["x", "n", "i", "t"])), draw(st.sampled_from(["1", "0.5", '"coal"'])))
+        ev, outer = (ev + [extra], outer) if draw(st.booleans()) else (ev, outer + [extra])
+
+    def render(pairs):
+        return "{%s}" % ("," + comma).join('"%s":%s%s' % (key, colon, text) for key, text in pairs)
+
+    return m, render(outer + [("ev", render(ev))])
+
+
+def _exact(x):
+    """A number as its type, value and sign: -0.0 and 0.0 differ here, as bits do."""
+    return (type(x), x, math.copysign(1.0, x)) if isinstance(x, float) else (type(x), x)
+
+
+def _read_exactly(lines, route):
+    """Each (time, event) read_args gives, field by field, or its ArgParseError text.
+
+    The trailer is not checked, so a log whose events parse is always given
+    back. ``route`` "json" reads every line by the JSON route.
+    """
+    with contextlib.ExitStack() as stack:
+        stack.enter_context(mock.patch.object(arg_module, "_check_trailer", lambda *args: None))
+        if route == "json":
+            stack.enter_context(mock.patch.object(arg_module, "_canonical_event", lambda raw, count: None))
+        try:
+            (log,) = read_args(io.StringIO("\n".join(lines) + "\n"))
+        except ArgParseError as err:
+            return str(err)
+    return [
+        (_exact(t), type(ev), _exact(ev.i), _exact(ev.j if isinstance(ev, Coalesce) else ev.locus))
+        for t, ev in zip(log.times, log.events)
+    ]
+
+
+@given(event_line())
+@example((0, '{"n":0,"t":-0,"ev":{"type":"coal","i":0,"j":1}}'))
+@example((0, '{"n":0,"t":-0.0,"ev":{"type":"rec","i":2,"u":-0.0}}'))
+@example((0, '{"n":0,"t":-0e0,"ev":{"type":"rec","i":0,"u":5e-1}}'))
+@example((1, '{"n":1,"t":7,"ev":{"type":"coal","i":0,"j":1}}'))
+@example((0, '{"n":0,"t":1e400,"ev":{"type":"coal","i":0,"j":1}}'))
+@example((0, '{"n":0,"t":0.25,"ev":{"type":"rec","i":-1,"u":0.5}}'))
+@example((0, '{"n":0,"t":0.25,"ev":{"type":"coal","i":0,"j":%s}}' % ("1" + "0" * 400)))
+@settings(max_examples=400, deadline=None)
+def test_the_single_match_reads_an_event_line_as_the_json_route_does(case):
+    m, line = case
+    lines = DIFF_LOG_LINES[:1 + m] + [line, '{"events":0,"checksum":""}']
+    assert _read_exactly(lines, "match") == _read_exactly(lines, "json")
+
+
+def test_reading_a_log_checks_fields_only_on_header_and_trailer_lines(monkeypatch):
+    # work guards: an event line is read by one match and replayed by the
+    # rank lemma. Reading must not go back to the JSON route's per-field
+    # checks, build an all-rank interval tuple, or sort a state by insort:
+    # the rank keys read are the start state's sort plus, per
+    # recombination, one comparison and one bisection
+    base = SimConfig(n_samples=20, rho=15.0, density="beta:2,2", seed=1)
+    buf = io.StringIO()
+    for r in range(30):
+        write_arg(simulate_backintime(base.with_replicate(r)), buf)
+    fields = collections.Counter()
+    field = arg_module._field
+    monkeypatch.setattr(arg_module, "_field", lambda obj, key, kinds: fields.update([key]) or field(obj, key, kinds))
+    built = [0]
+    intervals = State.active_intervals
+    monkeypatch.setattr(State, "active_intervals", lambda self: built.__setitem__(0, built[0] + 1) or intervals(self))
+    keyed = [0]
+    rank_key = Lineage.rank_key
+    monkeypatch.setattr(Lineage, "rank_key", lambda self: keyed.__setitem__(0, keyed[0] + 1) or rank_key(self))
+
+    def no_insort(*args, **kwargs):
+        raise AssertionError("insort called")
+
+    monkeypatch.setattr(bisect, "insort", no_insort)
+    monkeypatch.setattr(argsim.state, "insort", no_insort, raising=False)
+    logs = list(read_args(io.StringIO(buf.getvalue())))
+    assert fields == {key: 30 for key in ("format_version", "n_samples", "rho", "density", "seed", "replicate", "events")}
+    assert built[0] == 0
+    budget = 0
+    for log in logs:
+        budget += log.n_samples
+        for prev, event in zip((log.initial,) + log.states, log.events):
+            if isinstance(event, Recombine):
+                budget += 2 + len(prev.lineages).bit_length()
+    assert keyed[0] <= budget
+    assert sum(isinstance(ev, Recombine) for log in logs for ev in log.events) > 1000
