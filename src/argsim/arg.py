@@ -1,22 +1,23 @@
 """The shared ancestral-recombination-graph data model.
 
-An Arg is the full event-log path of one simulation: the initial
-singleton state, then a strictly increasing sequence of event times with
-the event applied at each and the state reached after it. Both engines
-produce this shape; everything downstream (validation, local trees,
-summary statistics, serialization) consumes it.
+An Arg is the full event-log path of one simulation: a strictly
+increasing sequence of event times, the event applied at each, and the
+state its producer reached at the end. The events name the path: every
+state along it is derived by replaying them from the singleton state with
+State.apply, the one legality rule. Both engines produce this shape;
+everything downstream (validation, local trees, summary statistics,
+serialization) consumes it.
 
-Post-event states are stored alongside events so validation and tree
-extraction are single passes. validate_arg checks each recorded step of
-engine output against its event without redoing it (State.check_step).
-The serialized form is events-only. Reading a stream is lazy: replaying
-each event as its line is parsed derives a read log's states, the final
-one is checked against the trailer's checksum, and the logs are yielded
-one at a time, so a reader that drops each log holds one replicate. An
-event line in the form arg_to_lines writes is read by one compiled match
-(_canonical_event). Headers, trailers, any other line and any event whose
-replay fails go through the JSON route (_decode and _field), the one
-place a line is diagnosed.
+validate_arg checks engine output by one such replay, and its end must be
+the producer's final state. The serialized form is events-only, and the
+trailer's checksum reads the final state. Reading a stream is lazy: each
+event is replayed as its line is parsed, the replay's end is checked
+against the trailer's checksum and becomes the log's final state, and the
+logs are yielded one at a time, so a reader that drops each log holds one
+replicate. An event line in the form arg_to_lines writes is read by one
+compiled match (_canonical_event). Headers, trailers, any other line and
+any event whose replay fails go through the JSON route (_decode and
+_field), the one place a line is diagnosed.
 """
 
 from __future__ import annotations
@@ -26,12 +27,15 @@ import heapq
 import json
 import math
 import re
+from bisect import insort
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 from . import config
 from .state import (
     Coalesce,
     IllegalEventError,
+    Lineage,
     Recombine,
     State,
     fmt_locus,
@@ -46,20 +50,20 @@ class ArgParseError(ValueError):
 
 
 class Arg:
-    """One complete simulated path, from singletons to full coalescence."""
+    """One complete simulated path, from singletons to full coalescence.
+
+    ``final_state`` is the state its producer reached: backintime's last
+    state, the spatial root's material, or the reader's replay.
+    """
 
     # __weakref__ lets a caller see which replicates are still alive
-    __slots__ = ("config", "times", "events", "states", "initial", "__weakref__")
+    __slots__ = ("config", "times", "events", "final_state", "__weakref__")
 
-    def __init__(self, config, times, events, states, initial):
+    def __init__(self, config, times, events, final_state):
         self.config = config
         self.times = tuple(times)
         self.events = tuple(events)
-        self.states = tuple(states)
-        # the state the first event applies to; its producer passes the
-        # very object, so validation can match untouched lineages by identity
-        self.initial = initial
-        assert len(self.times) == len(self.events) == len(self.states)
+        self.final_state = final_state
 
     @property
     def n_samples(self):
@@ -68,10 +72,6 @@ class Arg:
     @property
     def event_count(self):
         return len(self.events)
-
-    @property
-    def final_state(self):
-        return self.states[-1] if self.states else self.initial
 
     @property
     def grand_mrca(self):
@@ -100,8 +100,8 @@ class ValidationReport:
 def validate_replayed(arg):
     """validate_arg's clauses (c), (d) and (e), which read only times, loci and the end.
 
-    They are the whole check of a path whose states replay its events from
-    the singleton state, as read_args builds them: (a) and (b) hold there.
+    They are the whole check of a path whose final state is the replay of
+    its events, as read_args builds it.
     """
     violations = []
     seen_loci = {}
@@ -127,59 +127,32 @@ def validate_arg(arg):
     """Check every path-membership clause of the event log.
 
     (a) starts from the singleton state; (b) each transition is a legal
-    coalescence/recombination reaching the recorded state, with the label
-    partition holding at every locus; (c) recombination loci are pairwise
-    distinct; (d) the path ends absorbed; (e) times strictly increase.
-    Violations come in path order: (a), per event (e), (c), (b), then (d).
+    coalescence/recombination, and the events reach the recorded final
+    state; (c) recombination loci are pairwise distinct; (d) the path ends
+    absorbed; (e) times strictly increase. (a) holds by construction: no
+    Arg holds a start state. Violations come in path order: per event (e),
+    (c), (b), then (d), then a final state the replay does not reach.
 
-    Once per path, the start state gets the full State.check(). Per event,
-    the recorded state gets State.check_step() against the recorded state
-    before it: the event is legal there, and only the lineages it removed
-    and created are walked. By induction from the checked start this
-    proves the recorded state is the replay and satisfies check(), so a
-    good step is never redone. A step whose check fails is diagnosed by
-    replaying it: the replay names an illegal event or a diverging state,
-    and otherwise the full check() names the broken invariant. check()
-    also runs on the first state replayed after a resynchronization to a
-    recorded state (whose invariants were never established), so every
-    invariant message comes from check().
+    One replay of the events from State.initial(n) with State.apply checks
+    (b): the first illegal event is the violation, and the replay ends
+    there. Clauses (c) to (e) are validate_replayed's, with (d) read at the
+    replay's end. A complete replay must end at arg.final_state; at the end
+    of a spatial path that is where the branch material meets the events.
     """
-    violations = []
-    if arg.initial != State.initial(arg.n_samples):
-        violations.append((None, "a", "initial state is not the singleton state"))
-    steps = []  # clause (b), in event order
-    try:
-        arg.initial.check()
-        checked = True  # whether `prev` is known to satisfy check()
-    except AssertionError:
-        checked = False
-    # prev is the recorded state before the event: a failed step resynchronizes
-    for idx, (prev, event, recorded) in enumerate(zip((arg.initial,) + arg.states, arg.events, arg.states)):
-        if checked:
-            try:
-                recorded.check_step(prev, event)
-                continue
-            except AssertionError:
-                pass
+    state = State.initial(arg.n_samples)
+    steps = []  # clause (b)
+    for idx, event in enumerate(arg.events):
         try:
-            replay = prev.apply(event)
+            state = state.apply(event)
         except IllegalEventError as err:
             steps.append((idx, "b", str(err)))
-            checked = False
-            continue
-        if replay != recorded:
-            steps.append((idx, "b", "recorded state diverges from replay"))
-            checked = False
-            continue
-        try:
-            recorded.check()
-            checked = True
-        except AssertionError as err:
-            steps.append((idx, "b", "invariant broken: %s" % err))
-            checked = False
-    violations += heapq.merge(validate_replayed(arg).violations, steps,
-                              key=lambda v: math.inf if v[0] is None else v[0])
-    return ValidationReport(violations)
+            break
+    else:
+        if state != arg.final_state:
+            steps.append((None, "b", "final state diverges from replay"))
+    replayed = validate_replayed(Arg(arg.config, arg.times, arg.events, state))
+    return ValidationReport(list(heapq.merge(replayed.violations, steps,
+                                             key=lambda v: math.inf if v[0] is None else v[0])))
 
 
 def breakpoints(arg):
@@ -192,34 +165,47 @@ def breakpoints(arg):
     return loci, times
 
 
-def _site_merges(arg, s):
-    """Walk the path once for the tree at site s.
+def _site_trees(arg, sites):
+    """Replay the path once for the trees at the given sites.
 
-    Returns the merges ((t, vi, vj), ...) of the two blocks at s (label
-    bitmasks) of each coalescence whose lineages both carry material
-    there, up to the one that leaves a single block, and the tree's total
-    length: the sum over the walk of the block count times each
-    inter-event time.
+    Returns ({s: merges}, {s: length}): the merges ((t, vi, vj), ...) of
+    the two blocks at s (label bitmasks) of each coalescence whose
+    lineages both carry material there, up to the one that leaves a
+    single block, and the tree's total length: the sum over the walk of
+    the block count times each inter-event time, added per event. The
+    replay is State's on a list of lineages: a coalescence is the union at
+    rank i and a pop at j, a recombination the part below u at rank i and
+    the part from u on bisected past it (the rank lemma, see
+    State.successor). It stops once every site is down to one block.
     """
-    k = arg.n_samples
-    merges = []
-    length = 0.0
+    n = arg.n_samples
+    lineages = [Lineage.constant(1 << j) for j in range(n)]
+    merges = {s: [] for s in sites}
+    lengths = dict.fromkeys(sites, 0.0)
+    blocks = dict.fromkeys(sites, n)  # the block count of each site not yet merged
     prev_t = 0.0
-    state = arg.initial
-    for t, event, after in zip(arg.times, arg.events, arg.states):
-        length += k * (t - prev_t)
+    for t, event in zip(arg.times, arg.events):
+        for s, k in blocks.items():
+            lengths[s] += k * (t - prev_t)
         prev_t = t
+        i = event.i
         if isinstance(event, Coalesce):
-            vi = state.lineages[event.i].value_at(s)
-            vj = state.lineages[event.j].value_at(s)
-            if vi and vj:
-                merges.append((t, vi, vj))
-                k -= 1
-                if k == 1:
-                    break
-        state = after
-    assert k == 1, "a complete path always merges every site"
-    return merges, length
+            a, b = lineages[i], lineages.pop(event.j)
+            for s in list(blocks):
+                vi, vj = a.value_at(s), b.value_at(s)
+                if vi and vj:
+                    merges[s].append((t, vi, vj))
+                    blocks[s] -= 1
+                    if blocks[s] == 1:
+                        del blocks[s]
+            if not blocks:
+                break
+            lineages[i] = a.union(b)
+        else:
+            lineages[i], above = lineages[i].split(event.locus)
+            insort(lineages, above, i + 1, key=Lineage.rank_key)
+    assert not blocks, "a complete path always merges every site"
+    return merges, lengths
 
 
 @dataclass
@@ -255,7 +241,7 @@ def _lowest_bit(mask):
 
 def local_tree(arg, s):
     """The tree at site s."""
-    return LocalTree(tuple(_site_merges(arg, s)[0]))
+    return LocalTree(tuple(_site_trees(arg, (s,))[0][s]))
 
 
 @dataclass
@@ -277,15 +263,16 @@ class SummaryStats:
 def summary(arg, sites=(0.0,)):
     """Extract the scalar statistics of one path at the requested sites."""
     n = arg.n_samples
-    trees = {s: _site_merges(arg, s) for s in sites}
+    merges, lengths = _site_trees(arg, sites)
+    # a recombination adds a lineage and a coalescence removes one
+    counts = accumulate((1 if isinstance(event, Recombine) else -1 for event in arg.events), initial=n)
     return SummaryStats(
         replicate=arg.config.replicate_index,
-        # a recombination adds a lineage and a coalescence removes one
         breakpoint_count=(arg.event_count - n + len(arg.final_state.lineages)) // 2,
         grand_mrca=arg.grand_mrca,
-        max_lineages=max(n, max(len(x.lineages) for x in arg.states)),
-        tmrca_at={s: merges[-1][0] for s, (merges, _) in trees.items()},
-        length_at={s: length for s, (_, length) in trees.items()},
+        max_lineages=max(counts),
+        tmrca_at={s: merged[-1][0] for s, merged in merges.items()},
+        length_at=lengths,
     )
 
 
@@ -410,7 +397,6 @@ def _iter_logs(fp):
             else:
                 times.append(step[0])
                 events.append(step[1])
-                states.append(state)
                 continue
         try:
             obj = _decode(raw)
@@ -421,8 +407,8 @@ def _iter_logs(fp):
                 if version != FORMAT_VERSION:
                     raise ArgParseError("unsupported format_version %r" % version)
                 cfg, header_line = _header_config(obj), lineno
-                initial = state = State.initial(cfg.n_samples)
-                times, events, states = [], [], []
+                state = State.initial(cfg.n_samples)
+                times, events = [], []
                 continue
             if cfg is None:
                 raise ArgParseError("content before any header")
@@ -436,13 +422,12 @@ def _iter_logs(fp):
                 except IllegalEventError as err:
                     raise ArgParseError("event %d cannot be replayed: %s" % (len(events), err)) from None
                 events.append(event)
-                states.append(state)
                 continue
             _check_trailer(obj, len(events), state)
         except ArgParseError as err:
             raise ArgParseError("line %d: %s" % (lineno, err)) from None
         found = True
-        yield Arg(cfg, times, events, states, initial)
+        yield Arg(cfg, times, events, state)
         cfg = None
     if cfg is not None:
         raise ArgParseError("truncated log: header at line %d has no trailer" % header_line)

@@ -84,13 +84,14 @@ def simulate_backintime(config):
     """Run one full simulation from singletons to the absorbing state.
 
     The start state is weighed once with total_rate. By the rank lemma (see
-    State.check_step) an event changes at most two ranks' weights, so only
+    State.successor) an event changes at most two ranks' weights, so only
     those are weighed again, through a per-path dict of density.cdf at 0, 1
     and each locus drawn. Each weight is the float total_rate gives, so
-    sample_event gets total_rate's rates.
+    sample_event gets total_rate's rates. The Arg keeps the events and the
+    last state of the State.apply chain; no other state outlives its step.
     """
     rng = replicate_rng(config.seed, config.replicate_index, SALTS["backintime"])
-    initial = state = State.initial(config.n_samples)
+    state = State.initial(config.n_samples)
     rho, density = config.rho, config.density
     rates = total_rate(state, rho, density)
     weights = list(rates.recomb_rates)
@@ -105,17 +106,15 @@ def simulate_backintime(config):
     t = 0.0
     times = []
     events = []
-    states = []
     while True:
         t += sample_waiting_time(rates, rng)
         event = sample_event(state, rates, density, rng)
         prev, state = state, state.apply(event)
         times.append(t)
         events.append(event)
-        states.append(state)
         config.check_event_cap(len(events))
         if state.is_absorbed:
-            return Arg(config, times, events, states, initial)
+            return Arg(config, times, events, state)
         i = event.i
         if isinstance(event, Coalesce):
             del weights[event.j]

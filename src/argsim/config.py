@@ -18,9 +18,9 @@ from .density import UniformDensity, parse_density
 
 DEFAULT_EVENT_CAP = 10_000_000
 
-# A path holds its states: at rho=0, rank tuples of n, n - 1, ..., 1
-# lineages, about 4 n^2 bytes (400 MB at the bound, 41 MB at n=3200), plus
-# about n^2 / 16 bytes of label bitmasks.
+# What still grows with n: the start state's label bitmasks, about n^2 / 16
+# bytes (6 MB at the bound), and the O(n) rank tuple each step copies, so a
+# rho=0 path costs O(n^2) time. An Arg holds only its events and end.
 MAX_SAMPLES = 10_000
 
 
@@ -64,8 +64,8 @@ class SimConfig:
             if self.n_samples - 1 > DEFAULT_EVENT_CAP:  # its coalescences alone pass the cap
                 raise EventCapExceeded("a path is expected to take at least n - 1 events, past the cap of %d"
                                        " (n=%d rho=%g)" % (DEFAULT_EVENT_CAP, self.n_samples, self.rho))
-            raise ValueError("need at most %d samples, got %d: a path's states take about 4 n^2 bytes"
-                             % (MAX_SAMPLES, self.n_samples))
+            raise ValueError("need at most %d samples, got %d: the start state takes about n^2/16 bytes"
+                             " and each step copies an O(n) rank tuple" % (MAX_SAMPLES, self.n_samples))
 
     def with_replicate(self, r):
         return SimConfig(self.n_samples, self.rho, self.density, self.seed, r)

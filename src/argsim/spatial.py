@@ -26,11 +26,12 @@ branch's pieces bottom to top through the node's first parent, so the
 splice finds the piece of a pre-stage id at a latitude by walking up.
 
 The finished graph converts into the same Arg event-log form the
-back-in-time engine emits: nodes sorted by latitude become events, and
-State.successor takes each node's children's material out of the state
-and its parents' in, as the branches hold it. validate_arg checks each
-event against those states, so the two derivations meet there. The event
-cap is SimConfig.check_event_cap, applied after step 1 and each stage.
+back-in-time engine emits: nodes sorted by latitude become events, their
+ranks read off one list of branch ids kept in rank order, and the final
+state is the root's material. validate_arg replays the events and asks
+the replay to end at that material, so the two derivations meet there.
+The event cap is SimConfig.check_event_cap, applied after step 1 and each
+stage.
 
 Cost per stage, for a graph of N nodes and B branches: the free-mode rates
 are the live intervals the graph keeps across stages. live_intervals builds
@@ -450,34 +451,35 @@ def accept_breakpoint(graph, s_new, trace):
 def graph_to_arg(graph, config):
     """Convert the finished graph to the event-log form.
 
-    Nodes sorted by latitude become events. Each state is State.successor
-    of the one before: the node's children's material out, its parents'
-    in, as the branches hold it. No Lineage is built and no event is
-    replayed here. A branch keeps one Lineage object across the states it
-    lives in, so validate_arg's step check matches the untouched lineages
-    by identity; a state the material disagrees with fails that check, and
-    the replay of that step reports it as clause (b).
+    Nodes sorted by latitude become events. ``ranked`` holds the ids of
+    the live branches in rank order, as State.successor would rank their
+    material (the rank lemma): a coalescence leaves its parent at the
+    lower child's rank i and drops rank j; a recombination leaves the part
+    of lower rank key at rank i and inserts the other past it by one
+    bisection over the material's rank keys. No State is built until the
+    end, where the root's material is the final state.
     """
     material = [b.material for b in graph.branches]
-    initial = state = State(graph.n, material[:graph.n])
+    keys = [m.rank_key() for m in material]
     assert all(material[j].vals == (1 << j,) for j in range(graph.n)), "leaves are not singletons"
-    times, events, states = [], [], []
+    ranked = list(range(graph.n))  # leaf j has rank j: its key is (0.0, j + 1)
+    times, events = [], []
     for node in sorted(graph.nodes, key=attrgetter("time")):  # stable: ties stay in id order
-        ids = list(map(id, state.lineages))  # ranks by identity: no Lineage.__eq__ call
         if node.locus is None:
-            a, b = node.children
-            i, j = ids.index(id(material[a])), ids.index(id(material[b]))
-            gone = (i, j) if i < j else (j, i)
-            event = Coalesce(*gone)
+            i, j = sorted(map(ranked.index, node.children))
+            del ranked[j]
+            ranked[i] = node.parents[0]
+            event = Coalesce(i, j)
         else:
-            gone = (ids.index(id(material[node.children[0]])),)
-            event = Recombine(gone[0], node.locus)
-        state = state.successor(gone, [material[p] for p in node.parents])
+            i = ranked.index(node.children[0])
+            lower, upper = sorted(node.parents, key=keys.__getitem__)
+            ranked[i] = lower
+            ranked.insert(bisect_left(ranked, keys[upper], i + 1, key=keys.__getitem__), upper)
+            event = Recombine(i, node.locus)
         times.append(node.time)
         events.append(event)
-        states.append(state)
-    assert state.is_absorbed
-    return Arg(config, times, events, states, initial)
+    (root,) = ranked
+    return Arg(config, times, events, State(graph.n, [material[root]]))
 
 
 def simulate_spatial(config):

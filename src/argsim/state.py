@@ -12,8 +12,8 @@ Lineages within a state are kept in a canonical order: by the first locus
 with nonempty value, ties broken by the smallest label carried there. Events
 address lineages by their 0-based rank in that order. Every constructor in
 the package builds only canonical lineages (see Lineage), whose rank keys
-and active intervals are read off their ends; check and check_step assert a
-recorded lineage canonical before they read any derived field of it.
+and active intervals are read off their ends; check asserts a lineage
+canonical before it reads any derived field of it.
 
 Two events act on states:
 
@@ -27,7 +27,6 @@ Two events act on states:
 
 from __future__ import annotations
 
-import math
 import operator
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
@@ -150,7 +149,8 @@ class Lineage:
         )
 
 
-@dataclass(frozen=True)
+# not frozen: a frozen one is costly to build, once per event and per read line
+@dataclass(slots=True, unsafe_hash=True)
 class Coalesce:
     """Merge the lineages of ranks i < j (0-based)."""
 
@@ -158,7 +158,7 @@ class Coalesce:
     j: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Recombine:
     """Split the lineage of rank i (0-based) at locus u."""
 
@@ -254,25 +254,27 @@ class State:
     def successor(self, gone, created):
         """This state without its lineages at the ascending ranks ``gone``, plus ``created``.
 
-        The one rule for a path's next state, with no legality check. By
-        the rank lemma (see check_step) the first created lineage, by rank
-        key, takes rank gone[0]: it keeps the rank key of the lineage there.
-        A second one goes past that rank, where one bisection over the rank
-        keys puts it. The created lineages may come in either order. Rank
-        keys are unique in a valid state, so this is a sort's order.
+        The one rule for a path's next state, with no legality check: a
+        coalescence passes the ranks (i, j) and the union, a recombination
+        the rank (i,) and its two parts, lower rank key first.
+
+        Rank lemma. Lineages rank by (start, smallest label at start).
+        ``Coalesce(i, j)``: lineage i starts no later than j and at a tie
+        carries the smaller label, so the union keeps i's rank key and
+        rank: the state is old[:i] + (union,) + old[i+1:j] + old[j+1:].
+        ``Recombine(i, u)``: u lies past i's start, so the part below u
+        keeps i's rank key and rank i. The part from u on sits at some rank
+        p > i, which one bisection over the rank keys past i finds, and
+        every other lineage keeps its order. Rank keys are unique in a
+        valid state, so this is a sort's order.
         """
         old, i = self.lineages, gone[0]
-        rest = old[i + 1:]
-        for r in reversed(gone[1:]):
-            r -= i + 1
-            rest = rest[:r] + rest[r + 1:]
-        if len(created) == 1:
-            return State._ranked(self.n, old[:i] + tuple(created) + rest)
-        first, second = created
-        if second.rank_key() < first.rank_key():
-            first, second = second, first
-        p = bisect_left(rest, second.rank_key(), key=Lineage.rank_key)
-        return State._ranked(self.n, old[:i] + (first,) + rest[:p] + (second,) + rest[p:])
+        if len(gone) == 2:
+            j = gone[1]
+            return State._ranked(self.n, old[:i] + tuple(created) + old[i + 1:j] + old[j + 1:])
+        below, above = created
+        p = bisect_left(old, above.rank_key(), i + 1, key=Lineage.rank_key)
+        return State._ranked(self.n, old[:i] + (below,) + old[i + 1:p] + (above,) + old[p:])
 
     def apply(self, event):
         if isinstance(event, Coalesce):
@@ -298,83 +300,6 @@ class State:
         if len(self.lineages) == 1:
             assert self.lineages[0] == Lineage.constant(full_set(self.n))
         return self
-
-    def check_step(self, prev, event):
-        """Assert that this state is ``prev.apply(event)`` and satisfies check().
-
-        ``prev`` must satisfy check(), so its rank keys (start, smallest
-        label at start) are unique and ascend. The event must be legal in
-        prev: ranks in range and, for a recombination, the locus u strictly
-        inside the active interval, one created part ending at or below u
-        and the other starting at or above it.
-
-        Rank lemma. ``Coalesce(i, j)``: lineage i starts no later than j and
-        at a tie carries the smaller label, so the union keeps i's rank key
-        and rank: the state is old[:i] + (union,) + old[i+1:j] + old[j+1:].
-        ``Recombine(i, u)``: u lies past i's start, so the part below u
-        keeps i's rank key and rank i. The part from u on sits at some rank
-        p > i, and new[q] is old[q] exactly for i < q < p, so bisection
-        finds p as the first rank past i where new[p] is not old[p].
-
-        The untouched runs must be prev's own objects (valid by induction;
-        an equal copy is refused), compared as slices in C. The created
-        lineages must be canonical and carry exactly the removed material:
-        one merge over the breaks of the three lineages involved, with no
-        operator call. The upper split part is checked against its two
-        neighbours. Canonical forms and rank order are unique, so this
-        proves the state is the replay without building it, in O(log k)
-        Python steps plus slice comparisons and those three lineages'
-        breaks, where check() costs O(breaks of the whole state * k).
-        Returns self for chaining.
-        """
-        assert self.n == prev.n, "sample count changed"
-        old, new, i = prev.lineages, self.lineages, event.i
-        k = len(old)
-        if isinstance(event, Coalesce):
-            j = event.j
-            assert 0 <= i < j < k, "coalesce ranks out of range"
-            assert len(new) == k - 1, "a coalescence left %d of %d lineages" % (len(new), k)
-            kept, untouched = new[:i] + new[i + 1:], old[:i] + old[i + 1:j] + old[j + 1:]
-        else:
-            assert 0 <= i < k, "recombine rank out of range"
-            assert k > 1, "recombination of the absorbing state"
-            b, e = prev.active_intervals()[i]
-            assert b < event.locus < e, "locus outside the active interval"
-            assert len(new) == k + 1, "a recombination left %d of %d lineages" % (len(new), k)
-            p = bisect_left(range(k), True, i + 1, key=lambda q: new[q] is not old[q])
-            kept, untouched = new[:i] + new[i + 1:p] + new[p + 1:], old[:i] + old[i + 1:]
-        assert all(map(operator.is_, kept, untouched)), "a lineage the event did not touch changed"
-        _check_lineage(new[i])
-        # Kept and removed lineages partition the labels at every locus
-        # (prev is valid), so the new state does iff the created lineages
-        # carry exactly the removed material, disjointly.
-        if isinstance(event, Coalesce):
-            _check_parts(old[i], old[j], new[i])
-        else:
-            below, above = new[i], new[p]
-            _check_lineage(above)
-            assert below.end <= event.locus <= above.start, "split parts cross the locus"
-            _check_parts(below, above, old[i])
-            keys = [lin.rank_key() for lin in new[p - 1:p + 2]]
-            assert keys == sorted(keys), "lineages out of rank order"
-        if len(new) == 1:
-            assert new[0] == Lineage.constant(full_set(self.n))
-        return self
-
-
-def _check_parts(x, y, whole):
-    """Assert x, y disjoint with union ``whole``: one merge, a pointer per lineage."""
-    xb, yb, wb = x.breaks + (math.inf,), y.breaks + (math.inf,), whole.breaks + (math.inf,)
-    i = j = l = 0
-    lo = 0.0
-    while lo < math.inf:
-        a, b, w = x.vals[i], y.vals[j], whole.vals[l]
-        assert not a & b, "overlapping labels at locus %r" % lo
-        assert a | b == w, "labels at locus %r: %s, expected %s" % (lo, render_typeset(a | b), render_typeset(w))
-        lo = min(xb[i], yb[j], wb[l])
-        i += xb[i] == lo
-        j += yb[j] == lo
-        l += wb[l] == lo
 
 
 def _check_lineage(lin):

@@ -1,10 +1,11 @@
-"""Shared test helpers: fixture states, hand-built paths, random legal
-event walks, the known-broken engines, and oracles that recheck what the
-package asserts incrementally: the replay validator, the partial-graph
-invariants, the projection of a path at a site, the site tree read off
-every state, the segment-wise lineage operators, the label bitmasks
-built from label sets, a fresh interpreter to run a script in, the
-exact two-locus chain and the size law of the clade of labels 1 and 2."""
+"""Shared test helpers: fixture states, hand-built paths and the states
+replayed along a path, random legal event walks, the known-broken engines,
+and oracles that recheck what the package asserts incrementally: the
+replay validator, the partial-graph invariants, the projection of a path
+at a site, the site tree read off every state, the segment-wise lineage
+operators, the label bitmasks built from label sets, a fresh interpreter
+to run a script in, the exact two-locus chain and the size law of the
+clade of labels 1 and 2."""
 
 import json
 import math
@@ -111,6 +112,50 @@ def pair_bias_mutant(monkeypatch):
         return unrank_pair(index, k)
 
     monkeypatch.setattr(argsim.spatial, "unrank_pair", biased)
+
+
+@pytest.fixture
+def moved_label_mutant(monkeypatch):
+    """A splice that moves one label between two local-tree branches past the new locus.
+
+    After each real accept_breakpoint, the highest label of the first
+    non-leaf branch of the local tree holding two labels or more moves, from
+    the new locus on, to the first non-leaf branch that started before it
+    and lacks that label. Both keep their rank keys, so graph_to_arg gives
+    the events of the unbroken graph and validate_arg passes: only the
+    branch material disagrees with the events. simulate_spatial and the
+    tests look accept_breakpoint up as a spatial module global. Returns the
+    list of (source, target) branch ids moved, one entry per stage where a
+    move was found. The patch is undone when the test ends.
+    """
+    accept = argsim.spatial.accept_breakpoint
+    moves = []
+
+    def with_newest(material, s_new, value):
+        breaks, vals = material.breaks, material.vals
+        if breaks and breaks[-1] == s_new:
+            breaks, vals = breaks[:-1], vals[:-1]
+        if vals[-1] != value:
+            breaks, vals = breaks + (s_new,), vals + (value,)
+        return Lineage(breaks, vals)
+
+    def moving(graph, s_new, trace):
+        accept(graph, s_new, trace)
+        inner = [b for b in graph.tree if b.id >= graph.n]
+        src = next((b for b in inner if b.material.vals[-1].bit_count() >= 2), None)
+        if src is None:
+            return
+        label = 1 << (src.material.vals[-1].bit_length() - 1)
+        dst = next((b for b in inner if b is not src and b.material.start < s_new
+                    and not b.material.vals[-1] & label), None)
+        if dst is None:
+            return
+        src.material = with_newest(src.material, s_new, src.material.vals[-1] & ~label)
+        dst.material = with_newest(dst.material, s_new, dst.material.vals[-1] | label)
+        moves.append((src.id, dst.id))
+
+    monkeypatch.setattr(argsim.spatial, "accept_breakpoint", moving)
+    return moves
 
 
 def mask_of(labels):
@@ -233,14 +278,23 @@ def ks_two_sample_oracle(a, b):
 
 def build_arg(config, timed_events):
     """Hand-assemble an Arg by applying (time, event) pairs in order."""
-    initial = state = State.initial(config.n_samples)
-    times, events, states = [], [], []
+    state = State.initial(config.n_samples)
+    times, events = [], []
     for t, ev in timed_events:
         state = state.apply(ev)
         times.append(t)
         events.append(ev)
-        states.append(state)
-    return Arg(config, times, events, states, initial)
+    return Arg(config, times, events, state)
+
+
+def path_states(arg):
+    """The state after each event of a legal path: its State.apply replay from the singleton state."""
+    state = State.initial(arg.n_samples)
+    out = []
+    for event in arg.events:
+        state = state.apply(event)
+        out.append(state)
+    return out
 
 
 def random_walk(n, seed, steps, p_recomb=0.45):
@@ -282,23 +336,18 @@ def walk_states(n, seed, steps, **kw):
 def replay_validate(arg):
     """The replay validator: the test oracle for validate_arg.
 
-    Replays every event, compares the replayed state with the recorded one
-    (State.__eq__), then checks the replay with State.check_step, or with
-    the full State.check after a resynchronization or a failed step check.
-    validate_arg must reach the same violations without the replay.
+    Replays every event from the singleton state and gives every replayed
+    state the full State.check(), so an operator that breaks an invariant
+    shows up as a violation validate_arg does not report. The first
+    illegal event ends the replay; (d) reads where it ended, and a
+    complete replay must end at the recorded final state.
     """
     violations = []
-    if arg.initial != State.initial(arg.n_samples):
-        violations.append((None, "a", "initial state is not the singleton state"))
-    state = arg.initial
-    try:
-        state.check()
-        checked = True
-    except AssertionError:
-        checked = False
+    state = State.initial(arg.n_samples)
+    replaying = True
     seen_loci = {}
     prev_t = 0.0
-    for idx, (t, event, recorded) in enumerate(zip(arg.times, arg.events, arg.states)):
+    for idx, (t, event) in enumerate(zip(arg.times, arg.events)):
         if not t > prev_t:
             violations.append((idx, "e", "time %r does not increase past %r" % (t, prev_t)))
         prev_t = t
@@ -308,33 +357,24 @@ def replay_validate(arg):
                     (idx, "c", "locus %s repeats event %d" % (fmt_locus(event.locus), seen_loci[event.locus]))
                 )
             seen_loci[event.locus] = idx
-        prev = state
+        if not replaying:
+            continue
         try:
             state = state.apply(event)
         except IllegalEventError as err:
             violations.append((idx, "b", str(err)))
-            state, checked = recorded, False
+            replaying = False
             continue
-        if state != recorded:
-            violations.append((idx, "b", "recorded state diverges from replay"))
-            state, checked = recorded, False
-            continue
-        if checked:
-            try:
-                state.check_step(prev, event)
-                continue
-            except AssertionError:
-                pass
         try:
             state.check()
-            checked = True
         except AssertionError as err:
             violations.append((idx, "b", "invariant broken: %s" % err))
-            checked = False
-    if not arg.states or not arg.final_state.is_absorbed:
+    if not state.is_absorbed:
         violations.append((None, "d", "path does not end in the absorbing state"))
-    elif arg.final_state != State.absorbing(arg.n_samples):
+    elif state != State.absorbing(arg.n_samples):
         violations.append((None, "d", "final state is not the full-label lineage"))
+    if replaying and state != arg.final_state:
+        violations.append((None, "b", "final state diverges from replay"))
     return ValidationReport(violations)
 
 
@@ -435,11 +475,11 @@ def project_path(arg, s):
     """The path seen through the material left of site s, as (time, state) steps.
 
     Every state is projected at s and repeats are dropped, so each step is
-    a jump; the projected start is project_state(arg.initial, s).
+    a jump; the projected start is project_state(State.initial(n), s).
     """
-    prev = project_state(arg.initial, s)
+    prev = project_state(State.initial(arg.n_samples), s)
     steps = []
-    for t, state in zip(arg.times, arg.states):
+    for t, state in zip(arg.times, path_states(arg)):
         projected = project_state(state, s)
         if projected != prev:
             steps.append((t, projected))
@@ -466,11 +506,11 @@ def walk_site_tree(arg, s):
     the first full merge. The package reads the same tree off the
     coalescence events alone.
     """
-    part = site_partition(arg.initial, s)
+    part = site_partition(State.initial(arg.n_samples), s)
     levels = [(0.0, part)]
     total_length = 0.0
     prev_t = 0.0
-    for t, after in zip(arg.times, arg.states):
+    for t, after in zip(arg.times, path_states(arg)):
         new_part = site_partition(after, s)
         if new_part != part:
             assert len(new_part) == len(part) - 1, "site partitions merge one pair at a time"

@@ -4,11 +4,13 @@ summary statistics, and the event-log serialization."""
 import bisect
 import collections
 import contextlib
+import gc
 import io
 import itertools
 import json
 import math
 import re
+import tracemalloc
 from unittest import mock
 
 import pytest
@@ -27,7 +29,6 @@ from argsim.arg import (
     read_args,
     summary,
     validate_arg,
-    validate_replayed,
     write_arg,
 )
 from argsim.backintime import simulate_backintime
@@ -36,9 +37,9 @@ from argsim.spatial import simulate_spatial
 from argsim.state import Coalesce, Lineage, Recombine, State, fmt_locus
 from conftest import (
     build_arg,
-    lin,
     mask_of,
     newick_from_levels,
+    path_states,
     project_path,
     project_state,
     random_walk,
@@ -87,26 +88,22 @@ def test_validate_repeated_locus_fails_clause_c():
 
 def test_validate_illegal_event_fails_clause_b():
     cfg = SimConfig(n_samples=2, rho=0.0, seed=0)
-    arg = Arg(cfg, [1.0], [Coalesce(0, 5)], [State.absorbing(2)], State.initial(2))
+    arg = Arg(cfg, [1.0], [Coalesce(0, 5)], State.absorbing(2))
     report = validate_arg(arg)
     assert not report.passed
     assert any(v[1] == "b" for v in report.violations)
 
 
 def test_validate_diverging_recorded_state_fails_clause_b():
+    # the events are legal, but they do not reach the recorded final state
     cfg = SimConfig(n_samples=3, rho=0.0, seed=0)
     good = State.initial(3).coalesce(0, 1)
     wrong = State.initial(3).coalesce(0, 2)
-    arg = Arg(
-        cfg,
-        [0.5, 1.0],
-        [Coalesce(0, 1), Coalesce(0, 1)],
-        [wrong, State.absorbing(3)],
-        State.initial(3),
-    )
+    arg = Arg(cfg, [0.5], [Coalesce(0, 1)], wrong)
     report = validate_arg(arg)
     assert not report.passed
     assert any(v[1] == "b" for v in report.violations)
+    assert report.violations[-1] == (None, "b", "final state diverges from replay")
     assert good != wrong
 
 
@@ -126,31 +123,8 @@ def test_validate_nonincreasing_times_fail_clause_e():
     assert any(v[1] == "e" for v in report.violations)
 
 
-def test_validate_runs_full_check_once_per_path(monkeypatch):
-    calls = []
-    full_check = State.check
-
-    def counting_check(self):
-        calls.append(self)
-        return full_check(self)
-
-    monkeypatch.setattr(State, "check", counting_check)
-    arg = simulate_backintime(SimConfig(n_samples=8, rho=5.0, seed=2024))
-    assert validate_arg(arg).passed
-    assert len(calls) == 1
-    # an illegal event resynchronizes to the recorded state, whose successor
-    # gets the full check again
-    m = arg.event_count // 2
-    events = list(arg.events)
-    events[m] = Coalesce(0, 10 ** 6)
-    calls.clear()
-    report = validate_arg(Arg(arg.config, arg.times, events, arg.states, arg.initial))
-    assert [v[:2] for v in report.violations] == [(m, "b")]
-    assert len(calls) == 2
-
-
 # Each tampering picks a step of a random legal walk where it applies and
-# returns (step index, recorded event, recorded state) for that step.
+# returns (step index, recorded event) for that step.
 
 
 def _pick(walk, draw, applies):
@@ -160,17 +134,6 @@ def _pick(walk, draw, applies):
     return (m,) + walk[m]
 
 
-def _moved_split(walk, draw):
-    # the event says u, the state is split elsewhere inside the interval:
-    # the parts still carry exactly the split lineage's material
-    m, prev, event, nxt = _pick(walk, draw, lambda prev, event, nxt: isinstance(event, Recombine))
-    b, e = prev.active_intervals()[event.i]
-    u = b + (e - b) * draw(st.floats(0.05, 0.95))
-    assume(u != event.locus)
-    rest = [l for r, l in enumerate(prev.lineages) if r != event.i]
-    return m, event, State(prev.n, rest + list(prev.lineages[event.i].split(u)))
-
-
 def _wrong_pair(walk, draw):
     m, prev, event, nxt = _pick(
         walk, draw, lambda prev, event, nxt: isinstance(event, Coalesce) and len(prev.lineages) >= 3)
@@ -178,20 +141,7 @@ def _wrong_pair(walk, draw):
     i = draw(st.integers(0, k - 2))
     j = draw(st.integers(i + 1, k - 1))
     assume((i, j) != (event.i, event.j))
-    return m, Coalesce(i, j), nxt
-
-
-def _kept(prev, nxt):
-    return [l for l in nxt.lineages if any(l is p for p in prev.lineages)]
-
-
-def _equal_copy(walk, draw):
-    # a lineage the event did not touch, stored as an equal new object:
-    # the path is still valid
-    m, prev, event, nxt = _pick(walk, draw, lambda prev, event, nxt: _kept(prev, nxt))
-    old = draw(st.sampled_from(_kept(prev, nxt)))
-    copy = Lineage(old.breaks, old.vals)
-    return m, event, State(nxt.n, [copy if l is old else l for l in nxt.lineages])
+    return m, Coalesce(i, j)
 
 
 def _ranks_out_of_range(walk, draw):
@@ -202,7 +152,7 @@ def _ranks_out_of_range(walk, draw):
     choices = [Coalesce(0, bad), Recombine(bad, 0.5)]
     if isinstance(event, Coalesce):
         choices.append(Coalesce(event.j, event.i))
-    return m, draw(st.sampled_from(choices)), nxt
+    return m, draw(st.sampled_from(choices))
 
 
 def _has_prefix(prev, event, nxt):
@@ -211,10 +161,9 @@ def _has_prefix(prev, event, nxt):
 
 
 def _edge_locus(walk, draw):
-    # a split exactly at an end of the active interval, recorded as the
-    # non-null parts it leaves; at the end of rank 0's shared prefix both
-    # parts are non-null and partition the material, so only the interval
-    # tells it from a legal split
+    # a split exactly at an end of the active interval; at the end of rank
+    # 0's shared prefix both parts are non-null and partition the material,
+    # so only the interval tells it from a legal split
     if draw(st.booleans()):
         m, prev, event, nxt = _pick(walk, draw, _has_prefix)
         i, u = 0, prev.active_intervals()[0][0]
@@ -223,12 +172,10 @@ def _edge_locus(walk, draw):
         ends = [(r, u) for r, (b, e) in enumerate(prev.active_intervals()) if b < e for u in (b, e)]
         assume(ends)
         i, u = draw(st.sampled_from(ends))
-    parts = [p for p in prev.lineages[i].split(u) if not p.is_null]
-    rest = [l for r, l in enumerate(prev.lineages) if r != i]
-    return m, Recombine(i, u), State(prev.n, rest + parts)
+    return m, Recombine(i, u)
 
 
-TAMPERS = [_moved_split, _wrong_pair, _equal_copy, _ranks_out_of_range, _edge_locus]
+TAMPERS = [_wrong_pair, _ranks_out_of_range, _edge_locus]
 
 
 @given(
@@ -240,12 +187,12 @@ TAMPERS = [_moved_split, _wrong_pair, _equal_copy, _ranks_out_of_range, _edge_lo
 )
 @settings(max_examples=400, deadline=None)
 def test_validate_arg_agrees_with_the_replay_oracle(tamper, n, seed, steps, data):
+    # the recorded final state is the untampered walk's end
     walk = list(random_walk(n, seed, steps))
     events = [event for _, event, _ in walk]
-    states = [nxt for _, _, nxt in walk]
-    m, events[m], states[m] = tamper(walk, data.draw)
+    m, events[m] = tamper(walk, data.draw)
     times = [float(t) for t in range(1, len(walk) + 1)]
-    arg = Arg(SimConfig(n_samples=n, rho=1.0, seed=0), times, events, states, walk[0][0])
+    arg = Arg(SimConfig(n_samples=n, rho=1.0, seed=0), times, events, walk[-1][2])
     assert validate_arg(arg).violations == replay_validate(arg).violations
 
 
@@ -253,53 +200,63 @@ def test_recombining_the_absorbing_state_is_clause_b(r1_mutant):
     # with the shared-prefix rule off, the absorbed lineage's interval is
     # (0, 1): only the lineage count forbids splitting it
     cfg = SimConfig(n_samples=2, rho=1.0, seed=0)
-    done = State.initial(2).coalesce(0, 1)
-    split = State(2, done.lineages[0].split(0.5))
     arg = Arg(cfg, [1.0, 2.0, 3.0], [Coalesce(0, 1), Recombine(0, 0.5), Coalesce(0, 1)],
-              [done, split, State.absorbing(2)], State.initial(2))
+              State.absorbing(2))
     report = validate_arg(arg)
     assert report.violations == replay_validate(arg).violations
     assert report.violations == [(1, "b", "cannot recombine the absorbing state")]
 
 
-def test_a_broken_start_is_clause_a_then_each_replayed_state_gets_the_full_check():
-    # label 1 twice and label 2 nowhere: the start fails check(), so the
-    # first event is replayed and fully checked, and the path ends absorbed
-    # in a lineage that does not carry every label
-    start = State(2, [lin((0.0, 1.0, {1})), lin((0.0, 1.0, {1}))])
-    arg = Arg(SimConfig(n_samples=2, rho=0.0, seed=0), [1.0], [Coalesce(0, 1)],
-              [start.apply(Coalesce(0, 1))], start)
-    report = validate_arg(arg)
-    assert report.violations == [
-        (None, "a", "initial state is not the singleton state"),
-        (0, "b", "invariant broken: labels at locus 0.0: {1}"),
-        (None, "d", "final state is not the full-label lineage"),
-    ]
-    assert report.violations == replay_validate(arg).violations
-    assert validate_replayed(arg).violations == report.violations[-1:]
-
-
-def test_validate_replays_no_event_on_a_good_path(monkeypatch):
+def test_validate_replays_each_event_once(monkeypatch):
+    # engine output and a read log are checked the same way: one State.apply
+    # per event, no full check and no comparison but the end's
     arg = simulate_backintime(SimConfig(n_samples=8, rho=5.0, density="beta:2,2", seed=11))
     buf = io.StringIO()
     write_arg(arg, buf)
     parsed = read_arg(io.StringIO(buf.getvalue()))  # the read replays once
-    applied, compared = [], []
-    apply, eq = State.apply, State.__eq__
+    applied, compared, checked = [], [], []
+    apply, eq, check = State.apply, State.__eq__, State.check
     monkeypatch.setattr(State, "apply", lambda self, event: applied.append(event) or apply(self, event))
     monkeypatch.setattr(State, "__eq__", lambda self, other: compared.append(self) or eq(self, other))
+    monkeypatch.setattr(State, "check", lambda self: checked.append(self) or check(self))
     assert arg.event_count > 10
     for path in (arg, parsed):
+        applied.clear()
         compared.clear()
         assert validate_arg(path).passed
-        assert len(compared) == 2  # clauses (a) and (d), once per path
-    assert applied == []
-    # the patches are live: a failed step is diagnosed by its replay, and
-    # the step after the resynchronization is replayed too
+        assert applied == list(arg.events)
+        assert len(compared) == 2  # the replay's end against the recorded one, and clause (d)
+    assert checked == []
+    # the first illegal event ends the replay
     events = list(arg.events)
     events[3] = Coalesce(0, 10 ** 6)
-    assert not validate_arg(Arg(arg.config, arg.times, events, arg.states, arg.initial)).passed
-    assert applied == events[3:5]
+    applied.clear()
+    report = validate_arg(Arg(arg.config, arg.times, events, arg.final_state))
+    assert [v[:2] for v in report.violations] == [(3, "b"), (None, "d")]  # (d) reads where it ended
+    assert applied == events[:4]
+
+
+def test_an_arg_holds_no_state_but_its_end():
+    assert not {"states", "initial"} & set(Arg.__slots__)
+
+
+@pytest.mark.parametrize("engine", [simulate_backintime, simulate_spatial])
+def test_an_arg_is_small_at_large_n(engine):
+    # an Arg is its times, events and final state: at n=800, rho=0 that is
+    # 799 events, about 0.1 MB; one state per event would be about 3 MB
+    cfg = SimConfig(n_samples=800, rho=0.0, seed=2)
+    engine(cfg.with_replicate(1))  # warm: what a first call loads is not the Arg's
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        arg = engine(cfg)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert arg.event_count == 799
+    assert held <= 0.5e6, "an n=800 Arg holds %d bytes" % held
 
 
 def test_breakpoints_empty_without_recombination():
@@ -386,7 +343,7 @@ def test_project_arg_at_zero_is_site_tree():
     cfg = SimConfig(n_samples=4, rho=1.5, seed=29)
     arg = simulate_backintime(cfg)
     steps = project_path(arg, 0.0)
-    assert project_state(arg.initial, 0.0) == State.initial(4)
+    assert project_state(State.initial(4), 0.0) == State.initial(4)
     assert steps[-1][1].is_absorbed
     # a projection can only drop detail: its jumps are a subset of events
     assert len(steps) <= arg.event_count
@@ -400,7 +357,7 @@ def test_project_arg_right_of_last_breakpoint_is_identity():
         s = (max(loci) + 1.0) / 2.0 if loci else 0.5
         steps = project_path(arg, s)
         assert len(steps) == arg.event_count
-        assert tuple(state for _, state in steps) == arg.states
+        assert [state for _, state in steps] == path_states(arg)
 
 
 def test_projection_jump_count_monotone_in_site():
@@ -415,12 +372,12 @@ def test_projection_jump_count_monotone_in_site():
 def test_projection_preserves_site_partition():
     cfg = SimConfig(n_samples=4, rho=1.5, seed=61)
     arg = simulate_backintime(cfg)
-    path = list(zip(arg.times, arg.states))
+    path = list(zip(arg.times, path_states(arg)))
     for s in (0.0, 0.3, 0.7):
         steps = project_path(arg, s)
-        start = project_state(arg.initial, s)
+        start = project_state(State.initial(4), s)
         for t in arg.times:
-            want = site_partition(state_at(arg.initial, path, t), s)
+            want = site_partition(state_at(State.initial(4), path, t), s)
             assert site_partition(state_at(start, steps, t), s) == want
 
 
@@ -524,7 +481,7 @@ def test_serialization_roundtrip():
     assert loaded.config == cfg
     assert loaded.times == arg.times
     assert loaded.events == arg.events
-    assert loaded.states == arg.states
+    assert loaded.final_state == arg.final_state
     buf2 = io.StringIO()
     write_arg(loaded, buf2)
     assert buf2.getvalue() == text
@@ -725,7 +682,7 @@ def _diff_log_lines():
     cfg = SimConfig(n_samples=4, rho=2.0, seed=3)
     for r in itertools.count():
         arg = simulate_backintime(cfg.with_replicate(r))
-        if min(len(state.lineages) for state in arg.states[:3]) >= 3:
+        if min(len(state.lineages) for state in path_states(arg)[:3]) >= 3:
             buf = io.StringIO()
             write_arg(arg, buf)
             return buf.getvalue().splitlines()
@@ -850,9 +807,11 @@ def test_reading_a_log_checks_fields_only_on_header_and_trailer_lines(monkeypatc
     assert built[0] == 0
     budget = 0
     for log in logs:
-        budget += log.n_samples
-        for prev, event in zip((log.initial,) + log.states, log.events):
+        k = log.n_samples
+        budget += k
+        for event in log.events:
             if isinstance(event, Recombine):
-                budget += 2 + len(prev.lineages).bit_length()
+                budget += 2 + k.bit_length()
+            k += 1 if isinstance(event, Recombine) else -1
     assert keyed[0] <= budget
     assert sum(isinstance(ev, Recombine) for log in logs for ev in log.events) > 1000

@@ -17,7 +17,7 @@ from argsim.density import BetaDensity, UniformDensity
 from argsim.rng import SimRng
 from argsim.state import Coalesce, Recombine, State, full_set
 from argsim.stats import ks_one_sample
-from conftest import lin
+from conftest import lin, path_states
 
 UNIFORM = UniformDensity()
 
@@ -166,7 +166,7 @@ def test_mass_is_weighed_once_per_lineage(monkeypatch):
     for seed in range(4):
         calls.clear()
         arg = simulate_backintime(SimConfig(n_samples=10, rho=8.0, density="beta:2,2", seed=seed))
-        held = {id(l) for state in (arg.initial,) + arg.states for l in state.lineages}
+        held = {id(l) for state in [State.initial(10)] + path_states(arg) for l in state.lineages}
         assert arg.event_count > 20
         assert len(calls) <= len(held) <= arg.n_samples + 2 * arg.event_count
 
@@ -359,8 +359,8 @@ def test_recombination_respects_active_intervals():
     for r in range(60):
         cfg = SimConfig(n_samples=4, rho=2.0, seed=31, replicate_index=r)
         arg = simulate_backintime(cfg)
-        state = arg.initial
-        for ev, after in zip(arg.events, arg.states):
+        state = State.initial(4)
+        for ev, after in zip(arg.events, path_states(arg)):
             if isinstance(ev, Recombine):
                 b, e = state.active_intervals()[ev.i]
                 assert b < ev.locus < e

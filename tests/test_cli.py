@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from argsim import arg as arg_module
 from argsim import cli, stats
 from argsim import config as config_module
-from argsim.arg import Arg, read_args, validate_arg, write_arg
+from argsim.arg import read_args, validate_arg, write_arg
 from argsim.backintime import simulate_backintime
 from argsim.cli import main
 from argsim.config import SimConfig
@@ -722,8 +722,8 @@ def test_huge_samples_are_refused_at_once_with_one_line(tmp_path, capsys, n):
 
 
 def test_samples_past_the_admission_bound_are_refused_before_any_state(tmp_path, monkeypatch, capsys):
-    # n=10^6 passes the event cap (n - 1 <= cap), but its states would take
-    # tens of GB: SimConfig refuses it, so a flag, a manifest and a log
+    # n=10^6 passes the event cap (n - 1 <= cap), but its start state alone
+    # would take tens of GB: SimConfig refuses it, so a flag, a manifest and a log
     # header all exit 2 with one line before State.initial runs
     n = 10 ** 6
 
@@ -740,7 +740,8 @@ def test_samples_past_the_admission_bound_are_refused_before_any_state(tmp_path,
     before = sorted(tmp_path.iterdir())
     capsys.readouterr()
     monkeypatch.setattr(State, "initial", classmethod(no_state))
-    bound = "need at most %d samples, got %d: a path's states take about 4 n^2 bytes" % (config_module.MAX_SAMPLES, n)
+    bound = ("need at most %d samples, got %d: the start state takes about n^2/16 bytes"
+             " and each step copies an O(n) rank tuple" % (config_module.MAX_SAMPLES, n))
     out = str(tmp_path / "r.log")
     for argv, line in (
         (["simulate", "--samples", str(n), "--rho", "0", "--out", out], "argsim: error: " + bound),
@@ -842,7 +843,7 @@ def _simulate_argv(out, reps=3):
 def _unfinished(config):
     """A backintime path with its last event dropped: it fails clause (d)."""
     arg = simulate_backintime(config)
-    return Arg(arg.config, arg.times[:-1], arg.events[:-1], arg.states[:-1], arg.initial)
+    return build_arg(arg.config, list(zip(arg.times, arg.events))[:-1])
 
 
 def _full_disk(arg, fh):
@@ -989,7 +990,8 @@ def tampered_logs(draw):
 @settings(max_examples=200, deadline=None)
 def test_validate_file_reports_what_validate_arg_reports_on_each_read_log(args):
     # validate FILE checks only clauses (c), (d) and (e); validate_arg, run
-    # here on each read log, also step-checks the reader's replayed states
+    # here on each read log, replays its events again and asks the replay
+    # to end at the reader's final state
     with tempfile.TemporaryDirectory() as folder:
         path = os.path.join(folder, "run.log")
         with open(path, "w") as fh:
@@ -1027,15 +1029,17 @@ def _count_calls(monkeypatch, cls, names):
 ])
 def test_validate_file_replays_once(tmp_path, monkeypatch, capsys, engine, flags):
     out = tmp_path / "run.log"
-    calls = _count_calls(monkeypatch, State, ["apply", "check_step", "check"])
+    calls = _count_calls(monkeypatch, State, ["apply", "check"])
     assert main(["simulate", "--engine", engine, "--seed", "12", "--out", str(out)] + flags) == 0
     reps = int(flags[-1])
-    assert calls["check"] == reps  # simulate validates each path: one full check at its start
     events = sum(json.loads(line)["events"] for line in out.read_text().splitlines() if '"checksum"' in line)
     assert events > 10 * reps
+    # simulate validates each path by one replay; backintime's own steps
+    # apply each event once more, and the spatial graph applies none
+    assert calls == {"apply": (2 if engine == "backintime" else 1) * events, "check": 0}
     calls.update(dict.fromkeys(calls, 0))
     assert main(["validate", str(out)]) == 0
-    assert calls == {"apply": events, "check_step": 0, "check": 0}
+    assert calls == {"apply": events, "check": 0}
     capsys.readouterr()
 
 

@@ -32,7 +32,7 @@ from argsim.spatial import (
 )
 from argsim.state import Coalesce, Lineage, Recombine, State
 from argsim.stats import ENGINES, chi_square, kingman_expectations, ks_one_sample, ks_one_sample_with_atom
-from conftest import check_invariants, column, labels_of, mask_of, project_path, project_state, top_id
+from conftest import check_invariants, column, labels_of, mask_of, path_states, project_path, top_id
 
 INF = float("inf")
 UNIFORM = UniformDensity()
@@ -780,10 +780,69 @@ def test_recoalescing_onto_the_ridden_branch_cuts_the_piece_above_the_detach():
     assert cols[5] == (s2, s12, s2)  # the fork's old line lost label 1
 
 
+def material_states(graph):
+    """The state after each node, read off the branch material.
+
+    Nodes sorted by latitude; each state is State.successor of the one
+    before, with the node's children's material out and its parents' in,
+    lower rank key first, ranks found by the identity of the material: a
+    derivation of the states from the graph alone, the oracle that
+    graph_to_arg's events must meet.
+    """
+    material = [b.material for b in graph.branches]
+    state = State(graph.n, material[:graph.n])
+    out = []
+    for node in sorted(graph.nodes, key=lambda nd: nd.time):
+        ids = list(map(id, state.lineages))
+        gone = tuple(sorted(ids.index(id(material[c])) for c in node.children))
+        state = state.successor(gone, sorted((material[p] for p in node.parents), key=Lineage.rank_key))
+        out.append(state)
+    return out
+
+
+def assert_material_meets_replay(graph):
+    """Assert each state read off the material is the replay of graph_to_arg's events."""
+    arg = graph_to_arg(graph, SimConfig(n_samples=graph.n))
+    held = material_states(graph)
+    assert len(held) == arg.event_count
+    for idx, (state, replayed) in enumerate(zip(held, path_states(arg))):
+        assert state == replayed, "event %d: the material state is not the replay" % idx
+    assert held[-1] == arg.final_state
+
+
+@pytest.mark.parametrize("n, rho", [(3, 2.0), (6, 5.0), (10, 10.0)])
+def test_material_meets_the_replay_at_every_event_of_every_stage(n, rho):
+    stages = 0
+    for seed in range(6):
+        for g, s_new, trace in stages_of(n, rho, seed):
+            spatial.accept_breakpoint(g, s_new, trace)
+            assert_material_meets_replay(g)
+            stages += 1
+    assert stages > 10
+
+
+def test_the_material_check_catches_a_moved_label(moved_label_mutant):
+    # the mutant keeps every rank key, so the events and the final state
+    # are the unbroken graph's and validate_arg passes; only the material
+    # check sees the move
+    caught = 0
+    for seed in range(10):
+        for g, s_new, trace in stages_of(6, 5.0, seed):
+            moves = len(moved_label_mutant)
+            spatial.accept_breakpoint(g, s_new, trace)
+            if len(moved_label_mutant) > moves:
+                assert validate_arg(graph_to_arg(g, SimConfig(n_samples=6))).passed
+                with pytest.raises(AssertionError, match="the material state is not the replay"):
+                    assert_material_meets_replay(g)
+                caught += 1
+                break  # the graph is broken from here on
+    assert caught >= 5
+
+
 def test_material_that_disagrees_with_the_nodes_is_clause_b():
     # swap the material of the stage-2 fork's two upper branches: the
-    # node structure stays, but the states read off the columns no longer
-    # follow from the events, and only the replay in validate_arg can tell
+    # node structure stays, but the ranks read off the material no longer
+    # give events the replay can apply
     g, trace = detached_trace()
     accept_breakpoint(g, 0.75, trace)
     (fork,) = [nd for nd in g.nodes if nd.locus == 0.75]
@@ -791,8 +850,7 @@ def test_material_that_disagrees_with_the_nodes_is_clause_b():
     a.material, b.material = b.material, a.material
     report = validate_arg(graph_to_arg(g, SimConfig(n_samples=2, rho=2.0, seed=0)))
     assert not report.passed
-    assert {clause for _, clause, _ in report.violations} == {"b"}
-    assert "recorded state diverges from replay" in [msg for _, _, msg in report.violations]
+    assert report.violations[0] == (1, "b", "locus 0.5 outside the active interval (0.75, 1.0) of rank 2")
 
 
 def test_graph_to_arg_replays_no_event(monkeypatch):
@@ -805,9 +863,7 @@ def test_graph_to_arg_replays_no_event(monkeypatch):
     arg = simulate_spatial(SimConfig(n_samples=4, rho=2.0, seed=1))
     assert calls == []
     assert validate_arg(arg).passed
-    assert calls == [] and arg.event_count > 3  # validation checks each step, replays none
-    arg.initial.apply(arg.events[0])
-    assert len(calls) == 1  # the patch is live
+    assert calls == list(arg.events) and arg.event_count > 3  # validation is the one replay
 
 
 def test_graph_to_arg_builds_no_lineage(monkeypatch):
@@ -830,8 +886,8 @@ def test_graph_to_arg_builds_no_lineage(monkeypatch):
 
 
 def test_graph_to_arg_finds_ranks_by_identity(monkeypatch):
-    # a child's rank is found by the identity of its material, so no two
-    # lineages are compared by value
+    # a child's rank is found by its branch id, so no two lineages are
+    # compared by value
     log = record_stages(monkeypatch, keep_graphs=True)
     want, finished = [], []
     for n in (3, 8):
@@ -851,8 +907,8 @@ def test_graph_to_arg_finds_ranks_by_identity(monkeypatch):
 
 
 def test_graph_to_arg_sorts_one_state_per_path(monkeypatch):
-    # the initial state is the one sort; every later state is
-    # State.successor of the one before, with no sort per node
+    # the final state, the root's material, is the one State built: the
+    # ranks live on a list of branch ids, with no state per node
     built = []
     init = State.__init__
     monkeypatch.setattr(State, "__init__", lambda self, *a: built.append(a) or init(self, *a))
@@ -986,8 +1042,7 @@ def test_each_stage_graph_is_the_final_path_projected_on_its_interval(monkeypatc
                 for k, graph in enumerate(graphs):
                     s = 0.5 * (bounds[k] + bounds[k + 1])
                     partial = graph_to_arg(graph, cfg)
-                    assert partial.initial == project_state(arg.initial, s)
-                    assert list(zip(partial.times, partial.states)) == project_path(arg, s)
+                    assert list(zip(partial.times, path_states(partial))) == project_path(arg, s)
                 checked += len(graphs)
     assert checked > 200  # 40 stage-0 graphs, and rho=5 takes several stages a replicate
 

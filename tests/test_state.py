@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from argsim.arg import Arg, validate_arg
+from argsim.arg import validate_arg
 from argsim.backintime import simulate_backintime
 from argsim.config import SimConfig
 from argsim.spatial import simulate_spatial
@@ -26,6 +26,7 @@ from conftest import (
     labels_of,
     lin,
     mask_of,
+    path_states,
     project_state,
     random_walk,
     site_partition,
@@ -200,12 +201,11 @@ def test_lineage_count_changes_by_one():
             assert delta == (1 if isinstance(event, Recombine) else -1)
 
 
-@given(st.integers(2, 7), st.integers(0, 2**32), st.integers(1, 40), st.booleans())
+@given(st.integers(2, 7), st.integers(0, 2**32), st.integers(1, 40))
 @settings(max_examples=200, deadline=None)
-def test_successor_matches_the_sort_built_state(n, seed, steps, reverse):
+def test_successor_matches_the_sort_built_state(n, seed, steps):
     # the sort under rank_key is the reference; successor must give its
-    # order, holding the very objects it was passed, whatever order the
-    # created lineages come in
+    # order, holding the very objects it was passed
     for prev, event, nxt in random_walk(n, seed, steps):
         if isinstance(event, Coalesce):
             gone = (event.i, event.j)
@@ -213,8 +213,6 @@ def test_successor_matches_the_sort_built_state(n, seed, steps, reverse):
         else:
             gone = (event.i,)
             created = list(prev.lineages[event.i].split(event.locus))
-        if reverse:
-            created.reverse()
         kept = [lin for r, lin in enumerate(prev.lineages) if r not in gone]
         got, want = prev.successor(gone, created), State(n, kept + created)
         assert [id(lin) for lin in got.lineages] == [id(lin) for lin in want.lineages]
@@ -382,7 +380,7 @@ def test_derived_fields_match_their_definitions_on_paths():
         top = 0
         for cfg in configs:
             arg = engine(cfg)
-            for state in (arg.initial, *arg.states):
+            for state in (State.initial(cfg.n_samples), *path_states(arg)):
                 top = max(top, assert_derived_fields(state))
         assert top > 64  # labels past 64 bits were read
 
@@ -402,23 +400,6 @@ def test_operators_walk_no_segments(monkeypatch):
     assert validate_arg(backintime).passed and validate_arg(spatial).passed
     assert len(backintime.events) > 20 and len(spatial.events) > 20
     assert calls == []
-
-
-def test_check_step_calls_no_operator(monkeypatch):
-    # a check that rebuilt the state with union or split would approve
-    # whatever a broken operator produced
-    arg = simulate_backintime(SimConfig(n_samples=8, rho=6.0, density="beta:2,2", seed=4))
-
-    def refuse(*args):
-        raise AssertionError("check_step called a lineage operator")
-
-    for name in ("union", "split", "segments"):
-        monkeypatch.setattr(Lineage, name, refuse)
-    prev = arg.initial
-    for event, state in zip(arg.events, arg.states):
-        state.check_step(prev, event)
-        prev = state
-    assert len(arg.events) > 20
 
 
 def test_full_set():
@@ -448,24 +429,6 @@ def test_apply_dispatch():
 def raw_state(n, lineages):
     """A State holding exactly these lineages, in this order (no sorting)."""
     return State._ranked(n, lineages)
-
-
-@pytest.mark.parametrize("engine", [simulate_backintime, simulate_spatial])
-@pytest.mark.parametrize("density", ["uniform", "beta:2,2"])
-def test_check_step_agrees_with_check_on_engine_paths(engine, density):
-    steps = 0
-    for n in (4, 6):
-        for rho in (1.0, 3.0):
-            for seed in range(5):
-                arg = engine(SimConfig(n_samples=n, rho=rho, density=density, seed=seed))
-                prev = arg.initial.check()
-                for event in arg.events:
-                    nxt = prev.apply(event)
-                    nxt.check_step(prev, event)
-                    nxt.check()
-                    prev = nxt
-                    steps += 1
-    assert steps > 100
 
 
 def _created(prev, nxt):
@@ -560,102 +523,23 @@ CORRUPTIONS = [_add_label, _add_sibling_label, _drop_label, _equal_adjacent, _nu
     st.data(),
 )
 @settings(max_examples=300, deadline=None)
-def test_check_step_rejects_what_check_rejects(corrupt, n, seed, at, data):
+def test_check_rejects_each_corruption(corrupt, n, seed, at, data):
+    # State.check is the invariant oracle the replay validator runs on every
+    # replayed state: each corruption of a step's result must fail it
     steps = list(random_walk(n, seed, 40))
     prev, event, nxt = steps[at % len(steps)]
-    prev.check()
-    nxt.check_step(prev, event)
+    nxt.check()
     bad = raw_state(n, corrupt(n, prev, event, nxt, data.draw))
     with pytest.raises(AssertionError):
         bad.check()
-    with pytest.raises(AssertionError):
-        bad.check_step(prev, event)
-
-
-def _with_state(arg, idx, lineages):
-    """arg with its recorded state at event idx replaced by these lineages, in this order."""
-    states = list(arg.states)
-    states[idx] = raw_state(arg.n_samples, lineages)
-    return Arg(arg.config, arg.times, arg.events, states, arg.initial)
-
-
-def test_wrong_length_states_fail_the_step_check_and_clause_b():
-    # a length past the event's would index past the end of a rank run
-    arg = simulate_backintime(SimConfig(n_samples=6, rho=3.0, seed=2))
-    prev = arg.initial
-    kinds = set()
-    for idx, event in enumerate(arg.events):
-        old = prev.lineages
-        if isinstance(event, Coalesce):  # k - 1 lineages are right
-            wrong = [old[:-2], old, old + old[-1:]]
-        else:  # k + 1 lineages are right
-            wrong = [old, old + old[:2]]
-        for lineages in wrong:
-            with pytest.raises(AssertionError):
-                raw_state(arg.n_samples, lineages).check_step(prev, event)
-            report = validate_arg(_with_state(arg, idx, lineages))
-            assert report.violations[0][:2] == (idx, "b")
-        kinds.add(type(event))
-        prev = arg.states[idx]
-    assert kinds == {Coalesce, Recombine}
-
-
-def _moved(lineages, src, dst):
-    out = list(lineages)
-    out.insert(dst, out.pop(src))
-    return out
-
-
-@pytest.mark.parametrize("engine", [simulate_backintime, simulate_spatial])
-def test_check_step_far_from_the_event_rank(engine):
-    # n=100 puts most untouched lineages far from ranks i and p
-    arg = engine(SimConfig(n_samples=100, rho=5.0, seed=3))
-    prev, copied, far = arg.initial, 0, 0
-    for idx, event in enumerate(arg.events):
-        nxt = prev.apply(event)
-        assert nxt.check_step(prev, event) is nxt
-        new, k = nxt.lineages, len(prev.lineages)
-        own = {id(lin) for lin in prev.lineages}
-        created = [q for q, lin in enumerate(new) if id(lin) not in own]
-        # the last rank the event touched: p for a recombination, j - 1 for a coalescence
-        last = created[-1] if isinstance(event, Recombine) else event.j - 1
-        bad = []
-        if last < len(new) - 2:  # two kept lineages past it, swapped
-            bad.append(_moved(new, len(new) - 1, len(new) - 2))
-            far += 1
-        if isinstance(event, Recombine):  # the upper part one rank either way
-            assert created == [event.i, last]
-            bad.append(_moved(new, last, last - 1))
-            if last < k:
-                bad.append(_moved(new, last + 1, last))
-        for lineages in bad:
-            with pytest.raises(AssertionError):
-                raw_state(prev.n, lineages).check_step(prev, event)
-        untouched = [q for q in range(len(new)) if q not in created]
-        if not untouched:  # the absorbing coalescence
-            break
-        # an equal copy of an untouched lineage is not prev's own: the step
-        # check refuses it, and validation accepts it through the replay
-        r = untouched[-1]
-        copy = list(new)
-        copy[r] = Lineage(new[r].breaks, new[r].vals)
-        assert copy[r] == new[r] and copy[r] is not new[r]
-        with pytest.raises(AssertionError):
-            raw_state(prev.n, copy).check_step(prev, event)
-        if idx % 25 == 0:
-            assert validate_arg(_with_state(arg, idx, copy)).passed
-            copied += 1
-        prev = nxt
-    assert far > 50 and copied >= 4
-    assert any(isinstance(event, Recombine) for event in arg.events)
 
 
 @given(st.integers(2, 12), st.integers(0, 10 ** 6))
 @settings(max_examples=200, deadline=None)
 def test_rank_lemma_on_random_walks(n, seed):
-    # what check_step leans on: the lineage left at rank i is the union, or
-    # the part below the locus, and the upper part sits at the first rank
-    # past i whose lineage is not prev's
+    # what State.successor, graph_to_arg and the summary replay lean on: the
+    # lineage left at rank i is the union, or the part below the locus, and
+    # the upper part sits at the first rank past i whose lineage is not prev's
     for prev, event, nxt in random_walk(n, seed, 40):
         old, new, i = prev.lineages, nxt.lineages, event.i
         if isinstance(event, Coalesce):
