@@ -3,10 +3,10 @@
 An Arg is the full event-log path of one simulation: a strictly
 increasing sequence of event times, the event applied at each, and the
 state its producer reached at the end. The events name the path: every
-state along it is derived by replaying them from the singleton state with
-State.apply, the one legality rule. Both engines produce this shape;
-everything downstream (validation, local trees, summary statistics,
-serialization) consumes it.
+state along it is derived by replaying them from the singleton state on
+one list of lineages with state.advance, the one legality rule. Both
+engines produce this shape; everything downstream (validation, local
+trees, summary statistics, serialization) consumes it.
 
 validate_arg checks engine output by one such replay, and its end must be
 the producer's final state. The serialized form is events-only, and the
@@ -27,7 +27,6 @@ import heapq
 import json
 import math
 import re
-from bisect import insort
 from dataclasses import dataclass, field
 from itertools import accumulate
 
@@ -35,10 +34,11 @@ from . import config
 from .state import (
     Coalesce,
     IllegalEventError,
-    Lineage,
     Recombine,
     State,
+    advance,
     fmt_locus,
+    full_set,
     render_state,
 )
 
@@ -133,23 +133,25 @@ def validate_arg(arg):
     Arg holds a start state. Violations come in path order: per event (e),
     (c), (b), then (d), then a final state the replay does not reach.
 
-    One replay of the events from State.initial(n) with State.apply checks
-    (b): the first illegal event is the violation, and the replay ends
-    there. Clauses (c) to (e) are validate_replayed's, with (d) read at the
-    replay's end. A complete replay must end at arg.final_state; at the end
-    of a spatial path that is where the branch material meets the events.
+    One replay of the events from State.initial(n), advancing one list of
+    lineages, checks (b): the first illegal event is the violation, and the
+    replay ends there. Clauses (c) to (e) are validate_replayed's, with (d)
+    read at the replay's end. A complete replay must end at arg.final_state;
+    at the end of a spatial path that is where the branch material meets
+    the events.
     """
-    state = State.initial(arg.n_samples)
+    n = arg.n_samples
+    lineages, full = list(State.initial(n).lineages), full_set(n)
     steps = []  # clause (b)
     for idx, event in enumerate(arg.events):
         try:
-            state = state.apply(event)
+            advance(lineages, full, event)
         except IllegalEventError as err:
             steps.append((idx, "b", str(err)))
             break
-    else:
-        if state != arg.final_state:
-            steps.append((None, "b", "final state diverges from replay"))
+    state = State._ranked(n, lineages)
+    if not steps and state != arg.final_state:
+        steps.append((None, "b", "final state diverges from replay"))
     replayed = validate_replayed(Arg(arg.config, arg.times, arg.events, state))
     return ValidationReport(list(heapq.merge(replayed.violations, steps,
                                              key=lambda v: math.inf if v[0] is None else v[0])))
@@ -173,13 +175,12 @@ def _site_trees(arg, sites):
     lineages both carry material there, up to the one that leaves a
     single block, and the tree's total length: the sum over the walk of
     the block count times each inter-event time, added per event. The
-    replay is State's on a list of lineages: a coalescence is the union at
-    rank i and a pop at j, a recombination the part below u at rank i and
-    the part from u on bisected past it (the rank lemma, see
-    State.successor). It stops once every site is down to one block.
+    replay advances one list of lineages (see state.advance), and a
+    coalescence's blocks are read at ranks i and j before it. It stops
+    once every site is down to one block.
     """
     n = arg.n_samples
-    lineages = [Lineage.constant(1 << j) for j in range(n)]
+    lineages, full = list(State.initial(n).lineages), full_set(n)
     merges = {s: [] for s in sites}
     lengths = dict.fromkeys(sites, 0.0)
     blocks = dict.fromkeys(sites, n)  # the block count of each site not yet merged
@@ -188,9 +189,8 @@ def _site_trees(arg, sites):
         for s, k in blocks.items():
             lengths[s] += k * (t - prev_t)
         prev_t = t
-        i = event.i
         if isinstance(event, Coalesce):
-            a, b = lineages[i], lineages.pop(event.j)
+            a, b = lineages[event.i], lineages[event.j]
             for s in list(blocks):
                 vi, vj = a.value_at(s), b.value_at(s)
                 if vi and vj:
@@ -200,10 +200,7 @@ def _site_trees(arg, sites):
                         del blocks[s]
             if not blocks:
                 break
-            lineages[i] = a.union(b)
-        else:
-            lineages[i], above = lineages[i].split(event.locus)
-            insort(lineages, above, i + 1, key=Lineage.rank_key)
+        advance(lineages, full, event)
     assert not blocks, "a complete path always merges every site"
     return merges, lengths
 
@@ -391,9 +388,9 @@ def _iter_logs(fp):
         step = cfg is not None and _canonical_event(raw, len(events))
         if step:
             try:
-                state = state.apply(step[1])
+                advance(lineages, full, step[1])
             except IllegalEventError:
-                pass  # the JSON route below names the error
+                pass  # the list is untouched: the JSON route below names the error
             else:
                 times.append(step[0])
                 events.append(step[1])
@@ -407,7 +404,7 @@ def _iter_logs(fp):
                 if version != FORMAT_VERSION:
                     raise ArgParseError("unsupported format_version %r" % version)
                 cfg, header_line = _header_config(obj), lineno
-                state = State.initial(cfg.n_samples)
+                lineages, full = list(State.initial(cfg.n_samples).lineages), full_set(cfg.n_samples)
                 times, events = [], []
                 continue
             if cfg is None:
@@ -418,11 +415,12 @@ def _iter_logs(fp):
                     raise ArgParseError("event index %r out of order" % obj["n"])
                 times.append(_field(obj, "t", (int, float)))
                 try:
-                    state = state.apply(event)
+                    advance(lineages, full, event)
                 except IllegalEventError as err:
                     raise ArgParseError("event %d cannot be replayed: %s" % (len(events), err)) from None
                 events.append(event)
                 continue
+            state = State._ranked(cfg.n_samples, lineages)
             _check_trailer(obj, len(events), state)
         except ArgParseError as err:
             raise ArgParseError("line %d: %s" % (lineno, err)) from None

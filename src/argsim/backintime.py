@@ -14,12 +14,12 @@ to the active interval. Each event is checked by SimConfig.check_event_cap.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
+from . import state as _state
 from .arg import Arg
 from .rng import SALTS, replicate_rng, unrank_pair
-from .state import Coalesce, Recombine, State
+from .state import Coalesce, Recombine, State, advance, full_set
 
 
 @dataclass(slots=True)  # not frozen: a frozen one is costly to build, once per event
@@ -53,12 +53,13 @@ def sample_waiting_time(rates, rng):
     return rng.exponential(rates.total)
 
 
-def sample_event(state, rates, density, rng):
+def sample_event(lineages, full, rates, density, rng):
     """One step of the embedded chain: a Coalesce or Recombine event.
 
-    ``rates`` is total_rate of ``state``.
+    ``lineages`` are a state's ranked lineages over the labels ``full``,
+    and ``rates`` is total_rate of that state.
     """
-    k = len(state.lineages)
+    k = len(lineages)
     if k < 2:
         raise ValueError("cannot sample an event in an absorbing state")
     threshold = rng.uniform() * rates.total
@@ -75,7 +76,7 @@ def sample_event(state, rates, density, rng):
             break
     while rates.recomb_rates[pick] == 0.0:  # float-slack fallback
         pick -= 1
-    b, e = state.active_intervals()[pick]
+    b, e = _state.active_interval(lineages, pick, full)
     locus = density.sample_truncated(rng, b, e)
     return Recombine(pick, locus)
 
@@ -83,24 +84,26 @@ def sample_event(state, rates, density, rng):
 def simulate_backintime(config):
     """Run one full simulation from singletons to the absorbing state.
 
-    The start state is weighed once with total_rate. By the rank lemma (see
-    State.successor) an event changes at most two ranks' weights, so only
+    The start state is weighed once with total_rate; the chain then
+    advances one list of its lineages in place. By the rank lemma (see
+    state.advance) an event changes at most two ranks' weights, so only
     those are weighed again, through a per-path dict of density.cdf at 0, 1
     and each locus drawn. Each weight is the float total_rate gives, so
     sample_event gets total_rate's rates. The Arg keeps the events and the
-    last state of the State.apply chain; no other state outlives its step.
+    state the list ends in.
     """
     rng = replicate_rng(config.seed, config.replicate_index, SALTS["backintime"])
-    state = State.initial(config.n_samples)
-    rho, density = config.rho, config.density
-    rates = total_rate(state, rho, density)
+    n, rho, density = config.n_samples, config.rho, config.density
+    start = State.initial(n)
+    rates = total_rate(start, rho, density)
     weights = list(rates.recomb_rates)
+    lineages, full = list(start.lineages), full_set(n)
     # every active interval ends at 0, 1 or a locus drawn on this path
     cdf = {0.0: density.cdf(0.0), 1.0: density.cdf(1.0)}
     half_rho = 0.5 * rho
 
     def weight(r):
-        b, e = state.active_interval(r)
+        b, e = _state.active_interval(lineages, r, full)
         return half_rho * max(0.0, cdf[e] - cdf[b])
 
     t = 0.0
@@ -108,20 +111,18 @@ def simulate_backintime(config):
     events = []
     while True:
         t += sample_waiting_time(rates, rng)
-        event = sample_event(state, rates, density, rng)
-        prev, state = state, state.apply(event)
+        event = sample_event(lineages, full, rates, density, rng)
+        p = advance(lineages, full, event)
         times.append(t)
         events.append(event)
         config.check_event_cap(len(events))
-        if state.is_absorbed:
-            return Arg(config, times, events, state)
+        if len(lineages) == 1:
+            return Arg(config, times, events, State._ranked(n, lineages))
         i = event.i
-        if isinstance(event, Coalesce):
+        if p is None:
             del weights[event.j]
         else:
             cdf[event.locus] = density.cdf(event.locus)
-            # the upper part's rank p: new[q] is old[q] exactly for i < q < p
-            p = i + 1 + sum(map(operator.is_, state.lineages[i + 1:], prev.lineages[i + 1:]))
             weights.insert(p, weight(p))
         weights[i] = weight(i)
         k = len(weights)

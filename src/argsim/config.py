@@ -19,8 +19,9 @@ from .density import UniformDensity, parse_density
 DEFAULT_EVENT_CAP = 10_000_000
 
 # What still grows with n: the start state's label bitmasks, about n^2 / 16
-# bytes (6 MB at the bound), and the O(n) rank tuple each step copies, so a
-# rho=0 path costs O(n^2) time. An Arg holds only its events and end.
+# bytes (6 MB at the bound), and the back-in-time engine's per-event
+# tuple(weights) and fsum over its O(n) rank weights, so a rho=0 path costs
+# O(n^2) time there. An Arg holds only its events and end.
 MAX_SAMPLES = 10_000
 
 
@@ -65,7 +66,7 @@ class SimConfig:
                 raise EventCapExceeded("a path is expected to take at least n - 1 events, past the cap of %d"
                                        " (n=%d rho=%g)" % (DEFAULT_EVENT_CAP, self.n_samples, self.rho))
             raise ValueError("need at most %d samples, got %d: the start state takes about n^2/16 bytes"
-                             " and each step copies an O(n) rank tuple" % (MAX_SAMPLES, self.n_samples))
+                             " and each back-in-time step sums O(n) rank weights" % (MAX_SAMPLES, self.n_samples))
 
     def with_replicate(self, r):
         return SimConfig(self.n_samples, self.rho, self.density, self.seed, r)

@@ -452,7 +452,7 @@ def graph_to_arg(graph, config):
     """Convert the finished graph to the event-log form.
 
     Nodes sorted by latitude become events. ``ranked`` holds the ids of
-    the live branches in rank order, as State.successor would rank their
+    the live branches in rank order, as state.advance would rank their
     material (the rank lemma): a coalescence leaves its parent at the
     lower child's rank i and drops rank j; a recombination leaves the part
     of lower rank key at rank i and inserts the other past it by one

@@ -23,6 +23,10 @@ Two events act on states:
   active interval; for the first-ranked lineage the interval only starts
   where its value stops being the full label set, so splits that would
   separate already-common ancestral material are illegal.
+
+advance applies an event in place to a rank-ordered list of lineages. It
+holds the legality rule and the rank lemma, and every replay takes each
+event through it.
 """
 
 from __future__ import annotations
@@ -166,15 +170,75 @@ class Recombine:
     locus: float
 
 
+def active_interval(lineages, i, full):
+    """(b, e) of rank i of a ranked ``lineages``: the open interval where splitting is legal.
+
+    For ranks >= 1 this is (support start, support end). The first rank
+    is special: its interval only begins once its value differs from
+    ``full``, the full label set, so the shared ancestral prefix cannot be
+    split off. This is the one place that rule lives; advance,
+    State.active_intervals and the back-in-time engine read it as this
+    module's global. An interval with b >= e is empty and carries no
+    recombination weight.
+    """
+    lin = lineages[i]
+    if i:
+        return lin.start, lin.end
+    # a canonical value that is the full set changes at the first break
+    return (0.0 if lin.vals[0] != full else (lin.breaks or (1.0,))[0]), lin.end
+
+
+def advance(lineages, full, event):
+    """Apply ``event`` in place to the rank-ordered list ``lineages`` over the labels ``full``.
+
+    The one legality rule and the one step of every replay. An illegal
+    event raises IllegalEventError before the list changes, and a
+    non-event raises TypeError before any of its attributes is read.
+    Returns the rank p of a recombination's upper part, None for a
+    coalescence.
+
+    Rank lemma. Lineages rank by (start, smallest label at start).
+    ``Coalesce(i, j)``: lineage i starts no later than j and at a tie
+    carries the smaller label, so the union keeps i's rank key and rank,
+    and j leaves the list. ``Recombine(i, u)``: u lies past i's start, so
+    the part below u keeps i's rank key and rank i. The part from u on
+    sits at some rank p > i, which one bisection over the rank keys past
+    i finds, and every other lineage keeps its order. Rank keys are
+    unique in a valid state, so this is a sort's order.
+    """
+    k = len(lineages)
+    if isinstance(event, Coalesce):
+        i, j = event.i, event.j
+        if not (0 <= i < j < k):
+            raise IllegalEventError("coalesce ranks out of range: (%r, %r) with %d lineages" % (i, j, k))
+        lineages[i] = lineages[i].union(lineages.pop(j))
+        return None
+    if not isinstance(event, Recombine):
+        raise TypeError("not an event: %r" % (event,))
+    i, u = event.i, event.locus
+    if not 0 <= i < k:
+        raise IllegalEventError("recombine rank out of range: %r with %d lineages" % (i, k))
+    if k == 1:
+        raise IllegalEventError("cannot recombine the absorbing state")
+    b, e = active_interval(lineages, i, full)
+    if not (b < u < e):
+        raise IllegalEventError("locus %r outside the active interval (%r, %r) of rank %d" % (u, b, e, i))
+    below, above = lineages[i].split(u)
+    assert not below.is_null and not above.is_null
+    lineages[i] = below
+    p = bisect_left(lineages, above.rank_key(), i + 1, key=Lineage.rank_key)
+    lineages.insert(p, above)
+    return p
+
+
 class State:
     """A ranked tuple of lineages over n sample labels; compared by value, never hashed."""
 
-    __slots__ = ("n", "lineages", "_intervals")
+    __slots__ = ("n", "lineages")
 
     def __init__(self, n, lineages):
         self.n = n
         self.lineages = tuple(sorted(lineages, key=Lineage.rank_key))
-        self._intervals = None
 
     @classmethod
     def _ranked(cls, n, lineages):
@@ -182,7 +246,6 @@ class State:
         state = cls.__new__(cls)
         state.n = n
         state.lineages = tuple(lineages)
-        state._intervals = None
         return state
 
     @classmethod
@@ -206,82 +269,16 @@ class State:
     def is_absorbed(self):
         return len(self.lineages) == 1
 
-    def active_interval(self, i):
-        """(b, e) of rank i: the open interval where splitting is legal.
-
-        For ranks >= 1 this is (support start, support end). The first rank
-        is special: its interval only begins once its value differs from the
-        full label set, so the shared ancestral prefix cannot be split off.
-        This is the one place that rule lives. An interval with b >= e is
-        empty and carries no recombination weight.
-        """
-        lin = self.lineages[i]
-        if i:
-            return lin.start, lin.end
-        # a canonical value that is the full set changes at the first break
-        return (0.0 if lin.vals[0] != full_set(self.n) else (lin.breaks or (1.0,))[0]), lin.end
-
     def active_intervals(self):
-        """Every rank's active_interval, in rank order; built once per state."""
-        if self._intervals is None:
-            out = [self.active_interval(0)]
-            out += [(lin.start, lin.end) for lin in self.lineages[1:]]
-            self._intervals = tuple(out)
-        return self._intervals
-
-    def coalesce(self, i, j):
-        k = len(self.lineages)
-        if not (0 <= i < j < k):
-            raise IllegalEventError("coalesce ranks out of range: (%r, %r) with %d lineages" % (i, j, k))
-        merged = self.lineages[i].union(self.lineages[j])
-        return self.successor((i, j), (merged,))
-
-    def recombine(self, i, u):
-        k = len(self.lineages)
-        if not 0 <= i < k:
-            raise IllegalEventError("recombine rank out of range: %r with %d lineages" % (i, k))
-        if k == 1:
-            raise IllegalEventError("cannot recombine the absorbing state")
-        b, e = self.active_interval(i)
-        if not (b < u < e):
-            raise IllegalEventError(
-                "locus %r outside the active interval (%r, %r) of rank %d" % (u, b, e, i)
-            )
-        below, above = self.lineages[i].split(u)
-        assert not below.is_null and not above.is_null
-        return self.successor((i,), (below, above))
-
-    def successor(self, gone, created):
-        """This state without its lineages at the ascending ranks ``gone``, plus ``created``.
-
-        The one rule for a path's next state, with no legality check: a
-        coalescence passes the ranks (i, j) and the union, a recombination
-        the rank (i,) and its two parts, lower rank key first.
-
-        Rank lemma. Lineages rank by (start, smallest label at start).
-        ``Coalesce(i, j)``: lineage i starts no later than j and at a tie
-        carries the smaller label, so the union keeps i's rank key and
-        rank: the state is old[:i] + (union,) + old[i+1:j] + old[j+1:].
-        ``Recombine(i, u)``: u lies past i's start, so the part below u
-        keeps i's rank key and rank i. The part from u on sits at some rank
-        p > i, which one bisection over the rank keys past i finds, and
-        every other lineage keeps its order. Rank keys are unique in a
-        valid state, so this is a sort's order.
-        """
-        old, i = self.lineages, gone[0]
-        if len(gone) == 2:
-            j = gone[1]
-            return State._ranked(self.n, old[:i] + tuple(created) + old[i + 1:j] + old[j + 1:])
-        below, above = created
-        p = bisect_left(old, above.rank_key(), i + 1, key=Lineage.rank_key)
-        return State._ranked(self.n, old[:i] + (below,) + old[i + 1:p] + (above,) + old[p:])
+        """Every rank's (b, e) by the module's active_interval, in rank order."""
+        full = full_set(self.n)
+        return tuple(active_interval(self.lineages, i, full) for i in range(len(self.lineages)))
 
     def apply(self, event):
-        if isinstance(event, Coalesce):
-            return self.coalesce(event.i, event.j)
-        if isinstance(event, Recombine):
-            return self.recombine(event.i, event.locus)
-        raise TypeError("not an event: %r" % (event,))
+        """The state ``event`` leads to: advance on a copy of the lineages."""
+        lineages = list(self.lineages)
+        advance(lineages, full_set(self.n), event)
+        return State._ranked(self.n, lineages)
 
     def check(self):
         """Assert the structural invariants; returns self for chaining."""

@@ -12,7 +12,7 @@ Test p-values are meant for pinned-seed CI runs: at alpha = 0.001 a
 correct implementation fails a given test about once per thousand seeds,
 while a known-broken engine fails immediately. That broken engine (the
 shared-prefix rule switched off) lives in the tests, as a fixture that
-patches State.active_interval; nothing here knows about it.
+patches state.active_interval; nothing here knows about it.
 """
 
 from __future__ import annotations

@@ -48,18 +48,17 @@ def r1_mutant(monkeypatch):
 
     Every rank's active interval becomes its whole support, so the
     first-ranked lineage can split inside material all samples already
-    share. State.active_interval is the one place the shared-prefix rule
-    lives: the engine's kept weights and State.recombine read it, and
-    State.active_intervals (read by total_rate and sample_event) reads
-    rank 0 through it. So patching it turns simulate_backintime into the mutant
-    whose wrong breakpoint law the statistical battery must catch. A state
-    caches its active_intervals tuple, so a state built before the patch
-    keeps its real intervals once they are read. The patch is undone when
-    the test ends.
+    share. state.active_interval is the one place the shared-prefix rule
+    lives, and every reader looks it up as that module's global: the
+    kernel state.advance, State.active_intervals (read by total_rate), and
+    the engine's kept weights and sample_event.
+    So patching it turns simulate_backintime into the mutant whose wrong
+    breakpoint law the statistical battery must catch. The patch is undone
+    when the test ends.
     """
     monkeypatch.setattr(
-        State, "active_interval",
-        lambda self, i: (self.lineages[i].start, self.lineages[i].end),
+        argsim.state, "active_interval",
+        lambda lineages, i, full: (lineages[i].start, lineages[i].end),
     )
 
 
@@ -274,6 +273,25 @@ def ks_two_sample_oracle(a, b):
             d = diff
     ne = na * nb / (na + nb)
     return d, float(kolmogorov(math.sqrt(ne) * d))
+
+
+def count_advance(monkeypatch):
+    """Record the event of every call of the kernel, state.advance, in the returned list.
+
+    Every argsim module that binds the kernel gets the counting one, so the
+    count holds however a caller reaches it.
+    """
+    calls = []
+    kernel = argsim.state.advance
+
+    def counted(lineages, full, event):
+        calls.append(event)
+        return kernel(lineages, full, event)
+
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "argsim" and getattr(mod, "advance", None) is kernel:
+            monkeypatch.setattr(mod, "advance", counted)
+    return calls
 
 
 def build_arg(config, timed_events):

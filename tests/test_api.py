@@ -12,13 +12,19 @@ API that the README names, with a reason.
 import ast
 import importlib
 import inspect
+import io
 import pkgutil
 import re
+import sys
 from pathlib import Path
 
 import argsim
 from argsim import stats
+from argsim.arg import local_tree, read_args, summary, validate_arg, write_arg
+from argsim.backintime import simulate_backintime
 from argsim.config import SimConfig
+from argsim.spatial import simulate_spatial
+from argsim.state import Lineage
 
 
 def argsim_modules():
@@ -237,6 +243,29 @@ def test_only_cli_main_ends_a_run_with_exit_2():
                 found.append("%s:%d: %s" % (path.name, node.lineno, ast.unparse(node)))
     assert found == []
     assert reached == allowed  # the walk sees both
+
+
+def test_only_the_kernel_calls_the_lineage_operators(monkeypatch):
+    # one rule, no fork: every replay takes its events through state.advance,
+    # so whatever runs (both engines, validation, the reader, summary,
+    # local_tree) each union and split of lineages is called from
+    # argsim.state. A text search would not do: str.split and set.union
+    # share the names
+    callers = {"union": set(), "split": set()}
+    for name in callers:
+        def recording(self, *args, name=name, method=getattr(Lineage, name)):
+            callers[name].add(sys._getframe(1).f_globals["__name__"])
+            return method(self, *args)
+        monkeypatch.setattr(Lineage, name, recording)
+    cfg = SimConfig(n_samples=6, rho=4.0, density="beta:2,2", seed=3)
+    for arg in (simulate_backintime(cfg), simulate_spatial(cfg)):
+        assert validate_arg(arg).passed
+        buf = io.StringIO()
+        write_arg(arg, buf)
+        (read,) = read_args(io.StringIO(buf.getvalue()))
+        summary(read, (0.0, 0.5, 0.9))
+        local_tree(arg, 0.25)
+    assert callers == {"union": {"argsim.state"}, "split": {"argsim.state"}}
 
 
 def test_every_exported_name_resolves():

@@ -37,6 +37,7 @@ from argsim.spatial import simulate_spatial
 from argsim.state import Coalesce, Lineage, Recombine, State, fmt_locus
 from conftest import (
     build_arg,
+    count_advance,
     mask_of,
     newick_from_levels,
     path_states,
@@ -97,8 +98,8 @@ def test_validate_illegal_event_fails_clause_b():
 def test_validate_diverging_recorded_state_fails_clause_b():
     # the events are legal, but they do not reach the recorded final state
     cfg = SimConfig(n_samples=3, rho=0.0, seed=0)
-    good = State.initial(3).coalesce(0, 1)
-    wrong = State.initial(3).coalesce(0, 2)
+    good = State.initial(3).apply(Coalesce(0, 1))
+    wrong = State.initial(3).apply(Coalesce(0, 2))
     arg = Arg(cfg, [0.5], [Coalesce(0, 1)], wrong)
     report = validate_arg(arg)
     assert not report.passed
@@ -208,15 +209,15 @@ def test_recombining_the_absorbing_state_is_clause_b(r1_mutant):
 
 
 def test_validate_replays_each_event_once(monkeypatch):
-    # engine output and a read log are checked the same way: one State.apply
+    # engine output and a read log are checked the same way: one kernel step
     # per event, no full check and no comparison but the end's
     arg = simulate_backintime(SimConfig(n_samples=8, rho=5.0, density="beta:2,2", seed=11))
     buf = io.StringIO()
     write_arg(arg, buf)
     parsed = read_arg(io.StringIO(buf.getvalue()))  # the read replays once
-    applied, compared, checked = [], [], []
-    apply, eq, check = State.apply, State.__eq__, State.check
-    monkeypatch.setattr(State, "apply", lambda self, event: applied.append(event) or apply(self, event))
+    compared, checked = [], []
+    applied = count_advance(monkeypatch)
+    eq, check = State.__eq__, State.check
     monkeypatch.setattr(State, "__eq__", lambda self, other: compared.append(self) or eq(self, other))
     monkeypatch.setattr(State, "check", lambda self: checked.append(self) or check(self))
     assert arg.event_count > 10

@@ -71,11 +71,10 @@ def test_rate_three_lineage_beta_vs_quadrature():
 def test_rate_r1_disabled_unfreezes_prefix(request):
     # the deliberate mutant treats the first-ranked lineage like the rest,
     # so its whole support (0, 1) regains recombination weight; the fixture
-    # checks its real intervals before the patch, and a state caches them,
-    # so the mutant weighs a fresh state of the same lineages
+    # checks its real intervals before the patch
     x = three_lineage_fixture()
     request.getfixturevalue("r1_mutant")
-    rates = total_rate(State(3, x.lineages), 2.0, UNIFORM)
+    rates = total_rate(x, 2.0, UNIFORM)
     assert rates.recomb_rates == pytest.approx((1.0, 0.7, 0.4), rel=1e-12)
     assert rates.total == pytest.approx(5.1, rel=1e-12)
 
@@ -83,28 +82,29 @@ def test_rate_r1_disabled_unfreezes_prefix(request):
 def test_total_rate_follows_the_density_and_the_interval(request):
     # one state weighed under one density, then another, then the first
     # again: each weighing reads its own density; rank 0's interval
-    # follows the shared-prefix rule in force when the state is built
+    # follows the shared-prefix rule in force when the state is weighed
     x = three_lineage_fixture()
     beta = BetaDensity(2.0, 2.0)
     assert total_rate(x, 2.0, UNIFORM).recomb_rates == pytest.approx((0.7, 0.7, 0.4), rel=1e-12)
     assert total_rate(x, 2.0, beta).recomb_rates == pytest.approx((0.784, 0.784, 0.352), rel=1e-12)
     assert total_rate(x, 2.0, UNIFORM).recomb_rates == pytest.approx((0.7, 0.7, 0.4), rel=1e-12)
     request.getfixturevalue("r1_mutant")  # rank 0's interval becomes (0, 1)
-    assert total_rate(State(3, x.lineages), 2.0, UNIFORM).recomb_rates == pytest.approx((1.0, 0.7, 0.4), rel=1e-12)
+    assert total_rate(x, 2.0, UNIFORM).recomb_rates == pytest.approx((1.0, 0.7, 0.4), rel=1e-12)
 
 
 def record_rates(monkeypatch):
     """Record the (state, rates) of every event sample_event draws.
 
     simulate_backintime looks sample_event up as a module global, so the
-    recorder sees exactly what the engine passes it.
+    recorder sees exactly what the engine passes it. The engine advances
+    one list in place, so each state is a snapshot of it, in its order.
     """
     seen = []
     draw = backintime.sample_event
 
-    def recording(state, rates, density, rng):
-        seen.append((state, rates))
-        return draw(state, rates, density, rng)
+    def recording(lineages, full, rates, density, rng):
+        seen.append((State._ranked(full.bit_length(), lineages), rates))
+        return draw(lineages, full, rates, density, rng)
 
     monkeypatch.setattr(backintime, "sample_event", recording)
     return seen
@@ -176,19 +176,13 @@ def test_a_path_reads_each_cdf_value_once_and_builds_few_interval_tuples(monkeyp
     # to weighing every rank per event. The start state costs 2 CDF reads
     # per lineage, the per-path CDF dict one per end (0 and 1) and per
     # locus, and each truncated draw two. The all-rank interval tuple is
-    # built for the start state and for each state a recombination is
-    # drawn from
+    # built for the start state only
     calls = [0]
     cdf = BetaDensity.cdf
     monkeypatch.setattr(BetaDensity, "cdf", lambda self, s: calls.__setitem__(0, calls[0] + 1) or cdf(self, s))
     built = [0]
     intervals = State.active_intervals
-
-    def counting(self):
-        built[0] += self._intervals is None
-        return intervals(self)
-
-    monkeypatch.setattr(State, "active_intervals", counting)
+    monkeypatch.setattr(State, "active_intervals", lambda self: built.__setitem__(0, built[0] + 1) or intervals(self))
     recombinations = 0
     for seed in range(3):
         base = SimConfig(n_samples=20, rho=15.0, density="beta:2,2", seed=seed)
@@ -197,7 +191,7 @@ def test_a_path_reads_each_cdf_value_once_and_builds_few_interval_tuples(monkeyp
             arg = simulate_backintime(base.with_replicate(r))
             loci = [ev.locus for ev in arg.events if isinstance(ev, Recombine)]
             assert calls[0] <= 2 * arg.n_samples + 2 + len(set(loci)) + 2 * len(loci)
-            assert built[0] <= len(loci) + 1
+            assert built[0] == 1
             recombinations += len(loci)
     assert recombinations > 5000
 
@@ -239,7 +233,7 @@ def test_sample_event_pure_coalescence_when_rho_zero():
     x = State.initial(2)
     rng = SimRng(3)
     for _ in range(50):
-        assert sample_event(x, total_rate(x, 0.0, UNIFORM), UNIFORM, rng) == Coalesce(0, 1)
+        assert sample_event(x.lineages, full_set(2), total_rate(x, 0.0, UNIFORM), UNIFORM, rng) == Coalesce(0, 1)
 
 
 def test_sample_event_frequencies():
@@ -250,7 +244,7 @@ def test_sample_event_frequencies():
     n_coal = 0
     n_rec0 = 0
     for _ in range(n):
-        ev = sample_event(x, rates, UNIFORM, rng)
+        ev = sample_event(x.lineages, full_set(2), rates, UNIFORM, rng)
         if isinstance(ev, Coalesce):
             n_coal += 1
         elif ev.i == 0:
@@ -274,7 +268,7 @@ def test_recombination_locus_is_truncated_uniform():
     rng = SimRng(55)
     loci = []
     while len(loci) < 10 ** 5:
-        ev = sample_event(x, rates, UNIFORM, rng)
+        ev = sample_event(x.lineages, full_set(2), rates, UNIFORM, rng)
         if isinstance(ev, Recombine) and ev.i == 0:
             loci.append(ev.locus)
     assert all(0.3 < u < 1.0 for u in loci)
@@ -305,7 +299,7 @@ def test_waiting_time_rejects_absorbing():
 def test_sample_event_rejects_absorbing():
     state = State.absorbing(3)
     with pytest.raises(ValueError) as exc:
-        sample_event(state, total_rate(state, 1.0, UNIFORM), UNIFORM, SimRng(0))
+        sample_event(state.lineages, full_set(3), total_rate(state, 1.0, UNIFORM), UNIFORM, SimRng(0))
     assert str(exc.value) == "cannot sample an event in an absorbing state"
 
 

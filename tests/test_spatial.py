@@ -32,7 +32,7 @@ from argsim.spatial import (
 )
 from argsim.state import Coalesce, Lineage, Recombine, State
 from argsim.stats import ENGINES, chi_square, kingman_expectations, ks_one_sample, ks_one_sample_with_atom
-from conftest import check_invariants, column, labels_of, mask_of, path_states, project_path, top_id
+from conftest import check_invariants, column, count_advance, labels_of, mask_of, path_states, project_path, top_id
 
 INF = float("inf")
 UNIFORM = UniformDensity()
@@ -783,19 +783,18 @@ def test_recoalescing_onto_the_ridden_branch_cuts_the_piece_above_the_detach():
 def material_states(graph):
     """The state after each node, read off the branch material.
 
-    Nodes sorted by latitude; each state is State.successor of the one
-    before, with the node's children's material out and its parents' in,
-    lower rank key first, ranks found by the identity of the material: a
-    derivation of the states from the graph alone, the oracle that
-    graph_to_arg's events must meet.
+    Nodes sorted by latitude; each state is the sort-built State of the one
+    before, with the node's children's material out (found by identity)
+    and its parents' in: a derivation of the states from the graph alone,
+    the oracle that graph_to_arg's events must meet.
     """
     material = [b.material for b in graph.branches]
     state = State(graph.n, material[:graph.n])
     out = []
     for node in sorted(graph.nodes, key=lambda nd: nd.time):
-        ids = list(map(id, state.lineages))
-        gone = tuple(sorted(ids.index(id(material[c])) for c in node.children))
-        state = state.successor(gone, sorted((material[p] for p in node.parents), key=Lineage.rank_key))
+        gone = {id(material[c]) for c in node.children}
+        kept = [lin for lin in state.lineages if id(lin) not in gone]
+        state = State(graph.n, kept + [material[p] for p in node.parents])
         out.append(state)
     return out
 
@@ -854,9 +853,7 @@ def test_material_that_disagrees_with_the_nodes_is_clause_b():
 
 
 def test_graph_to_arg_replays_no_event(monkeypatch):
-    calls = []
-    apply = State.apply
-    monkeypatch.setattr(State, "apply", lambda self, event: calls.append(event) or apply(self, event))
+    calls = count_advance(monkeypatch)
     g, trace = detached_trace()
     accept_breakpoint(g, 0.75, trace)
     graph_to_arg(g, SimConfig(n_samples=2, rho=2.0, seed=0))

@@ -17,6 +17,7 @@ from argsim.state import (
     Lineage,
     Recombine,
     State,
+    advance,
     full_set,
     render_state,
     render_typeset,
@@ -94,7 +95,7 @@ def test_active_interval_is_material_support():
 
 
 def test_recombine_initial_pair():
-    x = State.initial(2).recombine(0, 0.5)
+    x = State.initial(2).apply(Recombine(0, 0.5))
     x.check()
     assert len(x.lineages) == 3
     below = lin((0.0, 0.5, {1}))
@@ -112,7 +113,7 @@ def test_recombine_rejects_coalesced_prefix():
         ],
     )
     with pytest.raises(IllegalEventError):
-        x.recombine(0, 0.2)
+        x.apply(Recombine(0, 0.2))
 
 
 def test_recombine_rejects_outside_support():
@@ -124,9 +125,9 @@ def test_recombine_rejects_outside_support():
         ],
     )
     with pytest.raises(IllegalEventError):
-        x.recombine(1, 0.8)
+        x.apply(Recombine(1, 0.8))
     with pytest.raises(IllegalEventError):
-        x.recombine(1, 0.1)
+        x.apply(Recombine(1, 0.1))
 
 
 def test_recombine_then_coalesce_is_identity():
@@ -139,42 +140,42 @@ def test_recombine_then_coalesce_is_identity():
                 continue
             i, b, e = pairs[seed % len(pairs)]
             u = 0.5 * (b + e)
-            split = state.recombine(i, u)
+            split = state.apply(Recombine(i, u))
             lo, hi = state.lineages[i].split(u)
             ri = split.lineages.index(lo)
             rj = split.lineages.index(hi)
-            back = split.coalesce(min(ri, rj), max(ri, rj))
+            back = split.apply(Coalesce(min(ri, rj), max(ri, rj)))
             assert back == state
             break
 
 
 def test_coalesce_to_absorbing():
-    x = State.initial(2).coalesce(0, 1)
+    x = State.initial(2).apply(Coalesce(0, 1))
     assert x.is_absorbed
     assert x == State.absorbing(2)
 
 
 def test_coalesce_disjoint_blocks():
-    x = State.initial(3).coalesce(1, 2)
+    x = State.initial(3).apply(Coalesce(1, 2))
     assert [l.value_at(0.0) for l in x.lineages] == [mask_of({1}), mask_of({2, 3})]
 
 
 def test_coalesce_complementary_supports():
-    x = State.initial(2).recombine(0, 0.5)
+    x = State.initial(2).apply(Recombine(0, 0.5))
     below = x.lineages.index(lin((0.0, 0.5, {1})))
     above = x.lineages.index(lin((0.5, 1.0, {1})))
-    merged = x.coalesce(min(below, above), max(below, above))
+    merged = x.apply(Coalesce(min(below, above), max(below, above)))
     assert merged == State.initial(2)
 
 
 def test_coalesce_rejects_bad_ranks():
     x = State.initial(3)
     with pytest.raises(IllegalEventError):
-        x.coalesce(1, 1)
+        x.apply(Coalesce(1, 1))
     with pytest.raises(IllegalEventError):
-        x.coalesce(0, 3)
+        x.apply(Coalesce(0, 3))
     with pytest.raises(IllegalEventError):
-        State.absorbing(3).coalesce(0, 1)
+        State.absorbing(3).apply(Coalesce(0, 1))
 
 
 def test_site_partition_basics():
@@ -184,7 +185,7 @@ def test_site_partition_basics():
         mask_of({3}),
     )
     assert site_partition(State.absorbing(4), 0.1) == (mask_of({1, 2, 3, 4}),)
-    x = State.initial(2).recombine(0, 0.5)
+    x = State.initial(2).apply(Recombine(0, 0.5))
     assert site_partition(x, 0.6) == (mask_of({1}), mask_of({2}))
 
 
@@ -201,22 +202,93 @@ def test_lineage_count_changes_by_one():
             assert delta == (1 if isinstance(event, Recombine) else -1)
 
 
-@given(st.integers(2, 7), st.integers(0, 2**32), st.integers(1, 40))
-@settings(max_examples=200, deadline=None)
-def test_successor_matches_the_sort_built_state(n, seed, steps):
-    # the sort under rank_key is the reference; successor must give its
-    # order, holding the very objects it was passed
-    for prev, event, nxt in random_walk(n, seed, steps):
-        if isinstance(event, Coalesce):
-            gone = (event.i, event.j)
-            created = [prev.lineages[event.i].union(prev.lineages[event.j])]
-        else:
-            gone = (event.i,)
-            created = list(prev.lineages[event.i].split(event.locus))
-        kept = [lin for r, lin in enumerate(prev.lineages) if r not in gone]
-        got, want = prev.successor(gone, created), State(n, kept + created)
-        assert [id(lin) for lin in got.lineages] == [id(lin) for lin in want.lineages]
-        assert got == want == nxt
+@pytest.mark.parametrize("engine", [simulate_backintime, simulate_spatial])
+@pytest.mark.parametrize("density", ["uniform", "beta:2,2"])
+def test_advance_matches_the_sort_built_state(engine, density):
+    # the sort under rank_key is the reference: at every step of engine
+    # paths the kernel's list must be State(n, ...) of the kept lineages
+    # and the new ones, holding the kept lineages themselves, and a valid
+    # state; a recombination returns the rank of its upper part
+    steps = 0
+    for n in (2, 3, 5, 8, 13, 20):
+        for seed in range(4):
+            arg = engine(SimConfig(n_samples=n, rho=4.0, density=density, seed=seed))
+            lineages, full = list(State.initial(n).lineages), full_set(n)
+            for event in arg.events:
+                old = list(lineages)
+                if isinstance(event, Coalesce):
+                    gone, created = (event.i, event.j), [old[event.i].union(old[event.j])]
+                else:
+                    gone, created = (event.i,), list(old[event.i].split(event.locus))
+                kept = [lin for r, lin in enumerate(old) if r not in gone]
+                p = advance(lineages, full, event)
+                want = State(n, kept + created)
+                assert State._ranked(n, lineages) == want
+                assert [id(lin) for lin in lineages if lin in kept] == [id(lin) for lin in kept]
+                assert (p is None) == isinstance(event, Coalesce)
+                if p is not None:
+                    assert p > event.i and lineages[p] == created[1]
+                want.check()
+                steps += 1
+            assert State._ranked(n, lineages) == arg.final_state
+    assert steps > 500
+
+
+def test_advance_refuses_before_it_changes_the_list():
+    # each illegal kind raises its one message and leaves the list as it was
+    prefix = State(
+        2,
+        [
+            lin((0.0, 0.3, {1, 2}), (0.3, 1.0, {1})),
+            lin((0.3, 0.8, {2}),),
+        ],
+    )
+    assert prefix.active_intervals() == ((0.3, 1.0), (0.3, 0.8))
+    x, absorbed = State.initial(3), State.absorbing(3)
+    cases = [
+        (x, Coalesce(1, 1), "coalesce ranks out of range: (1, 1) with 3 lineages"),
+        (x, Coalesce(0, 3), "coalesce ranks out of range: (0, 3) with 3 lineages"),
+        (x, Coalesce(-1, 1), "coalesce ranks out of range: (-1, 1) with 3 lineages"),
+        (absorbed, Coalesce(0, 1), "coalesce ranks out of range: (0, 1) with 1 lineages"),
+        (x, Recombine(3, 0.5), "recombine rank out of range: 3 with 3 lineages"),
+        (x, Recombine(-1, 0.5), "recombine rank out of range: -1 with 3 lineages"),
+        (absorbed, Recombine(0, 0.5), "cannot recombine the absorbing state"),
+        (prefix, Recombine(0, 0.3), "locus 0.3 outside the active interval (0.3, 1.0) of rank 0"),
+        (prefix, Recombine(0, 1.0), "locus 1.0 outside the active interval (0.3, 1.0) of rank 0"),
+        (prefix, Recombine(0, 0.2), "locus 0.2 outside the active interval (0.3, 1.0) of rank 0"),
+        (prefix, Recombine(1, 0.8), "locus 0.8 outside the active interval (0.3, 0.8) of rank 1"),
+        (prefix, Recombine(1, 0.9), "locus 0.9 outside the active interval (0.3, 0.8) of rank 1"),
+    ]
+    for state, event, message in cases:
+        lineages = list(state.lineages)
+        with pytest.raises(IllegalEventError) as err:
+            advance(lineages, full_set(state.n), event)
+        assert str(err.value) == message
+        assert [id(l) for l in lineages] == [id(l) for l in state.lineages]
+        with pytest.raises(IllegalEventError) as err:
+            state.apply(event)
+        assert str(err.value) == message
+
+
+def test_advance_reads_no_attribute_of_a_non_event():
+    read = []
+
+    class NotAnEvent:
+        i, j, locus = 0, 1, 0.5
+
+        def __getattribute__(self, name):
+            if not name.startswith("__"):
+                read.append(name)
+            return object.__getattribute__(self, name)
+
+    x = State.initial(3)
+    lineages = list(x.lineages)
+    with pytest.raises(TypeError, match="^not an event: "):
+        advance(lineages, full_set(3), NotAnEvent())
+    with pytest.raises(TypeError, match="^not an event: "):
+        x.apply(NotAnEvent())
+    assert read == []
+    assert lineages == list(x.lineages)
 
 
 def test_project_at_zero_freezes_blocks():
@@ -233,7 +305,7 @@ def test_project_at_zero_freezes_blocks():
 def test_project_without_later_breaks_is_identity():
     x = State.initial(3)
     assert project_state(x, 0.9) == x
-    y = x.recombine(0, 0.2)
+    y = x.apply(Recombine(0, 0.2))
     # freezing right of every discontinuity changes nothing
     assert project_state(y, 0.9) == y
 
@@ -269,13 +341,13 @@ def test_projection_keeps_site_partition():
 
 def test_render_initial_and_split():
     assert render_state(State.initial(2)) == "[0,{1}] [0,{2}]"
-    x = State.initial(2).recombine(0, 0.5)
+    x = State.initial(2).apply(Recombine(0, 0.5))
     assert render_state(x) == "[0,{1} | 0.5,{}] [0,{2}] [0,{} | 0.5,{1}]"
 
 
 def test_render_roundtrip_precision():
     u = 1.0 / 3.0
-    x = State.initial(2).recombine(0, u)
+    x = State.initial(2).apply(Recombine(0, u))
     text = render_state(x)
     assert "%.17g" % u in text
     assert float("%.17g" % u) == u
@@ -420,8 +492,9 @@ def test_mask_helpers_match_the_label_sets(labels, n):
 
 def test_apply_dispatch():
     x = State.initial(3)
-    assert x.apply(Coalesce(0, 1)) == x.coalesce(0, 1)
-    assert x.apply(Recombine(2, 0.25)) == x.recombine(2, 0.25)
+    a, b, c = x.lineages
+    assert x.apply(Coalesce(0, 1)) == State(3, [a.union(b), c])
+    assert x.apply(Recombine(2, 0.25)) == State(3, [a, b, *c.split(0.25)])
     with pytest.raises(TypeError):
         x.apply("coal")
 
@@ -537,7 +610,7 @@ def test_check_rejects_each_corruption(corrupt, n, seed, at, data):
 @given(st.integers(2, 12), st.integers(0, 10 ** 6))
 @settings(max_examples=200, deadline=None)
 def test_rank_lemma_on_random_walks(n, seed):
-    # what State.successor, graph_to_arg and the summary replay lean on: the
+    # what state.advance and graph_to_arg lean on: the
     # lineage left at rank i is the union, or the part below the locus, and
     # the upper part sits at the first rank past i whose lineage is not prev's
     for prev, event, nxt in random_walk(n, seed, 40):
