@@ -42,9 +42,12 @@ on the interval it lands in, O(B). The splice (accept_breakpoint) costs
 what the stage changes: its tail walk stops at the meeting piece, where the
 path rejoins the fork's line, and it revalues only the path, the fork's
 line up to that piece and the pieces made in this stage, building a
-Lineage only where a value changes. Every other local-tree piece keeps its
-value, so the new tree is one filter of the old one plus the revalued
-pieces left in it, sorted by id.
+Lineage only where a value changes. The local tree is kept as one id-ordered
+list with the spans of its pieces beside it, and the splice edits both in
+place: one bisection per old piece it revalues or cuts, then an append per
+piece made in this stage. Every other local-tree piece keeps its slot and
+span, so a stage touches only the pieces it visits, plus one fsum of the
+spans for the tree's length.
 """
 
 from __future__ import annotations
@@ -61,6 +64,7 @@ from .rng import SALTS, replicate_rng, unrank_pair
 from .state import Coalesce, Lineage, Recombine, State
 
 INF = math.inf
+_BY_ID = attrgetter("id")
 
 
 class Branch:
@@ -104,11 +108,15 @@ class PartialGraph:
     locus is a recombination (one child, two parents); one without is a
     coalescence (two children, one parent). A split links the pieces of a
     branch bottom to top through the node's first parent.
+
+    ``tree`` is the current local tree's finite pieces as one list in id
+    order, and ``spans[k] == tree[k].hi - tree[k].lo``; set_tree builds
+    both once, and accept_breakpoint edits them in place.
     """
 
     __slots__ = (
         "n", "branches", "nodes", "breakpoints",
-        "tree", "tree_length", "starts", "counts",
+        "tree", "spans", "tree_length", "starts", "counts",
     )
 
     def __init__(self, n):
@@ -116,7 +124,8 @@ class PartialGraph:
         self.branches = []
         self.nodes = []
         self.breakpoints = []
-        self.tree = ()  # finite local-tree branches, in id order
+        self.tree = []  # finite local-tree branches, in id order
+        self.spans = []  # their hi - lo, slot by slot
         self.tree_length = 0.0
         # the live intervals: starts[k] opens interval k, counts[k] branches
         # span it (see live_intervals); accept_breakpoint keeps them current
@@ -134,9 +143,14 @@ class PartialGraph:
         return nd
 
     def set_tree(self, branches):
-        """Store the local tree's finite branches (in id order) and their length."""
-        self.tree = tuple(branches)
-        self.tree_length = math.fsum(b.hi - b.lo for b in self.tree)
+        """Build the local tree from its finite branches (in id order): the list, its spans, its length.
+
+        The one full build, for kingman_tree and hand-built graphs; each
+        stage's splice edits the lists in place instead.
+        """
+        self.tree = list(branches)
+        self.spans = [b.hi - b.lo for b in self.tree]
+        self.tree_length = math.fsum(self.spans)
 
     def branch_above(self, node_id):
         """The branch leaving a node upward; at a fork, the one whose material ends last.
@@ -223,7 +237,7 @@ def live_intervals(graph):
 
 def live_branches(graph, t):
     """Id-sorted tuple of the branches spanning latitude t; O(branches)."""
-    return tuple(b.id for b in graph.branches if b.lo <= t < b.hi)
+    return tuple([b.id for b in graph.branches if b.lo <= t < b.hi])
 
 
 def free_rise(graph, t0, rng):
@@ -278,14 +292,13 @@ def sample_next_breakpoint(graph, rho, density, rng):
 def sample_recomb_location(graph, rng):
     """Step 3: a uniform point on the current local tree.
 
-    Walks graph.tree (the finite branches accept_breakpoint read off the
+    Walks graph.tree with its kept spans (the finite branches of the
     newest column, in id order), spending a single U * L draw; returns
     (branch id, latitude).
     """
     assert graph.tree_length > 0.0
     u = rng.uniform() * graph.tree_length
-    for b in graph.tree:
-        span = b.hi - b.lo
+    for b, span in zip(graph.tree, graph.spans):
         if u < span:
             return b.id, b.lo + u
         u -= span
@@ -357,7 +370,10 @@ def accept_breakpoint(graph, s_new, trace):
     So one pass revalues only the path, the fork's line from the fork up to
     the meeting piece and the pieces made in this stage; every other
     local-tree piece stays in the tree as it is. The tree is the branches
-    left nonempty from s_new on.
+    left nonempty from s_new on, kept in place: each old piece revalued, or
+    cut by the splice (whose hi it lowers), is found by bisection on id and
+    deleted, inserted or given its new span; then the pieces made in this
+    stage, whose ids are all larger, are appended in id order.
     """
     xi = trace.xi
     carried = Lineage((s_new,), (0, xi))
@@ -370,6 +386,7 @@ def accept_breakpoint(graph, s_new, trace):
     node = graph.add_node(trace.t0, s_new, [fork.id], [fork_above.id, cur.id])
     fork.upper_node = node.id
     on_path = {cur.id}
+    cut = [fork.id]  # the pieces whose hi the splice lowers
     for step in trace.steps:
         kind, t = step[0], step[1]
         if kind == "coal":
@@ -378,12 +395,14 @@ def accept_breakpoint(graph, s_new, trace):
             target = graph.branches[step[2]]
             while target.hi <= t:
                 target = graph.branches[graph.nodes[target.upper_node].parents[0]]
+            cut.append(target.id)
             above = graph.split_branch(target, t)
             node = graph.add_node(t, None, [target.id, cur.id], [above.id])
             target.upper_node = cur.upper_node = node.id
             cur.hi = t
             cur = above
         elif kind == "detach":
+            cut.append(cur.id)
             above = graph.split_branch(cur, t)
             seg = graph.add_branch(t, None, None, carried)
             node = graph.add_node(t, step[2], [cur.id], [above.id, seg.id])
@@ -426,26 +445,42 @@ def accept_breakpoint(graph, s_new, trace):
                 counts[k] += 1
                 k += 1
     # the value from s_new on: only the path, the fork's line and the
-    # pieces made in this stage can change it, so every other old-tree piece
-    # stays in the tree as it is. The tree goes in id order, so
-    # sample_recomb_location and the fsum of its length see the same
-    # sequence as a pass over every branch would give them
-    visited = on_path.union(lost, range(first_branch, len(graph.branches)))
-    tree = [b for b in graph.tree if b.id not in visited]
-    for bid in visited:
-        b = graph.branches[bid]
+    # pieces made in this stage can change it, and only the cut pieces
+    # change span, so every other old-tree piece keeps its slot. The tree
+    # stays in id order, so sample_recomb_location and the fsum of its
+    # length see the same sequence as a pass over every branch would give
+    def revalue(b):
+        """Give b its value from s_new on; True if it is in the new tree."""
         last = col = b.material.vals[-1]
-        if bid in on_path:
+        if b.id in on_path:
             col = last | xi
-        elif bid in lost:
+        elif b.id in lost:
             col = last & ~xi
         if col != last:
-            b.material = Lineage(b.material.breaks + (s_new,), b.material.vals + (col,))
-        if col and b.hi < INF:
+            b.material = b.material.extended(s_new, col)
+        return col and b.hi < INF
+
+    tree, spans = graph.tree, graph.spans
+    for bid in on_path.union(lost, cut):
+        if bid >= first_branch:
+            continue  # made in this stage: appended below, in id order
+        b = graph.branches[bid]
+        k = bisect_left(tree, bid, key=_BY_ID)
+        held = k < len(tree) and tree[k] is b
+        if revalue(b):
+            if held:
+                spans[k] = b.hi - b.lo
+            else:
+                tree.insert(k, b)
+                spans.insert(k, b.hi - b.lo)
+        elif held:
+            del tree[k], spans[k]
+    for b in graph.branches[first_branch:]:
+        if revalue(b):
             tree.append(b)
-    tree.sort(key=attrgetter("id"))
+            spans.append(b.hi - b.lo)
     graph.breakpoints.append(s_new)
-    graph.set_tree(tree)
+    graph.tree_length = math.fsum(spans)
 
 
 def graph_to_arg(graph, config):

@@ -52,8 +52,9 @@ class Lineage:
     Values are label bitmasks (ints). Canonical: no two adjacent values are
     equal, and the one null form is ``vals == (0,)``. ``start``, ``start_min``
     and ``end`` are read off the two values at each end, so they are defined
-    only for canonical lineages. union, split, constant and the spatial
-    splice's revalued and carried material build only canonical lineages.
+    only for canonical lineages. union, split, constant, extended (the
+    spatial splice's revalued material) and the splice's carried material
+    build only canonical lineages.
 
     A lineage carries no engine field: the back-in-time engine keeps its
     recombination weights per rank, beside the state (see
@@ -94,6 +95,20 @@ class Lineage:
 
     def rank_key(self):
         return (self.start, self.start_min)
+
+    def extended(self, u, val):
+        """This lineage with value ``val`` from u on: u lies past its last break, val != vals[-1].
+
+        The start and its smallest label stay as they are, so only the end
+        is read off the new last value.
+        """
+        lin = Lineage.__new__(Lineage)
+        lin.breaks = self.breaks + (u,)
+        lin.vals = self.vals + (val,)
+        lin.start = self.start
+        lin.start_min = self.start_min
+        lin.end = 1.0 if val else u
+        return lin
 
     def split(self, u):
         """Return the (below-u, from-u-on) parts as two Lineages, 0 < u < 1.

@@ -23,6 +23,7 @@ import pytest
 
 import argsim
 from argsim.arg import Arg, ValidationReport
+from argsim.density import UniformDensity
 from argsim.spatial import live_intervals
 from argsim.state import Coalesce, IllegalEventError, Lineage, Recombine, State, fmt_locus, full_set
 
@@ -59,6 +60,43 @@ def r1_mutant(monkeypatch):
     monkeypatch.setattr(
         argsim.state, "active_interval",
         lambda lineages, i, full: (lineages[i].start, lineages[i].end),
+    )
+
+
+@pytest.fixture
+def density_blind_mutant(monkeypatch):
+    """A back-in-time engine that draws each locus uniformly on its active interval.
+
+    Its rates still weigh each rank by the density's mass, so criterion 7
+    holds, and under the uniform law it is the engine itself, so no battery
+    row of criterion 2 sees it. simulate_backintime looks sample_event up
+    as a module global; patching it to draw under the uniform law, whatever
+    the config's density, turns the engine into the mutant. The patch is
+    undone when the test ends.
+    """
+    draw = argsim.backintime.sample_event
+    uniform = UniformDensity()
+    monkeypatch.setattr(
+        argsim.backintime, "sample_event",
+        lambda lineages, full, rates, density, rng: draw(lineages, full, rates, uniform, rng),
+    )
+
+
+@pytest.fixture
+def density_blind_spatial_mutant(monkeypatch):
+    """A spatial engine whose next breakpoint ignores the density.
+
+    It draws each stage's locus under the uniform law, whatever the
+    config's density, while its detaches still draw under p. Every path
+    stays legal. simulate_spatial looks sample_next_breakpoint up as a
+    module global, so patching it turns the engine into the mutant. The
+    patch is undone when the test ends.
+    """
+    draw = argsim.spatial.sample_next_breakpoint
+    uniform = UniformDensity()
+    monkeypatch.setattr(
+        argsim.spatial, "sample_next_breakpoint",
+        lambda graph, rho, density, rng: draw(graph, rho, uniform, rng),
     )
 
 
@@ -421,9 +459,10 @@ def check_invariants(graph):
     material is canonical and changes only at the graph's breakpoints,
     column conservation at every node and every column, that the live
     columns partition the samples, that the live intervals the graph keeps
-    equal a fresh live_intervals sweep, and the two facts the engine reads
-    off the material: a branch is in the current local tree iff its
-    material ends at 1.0, and otherwise its material ends at the
+    equal a fresh live_intervals sweep, that each material's start, start_min
+    and end are those the Lineage constructor derives, and the two facts the
+    engine reads off the material: a branch is in the current local tree iff
+    its material ends at 1.0, and otherwise its material ends at the
     breakpoint after its last nonempty column.
     """
     n_cols = len(graph.breakpoints) + 1
@@ -443,6 +482,10 @@ def check_invariants(graph):
         assert set(m.breaks) <= set(graph.breakpoints), "branch %d breaks off the breakpoints" % b.id
         assert all(x < y for x, y in zip(m.breaks, m.breaks[1:]))
         assert all(x != y for x, y in zip(m.vals, m.vals[1:])), "branch %d uncanonical" % b.id
+        fresh = Lineage(m.breaks, m.vals)
+        assert (m.start, m.start_min, m.end) == (fresh.start, fresh.start_min, fresh.end), (
+            "branch %d: derived fields differ from the constructor's" % b.id
+        )
         nonempty = [l for l in range(n_cols) if column(graph, b, l)]
         assert nonempty, "branch %d carries no material" % b.id
         in_tree = nonempty[-1] == n_cols - 1

@@ -1,4 +1,5 @@
-"""Breakpoint density tests: uniform and beta families, parsing, sampling."""
+"""Breakpoint density tests: uniform and beta families, parsing, sampling,
+and both engines' coupling of a Beta path to the uniform one."""
 
 import itertools
 import math
@@ -7,9 +8,11 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import betaincinv
 
+from argsim.config import SimConfig
 from argsim.density import BetaDensity, UniformDensity, parse_density
 from argsim.rng import SimRng
-from argsim.stats import ks_one_sample
+from argsim.state import Recombine
+from argsim.stats import ENGINES, ks_one_sample
 from conftest import run_fresh
 
 
@@ -200,3 +203,63 @@ def test_density_equality():
     assert BetaDensity(2, 2) == BetaDensity(2.0, 2.0)
     assert BetaDensity(2, 2) != BetaDensity(2, 3)
     assert UniformDensity() != BetaDensity(1, 1)
+
+
+# The density is a coordinate. Loci enter the law only through their order
+# and the mass between them, so the law under a density p is the uniform
+# law with every locus moved through F^-1. Both engines draw every locus
+# by inverting F and every waiting time from masses, so the coupling holds
+# path by path: at one seed, a path under p has the uniform path's event
+# kinds, ranks and count, each locus maps through F onto the uniform one,
+# and each time is the uniform one. The gaps are float slack, measured at
+# about 1e-13; the tolerance is 1e-9. (n, rho, paths) per shape, seeds from 17.
+COUPLING_SHAPES = ((3, 1.0, 60), (6, 4.0, 40), (12, 10.0, 20))
+BETA_LAWS = ("beta:2,2", "beta:0.5,0.5", "beta:5,1")
+
+
+def _ranks(arg):
+    return [(type(e), e.i, getattr(e, "j", None)) for e in arg.events]
+
+
+def decoupled_paths(engine, spec):
+    """Paths under ``spec`` that are not the uniform path moved through F.
+
+    Returns the (n, rho, seed) of each such path and the number of uniform
+    paths that recombine at least once.
+    """
+    density = parse_density(spec)
+    simulate = ENGINES[engine]
+    broken, recombining = [], 0
+    for n, rho, paths in COUPLING_SHAPES:
+        for seed in range(17, 17 + paths):
+            flat = simulate(SimConfig(n, rho, "uniform", seed))
+            path = simulate(SimConfig(n, rho, density, seed))
+            recombining += any(isinstance(e, Recombine) for e in flat.events)
+            if (
+                _ranks(path) != _ranks(flat)
+                or any(abs(density.cdf(e.locus) - f.locus) > 1e-9
+                       for e, f in zip(path.events, flat.events) if isinstance(e, Recombine))
+                or any(abs(t - s) > 1e-9 * s for t, s in zip(path.times, flat.times))
+            ):
+                broken.append((n, rho, seed))
+    return broken, recombining
+
+
+@pytest.mark.parametrize("engine", ["backintime", "spatial"])
+def test_a_beta_path_is_the_uniform_path_through_the_cdf(engine):
+    for spec in BETA_LAWS:
+        broken, recombining = decoupled_paths(engine, spec)
+        assert broken == [] and recombining > 100, spec
+
+
+def test_a_density_blind_locus_breaks_the_coupling(density_blind_mutant):
+    # every path that recombines draws some locus off the coupling
+    for spec in BETA_LAWS:
+        broken, recombining = decoupled_paths("backintime", spec)
+        assert len(broken) == recombining > 100, spec
+
+
+def test_a_density_blind_breakpoint_breaks_the_coupling(density_blind_spatial_mutant):
+    for spec in BETA_LAWS:
+        broken, recombining = decoupled_paths("spatial", spec)
+        assert len(broken) == recombining > 100, spec

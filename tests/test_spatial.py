@@ -243,8 +243,9 @@ def assert_tree_matches_walk(graph):
     newest = len(graph.breakpoints)
     assert walked == {b.id for b in graph.branches if column(graph, b, newest)}
     finite = [graph.branches[bid] for bid in sorted(walked) if graph.branches[bid].hi < INF]
-    assert graph.tree == tuple(finite)
-    assert graph.tree_length == math.fsum(b.hi - b.lo for b in finite)
+    assert tuple(graph.tree) == tuple(finite)
+    assert graph.spans == [b.hi - b.lo for b in finite]
+    assert graph.tree_length == math.fsum(graph.spans)
 
 
 @pytest.mark.parametrize("n", [3, 6, 12])
@@ -474,7 +475,7 @@ def test_splice_stops_at_the_meeting_piece(monkeypatch):
     # the carried segment 8 holds it from 0.3 to 0.6
     assert [column(g, g.branches[bid], 1) for bid in (7, 8, 9, 4, 5, 6)] == [
         0, mask_of({1}), mask_of({1, 2}), mask_of({1, 2}), mask_of({1, 2, 3}), mask_of({1, 2, 3, 4})]
-    assert g.tree == tuple(g.branches[bid] for bid in (0, 1, 2, 3, 4, 5, 8, 9))
+    assert tuple(g.tree) == tuple(g.branches[bid] for bid in (0, 1, 2, 3, 4, 5, 8, 9))
 
 
 def test_simulate_spatial_sweeps_once_per_replicate(monkeypatch):
@@ -494,6 +495,29 @@ def test_simulate_spatial_sweeps_once_per_replicate(monkeypatch):
         simulate_spatial(SimConfig(n_samples=6, rho=5.0, seed=3, replicate_index=r))
     assert len(log) > 2 * reps  # several stages a replicate
     assert calls == [[]] * reps
+
+
+def test_each_stage_edits_the_one_tree_list(monkeypatch):
+    # the local tree is built in full once per path, by kingman_tree; every
+    # stage edits that same list (and its spans) in place
+    build = PartialGraph.set_tree
+    builds = []
+
+    def counting(graph, branches):
+        builds.append(len(graph.breakpoints))
+        build(graph, branches)
+
+    monkeypatch.setattr(PartialGraph, "set_tree", counting)
+    paths = stages = 0
+    for seed in range(3):
+        for g, s_new, trace in stages_of(20, 10.0, seed):
+            tree, spans = g.tree, g.spans
+            accept_breakpoint(g, s_new, trace)
+            assert g.tree is tree and g.spans is spans
+            stages += 1
+        paths += 1
+    assert builds == [0] * paths
+    assert stages > 10 * paths
 
 
 def test_kingman_tree_moments():

@@ -457,6 +457,19 @@ def test_derived_fields_match_their_definitions_on_paths():
         assert top > 64  # labels past 64 bits were read
 
 
+@pytest.mark.parametrize("breaks,vals,val", [
+    ((), (0b011,), 0),  # nonzero -> 0: the material ends at u
+    ((0.25,), (0b001, 0b000), 0b100),  # 0 -> nonzero: it reaches 1.0 again
+    ((0.25,), (0, 0b110), 0b011),  # nonzero -> nonzero, with the start past 0
+    ((0.25, 0.5), (0b100, 0, 0b001), 0),
+])
+def test_extended_is_the_constructor_with_one_more_value(breaks, vals, val):
+    lineage = Lineage(breaks, vals)
+    got = lineage.extended(0.75, val)
+    assert _fields(got) == _fields(Lineage(breaks + (0.75,), vals + (val,)))
+    assert _fields(lineage) == _fields(Lineage(breaks, vals))  # the original is untouched
+
+
 def test_operators_walk_no_segments(monkeypatch):
     cfg = SimConfig(n_samples=6, rho=4.0, density="beta:2,2", seed=5)
     spatial = simulate_spatial(cfg)
