@@ -281,32 +281,33 @@ def summary(arg, sites=(0.0,)):
 # re-serialization is byte-identical.
 
 
-def _fmt_event(event):
-    if isinstance(event, Coalesce):
-        return '{"type":"coal","i":%d,"j":%d}' % (event.i, event.j)
-    return '{"type":"rec","i":%d,"u":%s}' % (event.i, fmt_locus(event.locus))
-
-
 def _checksum(state):
     """The trailer's checksum of a log's final state."""
     return hashlib.sha256(render_state(state).encode()).hexdigest()[:16]
 
 
 def arg_to_lines(arg):
+    """The lines of one log, each ending in a newline.
+
+    Each event line is one format, its floats printed as fmt_locus prints
+    them (%.17g).
+    """
     cfg = arg.config
     yield (
-        '{"format_version":%d,"n_samples":%d,"rho":%s,"density":"%s","seed":%d,"replicate":%d}'
-        % (FORMAT_VERSION, cfg.n_samples, fmt_locus(cfg.rho), cfg.density.spec, cfg.seed, cfg.replicate_index)
+        '{"format_version":%d,"n_samples":%d,"rho":%.17g,"density":"%s","seed":%d,"replicate":%d}\n'
+        % (FORMAT_VERSION, cfg.n_samples, cfg.rho, cfg.density.spec, cfg.seed, cfg.replicate_index)
     )
     for idx, (t, event) in enumerate(zip(arg.times, arg.events)):
-        yield '{"n":%d,"t":%s,"ev":%s}' % (idx, fmt_locus(t), _fmt_event(event))
-    yield '{"events":%d,"checksum":"%s"}' % (arg.event_count, _checksum(arg.final_state))
+        if isinstance(event, Coalesce):
+            yield '{"n":%d,"t":%.17g,"ev":{"type":"coal","i":%d,"j":%d}}\n' % (idx, t, event.i, event.j)
+        else:
+            yield '{"n":%d,"t":%.17g,"ev":{"type":"rec","i":%d,"u":%.17g}}\n' % (idx, t, event.i, event.locus)
+    yield '{"events":%d,"checksum":"%s"}\n' % (arg.event_count, _checksum(arg.final_state))
 
 
 def write_arg(arg, fp):
-    for line in arg_to_lines(arg):
-        fp.write(line)
-        fp.write("\n")
+    """Write one log to ``fp`` line by line: a log is never one string in memory."""
+    fp.writelines(arg_to_lines(arg))
 
 
 def _field(obj, key, kinds):

@@ -8,7 +8,9 @@ with (b_i, e_i) the active interval of the rank-i lineage. Waiting times
 are exponential with rate q(x) (inversion); the embedded chain picks a
 uniformly weighted coalescing pair or a lineage with weight proportional
 to its recombination mass, with the split locus drawn from p restricted
-to the active interval. Each event is checked by SimConfig.check_event_cap.
+to the active interval. A path reads p's CDF once at 0, at 1 and at each
+locus it draws, and every weight and draw reads those values. Each event
+is checked by SimConfig.check_event_cap.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from dataclasses import dataclass
 
 from . import state as _state
 from .arg import Arg
+from .density import draw_between
 from .rng import SALTS, replicate_rng, unrank_pair
 from .state import Coalesce, Recombine, State, advance, full_set
 
@@ -53,11 +56,14 @@ def sample_waiting_time(rates, rng):
     return rng.exponential(rates.total)
 
 
-def sample_event(lineages, full, rates, density, rng):
+def sample_event(lineages, full, rates, density, cdf, rng):
     """One step of the embedded chain: a Coalesce or Recombine event.
 
     ``lineages`` are a state's ranked lineages over the labels ``full``,
-    and ``rates`` is total_rate of that state.
+    and ``rates`` is total_rate of that state. ``cdf`` maps each end of
+    every active interval to density.cdf there (simulate_backintime's
+    per-path dict), so a locus is drawn with draw_between from the two
+    values it holds, and the CDF is not read again.
     """
     k = len(lineages)
     if k < 2:
@@ -77,8 +83,7 @@ def sample_event(lineages, full, rates, density, rng):
     while rates.recomb_rates[pick] == 0.0:  # float-slack fallback
         pick -= 1
     b, e = _state.active_interval(lineages, pick, full)
-    locus = density.sample_truncated(rng, b, e)
-    return Recombine(pick, locus)
+    return Recombine(pick, draw_between(density, rng, b, e, cdf[b], cdf[e]))
 
 
 def simulate_backintime(config):
@@ -89,8 +94,9 @@ def simulate_backintime(config):
     state.advance) an event changes at most two ranks' weights, so only
     those are weighed again, through a per-path dict of density.cdf at 0, 1
     and each locus drawn. Each weight is the float total_rate gives, so
-    sample_event gets total_rate's rates. The Arg keeps the events and the
-    state the list ends in.
+    sample_event gets total_rate's rates; it draws each locus from the same
+    dict, so the CDF is read once per locus. The Arg keeps the events and
+    the state the list ends in.
     """
     rng = replicate_rng(config.seed, config.replicate_index, SALTS["backintime"])
     n, rho, density = config.n_samples, config.rho, config.density
@@ -111,7 +117,7 @@ def simulate_backintime(config):
     events = []
     while True:
         t += sample_waiting_time(rates, rng)
-        event = sample_event(lineages, full, rates, density, rng)
+        event = sample_event(lineages, full, rates, density, cdf, rng)
         p = advance(lineages, full, event)
         times.append(t)
         events.append(event)

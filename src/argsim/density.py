@@ -1,8 +1,10 @@
 """Breakpoint-locus densities on (0, 1).
 
 A density provides pdf/cdf/inverse-cdf (scipy's betainc and betaincinv for
-Beta) plus truncated sampling by inversion, ppf(F(lo) + U * (F(hi) -
-F(lo))), kept strictly inside (lo, hi). Densities must be strictly
+Beta). Truncated sampling is one function, draw_between: the inversion
+ppf(F(lo) + U * (F(hi) - F(lo))), kept strictly inside (lo, hi), from CDF
+values its caller holds. An engine that already read F at both ends passes
+them in; sample_truncated reads them first. Densities must be strictly
 positive almost everywhere on (0, 1) so the inverse CDF is well defined;
 Uniform and Beta(a, b) both qualify.
 
@@ -40,6 +42,15 @@ def strictly_inside(x, lo, hi):
     return max(min(x, math.nextafter(hi, lo)), math.nextafter(lo, hi))
 
 
+def draw_between(density, rng, lo, hi, f_lo, f_hi):
+    """Inverse-CDF draw from ``density`` restricted to (lo, hi), given f_lo = F(lo) and f_hi = F(hi).
+
+    One uniform and one ppf; the CDF is not read again.
+    """
+    assert f_hi > f_lo
+    return strictly_inside(density.ppf(min(1.0, f_lo + rng.uniform() * (f_hi - f_lo))), lo, hi)
+
+
 class UniformDensity:
     """The uniform density on (0, 1)."""
 
@@ -65,9 +76,7 @@ class UniformDensity:
 
     def sample_truncated(self, rng, lo, hi):
         """Inverse-CDF draw from the density restricted to (lo, hi)."""
-        a, b = self.cdf(lo), self.cdf(hi)
-        assert b > a
-        return strictly_inside(self.ppf(min(1.0, a + rng.uniform() * (b - a))), lo, hi)
+        return draw_between(self, rng, lo, hi, self.cdf(lo), self.cdf(hi))
 
     def __eq__(self, other):
         return isinstance(other, UniformDensity)
@@ -121,9 +130,7 @@ class BetaDensity:
         return max(0.0, self.cdf(hi) - self.cdf(lo))
 
     def sample_truncated(self, rng, lo, hi):
-        a, b = self.cdf(lo), self.cdf(hi)
-        assert b > a
-        return strictly_inside(self.ppf(min(1.0, a + rng.uniform() * (b - a))), lo, hi)
+        return draw_between(self, rng, lo, hi, self.cdf(lo), self.cdf(hi))
 
     def __eq__(self, other):
         return isinstance(other, BetaDensity) and self.a == other.a and self.b == other.b

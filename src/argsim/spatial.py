@@ -59,7 +59,7 @@ from itertools import accumulate
 from operator import attrgetter
 
 from .arg import Arg
-from .density import strictly_inside
+from .density import draw_between, strictly_inside
 from .rng import SALTS, replicate_rng, unrank_pair
 from .state import Coalesce, Lineage, Recombine, State
 
@@ -275,17 +275,19 @@ def sample_next_breakpoint(graph, rho, density, rng):
     Survival past s is exp(-rho * L * m(s) / 2) with m the density mass
     between the current locus and s; the mass the survival never spends is
     the atom at 1. Below it, F(s) = F(s_cur) - log(U) / (rho * L / 2) is
-    inverted directly, strictly above s_cur (1.0 when no float is).
+    inverted directly, strictly above s_cur (1.0 when no float is). F(s_cur)
+    is read once: the mass up to 1 is 1 - F(s_cur), as density.mass gives it.
     """
     s_cur = graph.breakpoints[-1] if graph.breakpoints else 0.0
     half_rate = 0.5 * rho * graph.tree_length
     if half_rate <= 0.0:
         return 1.0
     u = rng.uniform()
-    atom = math.exp(-half_rate * density.mass(s_cur, 1.0))
+    f_cur = density.cdf(s_cur)
+    atom = math.exp(-half_rate * max(0.0, 1.0 - f_cur))
     if u <= atom:
         return 1.0
-    q = min(1.0, density.cdf(s_cur) - math.log(u) / half_rate)
+    q = min(1.0, f_cur - math.log(u) / half_rate)
     return strictly_inside(density.ppf(q), s_cur, 1.0)
 
 
@@ -323,9 +325,13 @@ def trace_lineage(graph, fork_id, t0, s_new, rho, density, rng):
 
     The graph is read-only here; the returned Trace is replayed against it
     by accept_breakpoint. Step times never decrease, so the replay is a
-    straight left-to-right pass.
+    straight left-to-right pass. The density's CDF is read once at s_new
+    and once at the gap's lower end per ride step; the detach rate (the
+    gap's mass, as density.mass gives it) and the detach locus both use
+    those two values.
     """
     trace = Trace(fork_id=fork_id, t0=t0, xi=graph.branches[fork_id].material.vals[-1])
+    f_new = density.cdf(s_new)
     ride = None  # branch being ridden; None in free mode
     t = t0
     while True:
@@ -337,10 +343,11 @@ def trace_lineage(graph, fork_id, t0, s_new, rho, density, rng):
             # riding an older edge: its material gap spans from the end of
             # its material to the new locus
             gap_lo = ride.material.end
-            detach_rate = 0.5 * rho * density.mass(gap_lo, s_new)
+            f_gap = density.cdf(gap_lo)
+            detach_rate = 0.5 * rho * max(0.0, f_new - f_gap)
             t_detach = t + rng.exponential(detach_rate) if detach_rate > 0.0 else INF
             if t_detach < ride.hi:
-                locus = density.sample_truncated(rng, gap_lo, s_new)
+                locus = draw_between(density, rng, gap_lo, s_new, f_gap, f_new)
                 trace.steps.append(("detach", t_detach, locus))
                 t = t_detach
                 ride = None

@@ -130,7 +130,36 @@ class Lineage:
         return below, above
 
     def union(self, other):
-        """Pointwise union with another lineage: one merge of the two break tuples."""
+        """Pointwise union with another lineage.
+
+        When the support of one, x, ends where or before that of the
+        other, y, starts, the union is their tuples joined, with no merge:
+        across a gap, x's breaks then y's, and x's values then y's past
+        its leading 0. Where they touch, the break they share is kept
+        once, and dropped with y's first value when that equals x's last
+        nonzero value (the two parts of a split, merging again). Every
+        other pair, a null lineage included, takes one merge of the two
+        break tuples.
+        """
+        x, y = self, other
+        if x.start is not None and y.start is not None:
+            if y.end <= x.start:
+                x, y = y, x
+            if x.end <= y.start:
+                xb, xv, yb, yv = x.breaks, x.vals, y.breaks, y.vals
+                if x.end < y.start:
+                    breaks, vals = xb + yb, xv + yv[1:]
+                elif xv[-2] != yv[1]:
+                    breaks, vals = xb + yb[1:], xv[:-1] + yv[1:]
+                else:
+                    breaks, vals = xb[:-1] + yb[1:], xv[:-1] + yv[2:]
+                lin = Lineage.__new__(Lineage)
+                lin.breaks = breaks
+                lin.vals = vals
+                lin.start = x.start
+                lin.start_min = x.start_min
+                lin.end = y.end
+                return lin
         xb, xv = self.breaks + (1.0,), self.vals
         yb, yv = other.breaks + (1.0,), other.vals
         i = j = 0

@@ -70,16 +70,24 @@ def density_blind_mutant(monkeypatch):
     Its rates still weigh each rank by the density's mass, so criterion 7
     holds, and under the uniform law it is the engine itself, so no battery
     row of criterion 2 sees it. simulate_backintime looks sample_event up
-    as a module global; patching it to draw under the uniform law, whatever
-    the config's density, turns the engine into the mutant. The patch is
-    undone when the test ends.
+    as a module global; patching it to draw under the uniform law and its
+    CDF, whatever the config's density, turns the engine into the mutant.
+    The patch is undone when the test ends.
     """
     draw = argsim.backintime.sample_event
     uniform = UniformDensity()
     monkeypatch.setattr(
         argsim.backintime, "sample_event",
-        lambda lineages, full, rates, density, rng: draw(lineages, full, rates, uniform, rng),
+        lambda lineages, full, rates, density, cdf, rng: draw(
+            lineages, full, rates, uniform, UniformCdf(), rng),
     )
+
+
+class UniformCdf(dict):
+    """The uniform law's CDF on [0, 1] as a mapping: every locus maps to itself."""
+
+    def __missing__(self, s):
+        return s
 
 
 @pytest.fixture

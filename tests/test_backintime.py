@@ -17,9 +17,10 @@ from argsim.density import BetaDensity, UniformDensity
 from argsim.rng import SimRng
 from argsim.state import Coalesce, Recombine, State, full_set
 from argsim.stats import ks_one_sample
-from conftest import lin, path_states
+from conftest import UniformCdf, lin, path_states
 
 UNIFORM = UniformDensity()
+UNIFORM_CDF = UniformCdf()  # sample_event's CDF mapping under UNIFORM
 
 
 def three_lineage_fixture():
@@ -102,9 +103,9 @@ def record_rates(monkeypatch):
     seen = []
     draw = backintime.sample_event
 
-    def recording(lineages, full, rates, density, rng):
+    def recording(lineages, full, rates, density, cdf, rng):
         seen.append((State._ranked(full.bit_length(), lineages), rates))
-        return draw(lineages, full, rates, density, rng)
+        return draw(lineages, full, rates, density, cdf, rng)
 
     monkeypatch.setattr(backintime, "sample_event", recording)
     return seen
@@ -175,8 +176,8 @@ def test_a_path_reads_each_cdf_value_once_and_builds_few_interval_tuples(monkeyp
     # work guards: weighing only the touched ranks must not quietly go back
     # to weighing every rank per event. The start state costs 2 CDF reads
     # per lineage, the per-path CDF dict one per end (0 and 1) and per
-    # locus, and each truncated draw two. The all-rank interval tuple is
-    # built for the start state only
+    # locus, and a draw none: it reads the dict. The all-rank interval
+    # tuple is built for the start state only
     calls = [0]
     cdf = BetaDensity.cdf
     monkeypatch.setattr(BetaDensity, "cdf", lambda self, s: calls.__setitem__(0, calls[0] + 1) or cdf(self, s))
@@ -190,7 +191,7 @@ def test_a_path_reads_each_cdf_value_once_and_builds_few_interval_tuples(monkeyp
             calls[0] = built[0] = 0
             arg = simulate_backintime(base.with_replicate(r))
             loci = [ev.locus for ev in arg.events if isinstance(ev, Recombine)]
-            assert calls[0] <= 2 * arg.n_samples + 2 + len(set(loci)) + 2 * len(loci)
+            assert calls[0] == 2 * arg.n_samples + 2 + len(loci)
             assert built[0] == 1
             recombinations += len(loci)
     assert recombinations > 5000
@@ -233,7 +234,7 @@ def test_sample_event_pure_coalescence_when_rho_zero():
     x = State.initial(2)
     rng = SimRng(3)
     for _ in range(50):
-        assert sample_event(x.lineages, full_set(2), total_rate(x, 0.0, UNIFORM), UNIFORM, rng) == Coalesce(0, 1)
+        assert sample_event(x.lineages, full_set(2), total_rate(x, 0.0, UNIFORM), UNIFORM, UNIFORM_CDF, rng) == Coalesce(0, 1)
 
 
 def test_sample_event_frequencies():
@@ -244,7 +245,7 @@ def test_sample_event_frequencies():
     n_coal = 0
     n_rec0 = 0
     for _ in range(n):
-        ev = sample_event(x.lineages, full_set(2), rates, UNIFORM, rng)
+        ev = sample_event(x.lineages, full_set(2), rates, UNIFORM, UNIFORM_CDF, rng)
         if isinstance(ev, Coalesce):
             n_coal += 1
         elif ev.i == 0:
@@ -268,7 +269,7 @@ def test_recombination_locus_is_truncated_uniform():
     rng = SimRng(55)
     loci = []
     while len(loci) < 10 ** 5:
-        ev = sample_event(x.lineages, full_set(2), rates, UNIFORM, rng)
+        ev = sample_event(x.lineages, full_set(2), rates, UNIFORM, UNIFORM_CDF, rng)
         if isinstance(ev, Recombine) and ev.i == 0:
             loci.append(ev.locus)
     assert all(0.3 < u < 1.0 for u in loci)
@@ -299,7 +300,7 @@ def test_waiting_time_rejects_absorbing():
 def test_sample_event_rejects_absorbing():
     state = State.absorbing(3)
     with pytest.raises(ValueError) as exc:
-        sample_event(state.lineages, full_set(3), total_rate(state, 1.0, UNIFORM), UNIFORM, SimRng(0))
+        sample_event(state.lineages, full_set(3), total_rate(state, 1.0, UNIFORM), UNIFORM, UNIFORM_CDF, SimRng(0))
     assert str(exc.value) == "cannot sample an event in an absorbing state"
 
 

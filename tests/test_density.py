@@ -154,6 +154,39 @@ def test_beta_truncated_sampling_matches_conditional_law():
     assert p > 1e-6
 
 
+# (engine, n, rho, most interior CDF reads per recombination), at the n
+# and rho of perfbench's two log workloads. Backintime reads F once at
+# each locus it draws and draws from the values it holds, so it reads
+# exactly one; spatial reads F(s_cur) once per stage, F(s_new) once per
+# trace and the gap's lower end once per ride step, about 2.5 here.
+CDF_WORK = (("backintime", 20, 15.0, 1.0), ("spatial", 20, 10.0, 2.6))
+
+
+@pytest.mark.parametrize("engine, n, rho, most", CDF_WORK)
+def test_each_beta_cdf_value_is_read_once(monkeypatch, engine, n, rho, most):
+    config = SimConfig(n, rho, "beta:2,2", 11)  # the law's parse reads F; it does not count
+    reads = {"cdf": 0, "ppf": 0}
+    cdf, ppf = BetaDensity.cdf, BetaDensity.ppf
+
+    def counted_cdf(self, s):
+        reads["cdf"] += 0.0 < s < 1.0
+        return cdf(self, s)
+
+    def counted_ppf(self, q):
+        reads["ppf"] += 1
+        return ppf(self, q)
+
+    monkeypatch.setattr(BetaDensity, "cdf", counted_cdf)
+    monkeypatch.setattr(BetaDensity, "ppf", counted_ppf)
+    recombinations = sum(
+        isinstance(event, Recombine)
+        for r in range(30) for event in ENGINES[engine](config.with_replicate(r)).events
+    )
+    assert recombinations > 1000
+    assert reads["ppf"] == recombinations  # one inversion per locus drawn
+    assert recombinations <= reads["cdf"] <= most * recombinations
+
+
 def test_parse_density():
     assert parse_density("uniform") == UniformDensity()
     assert parse_density("beta:2,2") == BetaDensity(2.0, 2.0)

@@ -410,6 +410,46 @@ def test_merges_match_the_segment_oracles(x, y, on_break, data):
     assert [_fields(part) for part in got] == [_fields(part) for part in want]
 
 
+def _nonzero_run(draw, lo, hi):
+    """Segments covering [lo, hi) with nonzero values, breaking on the grid."""
+    inner = [g for g in GRID if lo < g < hi]
+    cuts = sorted(draw(st.lists(st.sampled_from(inner), unique=True, max_size=3))) if inner else []
+    bounds = [lo] + cuts + [hi]
+    vals = draw(st.lists(st.integers(1, 0b1111), min_size=len(bounds) - 1, max_size=len(bounds) - 1))
+    return list(zip(bounds, bounds[1:], vals))
+
+
+@st.composite
+def disjoint_pairs(draw):
+    """Two lineages whose supports do not overlap, in either argument order.
+
+    The first is nonzero on [a, b) and the second on [c, d), b <= c: a gap
+    between them, or touching at b == c with equal or different values at
+    the join (equal where the two parts of a split merge again).
+    """
+    join = draw(st.sampled_from(["gap", "touch", "touch-equal"]))
+    points = sorted(draw(st.lists(st.sampled_from((0.0,) + GRID + (1.0,)), unique=True,
+                                  min_size=3 if join != "gap" else 4,
+                                  max_size=3 if join != "gap" else 4)))
+    a, b, c, d = points if join == "gap" else (points[0], points[1], points[1], points[2])
+    first, second = _nonzero_run(draw, a, b), _nonzero_run(draw, c, d)
+    if join == "touch-equal":
+        second[0] = second[0][:2] + (first[-1][2],)
+    elif join == "touch":
+        assume(second[0][2] != first[-1][2])
+    x = Lineage(*canonical([(0.0, a, 0)] + first + [(b, 1.0, 0)]))
+    y = Lineage(*canonical([(0.0, c, 0)] + second + [(d, 1.0, 0)]))
+    return (y, x) if draw(st.booleans()) else (x, y)
+
+
+@given(disjoint_pairs())
+@settings(max_examples=300, deadline=None)
+def test_disjoint_unions_match_the_segment_oracle(pair):
+    x, y = pair
+    assert x.end <= y.start or y.end <= x.start  # Lineage.union joins these without a merge
+    assert _fields(x.union(y)) == _fields(union_oracle(x, y))
+
+
 def _support_oracle(l):
     """(start, start_min, end) by definition: the first and last nonzero segments."""
     nonzero = [(lo, hi, val) for lo, hi, val in l.segments() if val]
