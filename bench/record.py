@@ -10,9 +10,13 @@ line. The file holds, per workload and metric, every run's value, each
 side's median and quartiles, the pairs the change won (ties count for
 neither) and whether that is a gain by the rule of at least 9 pairs in 10
 won and a median that moves by more than the parent's interquartile range.
-It also holds each side's commit, whether its tracked files differ from
-that commit, a digest of its src/ tree and the golden digests of
-``perfbench/child.py --golden-only --seed 0``, plus nproc and the Python
+Beside them it holds each pair's change/parent ratio with the ratios'
+median and quartiles: the host's speed drifts over a session, and the two
+runs of a pair drift together. It also holds each side's commit, whether
+its tracked files differ from that commit, a digest of its src/ tree, the
+golden digests of ``perfbench/child.py --golden-only --seed 0`` and, per
+workload, whether that digest differs from the one pinned in
+bench/golden.json (the event stream changed), plus nproc and the Python
 version. Run it from any directory:
 
     python3 bench/record.py --parent DIR --change DIR --label pr34 \\
@@ -36,6 +40,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+PINNED = ROOT / "bench" / "golden.json"
 SIDES = ("parent", "change")
 
 
@@ -77,6 +82,11 @@ def golden(checkout, workload):
     return res["golden_sha256"]
 
 
+def stream_changed(golden_sha256, pinned):
+    """Per workload, whether a side's golden digest differs from the pinned one."""
+    return {workload: digest != pinned[workload] for workload, digest in golden_sha256.items()}
+
+
 def run(checkout, workload, seed, seconds):
     """One benchmark run; returns its contract line (correct, attempted, failed, metrics)."""
     done = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
@@ -94,11 +104,13 @@ def spread(values):
 
 
 def compare(metric, runs):
-    """One metric over the pairs: each side's values and spread, the pairs won, the verdict."""
+    """One metric over the pairs: each side's values and spread, each pair's ratio, the pairs won, the verdict."""
     lower = metric["better"] == "lower"
     values = {side: [r[side]["metrics"][metric["name"]]["value"] for r in runs] for side in SIDES}
-    wins = sum((c < p) if lower else (c > p) for p, c in zip(values["parent"], values["change"]))
-    ties = sum(p == c for p, c in zip(values["parent"], values["change"]))
+    pairs = list(zip(values["parent"], values["change"]))
+    wins = sum((c < p) if lower else (c > p) for p, c in pairs)
+    ties = sum(p == c for p, c in pairs)
+    ratios = [c / p for p, c in pairs]
     stats = {side: spread(values[side]) for side in SIDES}
     moved = stats["parent"]["median"] - stats["change"]["median"]
     if not lower:
@@ -107,6 +119,7 @@ def compare(metric, runs):
         "unit": metric["unit"], "better": metric["better"], "bound": metric["bound"],
         **{side: {**stats[side], "values": values[side]} for side in SIDES},
         "change_frac": stats["change"]["median"] / stats["parent"]["median"] - 1.0,
+        "pair_ratio": {**spread(ratios), "values": ratios},
         "pairs": len(runs), "change_won": wins, "ties": ties,
         "gain": 10 * wins >= 9 * len(runs) and moved > stats["parent"]["q3"] - stats["parent"]["q1"],
     }
@@ -131,16 +144,23 @@ def main(argv=None):
         if not (checkout / "perfbench" / "run.py").is_file():
             p.error("--%s %s has no perfbench/run.py" % (side, checkout))
     seconds = spec["run_seconds"]
+    pinned = json.loads(PINNED.read_text())["golden_sha256"]
 
     record = {
         "label": args.label,
         "command": "perfbench/run.py --workload W --seed S --seconds %g --trace 0" % seconds,
         "nproc": os.cpu_count(),
         "python": platform.python_version(),
-        "sides": {side: {**source(checkout), "golden_sha256": {w: golden(checkout, w) for w in workloads}}
-                  for side, checkout in sides.items()},
+        "sides": {},
         "workloads": {},
     }
+    for side, checkout in sides.items():
+        digests = {w: golden(checkout, w) for w in workloads}
+        changed = stream_changed(digests, pinned)
+        record["sides"][side] = {**source(checkout), "golden_sha256": digests, "stream_changed": changed}
+        for workload in workloads:
+            if changed[workload]:
+                print("%s: %s stream differs from bench/golden.json" % (side, workload), flush=True)
     for workload in workloads:
         runs = []
         for i in range(args.pairs):

@@ -1,7 +1,10 @@
 """Breakpoint-locus densities on (0, 1).
 
 A density provides pdf/cdf/inverse-cdf (scipy's betainc and betaincinv for
-Beta). Truncated sampling is one function, draw_between: the inversion
+Beta, through scipy.special.cython_special: the Boost kernels of the
+scipy.special ufuncs, called as scalars on doubles and returning Python
+floats equal to the ufuncs' bit for bit, without the ufunc's array
+dispatch). Truncated sampling is one function, draw_between: the inversion
 ppf(F(lo) + U * (F(hi) - F(lo))), kept strictly inside (lo, hi), from CDF
 values its caller holds. An engine that already read F at both ends passes
 them in; sample_truncated reads them first. Densities must be strictly
@@ -14,8 +17,8 @@ Densities are specified on the command line as tagged strings
 scipy is loaded only when a Beta law is parsed (its atoms are checked with
 betainc) or a p-value is computed (stats.py); a uniform run never loads
 it. Each scipy function is a module global that starts as a stub: its
-first call imports the function, rebinds the global to it and forwards,
-so later calls pay only the global lookup.
+first call imports the kernel, rebinds the global to its double
+specialization and forwards, so later calls pay only the global lookup.
 """
 
 from __future__ import annotations
@@ -23,17 +26,22 @@ from __future__ import annotations
 import math
 
 
+# cython_special's functions are fused over float and double and dispatch
+# on their arguments' types per call, refusing int shapes; the "double"
+# entry is the kernel itself and converts what it is given
 def _betainc(a, b, x):
     global _betainc
-    from scipy.special import betainc as _betainc
+    from scipy.special.cython_special import betainc
 
+    _betainc = betainc["double"]
     return _betainc(a, b, x)
 
 
 def _betaincinv(a, b, y):
     global _betaincinv
-    from scipy.special import betaincinv as _betaincinv
+    from scipy.special.cython_special import betaincinv
 
+    _betaincinv = betaincinv["double"]
     return _betaincinv(a, b, y)
 
 
@@ -120,11 +128,11 @@ class BetaDensity:
             return 0.0
         if s >= 1.0:
             return 1.0
-        return float(_betainc(self.a, self.b, s))
+        return _betainc(self.a, self.b, s)
 
     def ppf(self, q):
         assert 0.0 <= q <= 1.0
-        return float(_betaincinv(self.a, self.b, q))
+        return _betaincinv(self.a, self.b, q)
 
     def mass(self, lo, hi):
         return max(0.0, self.cdf(hi) - self.cdf(lo))

@@ -502,7 +502,7 @@ def graph_to_arg(graph, config):
     end, where the root's material is the final state.
     """
     material = [b.material for b in graph.branches]
-    keys = [m.rank_key() for m in material]
+    keys = list(map(Lineage.rank_key, material))
     assert all(material[j].vals == (1 << j,) for j in range(graph.n)), "leaves are not singletons"
     ranked = list(range(graph.n))  # leaf j has rank j: its key is (0.0, j + 1)
     times, events = [], []

@@ -54,7 +54,9 @@ class Lineage:
     and ``end`` are read off the two values at each end, so they are defined
     only for canonical lineages. union, split, constant, extended (the
     spatial splice's revalued material) and the splice's carried material
-    build only canonical lineages.
+    build only canonical lineages; union, split and extended set the three
+    fields from what the operation already knows, without reading them
+    off again.
 
     A lineage carries no engine field: the back-in-time engine keeps its
     recombination weights per rank, beside the state (see
@@ -93,8 +95,9 @@ class Lineage:
             yield lo, hi, val
             lo = hi
 
-    def rank_key(self):
-        return (self.start, self.start_min)
+    # (start, smallest label at start): a C key, so a sort or a bisection
+    # over lineages runs no Python code per comparison
+    rank_key = operator.attrgetter("start", "start_min")
 
     def extended(self, u, val):
         """This lineage with value ``val`` from u on: u lies past its last break, val != vals[-1].
@@ -102,66 +105,66 @@ class Lineage:
         The start and its smallest label stay as they are, so only the end
         is read off the new last value.
         """
-        lin = Lineage.__new__(Lineage)
-        lin.breaks = self.breaks + (u,)
-        lin.vals = self.vals + (val,)
-        lin.start = self.start
-        lin.start_min = self.start_min
-        lin.end = 1.0 if val else u
-        return lin
+        return _lineage(self.breaks + (u,), self.vals + (val,), self.start, self.start_min, 1.0 if val else u)
 
     def split(self, u):
         """Return the (below-u, from-u-on) parts as two Lineages, 0 < u < 1.
 
         Either part may be null when u misses the support on that side. A
         part gets a break at u only where its cut side is nonempty there.
+        The part below keeps this lineage's start and the part above its
+        end; the other end of each is u or the break next to it.
         """
         breaks, vals = self.breaks, self.vals
         k = bisect_right(breaks, u)  # vals[k] holds at u
         j = k - 1 if k and breaks[k - 1] == u else k  # vals[j] holds just below u
         if vals[j]:
-            below = Lineage(breaks[:j] + (u,), vals[:j + 1] + (0,))
+            below = _lineage(breaks[:j] + (u,), vals[:j + 1] + (0,), self.start, self.start_min, u)
+        elif j:  # 0 just below u, and nonzero just below breaks[j - 1]
+            below = _lineage(breaks[:j], vals[:j + 1], self.start, self.start_min, breaks[j - 1])
         else:
-            below = Lineage(breaks[:j], vals[:j + 1])
-        if vals[k]:
-            above = Lineage((u,) + breaks[k:], (0,) + vals[k:])
+            below = Lineage.constant(0)
+        first = vals[k]
+        if first:
+            above = _lineage((u,) + breaks[k:], (0,) + vals[k:], u, (first & -first).bit_length(), self.end)
+        elif k < len(breaks):  # 0 at u, nonzero from breaks[k] on
+            first = vals[k + 1]
+            above = _lineage(breaks[k:], vals[k:], breaks[k], (first & -first).bit_length(), self.end)
         else:
-            above = Lineage(breaks[k:], vals[k:])
+            above = Lineage.constant(0)
         return below, above
 
     def union(self, other):
         """Pointwise union with another lineage.
 
-        When the support of one, x, ends where or before that of the
-        other, y, starts, the union is their tuples joined, with no merge:
-        across a gap, x's breaks then y's, and x's values then y's past
-        its leading 0. Where they touch, the break they share is kept
-        once, and dropped with y's first value when that equals x's last
-        nonzero value (the two parts of a split, merging again). Every
-        other pair, a null lineage included, takes one merge of the two
-        break tuples.
+        A null lineage leaves the other as it is. Otherwise, let x be the
+        one of lower rank key: the union keeps its start and smallest
+        label there, and ends where the later of the two ends. When x's
+        support ends where or before y's starts, the union is their tuples
+        joined, with no merge: across a gap, x's breaks then y's, and x's
+        values then y's past its leading 0. Where they touch, the break
+        they share is kept once, and dropped with y's first value when that
+        equals x's last nonzero value (the two parts of a split, merging
+        again). Every other pair takes one merge of the two break tuples.
         """
         x, y = self, other
-        if x.start is not None and y.start is not None:
-            if y.end <= x.start:
-                x, y = y, x
-            if x.end <= y.start:
-                xb, xv, yb, yv = x.breaks, x.vals, y.breaks, y.vals
-                if x.end < y.start:
-                    breaks, vals = xb + yb, xv + yv[1:]
-                elif xv[-2] != yv[1]:
-                    breaks, vals = xb + yb[1:], xv[:-1] + yv[1:]
-                else:
-                    breaks, vals = xb[:-1] + yb[1:], xv[:-1] + yv[2:]
-                lin = Lineage.__new__(Lineage)
-                lin.breaks = breaks
-                lin.vals = vals
-                lin.start = x.start
-                lin.start_min = x.start_min
-                lin.end = y.end
-                return lin
-        xb, xv = self.breaks + (1.0,), self.vals
-        yb, yv = other.breaks + (1.0,), other.vals
+        if y.start is None:
+            return x
+        if x.start is None:
+            return y
+        if y.start < x.start or y.start == x.start and y.start_min < x.start_min:
+            x, y = y, x
+        xb, xv, yb, yv = x.breaks, x.vals, y.breaks, y.vals
+        if x.end <= y.start:
+            if x.end < y.start:
+                breaks, vals = xb + yb, xv + yv[1:]
+            elif xv[-2] != yv[1]:
+                breaks, vals = xb + yb[1:], xv[:-1] + yv[1:]
+            else:
+                breaks, vals = xb[:-1] + yb[1:], xv[:-1] + yv[2:]
+            return _lineage(breaks, vals, x.start, x.start_min, y.end)
+        xb += (1.0,)
+        yb += (1.0,)
         i = j = 0
         cur = xv[0] | yv[0]
         breaks, vals = [], [cur]
@@ -173,7 +176,8 @@ class Lineage:
                 lo = yb[j]
                 j += 1
             elif lo == 1.0:
-                return Lineage(tuple(breaks), tuple(vals))
+                end = x.end if x.end >= y.end else y.end
+                return _lineage(tuple(breaks), tuple(vals), x.start, x.start_min, end)
             else:  # a break both lineages share
                 i += 1
                 j += 1
@@ -195,6 +199,17 @@ class Lineage:
             "[%g,%g)->%s" % (lo, hi, render_typeset(val))
             for lo, hi, val in self.segments()
         )
+
+
+def _lineage(breaks, vals, start, start_min, end):
+    """A canonical non-null Lineage whose start, start_min and end the caller already knows."""
+    lin = Lineage.__new__(Lineage)
+    lin.breaks = breaks
+    lin.vals = vals
+    lin.start = start
+    lin.start_min = start_min
+    lin.end = end
+    return lin
 
 
 # not frozen: a frozen one is costly to build, once per event and per read line
@@ -270,7 +285,7 @@ def advance(lineages, full, event):
     below, above = lineages[i].split(u)
     assert not below.is_null and not above.is_null
     lineages[i] = below
-    p = bisect_left(lineages, above.rank_key(), i + 1, key=Lineage.rank_key)
+    p = bisect_left(lineages, Lineage.rank_key(above), i + 1, key=Lineage.rank_key)
     lineages.insert(p, above)
     return p
 

@@ -3,8 +3,10 @@ and both engines' coupling of a Beta path to the uniform one."""
 
 import itertools
 import math
+import random
 
 import pytest
+import scipy.special
 from scipy.integrate import quad
 from scipy.special import betaincinv
 
@@ -60,7 +62,8 @@ def test_beta_ppf_inverts_cdf():
 
 
 # BetaDensity's cdf and ppf in call order, the first call being the one
-# that binds scipy, each next to scipy's own value at the same arguments
+# that binds scipy's scalar kernels, each next to the scipy.special ufunc's
+# value at the same arguments
 FIRST_AND_LATER_BETA_CALLS = """
 import json
 from argsim.density import BetaDensity
@@ -71,11 +74,12 @@ calls = [(method, a, b, x, getattr(BetaDensity(a, b), method)(x))
          for a, b in laws for x in points for method in ("cdf", "ppf")]
 
 import scipy.special
+import scipy.special.cython_special
 from argsim import density
 
 scipy_fn = {"cdf": scipy.special.betainc, "ppf": scipy.special.betaincinv}
-assert density._betainc is scipy.special.betainc
-assert density._betaincinv is scipy.special.betaincinv
+assert density._betainc is scipy.special.cython_special.betainc["double"]
+assert density._betaincinv is scipy.special.cython_special.betaincinv["double"]
 print(json.dumps([call + (float(scipy_fn[call[0]](*call[1:4])),) for call in calls]))
 """
 
@@ -84,6 +88,26 @@ def test_beta_first_call_binds_scipy_and_returns_its_floats():
     calls = run_fresh(FIRST_AND_LATER_BETA_CALLS)
     assert len(calls) == 48
     assert [call for call in calls if call[4] != call[5]] == []
+
+
+def test_beta_scalar_kernels_equal_the_ufuncs():
+    # the scalar kernels against the scipy.special ufuncs, as the oracle:
+    # shapes log-uniform in [0.05, 50], uniform points, the points next to
+    # 0 and to 1, and x**20 tails; equal, or NaN on both sides (betaincinv
+    # at a subnormal q)
+    rng = random.Random(35)
+    edges = [5e-324, 1e-300, math.nextafter(1.0, 0.0)]
+    unequal = []
+    for _ in range(1000):
+        a, b = (math.exp(rng.uniform(math.log(0.05), math.log(50.0))) for _ in range(2))
+        d = BetaDensity(a, b)
+        for x in [rng.random() for _ in range(40)] + edges + [rng.random() ** 20 for _ in range(8)]:
+            for got, want in ((d.cdf(x), scipy.special.betainc(a, b, x)),
+                              (d.ppf(x), scipy.special.betaincinv(a, b, x))):
+                assert type(got) is float
+                if not (got == want or math.isnan(got) and math.isnan(want)):
+                    unequal.append((a, b, x, got, float(want)))
+    assert unequal == []
 
 
 def bisect_ppf(density, q):
