@@ -17,10 +17,15 @@ its tracked files differ from that commit, a digest of its src/ tree, the
 golden digests of ``perfbench/child.py --golden-only --seed 0`` and, per
 workload, whether that digest differs from the one pinned in
 bench/golden.json (the event stream changed), plus nproc and the Python
-version. Run it from any directory:
+version. With ``--grid`` it also runs as many rounds of the in-process grid
+(bench/grid.py: engine, ``summary`` and ``validate_arg`` costs per path and
+per event at fixed shapes) as there are pairs, one subprocess per side and
+round on that side's src/, alternated as the pairs are, and holds each
+row's values, median and quartiles per side and each round's change/parent
+ratio. Run it from any directory:
 
     python3 bench/record.py --parent DIR --change DIR --label pr34 \\
-        --workloads backintime-beta-roundtrip --pairs 10 --first-seed 81
+        --workloads backintime-beta-roundtrip --pairs 10 --first-seed 81 --grid
 
 The two sides run one at a time, so on a shared host nothing else should
 run beside them.
@@ -41,6 +46,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PINNED = ROOT / "bench" / "golden.json"
+GRID = ROOT / "bench" / "grid.py"
 SIDES = ("parent", "change")
 
 
@@ -98,6 +104,26 @@ def run(checkout, workload, seed, seconds):
     return json.loads(done.stdout.splitlines()[-1])
 
 
+def grid_round(checkout):
+    """One round of bench/grid.py on the checkout's src/, in a subprocess: {row: microseconds}."""
+    done = subprocess.run([sys.executable, str(GRID)], cwd=checkout, env=child_env(checkout),
+                          capture_output=True, text=True)
+    if done.returncode != 0:
+        raise RuntimeError("%s: bench/grid.py exited %d:\n%s" % (checkout, done.returncode, done.stderr))
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def merge_grid(rounds):
+    """Per grid row: each side's values, median and quartiles, and each round's change/parent ratio with theirs."""
+    rows = {}
+    for name in rounds[0]["parent"]:
+        values = {side: [r[side][name] for r in rounds] for side in SIDES}
+        ratios = [c / p for p, c in zip(values["parent"], values["change"])]
+        rows[name] = {**{side: {**spread(values[side]), "values": values[side]} for side in SIDES},
+                      "ratio": {**spread(ratios), "values": ratios}}
+    return rows
+
+
 def spread(values):
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3}
@@ -133,6 +159,7 @@ def main(argv=None):
     p.add_argument("--workloads", required=True, help="comma-separated perfbench workload names")
     p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--first-seed", type=int, default=1)
+    p.add_argument("--grid", action="store_true", help="also run --pairs alternated rounds of bench/grid.py")
     args = p.parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     known = [w["name"] for w in spec["workloads"]]
@@ -179,6 +206,14 @@ def main(argv=None):
             "correct": {side: all(r[side]["correct"] for r in runs) for side in SIDES},
             "metrics": {m["name"]: compare(m, runs) for m in spec["end_to_end"]},
         }
+    if args.grid:
+        rounds = []
+        for i in range(args.pairs):
+            order = SIDES if i % 2 == 0 else SIDES[::-1]
+            rounds.append({side: grid_round(sides[side]) for side in order})
+            print("grid round %d done" % i, flush=True)
+        record["grid"] = {"command": "bench/grid.py", "first": [SIDES[i % 2] for i in range(args.pairs)],
+                          "rows": merge_grid(rounds)}
     out = ROOT / ("BENCH_%s.json" % args.label)
     out.write_text(json.dumps(record, indent=1) + "\n")
     print("wrote %s" % out)

@@ -27,6 +27,7 @@ import heapq
 import json
 import math
 import re
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate
 
@@ -186,13 +187,14 @@ def _site_trees(arg, sites):
     blocks = dict.fromkeys(sites, n)  # the block count of each site not yet merged
     prev_t = 0.0
     for t, event in zip(arg.times, arg.events):
+        dt = t - prev_t
         for s, k in blocks.items():
-            lengths[s] += k * (t - prev_t)
+            lengths[s] += k * dt
         prev_t = t
         if isinstance(event, Coalesce):
             a, b = lineages[event.i], lineages[event.j]
             for s in list(blocks):
-                vi, vj = a.value_at(s), b.value_at(s)
+                vi, vj = a.vals[bisect_right(a.breaks, s)], b.vals[bisect_right(b.breaks, s)]
                 if vi and vj:
                     merges[s].append((t, vi, vj))
                     blocks[s] -= 1
@@ -257,12 +259,15 @@ class SummaryStats:
     length_at: dict = field(default_factory=dict)
 
 
+# a recombination adds a lineage and a coalescence removes one
+_LINEAGE_STEP = {Recombine: 1, Coalesce: -1}
+
+
 def summary(arg, sites=(0.0,)):
     """Extract the scalar statistics of one path at the requested sites."""
     n = arg.n_samples
     merges, lengths = _site_trees(arg, sites)
-    # a recombination adds a lineage and a coalescence removes one
-    counts = accumulate((1 if isinstance(event, Recombine) else -1 for event in arg.events), initial=n)
+    counts = accumulate(map(_LINEAGE_STEP.__getitem__, map(type, arg.events)), initial=n)
     return SummaryStats(
         replicate=arg.config.replicate_index,
         breakpoint_count=(arg.event_count - n + len(arg.final_state.lineages)) // 2,

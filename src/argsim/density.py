@@ -6,7 +6,8 @@ scipy.special ufuncs, called as scalars on doubles and returning Python
 floats equal to the ufuncs' bit for bit, without the ufunc's array
 dispatch). Truncated sampling is one function, draw_between: the inversion
 ppf(F(lo) + U * (F(hi) - F(lo))), kept strictly inside (lo, hi), from CDF
-values its caller holds. An engine that already read F at both ends passes
+values its caller holds; where ppf gives NaN, a bisection on the CDF over
+(lo, hi) inverts it instead. An engine that already read F at both ends passes
 them in; sample_truncated reads them first. Densities must be strictly
 positive almost everywhere on (0, 1) so the inverse CDF is well defined;
 Uniform and Beta(a, b) both qualify.
@@ -53,10 +54,32 @@ def strictly_inside(x, lo, hi):
 def draw_between(density, rng, lo, hi, f_lo, f_hi):
     """Inverse-CDF draw from ``density`` restricted to (lo, hi), given f_lo = F(lo) and f_hi = F(hi).
 
-    One uniform and one ppf; the CDF is not read again.
+    One uniform and one ppf; the CDF is not read again unless ppf gives
+    NaN (scipy's betaincinv does for tiny q: beta:3,3 below about 1e-108),
+    and then _bisect_ppf finds the locus from the CDF.
     """
     assert f_hi > f_lo
-    return strictly_inside(density.ppf(min(1.0, f_lo + rng.uniform() * (f_hi - f_lo))), lo, hi)
+    q = min(1.0, f_lo + rng.uniform() * (f_hi - f_lo))
+    x = density.ppf(q)
+    if x != x:
+        x = _bisect_ppf(density, q, lo, hi)
+    return strictly_inside(x, lo, hi)
+
+
+def _bisect_ppf(density, q, lo, hi):
+    """The least float x above lo, up to hi, with F(x) >= q: bisection on density.cdf.
+
+    With F(lo) < q <= F(hi), the float before x has F below q. Each step
+    halves the gap, so it ends once no float lies between the two ends.
+    """
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            return hi
+        if density.cdf(mid) < q:
+            lo = mid
+        else:
+            hi = mid
 
 
 class UniformDensity:

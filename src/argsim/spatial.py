@@ -42,29 +42,38 @@ on the interval it lands in, O(B). The splice (accept_breakpoint) costs
 what the stage changes: its tail walk stops at the meeting piece, where the
 path rejoins the fork's line, and it revalues only the path, the fork's
 line up to that piece and the pieces made in this stage, building a
-Lineage only where a value changes. The local tree is kept as one id-ordered
-list with the spans of its pieces beside it, and the splice edits both in
-place: one bisection per old piece it revalues or cuts, then an append per
-piece made in this stage. Every other local-tree piece keeps its slot and
-span, so a stage touches only the pieces it visits, plus one fsum of the
-spans for the tree's length.
+Lineage only where a value changes. Its walks enter each piece they cut
+or revalue once in one dict, with the piece's value from the new locus on,
+and one loop then sets those values. The local tree is kept as one
+id-ordered list with the spans of its pieces beside it, and the splice
+edits both in place: one bisection per old piece it revalues or cuts, then
+an append per piece made in this stage. Every other local-tree piece keeps
+its slot and span, so a stage touches only the pieces it visits, plus one
+fsum of the spans for the tree's length.
+
+Cost per path outside the stages: kingman_tree takes its leaves from
+State.initial and gives each merge its material from the fields it knows,
+with no sort and no reading of fields; graph_to_arg sorts the nodes once
+and finds each rank on one list of ids, building no Lineage and one State.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
 from itertools import accumulate
 from operator import attrgetter
 
 from .arg import Arg
 from .density import draw_between, strictly_inside
 from .rng import SALTS, replicate_rng, unrank_pair
-from .state import Coalesce, Lineage, Recombine, State
+from .state import Coalesce, Lineage, Recombine, State, _lineage
 
 INF = math.inf
 _BY_ID = attrgetter("id")
+_BY_TIME = attrgetter("time")
+_MATERIAL = attrgetter("material")
+_ONE_MORE = (1).__add__
 
 
 class Branch:
@@ -184,24 +193,32 @@ class PartialGraph:
 
 
 def kingman_tree(n, rng):
-    """Step 1: the locus-0 coalescent tree as a stage-0 graph."""
+    """Step 1: the locus-0 coalescent tree as a stage-0 graph.
+
+    Leaf j carries State.initial(n)'s singleton j. The live branches stay
+    in label order, so a merge keeps the start and smallest label of its
+    lower-ranked child and every merged material is built from those
+    known fields. Every branch but the last, the top, is finite.
+    """
     graph = PartialGraph(n)
-    for j in range(n):
-        graph.add_branch(0.0, INF, None, Lineage.constant(1 << j))
-    live = list(range(n))
+    branches, nodes = graph.branches, graph.nodes
+    live = [Branch(j, 0.0, INF, None, leaf) for j, leaf in enumerate(State.initial(n).lineages)]
+    branches += live
     t = 0.0
     while len(live) > 1:
         k = len(live)
         t += rng.exponential(k * (k - 1) / 2.0)
         i, j = unrank_pair(rng.index(k * (k - 1) // 2), k)
-        a, b = graph.branches[live[i]], graph.branches[live[j]]
-        merged = graph.add_branch(t, INF, None, Lineage.constant(a.material.vals[0] | b.material.vals[0]))
-        node = graph.add_node(t, None, [a.id, b.id], [merged.id])
+        a, b = live[i], live.pop(j)
+        merged = Branch(len(branches), t, INF, None,
+                        _lineage((), (a.material.vals[0] | b.material.vals[0],), 0.0, a.material.start_min, 1.0))
+        node = GraphNode(len(nodes), t, None, [a.id, b.id], [merged.id])
+        branches.append(merged)
+        nodes.append(node)
         a.hi = b.hi = t
         a.upper_node = b.upper_node = node.id
-        live[i] = merged.id
-        live.pop(j)
-    graph.set_tree(b for b in graph.branches if b.hi < INF)
+        live[i] = merged
+    graph.set_tree(branches[:-1])
     graph.starts, graph.counts = live_intervals(graph)
     return graph
 
@@ -310,14 +327,19 @@ def sample_recomb_location(graph, rng):
     return last.id, last.hi - (last.hi - last.lo) * 1e-12
 
 
-@dataclass
 class Trace:
     """Record of one detached lineage's climb (Steps 4-5)."""
 
-    fork_id: int
-    t0: float
-    xi: int  # the detached labels, as a bitmask
-    steps: list = field(default_factory=list)  # ordered (kind, time, payload...)
+    __slots__ = ("fork_id", "t0", "xi", "steps")
+
+    def __init__(self, fork_id, t0, xi):
+        self.fork_id = fork_id
+        self.t0 = t0
+        self.xi = xi  # the detached labels, as a bitmask
+        self.steps = []  # ordered (kind, time, payload...)
+
+    def __repr__(self):
+        return "Trace(fork_id=%r, t0=%r, xi=%r, steps=%r)" % (self.fork_id, self.t0, self.xi, self.steps)
 
 
 def trace_lineage(graph, fork_id, t0, s_new, rho, density, rng):
@@ -330,7 +352,7 @@ def trace_lineage(graph, fork_id, t0, s_new, rho, density, rng):
     gap's mass, as density.mass gives it) and the detach locus both use
     those two values.
     """
-    trace = Trace(fork_id=fork_id, t0=t0, xi=graph.branches[fork_id].material.vals[-1])
+    trace = Trace(fork_id, t0, graph.branches[fork_id].material.vals[-1])
     f_new = density.cdf(s_new)
     ride = None  # branch being ridden; None in free mode
     t = t0
@@ -384,97 +406,91 @@ def accept_breakpoint(graph, s_new, trace):
     """
     xi = trace.xi
     carried = Lineage((s_new,), (0, xi))
-    first_branch, first_node = len(graph.branches), len(graph.nodes)
+    branches = graph.branches
+    first_branch, first_node = len(branches), len(graph.nodes)
     # the fork: a recombination node at t0 on the fork branch
-    fork = graph.branches[trace.fork_id]
+    fork = branches[trace.fork_id]
     fork_above = graph.split_branch(fork, trace.t0)
     cur = graph.add_branch(trace.t0, None, None, carried)  # the piece the path is on
     segs = [cur]  # the new segments of carried material
     node = graph.add_node(trace.t0, s_new, [fork.id], [fork_above.id, cur.id])
     fork.upper_node = node.id
-    on_path = {cur.id}
-    cut = [fork.id]  # the pieces whose hi the splice lowers
+    # every piece the stage revalues or cuts (lowers the hi of), with its
+    # value from s_new on: a cut piece keeps its value, a path piece gains
+    # xi and a piece of the fork's line loses it. The walks read materials,
+    # so the new values are set only once they are done.
+    col = {fork.id: xi, cur.id: xi}
     for step in trace.steps:
         kind, t = step[0], step[1]
         if kind == "coal":
             # the target's id is from before this stage: walk up its pieces
             # (upper part first among a split's parents) to the one at t
-            target = graph.branches[step[2]]
+            target = branches[step[2]]
             while target.hi <= t:
-                target = graph.branches[graph.nodes[target.upper_node].parents[0]]
-            cut.append(target.id)
+                target = branches[graph.nodes[target.upper_node].parents[0]]
+            col.setdefault(target.id, target.material.vals[-1])
             above = graph.split_branch(target, t)
             node = graph.add_node(t, None, [target.id, cur.id], [above.id])
             target.upper_node = cur.upper_node = node.id
             cur.hi = t
             cur = above
         elif kind == "detach":
-            cut.append(cur.id)
+            col[cur.id] = cur.material.vals[-1] | xi
             above = graph.split_branch(cur, t)
             seg = graph.add_branch(t, None, None, carried)
             node = graph.add_node(t, step[2], [cur.id], [above.id, seg.id])
             cur.upper_node = node.id
-            on_path.update((cur.id, seg.id))
+            col[seg.id] = xi
             segs.append(seg)
             cur = seg
         else:  # climb through the ridden piece's upper node
-            on_path.add(cur.id)
+            col[cur.id] = cur.material.vals[-1] | xi
             cur = graph.branch_above(cur.upper_node)
     assert cur.hi is not None and cur.material.end == 1.0, "trace must end absorbed"
     # the tail: up the old tree from the absorption point to the meeting
     # piece, the first whose newest value already holds xi (the top does)
     while xi & ~cur.material.vals[-1]:
         assert cur.material.end == 1.0, "tail left the local tree"
-        on_path.add(cur.id)
+        col[cur.id] = cur.material.vals[-1] | xi
         cur = graph.branch_above(cur.upper_node)
     meet = cur
     # the fork's line from the fork up to the meeting piece loses xi
-    lost = set()
     cur = fork_above
     while cur is not meet:
-        lost.add(cur.id)
+        col[cur.id] = cur.material.vals[-1] & ~xi
         cur = graph.branch_above(cur.upper_node)
     # the live intervals: each new node time opens an interval with the
     # count of the one it splits (starts[0] is no node time, so the first
     # node at latitude 0 repeats it); splits keep their span covered, so
     # only the new segments add to the counts
     starts, counts = graph.starts, graph.counts
-    for nid in range(first_node, len(graph.nodes)):
-        t = graph.nodes[nid].time
+    for nd in graph.nodes[first_node:]:
+        t = nd.time
         k = bisect_right(starts, t)
         if k == 1 or starts[k - 1] != t:
             starts.insert(k, t)
             counts.insert(k, counts[k - 1])
+    # each new segment adds one to the intervals from the one its lo opens
+    # up to the one its hi opens; a zero-length segment spans none
     for seg in segs:
-        if seg.lo < seg.hi:  # a zero-length segment spans no interval
-            k = bisect_left(starts, seg.lo)
-            while starts[k] < seg.hi:
-                counts[k] += 1
-                k += 1
+        k = bisect_left(starts, seg.lo)
+        end = bisect_left(starts, seg.hi, k)
+        counts[k:end] = map(_ONE_MORE, counts[k:end])
     # the value from s_new on: only the path, the fork's line and the
     # pieces made in this stage can change it, and only the cut pieces
     # change span, so every other old-tree piece keeps its slot. The tree
     # stays in id order, so sample_recomb_location and the fsum of its
     # length see the same sequence as a pass over every branch would give
-    def revalue(b):
-        """Give b its value from s_new on; True if it is in the new tree."""
-        last = col = b.material.vals[-1]
-        if b.id in on_path:
-            col = last | xi
-        elif b.id in lost:
-            col = last & ~xi
-        if col != last:
-            b.material = b.material.extended(s_new, col)
-        return col and b.hi < INF
-
     tree, spans = graph.tree, graph.spans
-    for bid in on_path.union(lost, cut):
+    for bid, val in col.items():
         if bid >= first_branch:
             continue  # made in this stage: appended below, in id order
-        b = graph.branches[bid]
+        b = branches[bid]
+        if val != b.material.vals[-1]:
+            b.material = b.material.extended(s_new, val)
         k = bisect_left(tree, bid, key=_BY_ID)
         held = k < len(tree) and tree[k] is b
-        if revalue(b):
+        if val and b.hi < INF:
             if held:
                 spans[k] = b.hi - b.lo
             else:
@@ -482,8 +498,12 @@ def accept_breakpoint(graph, s_new, trace):
                 spans.insert(k, b.hi - b.lo)
         elif held:
             del tree[k], spans[k]
-    for b in graph.branches[first_branch:]:
-        if revalue(b):
+    for b in branches[first_branch:]:
+        last = b.material.vals[-1]
+        val = col.get(b.id, last)
+        if val != last:
+            b.material = b.material.extended(s_new, val)
+        if val and b.hi < INF:
             tree.append(b)
             spans.append(b.hi - b.lo)
     graph.breakpoints.append(s_new)
@@ -501,27 +521,31 @@ def graph_to_arg(graph, config):
     bisection over the material's rank keys. No State is built until the
     end, where the root's material is the final state.
     """
-    material = [b.material for b in graph.branches]
-    keys = list(map(Lineage.rank_key, material))
-    assert all(material[j].vals == (1 << j,) for j in range(graph.n)), "leaves are not singletons"
+    branches = graph.branches
+    keys = list(map(Lineage.rank_key, map(_MATERIAL, branches)))
+    assert all(branches[j].material.vals == (1 << j,) for j in range(graph.n)), "leaves are not singletons"
     ranked = list(range(graph.n))  # leaf j has rank j: its key is (0.0, j + 1)
-    times, events = [], []
-    for node in sorted(graph.nodes, key=attrgetter("time")):  # stable: ties stay in id order
+    nodes = sorted(graph.nodes, key=_BY_TIME)  # stable: ties stay in id order
+    events = []
+    for node in nodes:
         if node.locus is None:
-            i, j = sorted(map(ranked.index, node.children))
+            a, b = node.children
+            i, j = ranked.index(a), ranked.index(b)
+            if j < i:
+                i, j = j, i
             del ranked[j]
             ranked[i] = node.parents[0]
-            event = Coalesce(i, j)
+            events.append(Coalesce(i, j))
         else:
             i = ranked.index(node.children[0])
-            lower, upper = sorted(node.parents, key=keys.__getitem__)
+            lower, upper = node.parents
+            if keys[upper] < keys[lower]:
+                lower, upper = upper, lower
             ranked[i] = lower
             ranked.insert(bisect_left(ranked, keys[upper], i + 1, key=keys.__getitem__), upper)
-            event = Recombine(i, node.locus)
-        times.append(node.time)
-        events.append(event)
+            events.append(Recombine(i, node.locus))
     (root,) = ranked
-    return Arg(config, times, events, State(graph.n, [material[root]]))
+    return Arg(config, map(_BY_TIME, nodes), events, State(graph.n, [branches[root].material]))
 
 
 def simulate_spatial(config):

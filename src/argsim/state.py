@@ -54,9 +54,9 @@ class Lineage:
     and ``end`` are read off the two values at each end, so they are defined
     only for canonical lineages. union, split, constant, extended (the
     spatial splice's revalued material) and the splice's carried material
-    build only canonical lineages; union, split and extended set the three
-    fields from what the operation already knows, without reading them
-    off again.
+    build only canonical lineages; union, split, extended, State.initial
+    and the spatial Kingman tree set the three fields from what they
+    already know, without reading them off again.
 
     A lineage carries no engine field: the back-in-time engine keeps its
     recombination weights per rank, beside the state (see
@@ -309,9 +309,13 @@ class State:
 
     @classmethod
     def initial(cls, n):
-        """The starting state: one constant singleton lineage per sample."""
+        """The starting state: one constant singleton lineage per sample.
+
+        Singleton j carries label j + 1 on [0, 1), so its rank key is
+        (0.0, j + 1): built in label order, the list is already ranked.
+        """
         assert n >= 2
-        return cls(n, [Lineage.constant(1 << j) for j in range(n)])
+        return cls._ranked(n, [_lineage((), (1 << j,), 0.0, j + 1, 1.0) for j in range(n)])
 
     @classmethod
     def absorbing(cls, n):

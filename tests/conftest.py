@@ -457,6 +457,16 @@ def top_id(graph):
     return top
 
 
+def lineage_fields(lineage):
+    """A lineage's tuples and the fields read off them, for comparing lineages field by field."""
+    return lineage.breaks, lineage.vals, lineage.start, lineage.start_min, lineage.end
+
+
+def sorted_start_state(n):
+    """The oracle start state: Lineage.__init__ reads each singleton's fields, and State sorts them."""
+    return State(n, [Lineage((), (1 << j,)) for j in reversed(range(n))])
+
+
 def check_invariants(graph):
     """Assert a spatial PartialGraph's structure; returns the graph.
 

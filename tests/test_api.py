@@ -19,7 +19,7 @@ import sys
 from pathlib import Path
 
 import argsim
-from argsim import stats
+from argsim import spatial, stats
 from argsim.arg import local_tree, read_args, summary, validate_arg, write_arg
 from argsim.backintime import simulate_backintime
 from argsim.config import SimConfig
@@ -321,6 +321,47 @@ def test_compare_battery_has_the_row_count_the_benchmark_checks(monkeypatch):
     reports, _ = stats.equivalence_report(SimConfig(n_samples=3, rho=1.0, seed=5), reps, sites=sites, threads=1)
     assert len(reports) == 2 * len(sites) + 4, "perfbench fixes the compare row count: see ROADMAP item 1"
     assert [(r.n_a, r.n_b) for r in reports] == [(reps, reps)] * len(reports)
+
+
+def test_the_benchmark_counts_the_events_the_engines_simulate(monkeypatch):
+    # perfbench's light tracer counts compare-battery's events at
+    # stats.ENGINES; us_per_event divides the run's time by that count
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    tracer = importlib.import_module("tracer")
+    config, reps = SimConfig(n_samples=4, rho=1.0, seed=9), 50
+    light = tracer.Tracer(names=tracer.ENGINES, record=False).install()
+    try:
+        stats.equivalence_report(config, reps, threads=1)
+    finally:
+        light.uninstall()
+    events = sum(stats.ENGINES[engine](config.with_replicate(r)).event_count
+                 for engine in stats.ENGINES for r in range(reps))
+    assert light.counters["events"] == events > 2 * reps * 3
+    assert [light.stat(name)["calls"] for name in tracer.ENGINES] == [reps, reps]
+
+
+def test_the_benchmark_reads_the_steps_of_real_traces(monkeypatch):
+    # perfbench counts rides, detaches and climbs off Trace.steps: each step
+    # is a tuple whose first item is its kind
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    tracer = importlib.import_module("tracer")
+    traces = []
+    trace_lineage = spatial.trace_lineage
+    monkeypatch.setattr(spatial, "trace_lineage", lambda *a: traces.append(trace_lineage(*a)) or traces[-1])
+    r = 0
+    while len(traces) < 200:
+        simulate_spatial(SimConfig(n_samples=6, rho=5.0, seed=11, replicate_index=r))
+        r += 1
+    monkeypatch.undo()
+    counters = {}
+    for trace in traces[:200]:
+        assert all(type(step) is tuple and step[0] in ("coal", "detach", "climb") for step in trace.steps)
+        tracer._count_trace_steps(counters, trace)
+    kinds = [step[0] for trace in traces[:200] for step in trace.steps]
+    ends = sum(trace.steps[-1][0] == "coal" for trace in traces[:200])
+    assert counters == {"rides": kinds.count("coal") - ends, "detaches": kinds.count("detach"),
+                        "climbs": kinds.count("climb")}
+    assert min(counters.values()) > 0
 
 
 def definition_refs():

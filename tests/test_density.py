@@ -11,7 +11,7 @@ from scipy.integrate import quad
 from scipy.special import betaincinv
 
 from argsim.config import SimConfig
-from argsim.density import BetaDensity, UniformDensity, parse_density
+from argsim.density import BetaDensity, UniformDensity, draw_between, parse_density
 from argsim.rng import SimRng
 from argsim.state import Recombine
 from argsim.stats import ENGINES, ks_one_sample
@@ -156,6 +156,17 @@ def test_truncated_draw_never_lands_on_an_end(density):
     lo, hi = 0.5, math.nextafter(math.nextafter(math.nextafter(0.5, 1.0), 1.0), 1.0)
     for u in (1e-300, 1e-12, 0.5, 1.0 - 2.0 ** -53):
         assert lo < density.sample_truncated(FixedRng(u), lo, hi) < hi
+
+
+def test_a_draw_where_ppf_is_nan_inverts_the_cdf_by_bisection():
+    # scipy's betaincinv gives NaN for q <= 1e-108 under beta:3,3; the
+    # draw is then the least float whose CDF reaches q, never NaN
+    d = parse_density("beta:3,3")
+    q = 1e-120
+    assert math.isnan(d.ppf(q))
+    x = draw_between(d, FixedRng(q), 0.0, 1.0, 0.0, 1.0)
+    assert math.isfinite(x) and 0.0 < x < 1.0
+    assert d.cdf(math.nextafter(x, 0.0)) < q <= d.cdf(x)
 
 
 def test_uniform_truncated_sampling_is_uniform():

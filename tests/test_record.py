@@ -89,3 +89,21 @@ def test_pinned_digests_cover_every_benchmark_workload():
     workloads = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
     assert sorted(pinned) == sorted(workloads)
     assert all(len(d) == 64 and int(d, 16) >= 0 for d in pinned.values())
+
+
+def test_grid_rows_hold_each_sides_spread_and_the_round_ratios():
+    parent = [{"a_us_per_path": 10.0 + i, "b_us_per_event": 2.0} for i in range(5)]
+    change = [{"a_us_per_path": 9.0 + i, "b_us_per_event": 2.2} for i in range(5)]
+    rows = record.merge_grid([{"parent": p, "change": c} for p, c in zip(parent, change)])
+    assert sorted(rows) == ["a_us_per_path", "b_us_per_event"]
+    a = rows["a_us_per_path"]
+    assert a["parent"]["values"] == [10.0, 11.0, 12.0, 13.0, 14.0]
+    assert a["change"]["values"] == [9.0, 10.0, 11.0, 12.0, 13.0]
+    assert [a["parent"][key] for key in ("q1", "median", "q3")] == [11.0, 12.0, 13.0]
+    assert [a["change"][key] for key in ("q1", "median", "q3")] == [10.0, 11.0, 12.0]
+    # each round's ratio, not the ratio of the medians
+    assert a["ratio"]["values"] == [(9.0 + i) / (10.0 + i) for i in range(5)]
+    assert [a["ratio"][key] for key in ("q1", "median", "q3")] == [10 / 11, 11 / 12, 12 / 13]
+    b = rows["b_us_per_event"]
+    for key in ("q1", "median", "q3"):
+        assert b["ratio"][key] == pytest.approx(1.1, abs=1e-12)

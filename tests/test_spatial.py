@@ -32,7 +32,18 @@ from argsim.spatial import (
 )
 from argsim.state import Coalesce, Lineage, Recombine, State
 from argsim.stats import ENGINES, chi_square, kingman_expectations, ks_one_sample, ks_one_sample_with_atom
-from conftest import check_invariants, column, count_advance, labels_of, mask_of, path_states, project_path, top_id
+from conftest import (
+    check_invariants,
+    column,
+    count_advance,
+    labels_of,
+    lineage_fields,
+    mask_of,
+    path_states,
+    project_path,
+    sorted_start_state,
+    top_id,
+)
 
 INF = float("inf")
 UNIFORM = UniformDensity()
@@ -174,6 +185,15 @@ def test_kingman_tree_structure():
     assert g.tree_length == pytest.approx(
         math.fsum(k * (starts[5 - k + 1] - starts[5 - k]) for k in range(2, 6))
     )
+
+
+def test_kingman_tree_leaves_are_the_start_state():
+    # the leaves carry State.initial's singletons, and every merged
+    # material's fields are the constructor's (check_invariants)
+    for n in range(2, 131):
+        g = check_invariants(kingman_tree(n, replicate_rng(n, 0, SALTS["spatial"])))
+        got, want = [b.material for b in g.branches[:n]], sorted_start_state(n).lineages
+        assert list(map(lineage_fields, got)) == list(map(lineage_fields, want)), n
 
 
 def scan_intervals(graph):

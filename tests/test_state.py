@@ -26,11 +26,13 @@ from conftest import (
     canonical,
     labels_of,
     lin,
+    lineage_fields,
     mask_of,
     path_states,
     project_state,
     random_walk,
     site_partition,
+    sorted_start_state,
     split_oracle,
     union_oracle,
     walk_states,
@@ -46,6 +48,14 @@ def test_initial_state_is_ranked_singletons():
         mask_of({3}),
     ]
     x.check()
+
+
+def test_initial_state_equals_the_sorted_build():
+    # State.initial builds its singletons in rank order with their fields
+    # given; the oracle reads them off and sorts, past 64 labels too
+    for n in range(2, 131):
+        got, want = State.initial(n).lineages, sorted_start_state(n).lineages
+        assert list(map(lineage_fields, got)) == list(map(lineage_fields, want)), n
 
 
 def test_rank_orders_by_material_start_then_label():
